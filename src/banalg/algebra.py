@@ -17,6 +17,7 @@ from .errors import AlgebraMismatchError, ValidationRejected
 
 DEFAULT_TOL = 1e-9
 DEFAULT_OPT_TOL = 1e-6
+RANK_CUTOFF = 1e-10  # relative singular-value cutoff of rank_basis
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -281,7 +282,25 @@ def require_valid(algebra: Algebra, tol: float = DEFAULT_TOL) -> ValidationRepor
     return report
 
 
-def annihilator_basis(algebra: Algebra, cutoff: float = 1e-10) -> np.ndarray:
+def rank_basis(M: np.ndarray) -> tuple[int, np.ndarray]:
+    """Numerical rank of M and an orthonormal basis of C^cols split by it.
+
+    Returns (rank, vh): the rows vh[:rank] span the row space of M and the
+    rows vh[rank:].conj() span its null space.  A singular value counts when
+    it exceeds RANK_CUTOFF times the largest one; a zero matrix has rank 0 and
+    a 0-row matrix has rank 0 with vh = I.  QR first, then the SVD of the
+    small R factor (Chan's R-SVD): R is at most cols x cols, so a tall
+    constraint system never builds its rows x rows left singular vectors.
+    """
+    M = np.asarray(M)
+    if M.shape[0] == 0:
+        return 0, np.eye(M.shape[1], dtype=complex)
+    _, s, vh = np.linalg.svd(np.linalg.qr(M, mode="r"))
+    rank = int(np.sum(s > RANK_CUTOFF * s[0])) if s[0] > 0 else 0
+    return rank, vh
+
+
+def annihilator_basis(algebra: Algebra) -> np.ndarray:
     """Orthonormal basis (rows) of {a : a * x = 0 for all x}.
 
     Empty for without-order algebras.  Built from the null space of the
@@ -289,11 +308,9 @@ def annihilator_basis(algebra: Algebra, cutoff: float = 1e-10) -> np.ndarray:
     """
     n = algebra.dim
     # K[(j, k), i] = c[i, j, k]
-    K = algebra.structure.transpose(1, 2, 0).reshape(n * n, n)
-    _, s, vh = np.linalg.svd(K)
-    rank = int(np.sum(s > cutoff * (s[0] if s.size and s[0] > 0 else 1.0)))
+    rank, vh = rank_basis(algebra.structure.transpose(1, 2, 0).reshape(n * n, n))
     return vh[rank:].conj()
 
 
-def is_without_order(algebra: Algebra, cutoff: float = 1e-10) -> bool:
-    return annihilator_basis(algebra, cutoff).shape[0] == 0
+def is_without_order(algebra: Algebra) -> bool:
+    return annihilator_basis(algebra).shape[0] == 0

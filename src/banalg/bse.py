@@ -23,6 +23,7 @@ from .algebra import (
     Element,
     LinearMap,
     is_without_order,
+    rank_basis,
 )
 from .constructions import (
     PhiIsomorphism,
@@ -106,11 +107,12 @@ def _check_charset(S: CharacterSet, algebra: Algebra):
         raise EmptyCharacterSetError("no characters to interpolate on")
     if S.algebra is not algebra:
         raise ValueError("character set does not belong to the algebra")
-    if S.rank() < len(S):
+    rank = S.rank()
+    if rank < len(S):
         raise RankDeficientCharactersError(
             "character matrix is rank-deficient; the input set is inconsistent"
         )
-    if S.rank() < algebra.dim:
+    if rank < algebra.dim:
         warnings.warn(
             f"algebra {algebra.name!r} is not semisimple on the given characters; "
             "BSE results are outside the usual hypotheses",
@@ -168,13 +170,9 @@ def delta_weak_bai(algebra: Algebra, S: CharacterSet,
     )
 
 
-def _orthonormal_rows(rows: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
-    if rows.shape[0] == 0:
-        return rows
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        return np.zeros((0, rows.shape[1]), dtype=complex)
-    rank = int(np.sum(s > cutoff * s[0]))
+def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (rows) of the row space."""
+    rank, vh = rank_basis(rows)
     return vh[:rank]
 
 
@@ -222,7 +220,10 @@ def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
         S = characters_numerical(algebra, tol, seed)
     if len(S) == 0:
         raise EmptyCharacterSetError("no characters; BSE comparison is void")
-    semisimple = S.rank() == algebra.dim
+    # interpolable functions: the image of the Gelfand map; its dimension is
+    # the rank of the character matrix
+    c_space = _orthonormal_rows(S.matrix.T)
+    semisimple = c_space.shape[0] == algebra.dim
     if not semisimple:
         warnings.warn(
             f"algebra {algebra.name!r} is not semisimple; BSE verdict is outside "
@@ -230,8 +231,6 @@ def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
             SemisimplicityWarning,
             stacklevel=2,
         )
-    # interpolable functions: the image of the Gelfand map
-    c_space = _orthonormal_rows(S.matrix.T.copy())
     # multiplier hats
     mult = multiplier_space(algebra)
     hats = np.array([hat(T, S, tol) for T in mult.basis]) if mult.dim else np.zeros((0, len(S)), dtype=complex)

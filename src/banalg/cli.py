@@ -25,6 +25,7 @@ from .constructions import (
 from .errors import BanalgError, SchemaError
 from .fixtures import FAMILIES
 from .jsonio import (
+    actions_from_dict,
     algebra_from_dict,
     bundle_from_dict,
     bundle_to_dict,
@@ -72,13 +73,7 @@ def _cmd_build(args) -> int:
     if args.what == "semidirect":
         B = algebra_from_dict(load_json(args.b), where=args.b)
         I = algebra_from_dict(load_json(args.i), where=args.i)
-        actions = load_json(args.actions)
-        from .jsonio import _tensor_from_sparse
-
-        bi = _tensor_from_sparse(actions.get("action_bi", []),
-                                 (B.dim, I.dim, I.dim), f"{args.actions}.action_bi")
-        ib = _tensor_from_sparse(actions.get("action_ib", []),
-                                 (I.dim, B.dim, I.dim), f"{args.actions}.action_ib")
+        bi, ib = actions_from_dict(load_json(args.actions), B.dim, I.dim, args.actions)
         desc = semidirect(SemidirectSpec(B, I, bi, ib), tol=args.tol)
         _emit(bundle_to_dict(desc), args.output)
         return 0

@@ -18,6 +18,7 @@ from .algebra import (
     Algebra,
     LinearMap,
     operator_norm,
+    rank_basis,
     require_valid,
     validate,
 )
@@ -146,15 +147,10 @@ def semidirect(spec: SemidirectSpec, tol: float = DEFAULT_TOL,
 
 def homomorphism_residual(phi: LinearMap) -> float:
     """max over basis pairs of ||phi(e_i e_j) - phi(e_i) phi(e_j)|| in the target."""
-    B, A = phi.source, phi.target
-    res = 0.0
-    images = [phi.matrix[:, j] for j in range(B.dim)]
-    for i in range(B.dim):
-        for j in range(B.dim):
-            lhs = phi.matrix @ B.structure[i, j, :]
-            rhs = A.multiply_coeffs(images[i], images[j])
-            res = max(res, A.norm_coeffs(lhs - rhs))
-    return res
+    B, A, P = phi.source, phi.target, phi.matrix
+    lhs = np.einsum("ijk,rk->ijr", B.structure, P)
+    rhs = np.einsum("ai,bj,abr->ijr", P, P, A.structure)
+    return float(np.max(np.abs(lhs - rhs) @ A.weights))
 
 
 @dataclass
@@ -201,11 +197,8 @@ def lau_product(A: Algebra, B: Algebra, phi: LinearMap, tol: float = DEFAULT_TOL
     c = np.zeros((n, n, n), dtype=complex)
     c[:nA, :nA, :nA] = A.structure
     c[nA:, nA:, nA:] = B.structure
-    for i in range(nA):
-        for j in range(nB):
-            prod = A.multiply_coeffs(_basis(nA, i), phi.matrix[:, j])
-            c[i, nA + j, :nA] = prod
-            c[nA + j, i, :nA] = A.multiply_coeffs(phi.matrix[:, j], _basis(nA, i))
+    c[:nA, nA:, :nA] = np.einsum("ikr,kj->ijr", A.structure, phi.matrix)  # a phi(b)
+    c[nA:, :nA, :nA] = np.einsum("kj,kir->jir", phi.matrix, A.structure)  # phi(b) a
     weights = np.concatenate([A.weights, B.weights])
     unit = None
     if A.unit is not None and B.unit is not None:
@@ -238,12 +231,6 @@ def lau_product(A: Algebra, B: Algebra, phi: LinearMap, tol: float = DEFAULT_TOL
         phi=phi,
         contractive=report.is_contractive,
     )
-
-
-def _basis(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n, dtype=complex)
-    v[i] = 1.0
-    return v
 
 
 def direct_sum(A: Algebra, B: Algebra, tol: float = DEFAULT_TOL,
@@ -347,38 +334,18 @@ def split_algebra(A: Algebra, sub_basis: np.ndarray, ideal_basis: np.ndarray,
     U = np.hstack([sub_basis, ideal_basis])
     if np.linalg.matrix_rank(U) < n:
         raise ValueError("sub_basis and ideal_basis do not span the algebra")
-    Uinv = np.linalg.inv(U)
-
-    def coords(vec: np.ndarray) -> np.ndarray:
-        return Uinv @ vec
-
-    def assert_block(coeff: np.ndarray, block: slice, other: slice, what: str):
-        if np.max(np.abs(coeff[other]), initial=0.0) > tol:
-            raise InvalidActionError(f"{what} does not stay in its block")
-
-    cB = np.zeros((m, m, m), dtype=complex)
-    cI = np.zeros((p, p, p), dtype=complex)
-    act_bi = np.zeros((m, p, p), dtype=complex)
-    act_ib = np.zeros((p, m, p), dtype=complex)
+    # z[a, b, :] = coordinates of (column a of U)(column b of U) in the U basis
+    z = np.einsum("ia,jb,ijk->abk", U, U, A.structure) @ np.linalg.inv(U).T
     sb, ib = slice(0, m), slice(m, n)
-    for i in range(m):
-        for j in range(m):
-            z = coords(A.multiply_coeffs(sub_basis[:, i], sub_basis[:, j]))
-            assert_block(z, sb, ib, "subalgebra product")
-            cB[i, j, :] = z[sb]
-    for i in range(p):
-        for j in range(p):
-            z = coords(A.multiply_coeffs(ideal_basis[:, i], ideal_basis[:, j]))
-            assert_block(z, ib, sb, "ideal product")
-            cI[i, j, :] = z[ib]
-    for j in range(m):
-        for i in range(p):
-            z = coords(A.multiply_coeffs(sub_basis[:, j], ideal_basis[:, i]))
-            assert_block(z, ib, sb, "B.I action")
-            act_bi[j, i, :] = z[ib]
-            z = coords(A.multiply_coeffs(ideal_basis[:, i], sub_basis[:, j]))
-            assert_block(z, ib, sb, "I.B action")
-            act_ib[i, j, :] = z[ib]
+    for what, left, right, block in (("subalgebra product", sb, sb, sb),
+                                     ("ideal product", ib, ib, ib),
+                                     ("B.I action", sb, ib, ib),
+                                     ("I.B action", ib, sb, ib)):
+        other = ib if block is sb else sb
+        if np.max(np.abs(z[left, right, other]), initial=0.0) > tol:
+            raise InvalidActionError(f"{what} does not stay in its block")
+    cB, cI = z[sb, sb, sb], z[ib, ib, ib]
+    act_bi, act_ib = z[sb, ib, ib], z[ib, sb, ib]
 
     wB = np.asarray(sub_weights, dtype=float) if sub_weights is not None else np.ones(m)
     wI = np.asarray(ideal_weights, dtype=float) if ideal_weights is not None else np.ones(p)
@@ -388,21 +355,12 @@ def split_algebra(A: Algebra, sub_basis: np.ndarray, ideal_basis: np.ndarray,
     return spec, U
 
 
-def ideal_span_rank(desc: ProductDescriptor, cutoff: float = 1e-10) -> int:
+def ideal_span_rank(desc: ProductDescriptor) -> int:
     """rank of span{a * b : a in I-basis, b in B-basis} inside the ideal block."""
-    alg = desc.algebra
     isl, bsl = desc.ideal_slice, desc.subalgebra_slice
-    cols = []
-    for i in range(isl.start, isl.stop):
-        for j in range(bsl.start, bsl.stop):
-            prod = alg.structure[i, j, :]
-            cols.append(prod[isl])
-    M = np.array(cols)
-    if not np.any(M):
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > cutoff * s[0]))
+    products = desc.algebra.structure[isl, bsl, isl].reshape(-1, desc.ideal.dim)
+    return rank_basis(products)[0]
 
 
-def ideal_span_is_full(desc: ProductDescriptor, cutoff: float = 1e-10) -> bool:
-    return ideal_span_rank(desc, cutoff) == desc.ideal.dim
+def ideal_span_is_full(desc: ProductDescriptor) -> bool:
+    return ideal_span_rank(desc) == desc.ideal.dim

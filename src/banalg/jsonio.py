@@ -77,6 +77,46 @@ def _check(cond: bool, violations: list[str], where: str, msg: str):
         violations.append(f"{where}: {msg}")
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _pair(pair: Any, violations: list[str], where: str) -> complex | None:
+    """An [re, im] pair as a complex number, or None after recording a violation."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
+        violations.append(f"{where}: expected [re, im] with numeric entries")
+        return None
+    return complex(pair[0], pair[1])
+
+
+def _tensor_from_sparse(entries: Any, shape: tuple[int, int, int],
+                        where: str) -> np.ndarray:
+    """Dense tensor from [i, j, k, re, im] entries; every bad entry is a violation."""
+    if not isinstance(entries, list):
+        raise SchemaError([f"{where}: expected a list"])
+    v: list[str] = []
+    t = np.zeros(shape, dtype=complex)
+    for idx, row in enumerate(entries):
+        loc = f"{where}[{idx}]"
+        if not (isinstance(row, list) and len(row) == 5):
+            v.append(f"{loc}: expected [i, j, k, re, im]")
+            continue
+        *ijk, re, im = row
+        if not (all(map(_is_int, ijk)) and _is_number(re) and _is_number(im)):
+            v.append(f"{loc}: expected integer indices and numeric re/im")
+        elif not all(0 <= x < bound for x, bound in zip(ijk, shape)):
+            v.append(f"{loc}: index out of range for shape {shape}")
+        else:
+            t[tuple(ijk)] = complex(re, im)
+    if v:
+        raise SchemaError(v)
+    return t
+
+
 def algebra_to_dict(algebra: Algebra) -> dict:
     entries = []
     n = algebra.dim
@@ -109,7 +149,7 @@ def algebra_from_dict(doc: Any, where: str = "$") -> Algebra:
     name = doc["name"]
     _check(isinstance(name, str), v, f"{where}.name", "expected a string")
     dim = doc["dim"]
-    _check(isinstance(dim, int) and not isinstance(dim, bool), v, f"{where}.dim", "expected an integer")
+    _check(_is_int(dim), v, f"{where}.dim", "expected an integer")
     if v:
         raise SchemaError(v)
     _check(dim >= 1, v, f"{where}.dim", "must be >= 1")
@@ -118,41 +158,19 @@ def algebra_from_dict(doc: Any, where: str = "$") -> Algebra:
            f"expected a list of {dim} numbers")
     if not v:
         for idx, w in enumerate(weights):
-            _check(isinstance(w, (int, float)) and not isinstance(w, bool), v,
-                   f"{where}.weights[{idx}]", "expected a number")
+            _check(_is_number(w), v, f"{where}.weights[{idx}]", "expected a number")
             if not v and w <= 0:
                 v.append(f"{where}.weights[{idx}]: must be > 0")
-    structure = doc["structure"]
-    _check(isinstance(structure, list), v, f"{where}.structure", "expected a list")
-    tensor = np.zeros((dim, dim, dim), dtype=complex) if not v else None
-    if not v:
-        for idx, row in enumerate(structure):
-            loc = f"{where}.structure[{idx}]"
-            if not (isinstance(row, list) and len(row) == 5):
-                v.append(f"{loc}: expected [i, j, k, re, im]")
-                continue
-            i, j, k, re, im = row
-            ok = all(isinstance(t, int) and not isinstance(t, bool) for t in (i, j, k))
-            ok = ok and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in (re, im))
-            if not ok:
-                v.append(f"{loc}: expected integer indices and numeric re/im")
-                continue
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                v.append(f"{loc}: index out of range for dim {dim}")
-                continue
-            tensor[i, j, k] = complex(re, im)
+    if v:
+        raise SchemaError(v)
+    tensor = _tensor_from_sparse(doc["structure"], (dim, dim, dim), f"{where}.structure")
     unit = None
-    if not v and "unit" in doc and doc["unit"] is not None:
+    if "unit" in doc and doc["unit"] is not None:
         u = doc["unit"]
         if not (isinstance(u, list) and len(u) == dim):
             v.append(f"{where}.unit: expected a list of {dim} [re, im] pairs")
         else:
-            unit = np.zeros(dim, dtype=complex)
-            for idx, pair in enumerate(u):
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    v.append(f"{where}.unit[{idx}]: expected [re, im]")
-                    break
-                unit[idx] = complex(pair[0], pair[1])
+            unit = [_pair(pair, v, f"{where}.unit[{idx}]") for idx, pair in enumerate(u)]
     if v:
         raise SchemaError(v)
     return Algebra(name=name, weights=np.array(weights, dtype=float),
@@ -183,10 +201,9 @@ def morphism_from_dict(doc: Any, source: Algebra, target: Algebra,
                 v.append(f"{where}.matrix[{r}]: expected {source.dim} [re, im] pairs")
                 break
             for c_, pair in enumerate(row):
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    v.append(f"{where}.matrix[{r}][{c_}]: expected [re, im]")
-                    break
-                matrix[r, c_] = complex(pair[0], pair[1])
+                z = _pair(pair, v, f"{where}.matrix[{r}][{c_}]")
+                if z is not None:
+                    matrix[r, c_] = z
     if v:
         raise SchemaError(v)
     return LinearMap(source, target, matrix)
@@ -203,16 +220,12 @@ def sigma_from_dict(doc: Any, expected_len: int | None = None,
     _check(isinstance(vals, list), v, f"{where}.values", "expected a list")
     if not v and expected_len is not None and len(vals) != expected_len:
         v.append(f"{where}.values: expected {expected_len} entries, got {len(vals)}")
-    out = np.zeros(len(vals) if not v else 0, dtype=complex)
-    if not v:
-        for idx, pair in enumerate(vals):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                v.append(f"{where}.values[{idx}]: expected [re, im]")
-                break
-            out[idx] = complex(pair[0], pair[1])
     if v:
         raise SchemaError(v)
-    return out
+    out = [_pair(pair, v, f"{where}.values[{idx}]") for idx, pair in enumerate(vals)]
+    if v:
+        raise SchemaError(v)
+    return np.array(out, dtype=complex)
 
 
 def sigma_to_dict(values: np.ndarray) -> dict:
@@ -230,24 +243,14 @@ def _sparse_tensor(t: np.ndarray) -> list:
     return entries
 
 
-def _tensor_from_sparse(entries: Any, shape: tuple[int, int, int],
-                        where: str) -> np.ndarray:
-    v: list[str] = []
-    t = np.zeros(shape, dtype=complex)
-    if not isinstance(entries, list):
-        raise SchemaError([f"{where}: expected a list"])
-    for idx, row in enumerate(entries):
-        if not (isinstance(row, list) and len(row) == 5):
-            v.append(f"{where}[{idx}]: expected [i, j, k, re, im]")
-            continue
-        i, j, k, re, im = row
-        if not (0 <= i < shape[0] and 0 <= j < shape[1] and 0 <= k < shape[2]):
-            v.append(f"{where}[{idx}]: index out of range for shape {shape}")
-            continue
-        t[i, j, k] = complex(re, im)
-    if v:
-        raise SchemaError(v)
-    return t
+def actions_from_dict(doc: Any, m: int, p: int, where: str = "$"
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The semidirect action tensors {"action_bi": [...], "action_ib": [...]}."""
+    if not isinstance(doc, dict):
+        raise SchemaError([f"{where}: expected an object"])
+    bi = _tensor_from_sparse(doc.get("action_bi", []), (m, p, p), f"{where}.action_bi")
+    ib = _tensor_from_sparse(doc.get("action_ib", []), (p, m, p), f"{where}.action_ib")
+    return bi, ib
 
 
 def bundle_to_dict(desc) -> dict:
@@ -282,6 +285,8 @@ def bundle_from_dict(doc: Any, where: str = "$"):
     if not (isinstance(doc, dict) and "descriptor" in doc and "algebra" in doc):
         raise SchemaError([f"{where}: expected a build bundle with algebra + descriptor"])
     d = doc["descriptor"]
+    if not (isinstance(d, dict) and "first" in d and "second" in d):
+        raise SchemaError([f"{where}.descriptor: expected an object with first and second"])
     kind = d.get("kind")
     if kind not in ("semidirect", "lau", "direct_sum"):
         raise SchemaError([f"{where}.descriptor.kind: unknown kind {kind!r}"])
@@ -289,11 +294,7 @@ def bundle_from_dict(doc: Any, where: str = "$"):
     second = algebra_from_dict(d["second"], f"{where}.descriptor.second")
     stored = algebra_from_dict(doc["algebra"], f"{where}.algebra")
     if kind == "semidirect":
-        m, p = first.dim, second.dim
-        bi = _tensor_from_sparse(d.get("action_bi", []), (m, p, p),
-                                 f"{where}.descriptor.action_bi")
-        ib = _tensor_from_sparse(d.get("action_ib", []), (p, m, p),
-                                 f"{where}.descriptor.action_ib")
+        bi, ib = actions_from_dict(d, first.dim, second.dim, f"{where}.descriptor")
         desc = semidirect(SemidirectSpec(first, second, bi, ib), name=stored.name)
     else:
         if "phi" not in d:
@@ -314,10 +315,6 @@ def load_json(path: str) -> Any:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError([f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}"])
-
-
-def parse_algebra(path: str) -> Algebra:
-    return algebra_from_dict(load_json(path), where=path)
 
 
 def write_json(path: str, doc: Any):

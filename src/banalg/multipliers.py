@@ -2,13 +2,16 @@
 
 LM(A):  T(xy) = x T(y)        (left multipliers)
 M(A):   T(x) y = x T(y)       (multipliers)
-Hom_B(X, Y): T(b.x) = b.T(x)  (left B-module maps, actions given as tensors)
 
-All spaces are computed by SVD of the stacked linearized constraints with a
-relative singular-value cutoff, yielding Frobenius-orthonormal bases and
-stable dimension counts.  The block machinery realizes the four-block form
-(T_B, S_B, S_I, R_I) of a left multiplier on a subalgebra(+)ideal product
-and the linear relations tying the blocks together.
+Every constraint system and residual is a contraction of the structure
+tensor c[i,j,k] (or of its sub-tensors on a product's blocks) with the
+unknown map.  Spaces are the null spaces of the stacked linearized
+constraints, taken with `algebra.rank_basis` (QR, then the SVD of the small
+R factor, with one relative singular-value cutoff), which yields
+Frobenius-orthonormal bases and stable dimension counts.  The block
+machinery realizes the four-block form (T_B, S_B, S_I, R_I) of a left
+multiplier on a subalgebra(+)ideal product and the linear relations tying
+the blocks together.
 """
 
 from __future__ import annotations
@@ -17,44 +20,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Algebra, LinearMap
+from .algebra import DEFAULT_TOL, Algebra, LinearMap, rank_basis
 from .constructions import ProductDescriptor
 from .errors import (
-    MultiplierError,
     NotAMultiplierError,
     RelationsViolatedError,
     UndefinedHatError,
 )
 from .spectra import CharacterSet
 
-SVD_CUTOFF = 1e-10
+
+def _of_product(c: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """[x, y, r] -> X(x y)_r for the product tensor c[x, y, k] and a map X."""
+    return np.einsum("xyk,rk->xyr", c, X)
 
 
-def _nullspace(M: np.ndarray, cutoff: float = SVD_CUTOFF) -> np.ndarray:
-    """Rows form an orthonormal basis of ker(M)."""
-    if M.shape[0] == 0:
-        return np.eye(M.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(M)
-    smax = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > cutoff * smax))
-    return vh[rank:].conj()
+def _times_image(c: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """[x, y, r] -> (x X(y))_r for the product tensor c[x, k, r] and a map X."""
+    return np.einsum("xkr,ky->xyr", c, X)
+
+
+def _of_product_op(c: np.ndarray, rows: int) -> np.ndarray:
+    """Matrix of X -> _of_product(c, X) over row-major vec(X), X with `rows` rows."""
+    x, y, k = c.shape
+    return np.einsum("xyk,rs->xyrsk", c, np.eye(rows)).reshape(x * y * rows, rows * k)
+
+
+def _times_image_op(c: np.ndarray, cols: int) -> np.ndarray:
+    """Matrix of X -> _times_image(c, X) over row-major vec(X), X with `cols` columns."""
+    x, k, r = c.shape
+    return np.einsum("xkr,yz->xyrkz", c, np.eye(cols)).reshape(x * cols * r, k * cols)
+
+
+def _max_norm(diff: np.ndarray, weights: np.ndarray) -> float:
+    """Largest weighted-l1 norm over the last axis."""
+    return float(np.max(np.abs(diff) @ weights))
 
 
 @dataclass(eq=False)
 class MultiplierBasis:
     algebra: Algebra
-    kind: str  # "LM" | "M" | "Hom"
+    kind: str  # "LM" | "M"
     basis: list[LinearMap]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def matrices(self) -> np.ndarray:
-        if not self.basis:
-            shape = (0, 0, 0)
-            return np.zeros(shape, dtype=complex)
-        return np.array([b.matrix for b in self.basis])
 
     def contains(self, T: np.ndarray, tol: float = 1e-8) -> bool:
         """Whether T lies in the span of the basis (Frobenius projection residual)."""
@@ -69,136 +80,49 @@ class MultiplierBasis:
 
 def left_multiplier_residual(algebra: Algebra, T: np.ndarray) -> float:
     """max_{i,j} || T(e_i e_j) - e_i T(e_j) ||."""
-    n = algebra.dim
     c = algebra.structure
-    res = 0.0
-    for i in range(n):
-        Li = algebra.left_mult_matrix(np.eye(n)[i])
-        lhs = T @ c[i].T  # column j: T(e_i e_j)
-        rhs = Li @ T
-        res = max(res, float(np.max(algebra.weights @ np.abs(lhs - rhs))))
-    return res
+    return _max_norm(_of_product(c, T) - _times_image(c, T), algebra.weights)
 
 
 def multiplier_residual(algebra: Algebra, T: np.ndarray) -> float:
     """max_{i,j} || T(e_i) e_j - e_i T(e_j) ||."""
-    n = algebra.dim
-    eye = np.eye(n)
-    left = [algebra.left_mult_matrix(eye[i]) for i in range(n)]
-    res = 0.0
-    for j in range(n):
-        Rj = algebra.right_mult_matrix(eye[j])
-        lhs = Rj @ T  # column i: T(e_i) e_j
-        for i in range(n):
-            diff = lhs[:, i] - left[i] @ T[:, j]
-            res = max(res, algebra.norm_coeffs(diff))
-    return res
+    c = algebra.structure
+    image_times = np.einsum("mi,mjr->ijr", T, c)  # T(e_i) e_j
+    return _max_norm(image_times - _times_image(c, T), algebra.weights)
 
 
 def _left_constraints(algebra: Algebra) -> np.ndarray:
-    """Linearize T(e_i e_j) = e_i T(e_j) over vec(T) (row-major)."""
-    n = algebra.dim
-    c = algebra.structure
-    eye = np.eye(n)
-    rows = []
-    for i in range(n):
-        Li = algebra.left_mult_matrix(eye[i])
-        for j in range(n):
-            # T(e_i e_j): sum_k c[i,j,k] T[:, k]  ->  (I (x) c[i,j,:])
-            A1 = np.kron(eye, c[i, j, :].reshape(1, n))
-            # e_i T(e_j): Li @ T[:, j]
-            A2 = np.zeros((n, n * n), dtype=complex)
-            A2[:, j::n] = Li
-            rows.append(A1 - A2)
-    return np.vstack(rows)
+    """Linearize T(e_i e_j) = e_i T(e_j) over vec(T) (row-major).
+
+    Row (i, j, r), column (k, l): delta_rk c[i,j,l] - delta_lj c[i,k,r].
+    """
+    c, n = algebra.structure, algebra.dim
+    return _of_product_op(c, n) - _times_image_op(c, n)
 
 
 def _mult_constraints(algebra: Algebra) -> np.ndarray:
-    """Linearize T(e_i) e_j = e_i T(e_j) over vec(T)."""
+    """Linearize T(e_i) e_j = e_i T(e_j) over vec(T).
+
+    Row (i, j, r), column (k, l): delta_li c[k,j,r] - delta_lj c[i,k,r].
+    """
+    c, n = algebra.structure, algebra.dim
+    image_times = np.einsum("kjr,li->ijrkl", c, np.eye(n)).reshape(n ** 3, n * n)
+    return image_times - _times_image_op(c, n)
+
+
+def _space(algebra: Algebra, kind: str, constraints: np.ndarray) -> MultiplierBasis:
+    rank, vh = rank_basis(constraints)
     n = algebra.dim
-    eye = np.eye(n)
-    rows = []
-    for i in range(n):
-        Li = algebra.left_mult_matrix(eye[i])
-        for j in range(n):
-            Rj = algebra.right_mult_matrix(eye[j])
-            A1 = np.zeros((n, n * n), dtype=complex)
-            A1[:, i::n] = Rj  # T(e_i) e_j
-            A2 = np.zeros((n, n * n), dtype=complex)
-            A2[:, j::n] = Li  # e_i T(e_j)
-            rows.append(A1 - A2)
-    return np.vstack(rows)
-
-
-def _basis_from_null(algebra_src: Algebra, algebra_tgt: Algebra,
-                     null_rows: np.ndarray) -> list[LinearMap]:
-    maps = []
-    for row in null_rows:
-        mat = row.reshape(algebra_tgt.dim, algebra_src.dim)
-        maps.append(LinearMap(algebra_src, algebra_tgt, mat))
-    return maps
+    basis = [LinearMap(algebra, algebra, row.reshape(n, n)) for row in vh[rank:].conj()]
+    return MultiplierBasis(algebra, kind, basis)
 
 
 def left_multiplier_space(algebra: Algebra) -> MultiplierBasis:
-    null = _nullspace(_left_constraints(algebra))
-    return MultiplierBasis(algebra, "LM", _basis_from_null(algebra, algebra, null))
-
-
-def right_multiplier_space(algebra: Algebra) -> MultiplierBasis:
-    """T(xy) = T(x)y; computed as the left multipliers of the opposite algebra."""
-    opposite = Algebra(
-        algebra.name + ".op",
-        np.array(algebra.weights),
-        algebra.structure.transpose(1, 0, 2).copy(),
-        unit=None if algebra.unit is None else np.array(algebra.unit),
-    )
-    null = _nullspace(_left_constraints(opposite))
-    return MultiplierBasis(algebra, "RM", _basis_from_null(algebra, algebra, null))
+    return _space(algebra, "LM", _left_constraints(algebra))
 
 
 def multiplier_space(algebra: Algebra) -> MultiplierBasis:
-    null = _nullspace(_mult_constraints(algebra))
-    return MultiplierBasis(algebra, "M", _basis_from_null(algebra, algebra, null))
-
-
-def module_hom_constraints(actions_x: np.ndarray, actions_y: np.ndarray) -> np.ndarray:
-    """Stack of T A^X_b - A^Y_b T = 0 over vec(T), T: X -> Y, for each acting basis b.
-
-    actions_x[b] is the matrix of x -> b.x on X; actions_y[b] likewise on Y.
-    """
-    nb, dx, dy = actions_x.shape[0], actions_x.shape[1], actions_y.shape[1]
-    rows = []
-    for b in range(nb):
-        AX = actions_x[b]
-        AY = actions_y[b]
-        # vec_rm(T @ AX) = (I_dy (x) AX^T) vec(T); vec_rm(AY @ T) = (AY (x) I_dx) vec(T)
-        rows.append(np.kron(np.eye(dy), AX.T) - np.kron(AY, np.eye(dx)))
-    return np.vstack(rows)
-
-
-def module_hom_space(actions_x: np.ndarray, actions_y: np.ndarray,
-                     cutoff: float = SVD_CUTOFF) -> np.ndarray:
-    """Orthonormal rows spanning Hom_B(X, Y) as vec'd dy x dx matrices."""
-    actions_x = np.asarray(actions_x, dtype=complex)
-    actions_y = np.asarray(actions_y, dtype=complex)
-    return _nullspace(module_hom_constraints(actions_x, actions_y), cutoff)
-
-
-def subalgebra_action_matrices(desc: ProductDescriptor, block: slice) -> np.ndarray:
-    """Matrices of b_j . x for x in the given block, one per subalgebra basis vector."""
-    alg = desc.algebra
-    bsl = desc.subalgebra_slice
-    dim_block = block.stop - block.start
-    out = np.zeros((bsl.stop - bsl.start, dim_block, dim_block), dtype=complex)
-    for jj, j in enumerate(range(bsl.start, bsl.stop)):
-        L = alg.left_mult_matrix(np.eye(alg.dim)[j])
-        sub = L[block, block]
-        out[jj] = sub
-        # products must stay inside the block for the action to be well defined
-        outside = np.delete(np.abs(L[:, block]), np.arange(block.start, block.stop), axis=0)
-        if outside.size and np.max(outside) > 1e-12:
-            raise MultiplierError("subalgebra action leaves the block")
-    return out
+    return _space(algebra, "M", _mult_constraints(algebra))
 
 
 @dataclass(eq=False)
@@ -225,72 +149,39 @@ class BlockDecomposition:
         return max(self.membership_residuals.values())
 
 
+def _block_tensors(desc: ProductDescriptor) -> tuple[np.ndarray, ...]:
+    """Sub-tensors c[B,B,B], c[B,I,I], c[I,I,I], c[I,B,I] of the product.
+
+    Each keeps only the output block the product lands in: B B -> B and
+    B I, I I, I B -> I.
+    """
+    c = desc.algebra.structure
+    B, I = desc.subalgebra_slice, desc.ideal_slice
+    return c[B, B, B], c[B, I, I], c[I, I, I], c[I, B, I]
+
+
 def _block_relation_residuals(desc: ProductDescriptor, T_B, S_B, S_I, R_I
                               ) -> tuple[dict[str, float], dict[str, float]]:
-    alg = desc.algebra
-    bsl, isl = desc.subalgebra_slice, desc.ideal_slice
-    m = bsl.stop - bsl.start
-    p = isl.stop - isl.start
-    wB = alg.weights[bsl]
-    wI = alg.weights[isl]
-
-    def ideal_product(x_ideal: np.ndarray, y_ideal: np.ndarray) -> np.ndarray:
-        fx = np.zeros(alg.dim, dtype=complex); fx[isl] = x_ideal
-        fy = np.zeros(alg.dim, dtype=complex); fy[isl] = y_ideal
-        return alg.multiply_coeffs(fx, fy)[isl]
-
-    def ideal_times_sub(x_ideal: np.ndarray, b_sub: np.ndarray) -> np.ndarray:
-        fx = np.zeros(alg.dim, dtype=complex); fx[isl] = x_ideal
-        fb = np.zeros(alg.dim, dtype=complex); fb[bsl] = b_sub
-        return alg.multiply_coeffs(fx, fb)[isl]
-
-    def sub_times_ideal(b_sub: np.ndarray, x_ideal: np.ndarray) -> np.ndarray:
-        fb = np.zeros(alg.dim, dtype=complex); fb[bsl] = b_sub
-        fx = np.zeros(alg.dim, dtype=complex); fx[isl] = x_ideal
-        return alg.multiply_coeffs(fb, fx)[isl]
-
-    def sub_product(b: np.ndarray, b2: np.ndarray) -> np.ndarray:
-        fb = np.zeros(alg.dim, dtype=complex); fb[bsl] = b
-        f2 = np.zeros(alg.dim, dtype=complex); f2[bsl] = b2
-        full = alg.multiply_coeffs(fb, f2)
-        return full[bsl]
-
-    eyeI = np.eye(p)
-    eyeB = np.eye(m)
-    r_ii = r_iii = r_iv = 0.0
-    for a in range(p):
-        ea = eyeI[a]
-        for a2 in range(p):
-            prod = ideal_product(ea, eyeI[a2])  # a a'
-            lhs = R_I @ prod
-            rhs = ideal_product(ea, R_I @ eyeI[a2]) + ideal_times_sub(ea, S_B @ eyeI[a2])
-            r_ii = max(r_ii, float(np.sum(wI * np.abs(lhs - rhs))))
-            r_iv = max(r_iv, float(np.sum(wB * np.abs(S_B @ prod))))
-        for b in range(m):
-            prod = ideal_times_sub(ea, eyeB[b])  # a b
-            lhs = R_I @ prod
-            rhs = ideal_product(ea, S_I @ eyeB[b]) + ideal_times_sub(ea, T_B @ eyeB[b])
-            r_iii = max(r_iii, float(np.sum(wI * np.abs(lhs - rhs))))
-            r_iv = max(r_iv, float(np.sum(wB * np.abs(S_B @ prod))))
-
-    m_tb = m_sb = m_si = m_ri = 0.0
-    for b in range(m):
-        eb = eyeB[b]
-        for b2 in range(m):
-            prod = sub_product(eb, eyeB[b2])
-            diff = T_B @ prod - sub_product(eb, T_B @ eyeB[b2])
-            m_tb = max(m_tb, float(np.sum(wB * np.abs(diff))))
-            diff = S_I @ prod - sub_times_ideal(eb, S_I @ eyeB[b2])
-            m_si = max(m_si, float(np.sum(wI * np.abs(diff))))
-        for a in range(p):
-            ba = sub_times_ideal(eb, eyeI[a])
-            diff = R_I @ ba - sub_times_ideal(eb, R_I @ eyeI[a])
-            m_ri = max(m_ri, float(np.sum(wI * np.abs(diff))))
-            diff = S_B @ ba - sub_product(eb, S_B @ eyeI[a])
-            m_sb = max(m_sb, float(np.sum(wB * np.abs(diff))))
-
-    relations = {"ii": r_ii, "iii": r_iii, "iv": r_iv}
-    memberships = {"T_B": m_tb, "S_B": m_sb, "S_I": m_si, "R_I": m_ri}
+    wB = desc.algebra.weights[desc.subalgebra_slice]
+    wI = desc.algebra.weights[desc.ideal_slice]
+    cBB, cBI, cII, cIB = _block_tensors(desc)
+    # (ii) R_I(a a') = a R_I(a') + a S_B(a'); (iii) R_I(a b) = a S_I(b) + a T_B(b)
+    r_ii = _of_product(cII, R_I) - _times_image(cII, R_I) - _times_image(cIB, S_B)
+    r_iii = _of_product(cIB, R_I) - _times_image(cII, S_I) - _times_image(cIB, T_B)
+    relations = {
+        "ii": _max_norm(r_ii, wI),
+        "iii": _max_norm(r_iii, wI),
+        # (iv) S_B(a a') = 0 and S_B(a b) = 0
+        "iv": max(_max_norm(_of_product(cII, S_B), wB),
+                  _max_norm(_of_product(cIB, S_B), wB)),
+    }
+    # T_B in LM(B), S_I in Hom_B(B, I), R_I in Hom_B(I, I), S_B in Hom_B(I, B)
+    memberships = {
+        "T_B": _max_norm(_of_product(cBB, T_B) - _times_image(cBB, T_B), wB),
+        "S_B": _max_norm(_of_product(cBI, S_B) - _times_image(cBB, S_B), wB),
+        "S_I": _max_norm(_of_product(cBB, S_I) - _times_image(cBI, S_I), wI),
+        "R_I": _max_norm(_of_product(cBI, R_I) - _times_image(cBI, R_I), wI),
+    }
     return relations, memberships
 
 
@@ -352,120 +243,43 @@ def recompose(blocks: BlockDecomposition, desc: ProductDescriptor | None = None,
     return LinearMap(alg, alg, T)
 
 
-def block_space(desc: ProductDescriptor, cutoff: float = SVD_CUTOFF) -> np.ndarray:
+def block_space(desc: ProductDescriptor) -> np.ndarray:
     """Null space of the joint block constraints (memberships + relations).
 
     Unknown vector stacks vec(T_B), vec(S_B), vec(S_I), vec(R_I); the rows
     returned are an orthonormal basis, and the row count is the dimension of
     the relation-constrained block space (which the key equivalence says
-    equals dim LM of the product).
+    equals dim LM of the product).  The system is assembled from the block
+    sub-tensors alone, never from the LM constraints of the product, so the
+    dimension comparison in lemma21 stays a real check.
     """
-    alg = desc.algebra
-    bsl, isl = desc.subalgebra_slice, desc.ideal_slice
-    m = bsl.stop - bsl.start
-    p = isl.stop - isl.start
-    nb_tb, nb_sb, nb_si, nb_ri = m * m, m * p, p * m, p * p
-    total = nb_tb + nb_sb + nb_si + nb_ri
-    o_tb, o_sb, o_si, o_ri = (0, nb_tb, nb_tb + nb_sb, nb_tb + nb_sb + nb_si)
+    m = desc.subalgebra.dim
+    p = desc.ideal.dim
+    cBB, cBI, cII, cIB = _block_tensors(desc)
 
-    def emb(offset: int, coeff: np.ndarray) -> np.ndarray:
-        """Place a per-block coefficient matrix into the stacked unknown vector."""
-        out = np.zeros((coeff.shape[0], total), dtype=complex)
-        out[:, offset : offset + coeff.shape[1]] = coeff
-        return out
+    def rows(T_B=None, S_B=None, S_I=None, R_I=None) -> np.ndarray:
+        """One relation's rows; each argument is that block's coefficient matrix."""
+        parts = ((T_B, m * m), (S_B, m * p), (S_I, p * m), (R_I, p * p))
+        height = next(x.shape[0] for x, _ in parts if x is not None)
+        return np.hstack([np.zeros((height, width)) if x is None else x
+                          for x, width in parts])
 
-    # action matrices inside each block
-    LB = [alg.left_mult_matrix(np.eye(alg.dim)[j]) for j in range(bsl.start, bsl.stop)]
-    LI = [alg.left_mult_matrix(np.eye(alg.dim)[i]) for i in range(isl.start, isl.stop)]
-    B_on_B = [L[bsl, bsl] for L in LB]      # b . b'
-    B_act_I = [L[isl, isl] for L in LB]     # b . a
-    I_on_I = [L[isl, isl] for L in LI]      # a . a'
-    I_act_B = [L[isl, bsl] for L in LI]     # a . b (lands in I)
-
-    rows = []
-    eye_m, eye_p = np.eye(m), np.eye(p)
-
-    # membership T_B in LM(B): T_B (b b') = b T_B(b')  -- over vec(T_B)
-    for j, Lb in enumerate(B_on_B):
-        # column b': T_B @ (e_j^B e_b'): (I (x) row) minus Lb @ T_B columnwise
-        for b2 in range(m):
-            r = np.zeros((m, nb_tb), dtype=complex)
-            prod = Lb[:, b2]  # e_j . e_b2 in B coordinates
-            r += np.kron(eye_m, prod.reshape(1, m))
-            r2 = np.zeros((m, nb_tb), dtype=complex)
-            r2[:, b2::m] = Lb
-            rows.append(emb(o_tb, r - r2))
-    # membership S_I in Hom_B(B, I): S_I(b b') = b . S_I(b')
-    for j in range(m):
-        Lb_B = B_on_B[j]
-        Lb_I = B_act_I[j]
-        for b2 in range(m):
-            prod = Lb_B[:, b2]
-            r = np.kron(eye_p, prod.reshape(1, m))
-            r2 = np.zeros((p, nb_si), dtype=complex)
-            r2[:, b2::m] = Lb_I
-            rows.append(emb(o_si, r - r2))
-    # membership R_I in Hom_B(I, I): R_I(b . a) = b . R_I(a)
-    for j in range(m):
-        Act = B_act_I[j]
-        for a in range(p):
-            ba = Act[:, a]
-            r = np.kron(eye_p, ba.reshape(1, p))
-            r2 = np.zeros((p, nb_ri), dtype=complex)
-            r2[:, a::p] = Act
-            rows.append(emb(o_ri, r - r2))
-    # membership S_B in Hom_B(I, B): S_B(b . a) = b S_B(a)
-    for j in range(m):
-        Act = B_act_I[j]
-        LbB = B_on_B[j]
-        for a in range(p):
-            ba = Act[:, a]
-            r = np.kron(eye_m, ba.reshape(1, p))
-            r2 = np.zeros((m, nb_sb), dtype=complex)
-            r2[:, a::p] = LbB
-            rows.append(emb(o_sb, r - r2))
-    # (ii) R_I(a a') = a R_I(a') + a S_B(a')
-    for a in range(p):
-        La_I = I_on_I[a]
-        La_B = I_act_B[a]
-        for a2 in range(p):
-            prod = La_I[:, a2]
-            r_ri = np.kron(eye_p, prod.reshape(1, p))
-            r_ri2 = np.zeros((p, nb_ri), dtype=complex)
-            r_ri2[:, a2::p] = La_I
-            r_sb = np.zeros((p, nb_sb), dtype=complex)
-            r_sb[:, a2::p] = La_B
-            row = emb(o_ri, r_ri - r_ri2) - emb(o_sb, r_sb)
-            rows.append(row)
-    # (iii) R_I(a . b) = a . S_I(b) + a T_B(b)
-    for a in range(p):
-        La_B = I_act_B[a]   # b -> a . b in I coords
-        La_I = I_on_I[a]
-        for b in range(m):
-            ab = La_B[:, b]
-            r_ri = np.kron(eye_p, ab.reshape(1, p))
-            r_si = np.zeros((p, nb_si), dtype=complex)
-            r_si[:, b::m] = La_I
-            r_tb = np.zeros((p, nb_tb), dtype=complex)
-            r_tb[:, b::m] = La_B
-            rows.append(
-                emb(o_ri, r_ri)
-                - emb(o_si, r_si)
-                - emb(o_tb, r_tb)
-            )
-    # (iv) S_B(a a') = 0 and S_B(a . b) = 0
-    for a in range(p):
-        La_I = I_on_I[a]
-        La_B = I_act_B[a]
-        for a2 in range(p):
-            r = np.kron(eye_m, La_I[:, a2].reshape(1, p))
-            rows.append(emb(o_sb, r))
-        for b in range(m):
-            r = np.kron(eye_m, La_B[:, b].reshape(1, p))
-            rows.append(emb(o_sb, r))
-
-    system = np.vstack(rows) if rows else np.zeros((0, total), dtype=complex)
-    return _nullspace(system, cutoff)
+    system = np.vstack([
+        # memberships, as in _block_relation_residuals
+        rows(T_B=_of_product_op(cBB, m) - _times_image_op(cBB, m)),
+        rows(S_I=_of_product_op(cBB, p) - _times_image_op(cBI, m)),
+        rows(R_I=_of_product_op(cBI, p) - _times_image_op(cBI, p)),
+        rows(S_B=_of_product_op(cBI, m) - _times_image_op(cBB, p)),
+        # (ii), (iii) and the two halves of (iv)
+        rows(R_I=_of_product_op(cII, p) - _times_image_op(cII, p),
+             S_B=-_times_image_op(cIB, p)),
+        rows(R_I=_of_product_op(cIB, p), S_I=-_times_image_op(cII, m),
+             T_B=-_times_image_op(cIB, m)),
+        rows(S_B=_of_product_op(cII, m)),
+        rows(S_B=_of_product_op(cIB, m)),
+    ])
+    rank, vh = rank_basis(system)
+    return vh[rank:].conj()
 
 
 def blocks_from_vector(vec: np.ndarray, desc: ProductDescriptor) -> BlockDecomposition:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Algebra, Element
+from .algebra import DEFAULT_TOL, Algebra, Element, rank_basis
 from .constructions import ProductDescriptor, ideal_span_is_full
 from .errors import IllConditionedError, NoNormalizerError, SpectraError
 
@@ -75,12 +75,8 @@ class CharacterSet:
             return np.zeros((0, self.algebra.dim), dtype=complex)
         return np.array([ch.values for ch in self.characters])
 
-    def rank(self, cutoff: float = 1e-10) -> int:
-        m = self.matrix
-        if m.shape[0] == 0:
-            return 0
-        s = np.linalg.svd(m, compute_uv=False)
-        return int(np.sum(s > cutoff * s[0]))
+    def rank(self) -> int:
+        return rank_basis(self.matrix)[0]
 
 
 def multiplicativity_residual(algebra: Algebra, values: np.ndarray) -> float:
@@ -227,8 +223,6 @@ def psi_of(phi: Character, desc: ProductDescriptor, tol: float = DEFAULT_TOL
     sup difference of the two results is reported as choice_discrepancy.
     """
     I = desc.ideal
-    B = desc.subalgebra
-    alg = desc.algebra
     isl, bsl = desc.ideal_slice, desc.subalgebra_slice
     if phi.algebra is not I:
         raise SpectraError("phi must be a character of the ideal")
@@ -236,16 +230,10 @@ def psi_of(phi: Character, desc: ProductDescriptor, tol: float = DEFAULT_TOL
     if np.max(scores) <= 0:
         raise NoNormalizerError("phi vanishes identically")
 
+    c_bi = desc.algebra.structure[bsl, isl, isl]  # b * a lands in the ideal block
+
     def psi_from(a0: np.ndarray) -> np.ndarray:
-        out = np.zeros(B.dim, dtype=complex)
-        a0_full = np.zeros(alg.dim, dtype=complex)
-        a0_full[isl] = a0
-        for j in range(B.dim):
-            b_full = np.zeros(alg.dim, dtype=complex)
-            b_full[bsl.start + j] = 1.0
-            prod = alg.multiply_coeffs(b_full, a0_full)  # lands in the ideal block
-            out[j] = phi.values @ prod[isl]
-        return out
+        return np.einsum("jak,a,k->j", c_bi, a0, phi.values)
 
     k = int(np.argmax(scores))
     a0 = np.zeros(I.dim, dtype=complex)

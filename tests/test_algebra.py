@@ -9,6 +9,7 @@ from banalg.algebra import (
     dual_norm,
     left_mult_operator,
     operator_norm,
+    rank_basis,
     validate,
 )
 from banalg.errors import AlgebraMismatchError, ValidationRejected
@@ -188,3 +189,27 @@ def test_left_mult_matches_multiply(xs, ys):
     alg = finite_abelian_group_algebra([4])
     a, b = alg.element(xs), alg.element(ys)
     assert np.allclose(left_mult_operator(a)(b).coeffs, (a * b).coeffs)
+
+
+def _projector(rows):
+    return rows.T @ rows.conj()
+
+
+@pytest.mark.parametrize("M", [
+    np.zeros((0, 4)),  # no constraints: everything is in the null space
+    np.zeros((5, 3)),  # all zero: rank 0
+    np.arange(12.0).reshape(2, 6) + 1j,  # wide: rows < cols
+    np.outer(np.arange(1.0, 8.0), [1.0, 2.0, -1.0, 0.5])
+    + np.outer(np.ones(7), [0.0, 1.0j, 1.0, 2.0]),  # tall, rank 2
+], ids=["0-row", "zero", "wide", "rank-deficient"])
+def test_rank_basis_against_full_svd(M):
+    _, s, vh = np.linalg.svd(M, full_matrices=True)
+    rank = int(np.sum(s > 1e-10 * s[0])) if s.size and s[0] > 0 else 0
+    got_rank, got_vh = rank_basis(M)
+    assert got_rank == rank
+    assert got_vh.shape == (M.shape[1], M.shape[1])
+    assert np.allclose(got_vh @ got_vh.conj().T, np.eye(M.shape[1]), atol=1e-12)
+    # the same row space and null space, whatever basis each one picks
+    for want, got in ((vh[:rank], got_vh[:rank]), (vh[rank:].conj(), got_vh[rank:].conj())):
+        assert np.allclose(_projector(got), _projector(want), atol=1e-12)
+    assert np.allclose(M @ got_vh[rank:].conj().T, 0.0, atol=1e-12)

@@ -139,3 +139,38 @@ def test_noncontractive_build_exit_1(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "build", "lau", "--a", str(a), "--b", str(c),
                          "--phi", str(phi), "--force")
     assert code == 0
+
+
+@pytest.mark.parametrize("actions", [
+    '{"action_bi": [[0.5, 0, 0, 1, 0]]}',  # float index
+    '{"action_bi": [["0", 0, 0, 1, 0]]}',  # string index
+    '[{"action_bi": []}]',  # a list, not an object
+], ids=["float-index", "string-index", "list"])
+def test_build_semidirect_malformed_actions_exit_2(tmp_path, capsys, actions):
+    b = tmp_path / "b.json"
+    i = tmp_path / "i.json"
+    act = tmp_path / "act.json"
+    write_json(str(b), algebra_to_dict(diagonal_algebra(1, "B")))
+    write_json(str(i), algebra_to_dict(diagonal_algebra(1, "I")))
+    act.write_text(actions)
+    code, _, err = run_cli(capsys, "build", "semidirect", "--b", str(b), "--i", str(i),
+                           "--actions", str(act))
+    assert code == 2
+    assert str(act) in err
+
+
+@pytest.mark.parametrize("descriptor", ['[]', '{"kind": "lau"}'], ids=["list", "no-parents"])
+def test_malformed_bundle_exit_2(tmp_path, capsys, descriptor):
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text('{"algebra": {}, "descriptor": %s}' % descriptor)
+    code, _, err = run_cli(capsys, "characters", str(bundle))
+    assert code == 2
+    assert "descriptor" in err
+
+
+def test_bse_norm_malformed_sigma_exit_2(algebra_file, tmp_path, capsys):
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text('{"values": [["x", 0], [1, 0]]}')
+    code, _, err = run_cli(capsys, "bse-norm", algebra_file, "--sigma", str(sigma))
+    assert code == 2
+    assert "values[0]" in err

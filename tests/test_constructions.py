@@ -22,6 +22,8 @@ from banalg.errors import (
     NotHomomorphismError,
 )
 
+from banalg.fixtures import lau_fixture, semidirect_fixture
+
 from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect
 
 
@@ -108,6 +110,22 @@ def test_lau_rejects_nonhomomorphism():
     assert homomorphism_residual(phi) == pytest.approx(0.25)
     with pytest.raises(NotHomomorphismError):
         lau_product(A, C, phi)
+
+
+def test_homomorphism_residual_against_pairwise_oracle():
+    rng = np.random.default_rng(2)
+    descs = ([semidirect_fixture(3, index, max_dim=5).descriptor for index in range(5)]
+             + [lau_fixture(3, index, max_dim=5).descriptor for index in range(5)])
+    for desc in descs:
+        B, A = desc.second, desc.first
+        P = rng.standard_normal((A.dim, B.dim)) + 1j * rng.standard_normal((A.dim, B.dim))
+        phi = LinearMap(B, A, P)
+        naive = max(
+            A.norm_coeffs(P @ B.structure[i, j] - A.multiply_coeffs(P[:, i], P[:, j]))
+            for i in range(B.dim) for j in range(B.dim)
+        )
+        assert naive > 1e-3  # a random map is not a homomorphism
+        assert homomorphism_residual(phi) == pytest.approx(naive, rel=1e-12)
 
 
 def test_direct_sum_products_and_norms():

@@ -3,19 +3,19 @@ import pytest
 
 from banalg.algebra import left_mult_operator
 from banalg.errors import NotAMultiplierError, RelationsViolatedError
+from banalg.fixtures import lau_fixture, semidirect_fixture
 from banalg.multipliers import (
     BlockDecomposition,
+    _block_relation_residuals,
     block_space,
     blocks_from_vector,
     decompose_left_multiplier,
     hat,
     left_multiplier_residual,
     left_multiplier_space,
-    module_hom_space,
     multiplier_residual,
     multiplier_space,
     recompose,
-    subalgebra_action_matrices,
 )
 from banalg.spectra import characters_numerical
 
@@ -42,6 +42,102 @@ def naive_left_multiplier_nullspace(alg):
     return vh[rank:].conj()
 
 
+def naive_multiplier_nullspace(alg):
+    """Oracle: assemble T(e_i) e_j = e_i T(e_j) entrywise with bare loops."""
+    n = alg.dim
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for r in range(n):
+                row = np.zeros(n * n, dtype=complex)
+                for m in range(n):
+                    # (T(e_i) e_j)_r = sum_m T[m, i] c[m, j, r]
+                    row[m * n + i] += alg.structure[m, j, r]
+                    # (e_i T(e_j))_r = sum_m c[i, m, r] T[m, j]
+                    row[m * n + j] -= alg.structure[i, m, r]
+                rows.append(row)
+    M = np.array(rows)
+    _, s, vh = np.linalg.svd(M)
+    rank = int(np.sum(s > 1e-10 * s[0])) if s.size and s[0] > 0 else 0
+    return vh[rank:].conj()
+
+
+def naive_multiplier_residual(alg, T):
+    """Oracle: max_{i,j} ||T(e_i) e_j - e_i T(e_j)||, one basis pair at a time."""
+    eye = np.eye(alg.dim)
+    return max(
+        alg.norm_coeffs(alg.multiply_coeffs(T @ eye[i], eye[j])
+                        - alg.multiply_coeffs(eye[i], T @ eye[j]))
+        for i in range(alg.dim) for j in range(alg.dim)
+    )
+
+
+def naive_block_residuals(desc, T_B, S_B, S_I, R_I):
+    """Oracle: the relations (ii)-(iv) and block memberships, one basis pair at a time."""
+    alg = desc.algebra
+    bsl, isl = desc.subalgebra_slice, desc.ideal_slice
+    m, p = T_B.shape[0], R_I.shape[0]
+    wB, wI = alg.weights[bsl], alg.weights[isl]
+
+    def prod(x_block, x, y_block, y, out_block):
+        fx = np.zeros(alg.dim, dtype=complex)
+        fy = np.zeros(alg.dim, dtype=complex)
+        fx[x_block], fy[y_block] = x, y
+        return alg.multiply_coeffs(fx, fy)[out_block]
+
+    def wn(w, v):
+        return float(np.sum(w * np.abs(v)))
+
+    eB, eI = np.eye(m), np.eye(p)
+    rel = {"ii": 0.0, "iii": 0.0, "iv": 0.0}
+    mem = {"T_B": 0.0, "S_B": 0.0, "S_I": 0.0, "R_I": 0.0}
+    for a in range(p):
+        for a2 in range(p):
+            aa = prod(isl, eI[a], isl, eI[a2], isl)
+            rhs = prod(isl, eI[a], isl, R_I[:, a2], isl) + prod(isl, eI[a], bsl, S_B[:, a2], isl)
+            rel["ii"] = max(rel["ii"], wn(wI, R_I @ aa - rhs))
+            rel["iv"] = max(rel["iv"], wn(wB, S_B @ aa))
+        for b in range(m):
+            ab = prod(isl, eI[a], bsl, eB[b], isl)
+            rhs = prod(isl, eI[a], isl, S_I[:, b], isl) + prod(isl, eI[a], bsl, T_B[:, b], isl)
+            rel["iii"] = max(rel["iii"], wn(wI, R_I @ ab - rhs))
+            rel["iv"] = max(rel["iv"], wn(wB, S_B @ ab))
+    for b in range(m):
+        for b2 in range(m):
+            bb = prod(bsl, eB[b], bsl, eB[b2], bsl)
+            mem["T_B"] = max(mem["T_B"], wn(wB, T_B @ bb - prod(bsl, eB[b], bsl, T_B[:, b2], bsl)))
+            mem["S_I"] = max(mem["S_I"], wn(wI, S_I @ bb - prod(bsl, eB[b], isl, S_I[:, b2], isl)))
+        for a in range(p):
+            ba = prod(bsl, eB[b], isl, eI[a], isl)
+            mem["R_I"] = max(mem["R_I"], wn(wI, R_I @ ba - prod(bsl, eB[b], isl, R_I[:, a], isl)))
+            mem["S_B"] = max(mem["S_B"], wn(wB, S_B @ ba - prod(bsl, eB[b], bsl, S_B[:, a], bsl)))
+    return rel, mem
+
+
+def product_fixtures():
+    return ([semidirect_fixture(3, index, max_dim=5).descriptor for index in range(6)]
+            + [lau_fixture(3, index, max_dim=5).descriptor for index in range(6)])
+
+
+def test_residual_contractions_against_pairwise_oracle():
+    # random maps are far from multipliers, so a wrong contraction index
+    # shows up as a residual mismatch instead of two values near zero
+    rng = np.random.default_rng(11)
+    for desc in product_fixtures():
+        alg = desc.algebra
+        n = alg.dim
+        T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert multiplier_residual(alg, T) == pytest.approx(
+            naive_multiplier_residual(alg, T), rel=1e-12)
+        bsl, isl = desc.subalgebra_slice, desc.ideal_slice
+        blocks = (T[bsl, bsl], T[bsl, isl], T[isl, bsl], T[isl, isl])
+        got_rel, got_mem = _block_relation_residuals(desc, *blocks)
+        want_rel, want_mem = naive_block_residuals(desc, *blocks)
+        assert got_rel == pytest.approx(want_rel, rel=1e-12, abs=1e-14)
+        assert got_mem == pytest.approx(want_mem, rel=1e-12, abs=1e-14)
+        assert want_rel["ii"] > 1e-3  # the input is not a multiplier
+
+
 def test_left_multiplier_dims_against_oracle(c2, z2, zero_product2):
     for alg, expected in ((c2, 2), (z2, 2), (zero_product2, 4)):
         space = left_multiplier_space(alg)
@@ -50,6 +146,14 @@ def test_left_multiplier_dims_against_oracle(c2, z2, zero_product2):
         assert oracle.shape[0] == expected
         for T in space.basis:
             assert left_multiplier_residual(alg, T.matrix) <= 1e-12
+    for alg in [c2, z2, zero_product2] + [d.algebra for d in product_fixtures()]:
+        space = multiplier_space(alg)
+        oracle = naive_multiplier_nullspace(alg)
+        assert space.dim == oracle.shape[0]
+        for row in oracle:  # same span, not only the same dimension
+            assert space.contains(row.reshape(alg.dim, alg.dim), tol=1e-9)
+        for T in space.basis:
+            assert multiplier_residual(alg, T.matrix) <= 1e-12
 
 
 def test_left_multipliers_of_pointwise_are_diagonal(c2):
@@ -70,24 +174,10 @@ def test_multiplier_space_zero_product(zero_product2):
     assert multiplier_space(zero_product2).dim == 4
 
 
-def test_module_hom_spaces():
-    # Hom_B(B, B) for B = C: dimension 1
-    act = np.ones((1, 1, 1), dtype=complex)
-    assert module_hom_space(act, act).shape[0] == 1
-    # zero action: every linear map
-    zero = np.zeros((1, 2, 2), dtype=complex)
-    assert module_hom_space(zero, zero).shape[0] == 4
-
-
 def test_module_hom_pointwise_fixture_sb():
-    # Hom_B(I, B) in the pointwise fixture is 1-dimensional before imposing
-    # the product-vanishing relation, which then kills it
+    # Hom_B(I, B) is 1-dimensional in the pointwise fixture, but the
+    # product-vanishing relation (iv) in the block space forces S_B = 0
     desc = pointwise_semidirect()
-    act_on_I = subalgebra_action_matrices(desc, desc.ideal_slice)
-    act_on_B = subalgebra_action_matrices(desc, desc.subalgebra_slice)
-    hom = module_hom_space(act_on_I, act_on_B)
-    assert hom.shape[0] == 1
-    # the relation-constrained block space forces S_B = 0
     bs = block_space(desc)
     m, p = 1, 1
     sb_block = bs[:, m * m : m * m + m * p]
@@ -182,20 +272,14 @@ def test_hat_identity_and_multiplications(c2):
 
 def test_noncommutative_left_vs_right_multipliers():
     # u.u = u, u.n = n, n.u = 0, n.n = 0: associative, not commutative.
-    # Every map is a left multiplier; right multipliers are the scalars.
-    import numpy as np
-
+    # Every map is a left multiplier.
     from banalg.algebra import Algebra
-    from banalg.multipliers import right_multiplier_space
 
     c = np.zeros((2, 2, 2), dtype=complex)
     c[0, 0, 0] = 1.0  # u u = u
     c[0, 1, 1] = 1.0  # u n = n
     alg = Algebra("noncomm", np.ones(2), c)
     assert left_multiplier_space(alg).dim == 4
-    rm = right_multiplier_space(alg)
-    assert rm.dim == 1
-    assert rm.contains(np.eye(2, dtype=complex))
 
 
 def test_hat_multiplicative_over_composition(z2z2):
