@@ -21,7 +21,6 @@ from .algebra import (
     DEFAULT_TOL,
     Algebra,
     Element,
-    LinearMap,
     is_without_order,
     rank_basis,
 )
@@ -39,9 +38,7 @@ from .errors import (
 )
 from .interpolation import (
     GAP_REL,
-    certificate_slack,
     certificate_value,
-    interpolation_residual,
     solve_dual,
     solve_primal,
 )
@@ -64,8 +61,8 @@ class SemisimplicityWarning(UserWarning):
 class BSEFunction:
     """A function on a finite character list with its BSE norm and witnesses.
 
-    minimizer_unique is None when the solver could not settle uniqueness;
-    the norm is the contractual output regardless.
+    minimizer_unique says whether the minimum-norm interpolant is the only
+    one; the norm is the contractual output regardless.
     """
 
     characters: CharacterSet
@@ -75,7 +72,7 @@ class BSEFunction:
     dual_certificate: np.ndarray
     gap: float
     method: str
-    minimizer_unique: bool | None = None
+    minimizer_unique: bool
 
     def interpolation_error(self) -> float:
         return float(
@@ -152,8 +149,7 @@ def bse_norm_dual(values: np.ndarray, S: CharacterSet, algebra: Algebra,
     return solve_dual(S.matrix, values, algebra.weights, gap_rel)
 
 
-def delta_weak_bai(algebra: Algebra, S: CharacterSet,
-                   gap_rel: float = GAP_REL) -> BaiCertificate:
+def delta_weak_bai(algebra: Algebra, S: CharacterSet) -> BaiCertificate:
     """Minimum-norm e with phi(e) = 1 for every character phi.
 
     Always feasible (characters are linearly independent); the norm is the
@@ -162,7 +158,7 @@ def delta_weak_bai(algebra: Algebra, S: CharacterSet,
     if len(S) == 0:
         raise EmptyCharacterSetError("cannot build an identity certificate")
     ones = np.ones(len(S), dtype=complex)
-    fn = bse_norm_primal(ones, S, algebra, gap_rel)
+    fn = bse_norm_primal(ones, S, algebra)
     return BaiCertificate(
         element=fn.minimizer,
         norm=fn.bse_norm,
@@ -273,8 +269,7 @@ class SplitResult:
     norm_slack: float  # ||tau|| + ||rho|| - ||sigma||, expected <= ~0
 
 
-def split_sigma(sigma_values: np.ndarray, chars: LauCharacters,
-                gap_rel: float = GAP_REL) -> SplitResult:
+def split_sigma(sigma_values: np.ndarray, chars: LauCharacters) -> SplitResult:
     """tau(phi) = sigma(phi, phi o phi') - sigma(0, phi o phi'); rho(psi) = sigma(0, psi)."""
     _require_surjective(chars)
     desc = chars.descriptor
@@ -287,9 +282,9 @@ def split_sigma(sigma_values: np.ndarray, chars: LauCharacters,
         [sigma_values[r] - rho_values[chars.gamma[r]] for r in range(ec)],
         dtype=complex,
     )
-    tau = bse_norm_primal(tau_values, chars.a_chars, desc.first, gap_rel)
-    rho = bse_norm_primal(rho_values, chars.b_chars, desc.second, gap_rel)
-    sigma = bse_norm_primal(sigma_values, chars.set, desc.algebra, gap_rel)
+    tau = bse_norm_primal(tau_values, chars.a_chars, desc.first)
+    rho = bse_norm_primal(rho_values, chars.b_chars, desc.second)
+    sigma = bse_norm_primal(sigma_values, chars.set, desc.algebra)
     return SplitResult(
         tau=tau,
         rho=rho,
@@ -299,7 +294,7 @@ def split_sigma(sigma_values: np.ndarray, chars: LauCharacters,
 
 
 def join_tau_rho(tau_values: np.ndarray, rho_values: np.ndarray,
-                 chars: LauCharacters, gap_rel: float = GAP_REL) -> SplitResult:
+                 chars: LauCharacters) -> SplitResult:
     """sigma(phi, phi o phi') = tau(phi) + rho(phi o phi'); sigma(0, psi) = rho(psi)."""
     _require_surjective(chars)
     desc = chars.descriptor
@@ -311,9 +306,9 @@ def join_tau_rho(tau_values: np.ndarray, rho_values: np.ndarray,
                  dtype=complex),
         rho_values,
     ])
-    tau = bse_norm_primal(tau_values, chars.a_chars, desc.first, gap_rel)
-    rho = bse_norm_primal(rho_values, chars.b_chars, desc.second, gap_rel)
-    sigma = bse_norm_primal(sigma_values, chars.set, desc.algebra, gap_rel)
+    tau = bse_norm_primal(tau_values, chars.a_chars, desc.first)
+    rho = bse_norm_primal(rho_values, chars.b_chars, desc.second)
+    sigma = bse_norm_primal(sigma_values, chars.set, desc.algebra)
     return SplitResult(
         tau=tau,
         rho=rho,
@@ -322,14 +317,13 @@ def join_tau_rho(tau_values: np.ndarray, rho_values: np.ndarray,
     )
 
 
-def phi_tilde(rho_values: np.ndarray, chars: LauCharacters,
-              gap_rel: float = GAP_REL) -> BSEFunction:
+def phi_tilde(rho_values: np.ndarray, chars: LauCharacters) -> BSEFunction:
     """Pull a function on Delta(B) back along phi_A -> phi_A o phi."""
     _require_surjective(chars)
     rho_values = np.asarray(rho_values, dtype=complex)
     pulled = np.array([rho_values[chars.gamma[r]] for r in range(chars.e_count)],
                       dtype=complex)
-    return bse_norm_primal(pulled, chars.a_chars, chars.descriptor.first, gap_rel)
+    return bse_norm_primal(pulled, chars.a_chars, chars.descriptor.first)
 
 
 @dataclass(eq=False)
@@ -341,10 +335,10 @@ class ThetaResult:
     product_law_residual: float  # homomorphism law checked on the pair squared
 
 
-def theta(tau_values: np.ndarray, rho_values: np.ndarray, chars: LauCharacters,
-          gap_rel: float = GAP_REL) -> ThetaResult:
+def theta(tau_values: np.ndarray, rho_values: np.ndarray,
+          chars: LauCharacters) -> ThetaResult:
     """The pairing (tau, rho) -> sigma, certified isometric and multiplicative."""
-    joined = join_tau_rho(tau_values, rho_values, chars, gap_rel)
+    joined = join_tau_rho(tau_values, rho_values, chars)
     defect = abs(joined.sigma.bse_norm - (joined.tau.bse_norm + joined.rho.bse_norm))
     law = theta_product_residual(chars, tau_values, rho_values,
                                  tau_values, rho_values)
@@ -387,8 +381,8 @@ class ExtensionResult:
     norm_slack: float  # ||sigma|| - ||rho||, expected <= ~0
 
 
-def sigma_extension(rho_values: np.ndarray, sd: SemidirectCharacters,
-                    gap_rel: float = GAP_REL) -> ExtensionResult:
+def sigma_extension(rho_values: np.ndarray,
+                    sd: SemidirectCharacters) -> ExtensionResult:
     """Extend rho on Delta(B) to sigma on Delta(B (+) I) via psi_phi.
 
     Needs the full span condition <IB> = I so every psi_phi is a genuine
@@ -409,8 +403,8 @@ def sigma_extension(rho_values: np.ndarray, sd: SemidirectCharacters,
                  dtype=complex),
         rho_values,
     ])
-    rho = bse_norm_primal(rho_values, sd.subalgebra_chars, B, gap_rel)
-    sigma = bse_norm_primal(sigma_values, sd.set, desc.algebra, gap_rel)
+    rho = bse_norm_primal(rho_values, sd.subalgebra_chars, B)
+    sigma = bse_norm_primal(sigma_values, sd.set, desc.algebra)
     lifted = np.zeros(desc.algebra.dim, dtype=complex)
     lifted[desc.subalgebra_slice] = rho.minimizer.coeffs
     witness = desc.algebra.element(lifted)

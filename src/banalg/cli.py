@@ -12,8 +12,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .bse import bse_norm_dual, bse_norm_primal, check_bse_property
 from .constructions import (
@@ -34,7 +32,6 @@ from .jsonio import (
     morphism_from_dict,
     render_json,
     sigma_from_dict,
-    write_json,
 )
 from .multipliers import (
     decompose_left_multiplier,

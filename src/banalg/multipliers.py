@@ -304,23 +304,19 @@ def hat(T: LinearMap | np.ndarray, S: CharacterSet, tol: float = DEFAULT_TOL,
     and every other basis direction with |phi(c)| above threshold must agree
     within tol.
     """
-    alg = S.algebra
     mat = T.matrix if isinstance(T, LinearMap) else np.asarray(T, dtype=complex)
-    out = np.zeros(len(S), dtype=complex)
-    for r, ch in enumerate(S):
-        scores = np.abs(ch.values)
-        top = float(np.max(scores))
-        if top <= 0:
-            raise UndefinedHatError("character vanishes on the whole basis")
-        k = int(np.argmax(scores))
-        value = (ch.values @ mat[:, k]) / ch.values[k]
-        for i in range(alg.dim):
-            if scores[i] > threshold * top and i != k:
-                alt = (ch.values @ mat[:, i]) / ch.values[i]
-                if abs(alt - value) > max(tol, 10 * tol * abs(value)):
-                    raise UndefinedHatError(
-                        f"hat value inconsistent across basis directions "
-                        f"({abs(alt - value):.3e})"
-                    )
-        out[r] = value
+    V = S.matrix
+    scores = np.abs(V)
+    top = np.max(scores, axis=1, initial=0.0)
+    if np.any(top <= 0):
+        raise UndefinedHatError("character vanishes on the whole basis")
+    live = scores > threshold * top[:, None]
+    # ratio[r, i] = phi_r(T e_i) / phi_r(e_i) on every direction that counts
+    ratio = np.where(live, (V @ mat) / np.where(live, V, 1.0), 0.0)
+    out = ratio[np.arange(len(V)), np.argmax(scores, axis=1)]
+    disc = np.where(live, np.abs(ratio - out[:, None]), 0.0)
+    if np.any(disc > np.maximum(tol, 10 * tol * np.abs(out))[:, None]):
+        raise UndefinedHatError(
+            f"hat value inconsistent across basis directions ({float(np.max(disc)):.3e})"
+        )
     return out

@@ -14,7 +14,6 @@ from banalg.bse import (
     SemisimplicityWarning,
     bse_norm_dual,
     bse_norm_primal,
-    check_bse_property,
     sigma_extension,
     theta,
     theta_product_residual,
@@ -33,7 +32,6 @@ from banalg.multipliers import (
     block_space,
     blocks_from_vector,
     decompose_left_multiplier,
-    hat,
     left_multiplier_residual,
     left_multiplier_space,
     multiplier_space,

@@ -4,6 +4,7 @@ from scipy.optimize import linprog
 
 from banalg.errors import BseError
 from banalg.interpolation import (
+    GAP_HARD_LIMIT,
     certificate_slack,
     certificate_value,
     interpolation_residual,
@@ -99,3 +100,41 @@ def test_weak_duality_random_certificates():
 def test_empty_system_raises():
     with pytest.raises(BseError):
         solve_primal(np.zeros((0, 2), dtype=complex), np.zeros(0), np.ones(2))
+
+
+def test_rank_deficient_systems_raise():
+    # singular square E: the linear solve has no unique answer
+    with pytest.raises(BseError):
+        solve_primal(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex),
+                     np.array([1.0, 2.0]), np.ones(2))
+    # inconsistent: the second row is twice the first, sigma is not
+    E = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], dtype=complex)
+    with pytest.raises(BseError):
+        solve_primal(E, np.array([1.0, 3.0]), np.ones(3))
+    with pytest.raises(BseError):
+        solve_dual(E, np.array([1.0, 3.0]), np.ones(3))
+    # consistent but rank-deficient: refused as well
+    with pytest.raises(BseError):
+        solve_primal(E, np.array([1.0, 2.0]), np.ones(3))
+
+
+def test_square_certificate_on_subnormal_data():
+    sol = solve_primal(np.eye(2, dtype=complex), np.array([5e-324, 0.0]), np.ones(2))
+    assert np.isfinite(sol.dual_value) and np.isfinite(sol.gap)
+    assert sol.dual_value == sol.value == 5e-324
+    assert certificate_slack(np.eye(2), sol.c, np.ones(2)) <= 0
+
+
+def test_stress_corpus():
+    """Random full-rank complex rectangular instances: every one certified."""
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(4, 17))
+        s = int(rng.integers(1, n))
+        E = rng.standard_normal((s, n)) + 1j * rng.standard_normal((s, n))
+        sigma = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        w = rng.uniform(0.5, 2.0, n)
+        sol = solve_primal(E, sigma, w)
+        assert interpolation_residual(E, sol.a, sigma) <= 1e-9
+        assert certificate_slack(E, sol.c, w) <= 1e-12
+        assert sol.gap <= GAP_HARD_LIMIT * max(1.0, sol.value)

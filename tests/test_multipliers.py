@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from banalg.algebra import left_mult_operator
-from banalg.errors import NotAMultiplierError, RelationsViolatedError
+from banalg.errors import NotAMultiplierError, RelationsViolatedError, UndefinedHatError
 from banalg.fixtures import lau_fixture, semidirect_fixture
 from banalg.multipliers import (
     BlockDecomposition,
@@ -268,6 +268,44 @@ def test_hat_identity_and_multiplications(c2):
     T = np.diag([2.0, 3.0]).astype(complex)
     got = {round(z.real, 9) for z in hat(T, S)}
     assert got == {2.0, 3.0}
+
+
+def naive_hat(mat, S, tol=1e-9, threshold=1e-8):
+    """Oracle: one character and one basis direction at a time."""
+    out = []
+    for ch in S:
+        scores = np.abs(ch.values)
+        k = int(np.argmax(scores))
+        value = (ch.values @ mat[:, k]) / ch.values[k]
+        for i in range(len(scores)):
+            if scores[i] > threshold * scores[k]:
+                alt = (ch.values @ mat[:, i]) / ch.values[i]
+                if abs(alt - value) > max(tol, 10 * tol * abs(value)):
+                    return None
+        out.append(value)
+    return np.array(out)
+
+
+def test_hat_against_loop_oracle(c2, z3, z2z2):
+    rng = np.random.default_rng(12)
+    for alg in (c2, z3, z2z2, lau_c_c2().algebra):
+        S = characters_numerical(alg)
+        space = multiplier_space(alg)
+        for _ in range(3):
+            co = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+            T = sum(c * B.matrix for c, B in zip(co, space.basis))
+            expected = naive_hat(T, S)
+            assert np.max(np.abs(hat(T, S) - expected)) <= 1e-12 * np.max(np.abs(expected))
+            # a generic map is no multiplier: where its directions disagree
+            # (every algebra here but C^2) both refuse
+            X = rng.standard_normal((alg.dim, alg.dim)) + 0j
+            expected = naive_hat(X, S)
+            if expected is None:
+                with pytest.raises(UndefinedHatError):
+                    hat(X, S)
+            else:
+                assert alg is c2
+                assert np.max(np.abs(hat(X, S) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_noncommutative_left_vs_right_multipliers():

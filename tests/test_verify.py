@@ -143,6 +143,22 @@ def test_minimizer_uniqueness_flags():
     assert fn.bse_norm == pytest.approx(1.0, rel=1e-7)
     assert fn.minimizer_unique is False
 
+    # a random complex rectangular instance has one minimizer; duplicating a
+    # column of its support (same weight) keeps the norm and frees the split
+    from banalg.interpolation import solve_primal
+
+    rng = np.random.default_rng(8)
+    E = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+    sigma = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    w = rng.uniform(0.5, 2.0, 7)
+    sol = solve_primal(E, sigma, w)
+    assert sol.unique is True
+    k = int(np.argmax(np.abs(sol.a)))
+    dup = solve_primal(np.concatenate([E, E[:, k:k + 1]], axis=1), sigma,
+                       np.append(w, w[k]))
+    assert dup.value == pytest.approx(sol.value, rel=1e-7)
+    assert dup.unique is False
+
 
 def test_runconfig_validation():
     with pytest.raises(ValueError):
