@@ -9,6 +9,7 @@ an inner optimization.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -282,20 +283,31 @@ def require_valid(algebra: Algebra, tol: float = DEFAULT_TOL) -> ValidationRepor
     return report
 
 
-def rank_basis(M: np.ndarray) -> tuple[int, np.ndarray]:
+def rank_basis(M: np.ndarray | Iterable[np.ndarray]) -> tuple[int, np.ndarray]:
     """Numerical rank of M and an orthonormal basis of C^cols split by it.
 
-    Returns (rank, vh): the rows vh[:rank] span the row space of M and the
-    rows vh[rank:].conj() span its null space.  A singular value counts when
-    it exceeds RANK_CUTOFF times the largest one; a zero matrix has rank 0 and
-    a 0-row matrix has rank 0 with vh = I.  QR first, then the SVD of the
-    small R factor (Chan's R-SVD): R is at most cols x cols, so a tall
-    constraint system never builds its rows x rows left singular vectors.
+    M is a matrix, or an iterable of row blocks with a common column count
+    that stack to the matrix.  Returns (rank, vh): the rows vh[:rank] span
+    the row space of M and the rows vh[rank:].conj() span its null space.  A
+    singular value counts when it exceeds RANK_CUTOFF times the largest one;
+    a zero matrix has rank 0 and a 0-row matrix has rank 0 with vh = I.
+    Each block is folded into the triangular factor of the rows before it,
+    R = qr([R; block]) (the tall-skinny QR of Demmel, Grigori, Hoemmen and
+    Langou), then the SVD of the small R factor is taken (Chan's R-SVD): R is
+    at most cols x cols, so a tall constraint system is never held whole and
+    never builds its rows x rows left singular vectors.
     """
-    M = np.asarray(M)
-    if M.shape[0] == 0:
-        return 0, np.eye(M.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(np.linalg.qr(M, mode="r"))
+    R = None
+    for block in (M,) if isinstance(M, np.ndarray) else M:
+        if R is not None:
+            block = np.concatenate([R, block])
+        R = np.linalg.qr(block, mode="r")
+        del block  # hold no rows while the next block is built
+    if R is None:
+        raise ValueError("rank_basis needs at least one row block")
+    if R.shape[0] == 0:
+        return 0, np.eye(R.shape[1], dtype=complex)
+    _, s, vh = np.linalg.svd(R)
     rank = int(np.sum(s > RANK_CUTOFF * s[0])) if s[0] > 0 else 0
     return rank, vh
 

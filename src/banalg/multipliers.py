@@ -5,17 +5,21 @@ M(A):   T(x) y = x T(y)       (multipliers)
 
 Every constraint system and residual is a contraction of the structure
 tensor c[i,j,k] (or of its sub-tensors on a product's blocks) with the
-unknown map.  Spaces are the null spaces of the stacked linearized
-constraints, taken with `algebra.rank_basis` (QR, then the SVD of the small
-R factor, with one relative singular-value cutoff), which yields
-Frobenius-orthonormal bases and stable dimension counts.  The block
-machinery realizes the four-block form (T_B, S_B, S_I, R_I) of a left
-multiplier on a subalgebra(+)ideal product and the linear relations tying
-the blocks together.
+unknown map.  Spaces are the null spaces of the linearized constraints,
+taken with `algebra.rank_basis` (a QR fold over row blocks, then the SVD of
+the small R factor, with one relative singular-value cutoff), which yields
+Frobenius-orthonormal bases and stable dimension counts.  The M and LM
+systems have n^3 rows and n^2 columns; they reach the kernel SLAB_I values
+of the first structure index i at a time, so the whole system is never
+built.  The block machinery realizes the four-block form (T_B, S_B, S_I,
+R_I) of a left multiplier on a subalgebra(+)ideal product and the linear
+relations tying the blocks together, whose eight groups reach the kernel
+as eight row blocks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +32,11 @@ from .errors import (
     UndefinedHatError,
 )
 from .spectra import CharacterSet
+
+# Values of the first structure index i per row block handed to rank_basis:
+# at n = 16 a block is 1,024 x 256, and no more than one block and the
+# triangular factor of the rows before it are held at once.
+SLAB_I = 4
 
 
 def _of_product(c: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -43,13 +52,16 @@ def _times_image(c: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _of_product_op(c: np.ndarray, rows: int) -> np.ndarray:
     """Matrix of X -> _of_product(c, X) over row-major vec(X), X with `rows` rows."""
     x, y, k = c.shape
-    return np.einsum("xyk,rs->xyrsk", c, np.eye(rows)).reshape(x * y * rows, rows * k)
+    # C order keeps the reshape a view; einsum's default layout would make it copy
+    op = np.einsum("xyk,rs->xyrsk", c, np.eye(rows), order="C")
+    return op.reshape(x * y * rows, rows * k)
 
 
 def _times_image_op(c: np.ndarray, cols: int) -> np.ndarray:
     """Matrix of X -> _times_image(c, X) over row-major vec(X), X with `cols` columns."""
     x, k, r = c.shape
-    return np.einsum("xkr,yz->xyrkz", c, np.eye(cols)).reshape(x * cols * r, k * cols)
+    op = np.einsum("xkr,yz->xyrkz", c, np.eye(cols), order="C")  # C order, as above
+    return op.reshape(x * cols * r, k * cols)
 
 
 def _max_norm(diff: np.ndarray, weights: np.ndarray) -> float:
@@ -91,38 +103,51 @@ def multiplier_residual(algebra: Algebra, T: np.ndarray) -> float:
     return _max_norm(image_times - _times_image(c, T), algebra.weights)
 
 
-def _left_constraints(algebra: Algebra) -> np.ndarray:
-    """Linearize T(e_i e_j) = e_i T(e_j) over vec(T) (row-major).
+def _left_constraints(c: np.ndarray, i: slice) -> np.ndarray:
+    """Linearize T(e_i e_j) = e_i T(e_j) over vec(T) (row-major), for i in `i`.
 
     Row (i, j, r), column (k, l): delta_rk c[i,j,l] - delta_lj c[i,k,r].
     """
-    c, n = algebra.structure, algebra.dim
-    return _of_product_op(c, n) - _times_image_op(c, n)
+    n = c.shape[0]
+    rows = _of_product_op(c[i], n)
+    rows -= _times_image_op(c[i], n)
+    return rows
 
 
-def _mult_constraints(algebra: Algebra) -> np.ndarray:
-    """Linearize T(e_i) e_j = e_i T(e_j) over vec(T).
+def _mult_constraints(c: np.ndarray, i: slice) -> np.ndarray:
+    """Linearize T(e_i) e_j = e_i T(e_j) over vec(T), for i in `i`.
 
     Row (i, j, r), column (k, l): delta_li c[k,j,r] - delta_lj c[i,k,r].
     """
+    n = c.shape[0]
+    rows = np.einsum("kjr,li->ijrkl", c, np.eye(n)[:, i], order="C").reshape(-1, n * n)
+    rows -= _times_image_op(c[i], n)
+    return rows
+
+
+Constraints = Callable[[np.ndarray, slice], np.ndarray]  # (c, slice of i) -> rows
+
+
+def _constraint_blocks(algebra: Algebra, constraints: Constraints) -> Iterator[np.ndarray]:
+    """The rows of a constraint system, SLAB_I values of i at a time, in row order."""
     c, n = algebra.structure, algebra.dim
-    image_times = np.einsum("kjr,li->ijrkl", c, np.eye(n)).reshape(n ** 3, n * n)
-    return image_times - _times_image_op(c, n)
+    for i0 in range(0, n, SLAB_I):
+        yield constraints(c, slice(i0, i0 + SLAB_I))
 
 
-def _space(algebra: Algebra, kind: str, constraints: np.ndarray) -> MultiplierBasis:
-    rank, vh = rank_basis(constraints)
+def _space(algebra: Algebra, kind: str, constraints: Constraints) -> MultiplierBasis:
+    rank, vh = rank_basis(_constraint_blocks(algebra, constraints))
     n = algebra.dim
     basis = [LinearMap(algebra, algebra, row.reshape(n, n)) for row in vh[rank:].conj()]
     return MultiplierBasis(algebra, kind, basis)
 
 
 def left_multiplier_space(algebra: Algebra) -> MultiplierBasis:
-    return _space(algebra, "LM", _left_constraints(algebra))
+    return _space(algebra, "LM", _left_constraints)
 
 
 def multiplier_space(algebra: Algebra) -> MultiplierBasis:
-    return _space(algebra, "M", _mult_constraints(algebra))
+    return _space(algebra, "M", _mult_constraints)
 
 
 @dataclass(eq=False)
@@ -264,7 +289,7 @@ def block_space(desc: ProductDescriptor) -> np.ndarray:
         return np.hstack([np.zeros((height, width)) if x is None else x
                           for x, width in parts])
 
-    system = np.vstack([
+    system = [
         # memberships, as in _block_relation_residuals
         rows(T_B=_of_product_op(cBB, m) - _times_image_op(cBB, m)),
         rows(S_I=_of_product_op(cBB, p) - _times_image_op(cBI, m)),
@@ -277,7 +302,7 @@ def block_space(desc: ProductDescriptor) -> np.ndarray:
              T_B=-_times_image_op(cIB, m)),
         rows(S_B=_of_product_op(cII, m)),
         rows(S_B=_of_product_op(cIB, m)),
-    ])
+    ]
     rank, vh = rank_basis(system)
     return vh[rank:].conj()
 

@@ -67,7 +67,7 @@ _THEOREM_HELP = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Record:
     name: str
     anchor: str

@@ -195,17 +195,32 @@ def _projector(rows):
     return rows.T @ rows.conj()
 
 
-@pytest.mark.parametrize("M", [
-    np.zeros((0, 4)),  # no constraints: everything is in the null space
-    np.zeros((5, 3)),  # all zero: rank 0
-    np.arange(12.0).reshape(2, 6) + 1j,  # wide: rows < cols
-    np.outer(np.arange(1.0, 8.0), [1.0, 2.0, -1.0, 0.5])
+MATRICES = {
+    "0-row": np.zeros((0, 4)),  # no constraints: everything is in the null space
+    "zero": np.zeros((5, 3)),  # all zero: rank 0
+    "wide": np.arange(12.0).reshape(2, 6) + 1j,  # rows < cols
+    "rank-deficient": np.outer(np.arange(1.0, 8.0), [1.0, 2.0, -1.0, 0.5])
     + np.outer(np.ones(7), [0.0, 1.0j, 1.0, 2.0]),  # tall, rank 2
-], ids=["0-row", "zero", "wide", "rank-deficient"])
-def test_rank_basis_against_full_svd(M):
+}
+# Row boundaries of the blocks handed over as a one-shot iterable; None hands
+# the matrix over whole.  On the 0-row matrix every split is all empty blocks.
+SPLITS = {
+    "": None,
+    "/one-row-blocks": lambda rows: range(1, rows),
+    "/short-blocks": lambda rows: [1, 3],  # 1 row, then 2 rows: fewer than cols
+    "/empty-blocks": lambda rows: [0, 2, 2, rows],  # 0-row blocks between and around
+}
+
+
+@pytest.mark.parametrize("M, bounds", [
+    pytest.param(M, bounds, id=name + split)
+    for name, M in MATRICES.items() for split, bounds in SPLITS.items()
+])
+def test_rank_basis_against_full_svd(M, bounds):
     _, s, vh = np.linalg.svd(M, full_matrices=True)
     rank = int(np.sum(s > 1e-10 * s[0])) if s.size and s[0] > 0 else 0
-    got_rank, got_vh = rank_basis(M)
+    got_rank, got_vh = rank_basis(M if bounds is None
+                                  else iter(np.split(M, bounds(M.shape[0]))))
     assert got_rank == rank
     assert got_vh.shape == (M.shape[1], M.shape[1])
     assert np.allclose(got_vh @ got_vh.conj().T, np.eye(M.shape[1]), atol=1e-12)
@@ -213,3 +228,10 @@ def test_rank_basis_against_full_svd(M):
     for want, got in ((vh[:rank], got_vh[:rank]), (vh[rank:].conj(), got_vh[rank:].conj())):
         assert np.allclose(_projector(got), _projector(want), atol=1e-12)
     assert np.allclose(M @ got_vh[rank:].conj().T, 0.0, atol=1e-12)
+
+
+def test_rank_basis_refuses_blocks_without_a_column_count():
+    with pytest.raises(ValueError):
+        rank_basis([])  # no block says how many columns there are
+    with pytest.raises(ValueError):
+        rank_basis([np.ones((2, 3)), np.ones((2, 4))])

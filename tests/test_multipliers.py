@@ -1,12 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from banalg.algebra import left_mult_operator
+from banalg.constructions import finite_abelian_group_algebra
 from banalg.errors import NotAMultiplierError, RelationsViolatedError, UndefinedHatError
 from banalg.fixtures import lau_fixture, semidirect_fixture
 from banalg.multipliers import (
+    SLAB_I,
     BlockDecomposition,
     _block_relation_residuals,
+    _constraint_blocks,
+    _left_constraints,
+    _mult_constraints,
     block_space,
     blocks_from_vector,
     decompose_left_multiplier,
@@ -154,6 +161,53 @@ def test_left_multiplier_dims_against_oracle(c2, z2, zero_product2):
             assert space.contains(row.reshape(alg.dim, alg.dim), tol=1e-9)
         for T in space.basis:
             assert multiplier_residual(alg, T.matrix) <= 1e-12
+
+
+def full_left_constraints(alg):
+    """Oracle: the whole n^3 x n^2 LM system, row (i, j, r), column (k, l):
+    delta_rk c[i,j,l] - delta_lj c[i,k,r]."""
+    c, n = alg.structure, alg.dim
+    eye = np.eye(n)
+    return (np.einsum("ijl,rk->ijrkl", c, eye)
+            - np.einsum("ikr,lj->ijrkl", c, eye)).reshape(n ** 3, n * n)
+
+
+def full_mult_constraints(alg):
+    """Oracle: the whole n^3 x n^2 M system, row (i, j, r), column (k, l):
+    delta_li c[k,j,r] - delta_lj c[i,k,r]."""
+    c, n = alg.structure, alg.dim
+    eye = np.eye(n)
+    return (np.einsum("kjr,li->ijrkl", c, eye)
+            - np.einsum("ikr,lj->ijrkl", c, eye)).reshape(n ** 3, n * n)
+
+
+def test_constraint_blocks_stack_to_full_systems(c2, z2, zero_product2):
+    algebras = [c2, z2, zero_product2] + [d.algebra for d in product_fixtures()]
+    assert len(algebras) == 15
+    for alg in algebras:
+        n = alg.dim
+        for constraints, full in ((_left_constraints, full_left_constraints),
+                                  (_mult_constraints, full_mult_constraints)):
+            blocks = list(_constraint_blocks(alg, constraints))
+            assert len(blocks) == -(-n // SLAB_I)
+            assert all(b.shape[0] <= SLAB_I * n * n for b in blocks)
+            assert np.array_equal(np.vstack(blocks), full(alg))
+
+
+@pytest.mark.parametrize("space", [multiplier_space, left_multiplier_space])
+def test_multiplier_space_memory_peak(space):
+    # l1(Z4 x Z4): the whole system is 4,096 x 256 complex (16 MiB), and with
+    # its einsum temporaries took a 48 MiB peak; numpy reports its buffers to
+    # tracemalloc
+    alg = finite_abelian_group_algebra([4, 4])
+    tracemalloc.start()
+    try:
+        dim = space(alg).dim
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim == 16
+    assert peak < 24 * 2 ** 20
 
 
 def test_left_multipliers_of_pointwise_are_diagonal(c2):

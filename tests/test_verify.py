@@ -60,9 +60,12 @@ def test_run_verify_byte_identical_reports():
 
 
 def test_run_verify_jobs_matches_serial():
-    serial = run_verify(RunConfig(count=1, seed=7, max_dim=4)).to_json()
-    parallel = run_verify(RunConfig(count=1, seed=7, max_dim=4, jobs=2)).to_json()
-    assert serial == parallel
+    # the pool's records come back pickled, and Record has __slots__
+    serial = run_verify(RunConfig(count=1, seed=7, max_dim=4))
+    parallel = run_verify(RunConfig(count=1, seed=7, max_dim=4, jobs=2))
+    assert not hasattr(parallel.records[0], "__dict__")
+    assert parallel.records == serial.records
+    assert serial.to_json() == parallel.to_json()
 
 
 def test_records_sorted_and_anchored():
