@@ -31,7 +31,7 @@ def main() -> int:
     print(f"{'fixture':<12} {'dims':<8} {'isometry defect':<18} {'product law':<14}")
     worst_iso = worst_mult = 0.0
     for fix in fixture_generators("lau", seed=args.seed, count=args.fixtures):
-        lc = characters_lau(fix.descriptor, seed=args.seed)
+        lc = characters_lau(fix.descriptor)
         na, nb = len(lc.a_chars), len(lc.b_chars)
         iso = mult = 0.0
         for _ in range(args.samples):

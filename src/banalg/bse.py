@@ -201,7 +201,7 @@ class BseVerdict:
 
 
 def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
-                       seed: int = 0, S: CharacterSet | None = None) -> BseVerdict:
+                       S: CharacterSet | None = None) -> BseVerdict:
     """Compare the interpolable functions on Delta(A) with the multiplier hats.
 
     The algebra must be without order (checked).  Verdict is true iff the two
@@ -213,7 +213,7 @@ def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
             f"algebra {algebra.name!r} has a nonzero annihilator"
         )
     if S is None:
-        S = characters_numerical(algebra, tol, seed)
+        S = characters_numerical(algebra, tol)
     if len(S) == 0:
         raise EmptyCharacterSetError("no characters; BSE comparison is void")
     # interpolable functions: the image of the Gelfand map; its dimension is
@@ -438,7 +438,7 @@ class ProductBseReport:
 
 
 def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
-                       opt_tol: float = DEFAULT_OPT_TOL, seed: int = 0) -> ProductBseReport:
+                       opt_tol: float = DEFAULT_OPT_TOL) -> ProductBseReport:
     """BSE verdicts for the parents and the product, plus the structural checks.
 
     For a direct sum: the multiplier space must split blockwise as
@@ -449,9 +449,9 @@ def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
     if desc.kind not in ("lau", "direct_sum"):
         raise ValueError("product report needs a lau product or direct sum")
     A, B = desc.first, desc.second
-    va = check_bse_property(A, tol, seed)
-    vb = check_bse_property(B, tol, seed)
-    vp = check_bse_property(desc.algebra, tol, seed)
+    va = check_bse_property(A, tol)
+    vb = check_bse_property(B, tol)
+    vp = check_bse_property(desc.algebra, tol)
     report = ProductBseReport(
         descriptor=desc,
         verdict_first=va,
@@ -462,7 +462,7 @@ def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
     if desc.kind == "direct_sum":
         _direct_sum_block_split(desc, report, tol)
     else:
-        _lau_transport(desc, report, tol, seed)
+        _lau_transport(desc, report, tol)
     return report
 
 
@@ -484,13 +484,12 @@ def _direct_sum_block_split(desc: ProductDescriptor, report: ProductBseReport,
     report.sum_block_residual = off
 
 
-def _lau_transport(desc: ProductDescriptor, report: ProductBseReport,
-                   tol: float, seed: int):
+def _lau_transport(desc: ProductDescriptor, report: ProductBseReport, tol: float):
     iso = phi_isomorphism(desc.first, desc.second, desc.phi, tol,
                           force=not desc.contractive)
     report.iso = iso
-    lau_chars = characters_lau(desc, tol, seed, cross_check=False)
-    sum_chars = characters_lau(iso.direct, tol, seed, cross_check=False,
+    lau_chars = characters_lau(desc, tol, cross_check=False)
+    sum_chars = characters_lau(iso.direct, tol, cross_check=False,
                                a_chars=lau_chars.a_chars, b_chars=lau_chars.b_chars)
     m_lau = multiplier_space(desc.algebra)
     m_sum = multiplier_space(iso.direct.algebra)

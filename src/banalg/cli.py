@@ -87,11 +87,11 @@ def _cmd_characters(args) -> int:
     algebra, desc = _load_algebra_or_bundle(args.algebra)
     if args.closed_form and desc is not None:
         if desc.kind == "semidirect":
-            S = characters_semidirect(desc, args.tol, seed=args.seed).set
+            S = characters_semidirect(desc, args.tol).set
         else:
-            S = characters_lau(desc, args.tol, seed=args.seed).set
+            S = characters_lau(desc, args.tol).set
     else:
-        S = characters_numerical(algebra, args.tol, args.seed)
+        S = characters_numerical(algebra, args.tol)
     doc = {
         "algebra": algebra.name,
         "count": len(S),
@@ -135,7 +135,7 @@ def _cmd_multipliers(args) -> int:
 
 def _cmd_bse_norm(args) -> int:
     algebra, desc = _load_algebra_or_bundle(args.algebra)
-    S = characters_numerical(algebra, args.tol, args.seed)
+    S = characters_numerical(algebra, args.tol)
     sigma = sigma_from_dict(load_json(args.sigma), expected_len=len(S),
                             where=args.sigma)
     fn = bse_norm_primal(sigma, S, algebra, args.opt_tol * 1e-2)
@@ -157,7 +157,7 @@ def _cmd_bse_norm(args) -> int:
 
 def _cmd_check_bse(args) -> int:
     algebra, _ = _load_algebra_or_bundle(args.algebra)
-    v = check_bse_property(algebra, args.tol, seed=args.seed)
+    v = check_bse_property(algebra, args.tol)
     doc = {
         "algebra": algebra.name,
         "is_bse": v.is_bse,
@@ -206,7 +206,7 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--opt-tol", type=float, default=argparse.SUPPRESS,
                         help="optimization tolerance (default 1e-6)")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="random seed")
+                        help="seed of verify's fixtures and sigma samples")
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
                         help="worker processes for verify")
     common.add_argument("--format", choices=("json", "text"),

@@ -1,11 +1,12 @@
 """Character spaces of finite-dimensional commutative algebras.
 
 A character is a nonzero multiplicative linear functional, stored as its
-value vector on the basis.  The numerical solver takes a random generic
-element g, finds the left eigenvectors of the multiplication matrix L_g
-(eigenvectors of the transposed system), reads candidate character values
-off per-basis Rayleigh quotients, polishes them with Gauss-Newton on the
-multiplicativity equations, and keeps the verified ones.  Product algebras
+value vector on the basis.  The numerical solver passes to the semisimple
+quotient A/rad, with rad the radical of the trace form, where the
+multiplication operators commute and are simultaneously diagonalizable:
+the characters are their joint eigenvalues, read off with the eigenvectors
+of one generic element and verified multiplicative.  The extraction is
+deterministic and finds exactly dim A/rad characters.  Product algebras
 also get closed-form character sets assembled from their parents, and the
 two routes are cross-checked.
 """
@@ -21,7 +22,7 @@ from .constructions import ProductDescriptor, ideal_span_is_full
 from .errors import IllConditionedError, NoNormalizerError, SpectraError
 
 SEPARATION = 1e-6  # characters closer than this in sup norm are the same character
-MAX_ATTEMPTS = 5
+GENERIC_SEED = 0  # seeds the generic element of characters_numerical, afresh in every call
 
 
 @dataclass(eq=False)
@@ -86,88 +87,46 @@ def multiplicativity_residual(algebra: Algebra, values: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _gauss_newton_polish(algebra: Algebra, v: np.ndarray, steps: int = 4) -> np.ndarray:
-    """Refine candidate character values on F_ij(v) = phi(e_i e_j) - v_i v_j = 0."""
-    n = algebra.dim
+def _trace_form(algebra: Algebra) -> np.ndarray:
+    """t[a, b] = tr(L_a L_b); its radical is the nilradical (Dieudonne)."""
     c = algebra.structure
-    for _ in range(steps):
-        F = (c @ v - np.outer(v, v)).reshape(n * n)
-        if np.max(np.abs(F)) < 1e-15:
-            break
-        J = np.zeros((n * n, n), dtype=complex)
-        for m in range(n):
-            dF = np.array(c[:, :, m])
-            dF[m, :] -= v
-            dF[:, m] -= v
-            J[:, m] = dF.reshape(n * n)
-        try:
-            step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        v_new = v + step
-        if multiplicativity_residual(algebra, v_new) <= multiplicativity_residual(algebra, v):
-            v = v_new
-        else:
-            break
-    return v
+    return np.einsum("ajk,bkj->ab", c, c)
 
 
-def characters_numerical(algebra: Algebra, tol: float = DEFAULT_TOL,
-                         seed: int | np.random.Generator = 0) -> CharacterSet:
+def characters_numerical(algebra: Algebra, tol: float = DEFAULT_TOL) -> CharacterSet:
     """All characters of a validated commutative algebra.
 
-    Raises IllConditionedError when fresh random generic elements keep
-    producing new verified characters after MAX_ATTEMPTS rounds (no stable
-    answer); nilpotent algebras yield the empty set.
+    Characters vanish on the radical, which is the radical of the trace form
+    t(a, b) = tr L_ab (Dieudonne's criterion), so they live on the rows V
+    that span the functionals vanishing on it.  There the multiplication
+    operators act as the commuting Lambda_i = V L_i V^H of A/rad = C^q, and
+    the characters are their q joint eigenvalues (Stetter's eigenmethod),
+    read off with the eigenvectors of one generic Lambda_g.  Raises
+    IllConditionedError when a joint eigenvalue is not multiplicative within
+    tol; nilpotent algebras yield the empty set.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    n = algebra.dim
     c = algebra.structure
-    mats = [algebra.left_mult_matrix(np.eye(n)[i]) for i in range(n)]
-    found: list[np.ndarray] = []
-
-    def try_add(vals: np.ndarray) -> bool:
-        if not np.all(np.isfinite(vals.view(float))):
-            return False
-        if not np.any(np.abs(vals) > SEPARATION):
-            return False
-        if multiplicativity_residual(algebra, vals) > tol:
-            return False
-        for known in found:
-            if np.max(np.abs(vals - known)) <= SEPARATION:
-                return False
-        found.append(vals)
-        return True
-
-    stable_rounds = 0
-    for attempt in range(MAX_ATTEMPTS):
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        M = sum(g[i] * mats[i] for i in range(n))
-        try:
-            _, vecs = np.linalg.eig(M.T)
-        except np.linalg.LinAlgError:
-            continue
-        added = False
-        for r in range(n):
-            v = vecs[:, r]
-            nv2 = v.conj() @ v
-            # per-basis Rayleigh quotients give the candidate character values
-            vals = np.array([(v @ mats[i] @ v.conj()) / nv2 for i in range(n)])
-            vals = _gauss_newton_polish(algebra, vals)
-            added = try_add(vals) or added
-        stable_rounds = 0 if added else stable_rounds + 1
-        if stable_rounds >= 2 or len(found) == n:
-            break
-    else:
-        if stable_rounds < 2 and len(found) != n:
-            raise IllConditionedError(
-                f"character extraction did not stabilize after {MAX_ATTEMPTS} attempts"
-            )
-
-    chars = [
-        Character(algebra, vals, residual=multiplicativity_residual(algebra, vals))
-        for vals in found
-    ]
+    q, vh = rank_basis(_trace_form(algebra))
+    V = vh[:q]
+    lam = V @ c.transpose(0, 2, 1) @ V.conj().T  # L_i[k, j] = c[i, j, k]
+    rng = np.random.default_rng(GENERIC_SEED)
+    g = rng.standard_normal(len(c)) + 1j * rng.standard_normal(len(c))
+    _, W = np.linalg.eig(np.tensordot(g, lam, axes=1))
+    try:
+        vals = np.einsum("irb,br->ri", np.linalg.inv(W) @ lam, W)  # diag(W^-1 Lambda_i W)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError("the generic element repeats a character value") from exc
+    res = np.abs(np.einsum("ijk,rk->rij", c, vals)
+                 - vals[:, :, None] * vals[:, None, :]).max(axis=(1, 2), initial=0.0)
+    # a kept row must be a nonzero functional (sup norm above SEPARATION)
+    # and multiplicative within tol
+    ok = (res <= tol) & (np.abs(vals).max(axis=1, initial=0.0) > SEPARATION)
+    if not np.all(ok):
+        raise IllConditionedError(
+            f"{np.sum(~ok)} of {q} joint eigenvalues on A/rad are not characters "
+            f"(worst multiplicativity residual {np.max(res):.3e})"
+        )
+    chars = [Character(algebra, v, residual=float(r)) for v, r in zip(vals, res)]
     chars.sort(key=lambda ch: tuple(np.round(ch.values, 9).view(float)))
     return CharacterSet(algebra, chars, provenance="numerical")
 
@@ -179,12 +138,9 @@ def gelfand(a: Element, S: CharacterSet) -> np.ndarray:
     return S.matrix @ a.coeffs
 
 
-def is_semisimple(algebra: Algebra, S: CharacterSet | None = None,
-                  tol: float = DEFAULT_TOL, seed: int = 0) -> bool:
-    """True iff the Gelfand map is injective (character matrix has rank n)."""
-    if S is None:
-        S = characters_numerical(algebra, tol, seed)
-    return S.rank() == algebra.dim
+def is_semisimple(algebra: Algebra) -> bool:
+    """True iff the radical of the trace form t(a, b) = tr L_ab is 0."""
+    return rank_basis(_trace_form(algebra))[0] == algebra.dim
 
 
 def match_character_sets(computed: CharacterSet, closed: CharacterSet,
@@ -244,7 +200,6 @@ def psi_of(phi: Character, desc: ProductDescriptor, tol: float = DEFAULT_TOL
         order = np.argsort(-scores)
         k2 = int(order[1])
         # second normalizer: perturb inside ker(phi) so phi(a0') is still 1
-        a0b = np.array(a0)
         pert = np.zeros(I.dim, dtype=complex)
         pert[k2] = 1.0
         pert -= a0 * phi.values[k2]
@@ -260,7 +215,7 @@ def psi_of(phi: Character, desc: ProductDescriptor, tol: float = DEFAULT_TOL
 
 
 def characters_semidirect(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
-                          seed: int = 0, cross_check: bool = True) -> "SemidirectCharacters":
+                          cross_check: bool = True) -> "SemidirectCharacters":
     """Closed-form Delta(B (+) I) = E u F from the parents' character sets.
 
     E pairs each ideal character phi with its induced psi_phi (possibly zero);
@@ -272,8 +227,8 @@ def characters_semidirect(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
         raise SpectraError("descriptor is not a semidirect product")
     alg = desc.algebra
     B, I = desc.subalgebra, desc.ideal
-    b_chars = characters_numerical(B, tol, seed)
-    i_chars = characters_numerical(I, tol, seed + 1)
+    b_chars = characters_numerical(B, tol)
+    i_chars = characters_numerical(I, tol)
     chars: list[Character] = []
     psis: list[np.ndarray | None] = []
     psi_index: list[int | None] = []
@@ -317,7 +272,7 @@ def characters_semidirect(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
         descriptor=desc,
     )
     if cross_check:
-        numeric = characters_numerical(alg, tol, seed + 2)
+        numeric = characters_numerical(alg, tol)
         _, hausdorff = match_character_sets(numeric, out.set)
         out.cross_check_distance = hausdorff
     return out
@@ -366,7 +321,7 @@ class LauCharacters:
 
 
 def characters_lau(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
-                   seed: int = 0, cross_check: bool = True,
+                   cross_check: bool = True,
                    a_chars: CharacterSet | None = None,
                    b_chars: CharacterSet | None = None) -> LauCharacters:
     """Closed-form Delta(A x_phi B): E = {(phi_A, phi_A o phi)}, F = {(0, psi)}.
@@ -379,9 +334,9 @@ def characters_lau(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
     alg = desc.algebra
     A, B = desc.first, desc.second
     if a_chars is None:
-        a_chars = characters_numerical(A, tol, seed)
+        a_chars = characters_numerical(A, tol)
     if b_chars is None:
-        b_chars = characters_numerical(B, tol, seed + 1)
+        b_chars = characters_numerical(B, tol)
     chars: list[Character] = []
     gamma: list[int | None] = []
     for phi_a in a_chars:
@@ -418,7 +373,7 @@ def characters_lau(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
         descriptor=desc,
     )
     if cross_check:
-        numeric = characters_numerical(alg, tol, seed + 2)
+        numeric = characters_numerical(alg, tol)
         _, hausdorff = match_character_sets(numeric, out.set)
         out.cross_check_distance = hausdorff
     return out

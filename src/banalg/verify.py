@@ -196,7 +196,7 @@ def _duality_checks(records, fix: Fixture, S: CharacterSet, cfg: RunConfig,
 
 
 def _bse_verdict_check(records, fix: Fixture, S: CharacterSet, cfg: RunConfig):
-    v = check_bse_property(fix.algebra, cfg.tol_algebraic, seed=cfg.seed, S=S)
+    v = check_bse_property(fix.algebra, cfg.tol_algebraic, S=S)
     if not v.semisimple:
         _skip(records, f"{fix.name}/check-bse", "bse-def",
               "outside hypotheses: not semisimple")
@@ -243,7 +243,7 @@ def _block_checks(records, fix: Fixture, cfg: RunConfig):
 def _semidirect_checks(records, fix: Fixture, cfg: RunConfig,
                        rng: np.random.Generator):
     desc = fix.descriptor
-    sdc = characters_semidirect(desc, cfg.tol_algebraic, seed=cfg.seed)
+    sdc = characters_semidirect(desc, cfg.tol_algebraic)
     _rec(records, f"{fix.name}/characters-union", "prop24",
          sdc.cross_check_distance, 1e-8,
          detail=f"|E|={sdc.e_count} |F|={len(sdc.subalgebra_chars)}")
@@ -290,7 +290,7 @@ def _semidirect_checks(records, fix: Fixture, cfg: RunConfig,
 
 def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator):
     desc = fix.descriptor
-    lc = characters_lau(desc, cfg.tol_algebraic, seed=cfg.seed)
+    lc = characters_lau(desc, cfg.tol_algebraic)
     _rec(records, f"{fix.name}/characters-union", "prop24",
          lc.cross_check_distance, 1e-8,
          detail=f"|E|={lc.e_count} |F|={len(lc.b_chars)}")
@@ -344,7 +344,7 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
         _skip(records, f"{fix.name}/theta-multiplicative", "theta",
               "phi is not surjective")
 
-    rep = verify_product_bse(desc, cfg.tol_algebraic, cfg.tol_opt, cfg.seed)
+    rep = verify_product_bse(desc, cfg.tol_algebraic, cfg.tol_opt)
     _rec(records, f"{fix.name}/lau-bse-biconditional", "lau-bse",
          0.0 if rep.biconditional_ok else 1.0, 0.0,
          detail=f"A={rep.verdict_first.is_bse} B={rep.verdict_second.is_bse} "
@@ -355,7 +355,7 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
          cfg.tol_algebraic)
 
     # direct-sum cross-checks on the same parents
-    sum_rep = verify_product_bse(iso.direct, cfg.tol_algebraic, cfg.tol_opt, cfg.seed)
+    sum_rep = verify_product_bse(iso.direct, cfg.tol_algebraic, cfg.tol_opt)
     _rec(records, f"{fix.name}/sum-bse-biconditional", "tim2",
          0.0 if sum_rep.biconditional_ok else 1.0, 0.0)
     _rec(records, f"{fix.name}/sum-multiplier-split", "tim2",
@@ -368,7 +368,7 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
 
 
 def _plain_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator):
-    S = characters_numerical(fix.algebra, cfg.tol_algebraic, cfg.seed)
+    S = characters_numerical(fix.algebra, cfg.tol_algebraic)
     worst = float(np.max([ch.residual for ch in S], initial=0.0))
     _rec(records, f"{fix.name}/characters-residual", "plumbing", worst,
          cfg.tol_algebraic, detail=f"{len(S)} characters")
@@ -443,15 +443,15 @@ def theorem_records(desc, theorem: str, cfg: RunConfig) -> list[Record]:
         _block_checks(records, fix, cfg)
     elif theorem == "prop24":
         if desc.kind == "semidirect":
-            sdc = characters_semidirect(desc, cfg.tol_algebraic, seed=cfg.seed)
+            sdc = characters_semidirect(desc, cfg.tol_algebraic)
             _rec(records, f"{fix.name}/characters-union", "prop24",
                  sdc.cross_check_distance, 1e-8)
         else:
-            lc = characters_lau(desc, cfg.tol_algebraic, seed=cfg.seed)
+            lc = characters_lau(desc, cfg.tol_algebraic)
             _rec(records, f"{fix.name}/characters-union", "prop24",
                  lc.cross_check_distance, 1e-8)
     elif theorem in ("lemma41", "theta"):
-        lc = characters_lau(desc, cfg.tol_algebraic, seed=cfg.seed)
+        lc = characters_lau(desc, cfg.tol_algebraic)
         if any(g is None for g in lc.gamma):
             _skip(records, f"{fix.name}/{theorem}", theorem, "phi is not surjective")
         else:
@@ -469,18 +469,18 @@ def theorem_records(desc, theorem: str, cfg: RunConfig) -> list[Record]:
         target = desc
         if desc.kind != "direct_sum":
             target = direct_sum(desc.first, desc.second, cfg.tol_algebraic)
-        rep = verify_product_bse(target, cfg.tol_algebraic, cfg.tol_opt, cfg.seed)
+        rep = verify_product_bse(target, cfg.tol_algebraic, cfg.tol_opt)
         ok = rep.biconditional_ok and rep.sum_block_dim_ok
         res = rep.sum_block_residual if rep.sum_block_residual is not None else 0.0
         _rec(records, f"{fix.name}/tim2", "tim2", res + (0.0 if ok else 1.0),
              cfg.tol_algebraic)
     elif theorem == "lau-bse":
-        rep = verify_product_bse(desc, cfg.tol_algebraic, cfg.tol_opt, cfg.seed)
+        rep = verify_product_bse(desc, cfg.tol_algebraic, cfg.tol_opt)
         res = max(rep.transport_membership or 0.0, rep.transport_hat_residual or 0.0,
                   0.0 if rep.biconditional_ok else 1.0)
         _rec(records, f"{fix.name}/lau-bse", "lau-bse", res, cfg.tol_algebraic)
     elif theorem == "sub":
-        sdc = characters_semidirect(desc, cfg.tol_algebraic, seed=cfg.seed)
+        sdc = characters_semidirect(desc, cfg.tol_algebraic)
         try:
             ext = sigma_extension(_random_sigma(rng, len(sdc.subalgebra_chars)), sdc)
             _rec(records, f"{fix.name}/sub", "sub",

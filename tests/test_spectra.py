@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from banalg.algebra import Algebra
+from banalg.algebra import Algebra, validate
 from banalg.constructions import SemidirectSpec, semidirect
-from banalg.errors import SpectraError
+from banalg.errors import IllConditionedError, SpectraError
 from banalg.spectra import (
     Character,
     CharacterSet,
@@ -54,7 +54,7 @@ def test_characters_linearly_independent(z2z2):
     S = characters_numerical(z2z2)
     assert len(S) == 4
     assert S.rank() == 4
-    assert is_semisimple(z2z2, S)
+    assert is_semisimple(z2z2)
 
 
 def test_character_call_and_gelfand(c2):
@@ -180,8 +180,66 @@ def test_every_character_verified_multiplicative(z2z2):
         assert multiplicativity_residual(z2z2, ch.values) <= 1e-12
 
 
+def truncated_sum(sizes, rng):
+    """C[x]/(x^k1) + C[x]/(x^k2) + ... written in a random complex basis.
+
+    Monomial basis e_i, new basis f_a = sum_i P[i, a] e_i.  Every weight is
+    the largest basis-level product norm, so ||f_a f_b|| <= w_a w_b.  Returns
+    the algebra, the expected characters (the evaluations at x = 0, phi_b(f_a)
+    = P[start_b, a]) and the f-coordinates of the radical basis x^m, m >= 1.
+    """
+    n = sum(sizes)
+    starts = np.cumsum([0, *sizes[:-1]])
+    c = np.zeros((n, n, n), dtype=complex)
+    for s, k in zip(starts, sizes):
+        for i in range(k):
+            for j in range(k - i):
+                c[s + i, s + j, s + i + j] = 1.0
+    P = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    P_inv = np.linalg.inv(P)
+    cg = np.einsum("ia,jb,ijk,dk->abd", P, P, c, P_inv)
+    weights = np.full(n, np.abs(cg).sum(axis=2).max())
+    unit = P_inv @ np.isin(np.arange(n), starts)
+    alg = Algebra(f"trunc{sizes}", weights, cg, unit=unit)
+    return alg, P[starts], np.delete(P_inv, starts, axis=1)
+
+
 def test_is_semisimple_negative(nilpotent2):
     assert not is_semisimple(nilpotent2)
+    # C[x]/(x^3) in a generic basis: its one character used to split in three
+    alg, _, _ = truncated_sum([3], np.random.default_rng(7))
+    assert not is_semisimple(alg)
+    assert is_semisimple(truncated_sum([1, 1, 1], np.random.default_rng(7))[0])
+
+
+def test_characters_refuse_non_multiplicative_eigenvalues():
+    # an associative but non-commutative structure (2x2 matrix units): its
+    # L_i do not commute, so no joint eigenvalue is a character
+    c = np.zeros((4, 4, 4), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            for d in range(2):
+                c[2 * a + b, 2 * b + d, 2 * a + d] = 1.0
+    with pytest.raises(IllConditionedError):
+        characters_numerical(Algebra("M2", np.ones(4), c))
+
+
+def test_characters_of_generic_basis_truncated_sums():
+    # a Jordan block of size k splits an eigenvalue by eps^(1/k); on A/rad
+    # the joint eigenvalues are simple, so the count is exactly the blocks
+    rng = np.random.default_rng(2015)
+    cases = [[3]] + [rng.integers(1, 4, size=rng.integers(1, 5)).tolist()
+                     for _ in range(200)]
+    for sizes in cases:
+        alg, expected, rad = truncated_sum(sizes, rng)
+        assert "submultiplicativity" not in validate(alg).failures
+        S = characters_numerical(alg)
+        assert len(S) == len(sizes), sizes
+        for ch in S:
+            assert multiplicativity_residual(alg, ch.values) <= 1e-9
+            assert np.max(np.abs(ch.values @ rad), initial=0.0) <= 1e-9
+        closed = CharacterSet(alg, [Character(alg, v) for v in expected])
+        match_character_sets(S, closed, threshold=1e-9)
 
 
 def test_full_span_forces_nonzero_psi():
@@ -189,7 +247,7 @@ def test_full_span_forces_nonzero_psi():
     from banalg.fixtures import fixture_generators
 
     for fix in fixture_generators("semidirect", seed=3, count=12):
-        sdc = characters_semidirect(fix.descriptor, seed=3)
+        sdc = characters_semidirect(fix.descriptor)
         if ideal_span_is_full(fix.descriptor):
             assert all(ix is not None for ix in sdc.psi_index)
         else:
@@ -207,4 +265,4 @@ def test_unital_nonsemisimple_truncated_polynomials():
     S = characters_numerical(alg)
     assert len(S) == 1
     assert np.allclose(S[0].values, [1.0, 0.0, 0.0], atol=1e-9)
-    assert not is_semisimple(alg, S)
+    assert not is_semisimple(alg)
