@@ -14,7 +14,6 @@ from .algebra import (
     ValidationReport,
     dual_norm,
     left_mult_operator,
-    multiply,
     norm,
     operator_norm,
     validate,
@@ -73,7 +72,6 @@ __all__ = [
     "ValidationReport",
     "dual_norm",
     "left_mult_operator",
-    "multiply",
     "norm",
     "operator_norm",
     "validate",

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import AlgebraMismatchError, ValidationRejected
 
 DEFAULT_TOL = 1e-9
-DEFAULT_OPT_TOL = 1e-6
 RANK_CUTOFF = 1e-10  # relative singular-value cutoff of rank_basis
 
 
@@ -90,10 +89,6 @@ class Algebra:
         """Matrix of x -> a*x in the basis: M[k, j] = sum_i a_i c[i,j,k]."""
         return np.einsum("i,ijk->kj", a, self.structure)
 
-    def right_mult_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of x -> x*a: M[k, i] = sum_j a_j c[i,j,k]."""
-        return np.einsum("j,ijk->ki", a, self.structure)
-
     def __repr__(self):
         return f"Algebra({self.name!r}, dim={self.dim})"
 
@@ -145,10 +140,6 @@ class Element:
         return f"Element({self.algebra.name!r}, {np.array2string(self.coeffs, precision=6)})"
 
 
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
-
-
 def norm(a: Element) -> float:
     return a.norm
 
@@ -184,14 +175,6 @@ class LinearMap:
         if x.algebra is not self.source:
             raise AlgebraMismatchError("element is not in the map's source algebra")
         return Element(self.target, self.matrix @ x.coeffs)
-
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(coeffs, dtype=complex)
-
-    def compose(self, inner: "LinearMap") -> "LinearMap":
-        if inner.target is not self.source:
-            raise AlgebraMismatchError("composition source/target mismatch")
-        return LinearMap(inner.source, self.target, self.matrix @ inner.matrix)
 
     @staticmethod
     def identity(algebra: Algebra) -> "LinearMap":

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    DEFAULT_OPT_TOL,
     DEFAULT_TOL,
     Algebra,
     Element,
@@ -269,19 +268,14 @@ class SplitResult:
     norm_slack: float  # ||tau|| + ||rho|| - ||sigma||, expected <= ~0
 
 
-def split_sigma(sigma_values: np.ndarray, chars: LauCharacters) -> SplitResult:
-    """tau(phi) = sigma(phi, phi o phi') - sigma(0, phi o phi'); rho(psi) = sigma(0, psi)."""
-    _require_surjective(chars)
+def _gamma(chars: LauCharacters) -> np.ndarray:
+    """Index into Delta(B) of phi_A o phi for each E character phi_A."""
+    return np.array([chars.gamma[r] for r in range(chars.e_count)], dtype=int)
+
+
+def _split_result(tau_values: np.ndarray, rho_values: np.ndarray,
+                  sigma_values: np.ndarray, chars: LauCharacters) -> SplitResult:
     desc = chars.descriptor
-    sigma_values = np.asarray(sigma_values, dtype=complex)
-    ec = chars.e_count
-    if sigma_values.shape != (len(chars.set),):
-        raise ValueError("sigma must assign one value per product character")
-    rho_values = sigma_values[ec:]
-    tau_values = np.array(
-        [sigma_values[r] - rho_values[chars.gamma[r]] for r in range(ec)],
-        dtype=complex,
-    )
     tau = bse_norm_primal(tau_values, chars.a_chars, desc.first)
     rho = bse_norm_primal(rho_values, chars.b_chars, desc.second)
     sigma = bse_norm_primal(sigma_values, chars.set, desc.algebra)
@@ -291,38 +285,34 @@ def split_sigma(sigma_values: np.ndarray, chars: LauCharacters) -> SplitResult:
         sigma=sigma,
         norm_slack=tau.bse_norm + rho.bse_norm - sigma.bse_norm,
     )
+
+
+def split_sigma(sigma_values: np.ndarray, chars: LauCharacters) -> SplitResult:
+    """tau(phi) = sigma(phi, phi o phi') - sigma(0, phi o phi'); rho(psi) = sigma(0, psi)."""
+    _require_surjective(chars)
+    sigma_values = np.asarray(sigma_values, dtype=complex)
+    if sigma_values.shape != (len(chars.set),):
+        raise ValueError("sigma must assign one value per product character")
+    ec = chars.e_count
+    rho_values = sigma_values[ec:]
+    tau_values = sigma_values[:ec] - rho_values[_gamma(chars)]
+    return _split_result(tau_values, rho_values, sigma_values, chars)
 
 
 def join_tau_rho(tau_values: np.ndarray, rho_values: np.ndarray,
                  chars: LauCharacters) -> SplitResult:
     """sigma(phi, phi o phi') = tau(phi) + rho(phi o phi'); sigma(0, psi) = rho(psi)."""
     _require_surjective(chars)
-    desc = chars.descriptor
     tau_values = np.asarray(tau_values, dtype=complex)
     rho_values = np.asarray(rho_values, dtype=complex)
-    ec = chars.e_count
-    sigma_values = np.concatenate([
-        np.array([tau_values[r] + rho_values[chars.gamma[r]] for r in range(ec)],
-                 dtype=complex),
-        rho_values,
-    ])
-    tau = bse_norm_primal(tau_values, chars.a_chars, desc.first)
-    rho = bse_norm_primal(rho_values, chars.b_chars, desc.second)
-    sigma = bse_norm_primal(sigma_values, chars.set, desc.algebra)
-    return SplitResult(
-        tau=tau,
-        rho=rho,
-        sigma=sigma,
-        norm_slack=tau.bse_norm + rho.bse_norm - sigma.bse_norm,
-    )
+    sigma_values = np.concatenate([tau_values + rho_values[_gamma(chars)], rho_values])
+    return _split_result(tau_values, rho_values, sigma_values, chars)
 
 
 def phi_tilde(rho_values: np.ndarray, chars: LauCharacters) -> BSEFunction:
     """Pull a function on Delta(B) back along phi_A -> phi_A o phi."""
     _require_surjective(chars)
-    rho_values = np.asarray(rho_values, dtype=complex)
-    pulled = np.array([rho_values[chars.gamma[r]] for r in range(chars.e_count)],
-                      dtype=complex)
+    pulled = np.asarray(rho_values, dtype=complex)[_gamma(chars)]
     return bse_norm_primal(pulled, chars.a_chars, chars.descriptor.first)
 
 
@@ -355,8 +345,7 @@ def theta_product_residual(chars: LauCharacters,
     rho1 rho2); its image must match the pointwise product of the images.
     """
     _require_surjective(chars)
-    ec = chars.e_count
-    g = np.array([chars.gamma[r] for r in range(ec)], dtype=int)
+    g = _gamma(chars)
     t1, r1 = np.asarray(tau1, complex), np.asarray(rho1, complex)
     t2, r2 = np.asarray(tau2, complex), np.asarray(rho2, complex)
     pt1 = r1[g]  # phitilde(rho1) on Delta(A)
@@ -437,8 +426,8 @@ class ProductBseReport:
     iso: PhiIsomorphism | None = None
 
 
-def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
-                       opt_tol: float = DEFAULT_OPT_TOL) -> ProductBseReport:
+def verify_product_bse(desc: ProductDescriptor,
+                       tol: float = DEFAULT_TOL) -> ProductBseReport:
     """BSE verdicts for the parents and the product, plus the structural checks.
 
     For a direct sum: the multiplier space must split blockwise as

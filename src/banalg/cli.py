@@ -39,7 +39,7 @@ from .multipliers import (
     multiplier_space,
 )
 from .spectra import characters_lau, characters_numerical, characters_semidirect
-from .verify import THEOREMS, RunConfig, run_verify, theorem_records
+from .verify import THEOREMS, Report, RunConfig, run_verify, theorem_records
 
 
 def _load_algebra_or_bundle(path: str):
@@ -182,13 +182,7 @@ def _cmd_verify(args) -> int:
     )
     if args.bundle:
         desc = bundle_from_dict(load_json(args.bundle), where=args.bundle)
-        theorems = [args.theorem] if args.theorem else list(THEOREMS)
-        records = []
-        for th in theorems:
-            records.extend(theorem_records(desc, th, cfg))
-        from .verify import Report
-
-        report = Report(config=cfg, records=sorted(records, key=lambda r: r.name))
+        report = Report(config=cfg, records=theorem_records(desc, args.theorem, cfg))
     else:
         report = run_verify(cfg)
     if args.format == "json":
@@ -275,7 +269,7 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("bundle", nargs="?", default=None,
                    help="optional build bundle to verify")
     v.add_argument("--theorem", choices=THEOREMS, default=None,
-                   help="single named check for a bundle")
+                   help="keep only a bundle's checks with this anchor")
     v.add_argument("--families", default=None,
                    help=f"comma list from {','.join(FAMILIES)}")
     v.add_argument("--count", type=int, default=2, help="fixtures per family")

@@ -1,9 +1,11 @@
-"""Theorem-check harness over generated fixture families.
+"""Theorem-check harness over generated fixtures and product bundles.
 
 Each check emits one Record with a residual and a PASS/FAIL/SKIP verdict;
 SKIP marks fixtures whose hypotheses do not hold for the check (never an
 error).  Check names carry the fixture name so a report is a flat, sorted,
-byte-stable list.
+byte-stable list.  There is one set of checks per family: a product bundle
+gets exactly the checks of a generated fixture of its kind, and
+`theorem_records` only filters them by anchor.
 """
 
 from __future__ import annotations
@@ -26,12 +28,7 @@ from .bse import (
     theta_product_residual,
     verify_product_bse,
 )
-from .constructions import (
-    direct_sum,
-    group_character_values,
-    ideal_span_is_full,
-    phi_isomorphism,
-)
+from .constructions import group_character_values, ideal_span_is_full, phi_isomorphism
 from .errors import BanalgError, SpanConditionError
 from .fixtures import FAMILIES, Fixture, build_fixture, fixture_rng
 from .jsonio import render_json
@@ -55,16 +52,6 @@ from .spectra import (
 )
 
 THEOREMS = ("lemma21", "prop24", "lemma41", "theta", "tim2", "lau-bse", "sub")
-
-_THEOREM_HELP = {
-    "lemma21": "left-multiplier four-block decomposition equivalence",
-    "prop24": "character space union split (E and F, disjoint)",
-    "lemma41": "BSE-norm additivity of the split/join of product functions",
-    "theta": "isometric multiplicative pairing (tau, rho) -> sigma",
-    "tim2": "direct-sum BSE biconditional and multiplier block split",
-    "lau-bse": "lau-product BSE biconditional and multiplier transport",
-    "sub": "extension of subalgebra BSE-functions across the ideal",
-}
 
 
 @dataclass(slots=True)
@@ -304,7 +291,8 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
     _block_checks(records, fix, cfg)
 
     # the block isomorphism and its certified norm bound
-    iso = phi_isomorphism(desc.first, desc.second, desc.phi, cfg.tol_algebraic)
+    iso = phi_isomorphism(desc.first, desc.second, desc.phi, cfg.tol_algebraic,
+                          force=not desc.contractive)
     bound_excess = operator_norm(iso.forward) - iso.norm_bound
     _rec(records, f"{fix.name}/phi-iso-norm", "lau-bse", max(0.0, bound_excess),
          1e-12,
@@ -344,18 +332,22 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
         _skip(records, f"{fix.name}/theta-multiplicative", "theta",
               "phi is not surjective")
 
-    rep = verify_product_bse(desc, cfg.tol_algebraic, cfg.tol_opt)
+    rep = verify_product_bse(desc, cfg.tol_algebraic)
     _rec(records, f"{fix.name}/lau-bse-biconditional", "lau-bse",
          0.0 if rep.biconditional_ok else 1.0, 0.0,
          detail=f"A={rep.verdict_first.is_bse} B={rep.verdict_second.is_bse} "
                 f"AxB={rep.verdict_product.is_bse}")
-    _rec(records, f"{fix.name}/lau-transport", "lau-bse",
-         max(rep.transport_membership, rep.transport_hat_residual,
-             0.0 if rep.transport_dim_ok else 1.0),
-         cfg.tol_algebraic)
+    if desc.kind == "direct_sum":
+        _skip(records, f"{fix.name}/lau-transport", "lau-bse",
+              "phi = 0: the product is its own direct sum")
+    else:
+        _rec(records, f"{fix.name}/lau-transport", "lau-bse",
+             max(rep.transport_membership, rep.transport_hat_residual,
+                 0.0 if rep.transport_dim_ok else 1.0),
+             cfg.tol_algebraic)
 
     # direct-sum cross-checks on the same parents
-    sum_rep = verify_product_bse(iso.direct, cfg.tol_algebraic, cfg.tol_opt)
+    sum_rep = verify_product_bse(iso.direct, cfg.tol_algebraic)
     _rec(records, f"{fix.name}/sum-bse-biconditional", "tim2",
          0.0 if sum_rep.biconditional_ok else 1.0, 0.0)
     _rec(records, f"{fix.name}/sum-multiplier-split", "tim2",
@@ -385,10 +377,8 @@ def _plain_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generato
     _bse_verdict_check(records, fix, S, cfg)
 
 
-def fixture_records(cfg: RunConfig, family: str, index: int) -> list[Record]:
-    """All checks for one generated fixture."""
-    fix = build_fixture(family, cfg.seed, index, cfg.max_dim)
-    rng = fixture_rng(cfg.seed + 1_000_003, family, index)
+def _checks(fix: Fixture, cfg: RunConfig, rng: np.random.Generator) -> list[Record]:
+    """Every check of the fixture's family; a refusal becomes one /error FAIL."""
     records: list[Record] = []
     rep = validate(fix.algebra, cfg.tol_algebraic)
     _rec(records, f"{fix.name}/validate", "plumbing",
@@ -396,9 +386,9 @@ def fixture_records(cfg: RunConfig, family: str, index: int) -> list[Record]:
              rep.max_submultiplicativity_excess, rep.unit_residual or 0.0),
          cfg.tol_algebraic)
     try:
-        if family == "semidirect":
+        if fix.family == "semidirect":
             _semidirect_checks(records, fix, cfg, rng)
-        elif family == "lau":
+        elif fix.family == "lau":
             _lau_checks(records, fix, cfg, rng)
         else:
             _plain_checks(records, fix, cfg, rng)
@@ -406,6 +396,12 @@ def fixture_records(cfg: RunConfig, family: str, index: int) -> list[Record]:
         records.append(Record(f"{fix.name}/error", "plumbing", 1.0, "FAIL",
                               f"{type(exc).__name__}: {exc}"))
     return records
+
+
+def fixture_records(cfg: RunConfig, family: str, index: int) -> list[Record]:
+    """All checks for one generated fixture."""
+    fix = build_fixture(family, cfg.seed, index, cfg.max_dim)
+    return _checks(fix, cfg, fixture_rng(cfg.seed + 1_000_003, family, index))
 
 
 def _worker(args) -> list[Record]:
@@ -431,61 +427,24 @@ def run_verify(cfg: RunConfig) -> Report:
     return Report(config=cfg, records=records)
 
 
-def theorem_records(desc, theorem: str, cfg: RunConfig) -> list[Record]:
-    """Run one named check family against a single product bundle."""
-    if theorem not in THEOREMS:
+def theorem_records(desc, theorem: str | None, cfg: RunConfig) -> list[Record]:
+    """The checks of a product bundle's kind whose anchor is `theorem`.
+
+    The bundle runs the same checks as a generated fixture of its kind (a
+    direct sum counts as a lau product with phi = 0).  An /error record is
+    kept whatever the anchor; `theorem=None` keeps every record, and an
+    anchor no check of this kind carries gives one SKIP record.
+    """
+    if theorem is not None and theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
-    fix = Fixture(desc.kind, f"{desc.kind}/bundle", desc.algebra, desc,
-                  meta={"surjective": True})
-    rng = fixture_rng(cfg.seed + 1_000_003, "diag", 0)
-    records: list[Record] = []
-    if theorem == "lemma21":
-        _block_checks(records, fix, cfg)
-    elif theorem == "prop24":
-        if desc.kind == "semidirect":
-            sdc = characters_semidirect(desc, cfg.tol_algebraic)
-            _rec(records, f"{fix.name}/characters-union", "prop24",
-                 sdc.cross_check_distance, 1e-8)
-        else:
-            lc = characters_lau(desc, cfg.tol_algebraic)
-            _rec(records, f"{fix.name}/characters-union", "prop24",
-                 lc.cross_check_distance, 1e-8)
-    elif theorem in ("lemma41", "theta"):
-        lc = characters_lau(desc, cfg.tol_algebraic)
-        if any(g is None for g in lc.gamma):
-            _skip(records, f"{fix.name}/{theorem}", theorem, "phi is not surjective")
-        else:
-            worst = 0.0
-            for _ in range(cfg.sigma_samples):
-                tau = _random_sigma(rng, len(lc.a_chars))
-                rho = _random_sigma(rng, len(lc.b_chars))
-                th = theta(tau, rho, lc)
-                worst = max(worst, th.isometry_defect)
-                if theorem == "lemma41":
-                    sp = split_sigma(_random_sigma(rng, len(lc.set)), lc)
-                    worst = max(worst, sp.norm_slack)
-            _rec(records, f"{fix.name}/{theorem}", theorem, worst, cfg.tol_opt)
-    elif theorem == "tim2":
-        target = desc
-        if desc.kind != "direct_sum":
-            target = direct_sum(desc.first, desc.second, cfg.tol_algebraic)
-        rep = verify_product_bse(target, cfg.tol_algebraic, cfg.tol_opt)
-        ok = rep.biconditional_ok and rep.sum_block_dim_ok
-        res = rep.sum_block_residual if rep.sum_block_residual is not None else 0.0
-        _rec(records, f"{fix.name}/tim2", "tim2", res + (0.0 if ok else 1.0),
-             cfg.tol_algebraic)
-    elif theorem == "lau-bse":
-        rep = verify_product_bse(desc, cfg.tol_algebraic, cfg.tol_opt)
-        res = max(rep.transport_membership or 0.0, rep.transport_hat_residual or 0.0,
-                  0.0 if rep.biconditional_ok else 1.0)
-        _rec(records, f"{fix.name}/lau-bse", "lau-bse", res, cfg.tol_algebraic)
-    elif theorem == "sub":
-        sdc = characters_semidirect(desc, cfg.tol_algebraic)
-        try:
-            ext = sigma_extension(_random_sigma(rng, len(sdc.subalgebra_chars)), sdc)
-            _rec(records, f"{fix.name}/sub", "sub",
-                 max(ext.norm_slack, ext.witness_error), cfg.tol_opt)
-        except SpanConditionError as exc:
-            _skip(records, f"{fix.name}/sub", "sub", str(exc))
+    family = "semidirect" if desc.kind == "semidirect" else "lau"
+    fix = Fixture(family, f"{desc.kind}/bundle", desc.algebra, desc)
+    records = _checks(fix, cfg, fixture_rng(cfg.seed + 1_000_003, family, 0))
+    if theorem is not None:
+        records = [r for r in records
+                   if r.anchor == theorem or r.name.endswith("/error")]
+    if not records:
+        _skip(records, f"{fix.name}/{theorem}", theorem,
+              f"no {theorem} check applies to a {desc.kind} product")
     records.sort(key=lambda r: r.name)
     return records

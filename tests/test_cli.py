@@ -3,9 +3,10 @@ import json
 import pytest
 
 from banalg.cli import main
-from banalg.jsonio import algebra_to_dict, write_json
+from banalg.constructions import direct_sum
+from banalg.jsonio import algebra_to_dict, bundle_to_dict, write_json
 
-from conftest import diagonal_algebra
+from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect
 
 
 @pytest.fixture
@@ -58,6 +59,56 @@ def test_build_lau_bundle_and_verify(tmp_path, capsys):
         code, stdout, _ = run_cli(capsys, "verify", str(bundle),
                                   "--theorem", theorem, "--format", "text")
         assert code == 0, (theorem, stdout)
+
+
+def c_plus_c2():
+    return direct_sum(diagonal_algebra(1, "A"), diagonal_algebra(2, "B"))
+
+
+def _bundle_file(tmp_path, desc):
+    path = tmp_path / "bundle.json"
+    write_json(str(path), bundle_to_dict(desc))
+    return str(path)
+
+
+@pytest.mark.parametrize("make", [pointwise_semidirect, lau_c_c2, c_plus_c2])
+def test_verify_bundle_runs_every_check_of_its_kind(tmp_path, capsys, make):
+    path = _bundle_file(tmp_path, make())
+    code, stdout, err = run_cli(capsys, "verify", path, "--format", "json")
+    assert code == 0, err
+    records = json.loads(stdout)["records"]
+    assert len(records) > 10
+    assert not [r for r in records if r["name"].endswith("/error")]
+
+
+def test_verify_bundle_theorem_of_the_other_kind_skips(tmp_path, capsys):
+    path = _bundle_file(tmp_path, pointwise_semidirect())
+    code, stdout, _ = run_cli(capsys, "verify", path, "--theorem", "lau-bse",
+                              "--format", "json")
+    assert code == 0
+    records = json.loads(stdout)["records"]
+    assert [(r["name"], r["verdict"]) for r in records] == [
+        ("semidirect/bundle/lau-bse", "SKIP")
+    ]
+
+
+def test_verify_noncontractive_bundle_has_no_error_record(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    phi = tmp_path / "phi.json"
+    write_json(str(a), algebra_to_dict(diagonal_algebra(1, "A", weights=[4.0])))
+    write_json(str(b), algebra_to_dict(diagonal_algebra(2, "B")))
+    phi.write_text('{"source": "B", "target": "A", "matrix": [[[1,0],[0,0]]]}')
+    bundle = tmp_path / "lau.json"
+    code, _, _ = run_cli(capsys, "build", "lau", "--a", str(a), "--b", str(b),
+                         "--phi", str(phi), "--force", "-o", str(bundle))
+    assert code == 0
+    assert json.loads(bundle.read_text())["descriptor"]["contractive"] is False
+    code, stdout, err = run_cli(capsys, "verify", str(bundle), "--format", "json")
+    assert stdout, err
+    records = json.loads(stdout)["records"]
+    assert records
+    assert not [r for r in records if r["name"].endswith("/error")]
 
 
 def test_build_semidirect(tmp_path, capsys):

@@ -1,10 +1,22 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from banalg.algebra import operator_norm, validate
 from banalg.constructions import ideal_span_is_full
 from banalg.fixtures import FAMILIES, build_fixture, fixture_generators
-from banalg.verify import Report, RunConfig, run_verify, theorem_records
+from banalg import verify
+from banalg.errors import IllConditionedError
+from banalg.verify import (
+    THEOREMS,
+    Report,
+    RunConfig,
+    fixture_records,
+    run_verify,
+    theorem_records,
+)
 
 from conftest import lau_c_c2, pointwise_semidirect
 
@@ -84,18 +96,50 @@ def test_report_text_rendering_no_color():
 
 
 def test_theorem_records_on_bundles():
-    lau = lau_c_c2()
-    sd = pointwise_semidirect()
+    # a bundle runs the checks of its kind once; --theorem only filters them
     cfg = RunConfig(count=1)
-    for theorem, desc in (
-        ("lemma21", sd), ("prop24", sd), ("sub", sd),
-        ("lemma41", lau), ("theta", lau), ("tim2", lau), ("lau-bse", lau),
-    ):
-        records = theorem_records(desc, theorem, cfg)
-        assert records, theorem
-        assert all(r.verdict in ("PASS", "SKIP") for r in records), (
-            theorem, [(r.name, r.verdict, r.detail) for r in records]
+    for desc in (pointwise_semidirect(), lau_c_c2()):
+        every = theorem_records(desc, None, cfg)
+        assert every and all(r.verdict in ("PASS", "SKIP") for r in every), (
+            [(r.name, r.verdict, r.detail) for r in every]
         )
+        for theorem in THEOREMS:
+            kept = theorem_records(desc, theorem, cfg)
+            anchored = [r for r in every if r.anchor == theorem]
+            if anchored:
+                assert kept == anchored, (desc.kind, theorem)
+            else:
+                assert [(r.anchor, r.verdict) for r in kept] == [(theorem, "SKIP")]
+
+
+def test_theorem_records_carry_the_full_fixture_checks():
+    cfg = RunConfig(count=1)
+    theta = {r.name for r in theorem_records(lau_c_c2(), "theta", cfg)}
+    assert theta == {"lau/bundle/theta-isometry", "lau/bundle/theta-multiplicative"}
+    prop24 = {r.name for r in theorem_records(pointwise_semidirect(), "prop24", cfg)}
+    assert {"semidirect/bundle/characters-disjoint", "semidirect/bundle/psi-identity",
+            "semidirect/bundle/psi-uniqueness"} <= prop24
+
+
+def test_theorem_records_keep_error_records(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise IllConditionedError("refused")
+
+    monkeypatch.setattr(verify, "characters_semidirect", refuse)
+    records = theorem_records(pointwise_semidirect(), "lemma21", RunConfig(count=1))
+    assert [(r.name, r.verdict) for r in records] == [
+        ("semidirect/bundle/error", "FAIL")
+    ]
+
+
+def test_fixture_verdicts_match_the_benchmark_reference():
+    # the stored verdicts the benchmark gate compares against, read, never rewritten
+    path = Path(__file__).parents[1] / "perfbench" / "reference" / "verify_small.json"
+    ref = json.loads(path.read_text())
+    cfg = RunConfig(seed=ref["seed"], max_dim=ref["max_dim"])
+    got = {r.name: r.verdict for index in range(ref["indices"])
+           for family in FAMILIES for r in fixture_records(cfg, family, index)}
+    assert got == ref["verdicts"]
 
 
 def test_theorem_records_rejects_unknown():
