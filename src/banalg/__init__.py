@@ -13,7 +13,6 @@ from .algebra import (
     LinearMap,
     ValidationReport,
     dual_norm,
-    left_mult_operator,
     norm,
     operator_norm,
     validate,
@@ -28,7 +27,6 @@ from .constructions import (
     lau_product,
     phi_isomorphism,
     semidirect,
-    split_algebra,
 )
 from .spectra import (
     Character,
@@ -57,7 +55,6 @@ from .bse import (
     check_bse_property,
     delta_weak_bai,
     join_tau_rho,
-    phi_tilde,
     sigma_extension,
     split_sigma,
     theta,
@@ -71,7 +68,6 @@ __all__ = [
     "LinearMap",
     "ValidationReport",
     "dual_norm",
-    "left_mult_operator",
     "norm",
     "operator_norm",
     "validate",
@@ -84,7 +80,6 @@ __all__ = [
     "lau_product",
     "phi_isomorphism",
     "semidirect",
-    "split_algebra",
     "Character",
     "CharacterSet",
     "characters_lau",
@@ -107,7 +102,6 @@ __all__ = [
     "check_bse_property",
     "delta_weak_bai",
     "join_tau_rho",
-    "phi_tilde",
     "sigma_extension",
     "split_sigma",
     "theta",

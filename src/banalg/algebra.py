@@ -70,9 +70,6 @@ class Algebra:
         coeffs[i] = 1.0
         return Element(self, coeffs)
 
-    def zero(self) -> "Element":
-        return Element(self, np.zeros(self.dim, dtype=complex))
-
     def unit_element(self) -> "Element":
         if self.unit is None:
             raise ValueError(f"algebra {self.name!r} has no declared unit")
@@ -188,10 +185,6 @@ def operator_norm(L: LinearMap) -> float:
     """Exact operator norm between weighted l1 spaces: max weighted column norm."""
     col_norms = L.target.weights @ np.abs(L.matrix)
     return float(np.max(col_norms / L.source.weights))
-
-
-def left_mult_operator(a: Element) -> LinearMap:
-    return LinearMap(a.algebra, a.algebra, a.algebra.left_mult_matrix(a.coeffs))
 
 
 @dataclass

@@ -7,6 +7,12 @@ equals the minimum weighted-l1 norm of an interpolant.  That reduction is
 cross-validated throughout by the dual route, which evaluates the defining
 inequality sup { |sum c_j sigma(phi_j)| : ||sum c_j phi_j||_dual <= 1 }
 directly as a cone program with no interpolation step.
+
+`verify_product_bse` checks that A x_phi B is BSE iff A and B are in one
+pass: it builds Phi(a, b) = (a - phi(b), b) once, computes the multiplier
+spaces of A, B, A x_phi B and A (+) B once each, and derives the four
+verdicts, the block split M(A (+) B) = M(A) x M(B) and the transport
+through Phi from those spaces.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .interpolation import (
     solve_dual,
     solve_primal,
 )
-from .multipliers import hat, multiplier_residual, multiplier_space
+from .multipliers import MultiplierBasis, hat, multiplier_residual, multiplier_space
 from .spectra import (
     CharacterSet,
     LauCharacters,
@@ -207,6 +213,12 @@ def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
     subspaces of functions on the characters coincide; when they differ, a
     function in one space far from the other is returned as a counterexample.
     """
+    return _bse_pass(algebra, tol, S)[0]
+
+
+def _bse_pass(algebra: Algebra, tol: float,
+              S: CharacterSet | None = None) -> tuple[BseVerdict, MultiplierBasis]:
+    """check_bse_property, also returning the multiplier space it computed."""
     if not is_without_order(algebra):
         raise NotWithoutOrderError(
             f"algebra {algebra.name!r} has a nonzero annihilator"
@@ -224,7 +236,7 @@ def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
             f"algebra {algebra.name!r} is not semisimple; BSE verdict is outside "
             "the usual hypotheses",
             SemisimplicityWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     # multiplier hats
     mult = multiplier_space(algebra)
@@ -236,7 +248,7 @@ def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
     counterexample = None
     if not is_bse:
         counterexample = wit_m if res_m_in_c > res_c_in_m else wit_c
-    return BseVerdict(
+    verdict = BseVerdict(
         algebra=algebra,
         characters=S,
         is_bse=is_bse,
@@ -247,6 +259,7 @@ def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
         containment_c_in_m=res_c_in_m,
         counterexample=counterexample,
     )
+    return verdict, mult
 
 
 def _require_surjective(chars: LauCharacters):
@@ -307,13 +320,6 @@ def join_tau_rho(tau_values: np.ndarray, rho_values: np.ndarray,
     rho_values = np.asarray(rho_values, dtype=complex)
     sigma_values = np.concatenate([tau_values + rho_values[_gamma(chars)], rho_values])
     return _split_result(tau_values, rho_values, sigma_values, chars)
-
-
-def phi_tilde(rho_values: np.ndarray, chars: LauCharacters) -> BSEFunction:
-    """Pull a function on Delta(B) back along phi_A -> phi_A o phi."""
-    _require_surjective(chars)
-    pulled = np.asarray(rho_values, dtype=complex)[_gamma(chars)]
-    return bse_norm_primal(pulled, chars.a_chars, chars.descriptor.first)
 
 
 @dataclass(eq=False)
@@ -409,80 +415,90 @@ def sigma_extension(rho_values: np.ndarray,
 
 @dataclass(eq=False)
 class ProductBseReport:
-    """Cross-checks tying the product verdict to the parents' verdicts."""
+    """One pass over A x_phi B and its direct sum A (+) B, joined by Phi."""
 
     descriptor: ProductDescriptor
+    iso: PhiIsomorphism
     verdict_first: BseVerdict
     verdict_second: BseVerdict
     verdict_product: BseVerdict
-    biconditional_ok: bool
+    verdict_direct: BseVerdict
     # direct-sum block split of the multiplier space
-    sum_block_dim_ok: bool | None = None
-    sum_block_residual: float | None = None
+    sum_block_dim_ok: bool
+    sum_block_residual: float
     # lau-product transport through the algebra isomorphism
-    transport_dim_ok: bool | None = None
-    transport_membership: float | None = None
-    transport_hat_residual: float | None = None
-    iso: PhiIsomorphism | None = None
+    transport_dim_ok: bool
+    transport_membership: float
+    transport_hat_residual: float
+
+    @property
+    def biconditional_ok(self) -> bool:
+        """A x_phi B is BSE iff A and B are."""
+        return self.verdict_product.is_bse == (
+            self.verdict_first.is_bse and self.verdict_second.is_bse)
+
+    @property
+    def sum_biconditional_ok(self) -> bool:
+        """A (+) B is BSE iff A and B are."""
+        return self.verdict_direct.is_bse == (
+            self.verdict_first.is_bse and self.verdict_second.is_bse)
 
 
 def verify_product_bse(desc: ProductDescriptor,
                        tol: float = DEFAULT_TOL) -> ProductBseReport:
-    """BSE verdicts for the parents and the product, plus the structural checks.
+    """BSE verdicts for A, B, A x_phi B and A (+) B, plus the structural checks.
 
-    For a direct sum: the multiplier space must split blockwise as
-    M(A) x M(B).  For a lau product: conjugation by the block isomorphism
-    must carry its multipliers onto the direct sum's, with matching hats
-    through the character pairing.
+    Phi(a, b) = (a - phi(b), b) is built once, and each of the four algebras
+    gets one multiplier space, shared by its verdict and the checks: the
+    direct sum's space must split blockwise as M(A) x M(B), and conjugation
+    by Phi must carry the product's multipliers onto the direct sum's, with
+    matching hats through the character pairing.  A direct sum (phi = 0) is
+    its own direct sum, and Phi is the identity.
     """
     if desc.kind not in ("lau", "direct_sum"):
         raise ValueError("product report needs a lau product or direct sum")
-    A, B = desc.first, desc.second
-    va = check_bse_property(A, tol)
-    vb = check_bse_property(B, tol)
-    vp = check_bse_property(desc.algebra, tol)
-    report = ProductBseReport(
+    iso = phi_isomorphism(desc.first, desc.second, desc.phi, tol,
+                          force=not desc.contractive)
+    va, ma = _bse_pass(desc.first, tol)
+    vb, mb = _bse_pass(desc.second, tol)
+    vp, mp = _bse_pass(desc.algebra, tol)
+    vd, md = _bse_pass(iso.direct.algebra, tol)
+    membership, hat_res = _transport_residuals(desc, iso, mp, tol)
+    return ProductBseReport(
         descriptor=desc,
+        iso=iso,
         verdict_first=va,
         verdict_second=vb,
         verdict_product=vp,
-        biconditional_ok=(vp.is_bse == (va.is_bse and vb.is_bse)),
+        verdict_direct=vd,
+        sum_block_dim_ok=md.dim == ma.dim + mb.dim,
+        sum_block_residual=_block_split_residual(iso.direct, md),
+        transport_dim_ok=mp.dim == md.dim,
+        transport_membership=membership,
+        transport_hat_residual=hat_res,
     )
-    if desc.kind == "direct_sum":
-        _direct_sum_block_split(desc, report, tol)
-    else:
-        _lau_transport(desc, report, tol)
-    return report
 
 
-def _direct_sum_block_split(desc: ProductDescriptor, report: ProductBseReport,
-                            tol: float):
-    A, B = desc.first, desc.second
-    mp = multiplier_space(desc.algebra)
-    ma = multiplier_space(A)
-    mb = multiplier_space(B)
-    report.sum_block_dim_ok = mp.dim == ma.dim + mb.dim
-    asl, bsl = desc.first_slice, desc.second_slice
+def _block_split_residual(direct: ProductDescriptor, md: MultiplierBasis) -> float:
+    """Worst off-diagonal block, or diagonal block that is not a parent multiplier."""
+    A, B = direct.first, direct.second
+    asl, bsl = direct.first_slice, direct.second_slice
     off = 0.0
-    for T in mp.basis:
+    for T in md.basis:
         off = max(off, float(np.max(np.abs(T.matrix[asl, bsl]), initial=0.0)))
         off = max(off, float(np.max(np.abs(T.matrix[bsl, asl]), initial=0.0)))
         # diagonal blocks must be multipliers of the parents
         off = max(off, multiplier_residual(A, T.matrix[asl, asl]))
         off = max(off, multiplier_residual(B, T.matrix[bsl, bsl]))
-    report.sum_block_residual = off
+    return off
 
 
-def _lau_transport(desc: ProductDescriptor, report: ProductBseReport, tol: float):
-    iso = phi_isomorphism(desc.first, desc.second, desc.phi, tol,
-                          force=not desc.contractive)
-    report.iso = iso
+def _transport_residuals(desc: ProductDescriptor, iso: PhiIsomorphism,
+                         m_lau: MultiplierBasis, tol: float) -> tuple[float, float]:
+    """Worst Phi^-1 T Phi multiplier residual on A (+) B, and worst hat mismatch."""
     lau_chars = characters_lau(desc, tol, cross_check=False)
     sum_chars = characters_lau(iso.direct, tol, cross_check=False,
                                a_chars=lau_chars.a_chars, b_chars=lau_chars.b_chars)
-    m_lau = multiplier_space(desc.algebra)
-    m_sum = multiplier_space(iso.direct.algebra)
-    report.transport_dim_ok = m_lau.dim == m_sum.dim
     membership = 0.0
     hat_res = 0.0
     inv, fwd = iso.inverse.matrix, iso.forward.matrix
@@ -493,5 +509,4 @@ def _lau_transport(desc: ProductDescriptor, report: ProductBseReport, tol: float
         s_hat = hat(Smat, sum_chars.set, tol)
         # the character pairing fixes indices blockwise: E_k <-> E_k, F_j <-> F_j
         hat_res = max(hat_res, float(np.max(np.abs(t_hat - s_hat), initial=0.0)))
-    report.transport_membership = membership
-    report.transport_hat_residual = hat_res
+    return membership, hat_res

@@ -311,50 +311,6 @@ def group_character_values(orders: list[int]) -> np.ndarray:
     return table
 
 
-def split_algebra(A: Algebra, sub_basis: np.ndarray, ideal_basis: np.ndarray,
-                  sub_weights: np.ndarray | None = None,
-                  ideal_weights: np.ndarray | None = None,
-                  tol: float = DEFAULT_TOL) -> tuple[SemidirectSpec, np.ndarray]:
-    """Split A along complementary subspaces into (B, I) and derive the actions.
-
-    sub_basis: n x m matrix whose columns span a subalgebra of A;
-    ideal_basis: n x p columns spanning a two-sided ideal; together a basis of A.
-    Returns the SemidirectSpec plus the n x n change-of-basis matrix U sending
-    assembled (B-block, I-block) coordinates to A-coordinates, i.e. the pair
-    (b, a) maps to b + a.  Raises InvalidActionError when the subspaces are
-    not a subalgebra/ideal pair.
-    """
-    sub_basis = np.asarray(sub_basis, dtype=complex)
-    ideal_basis = np.asarray(ideal_basis, dtype=complex)
-    n = A.dim
-    m = sub_basis.shape[1]
-    p = ideal_basis.shape[1]
-    if sub_basis.shape != (n, m) or ideal_basis.shape != (n, p) or m + p != n:
-        raise ValueError("basis matrices must partition the algebra dimension")
-    U = np.hstack([sub_basis, ideal_basis])
-    if np.linalg.matrix_rank(U) < n:
-        raise ValueError("sub_basis and ideal_basis do not span the algebra")
-    # z[a, b, :] = coordinates of (column a of U)(column b of U) in the U basis
-    z = np.einsum("ia,jb,ijk->abk", U, U, A.structure) @ np.linalg.inv(U).T
-    sb, ib = slice(0, m), slice(m, n)
-    for what, left, right, block in (("subalgebra product", sb, sb, sb),
-                                     ("ideal product", ib, ib, ib),
-                                     ("B.I action", sb, ib, ib),
-                                     ("I.B action", ib, sb, ib)):
-        other = ib if block is sb else sb
-        if np.max(np.abs(z[left, right, other]), initial=0.0) > tol:
-            raise InvalidActionError(f"{what} does not stay in its block")
-    cB, cI = z[sb, sb, sb], z[ib, ib, ib]
-    act_bi, act_ib = z[sb, ib, ib], z[ib, sb, ib]
-
-    wB = np.asarray(sub_weights, dtype=float) if sub_weights is not None else np.ones(m)
-    wI = np.asarray(ideal_weights, dtype=float) if ideal_weights is not None else np.ones(p)
-    B = Algebra(name=f"{A.name}|sub", weights=wB, structure=cB)
-    I = Algebra(name=f"{A.name}|ideal", weights=wI, structure=cI)
-    spec = SemidirectSpec(subalgebra=B, ideal=I, action_bi=act_bi, action_ib=act_ib)
-    return spec, U
-
-
 def ideal_span_rank(desc: ProductDescriptor) -> int:
     """rank of span{a * b : a in I-basis, b in B-basis} inside the ideal block."""
     isl, bsl = desc.ideal_slice, desc.subalgebra_slice

@@ -75,11 +75,6 @@ def interpolation_residual(E: np.ndarray, a: np.ndarray, sigma: np.ndarray) -> f
     return float(np.max(np.abs(E @ a - sigma), initial=0.0))
 
 
-def certificate_slack(E: np.ndarray, c: np.ndarray, w: np.ndarray) -> float:
-    """max_i |(E^T c)_i| - w_i; feasible certificates have slack <= 0."""
-    return float(np.max(np.abs(E.T @ c) - w))
-
-
 def certificate_value(c: np.ndarray, sigma: np.ndarray) -> float:
     return float(abs(c @ sigma))
 

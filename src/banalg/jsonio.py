@@ -228,10 +228,6 @@ def sigma_from_dict(doc: Any, expected_len: int | None = None,
     return np.array(out, dtype=complex)
 
 
-def sigma_to_dict(values: np.ndarray) -> dict:
-    return {"values": [complex_pair(z) for z in np.asarray(values, dtype=complex)]}
-
-
 def _sparse_tensor(t: np.ndarray) -> list:
     entries = []
     it = np.nditer(t, flags=["multi_index"])
@@ -315,8 +311,3 @@ def load_json(path: str) -> Any:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError([f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}"])
-
-
-def write_json(path: str, doc: Any):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_json(doc) + "\n")

@@ -79,16 +79,6 @@ class MultiplierBasis:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, T: np.ndarray, tol: float = 1e-8) -> bool:
-        """Whether T lies in the span of the basis (Frobenius projection residual)."""
-        if not self.basis:
-            return float(np.linalg.norm(T)) <= tol
-        flat = np.array([b.matrix.reshape(-1) for b in self.basis])
-        t = np.asarray(T, dtype=complex).reshape(-1)
-        proj = flat.conj() @ t  # orthonormal rows
-        resid = t - flat.T @ proj
-        return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(t)))
-
 
 def left_multiplier_residual(algebra: Algebra, T: np.ndarray) -> float:
     """max_{i,j} || T(e_i e_j) - e_i T(e_j) ||."""

@@ -28,7 +28,7 @@ from .bse import (
     theta_product_residual,
     verify_product_bse,
 )
-from .constructions import group_character_values, ideal_span_is_full, phi_isomorphism
+from .constructions import group_character_values, ideal_span_is_full
 from .errors import BanalgError, SpanConditionError
 from .fixtures import FAMILIES, Fixture, build_fixture, fixture_rng
 from .jsonio import render_json
@@ -290,9 +290,9 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
 
     _block_checks(records, fix, cfg)
 
-    # the block isomorphism and its certified norm bound
-    iso = phi_isomorphism(desc.first, desc.second, desc.phi, cfg.tol_algebraic,
-                          force=not desc.contractive)
+    # one product-BSE pass: Phi, the four verdicts and the structural checks
+    rep = verify_product_bse(desc, cfg.tol_algebraic)
+    iso = rep.iso
     bound_excess = operator_norm(iso.forward) - iso.norm_bound
     _rec(records, f"{fix.name}/phi-iso-norm", "lau-bse", max(0.0, bound_excess),
          1e-12,
@@ -332,7 +332,6 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
         _skip(records, f"{fix.name}/theta-multiplicative", "theta",
               "phi is not surjective")
 
-    rep = verify_product_bse(desc, cfg.tol_algebraic)
     _rec(records, f"{fix.name}/lau-bse-biconditional", "lau-bse",
          0.0 if rep.biconditional_ok else 1.0, 0.0,
          detail=f"A={rep.verdict_first.is_bse} B={rep.verdict_second.is_bse} "
@@ -347,12 +346,10 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
              cfg.tol_algebraic)
 
     # direct-sum cross-checks on the same parents
-    sum_rep = verify_product_bse(iso.direct, cfg.tol_algebraic)
     _rec(records, f"{fix.name}/sum-bse-biconditional", "tim2",
-         0.0 if sum_rep.biconditional_ok else 1.0, 0.0)
+         0.0 if rep.sum_biconditional_ok else 1.0, 0.0)
     _rec(records, f"{fix.name}/sum-multiplier-split", "tim2",
-         max(sum_rep.sum_block_residual,
-             0.0 if sum_rep.sum_block_dim_ok else 1.0),
+         max(rep.sum_block_residual, 0.0 if rep.sum_block_dim_ok else 1.0),
          cfg.tol_algebraic)
 
     _duality_checks(records, fix, lc.set, cfg, rng)

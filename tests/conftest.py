@@ -8,6 +8,33 @@ from banalg.constructions import (
     lau_product,
     semidirect,
 )
+from banalg.jsonio import complex_pair, render_json
+
+
+def write_json(path, doc):
+    """Write doc as the CLI's deterministic JSON, for tests that need input files."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(render_json(doc) + "\n")
+
+
+def sigma_to_dict(values):
+    return {"values": [complex_pair(z) for z in np.asarray(values, dtype=complex)]}
+
+
+def certificate_slack(E, c, w):
+    """max_i |(E^T c)_i| - w_i; feasible certificates have slack <= 0."""
+    return float(np.max(np.abs(E.T @ c) - w))
+
+
+def span_contains(space, T, tol=1e-8):
+    """Whether T lies in the span of a multiplier basis (Frobenius projection residual)."""
+    if not space.basis:
+        return float(np.linalg.norm(T)) <= tol
+    flat = np.array([b.matrix.reshape(-1) for b in space.basis])
+    t = np.asarray(T, dtype=complex).reshape(-1)
+    proj = flat.conj() @ t  # orthonormal rows
+    resid = t - flat.T @ proj
+    return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(t)))
 
 
 def diagonal_algebra(n, name="pointwise", weights=None):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from banalg.bse import (
     check_bse_property,
     delta_weak_bai,
     join_tau_rho,
-    phi_tilde,
     sigma_extension,
     split_sigma,
     theta,
@@ -254,41 +255,11 @@ def test_theta_multiplicative():
         assert res <= 1e-12
 
 
-def test_phi_tilde():
-    lc = characters_lau(lau_c_c2())
-    assert np.allclose(phi_tilde(np.ones(2, dtype=complex), lc).values, 1.0)
-    j1 = b_index(lc, [1.0, 0.0])
-    j2 = b_index(lc, [0.0, 1.0])
-    rho = np.zeros(2, dtype=complex)
-    rho[j1], rho[j2] = 2.0, 3.0
-    pulled = phi_tilde(rho, lc)
-    assert np.allclose(pulled.values, [2.0])  # Gamma(id) = pi1
-    assert pulled.bse_norm == pytest.approx(2.0)
-    rho_fn = bse_norm_primal(rho, lc.b_chars, lc.descriptor.second)
-    assert pulled.bse_norm <= rho_fn.bse_norm + 1e-9
-
-
-def test_phi_tilde_contractive_random():
-    lc = characters_lau(lau_c_c2())
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        rho = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        pulled = phi_tilde(rho, lc)
-        rho_fn = bse_norm_primal(rho, lc.b_chars, lc.descriptor.second)
-        assert pulled.bse_norm <= rho_fn.bse_norm + 1e-9
-        # homomorphism law pointwise
-        rho2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        lhs = phi_tilde(rho * rho2, lc).values
-        assert np.allclose(lhs, pulled.values * phi_tilde(rho2, lc).values)
-
-
 def test_split_requires_surjective_phi():
     ds = direct_sum(diagonal_algebra(1, "A"), diagonal_algebra(2, "B"))
     lc = characters_lau(ds)
     with pytest.raises(PhiNotSurjectiveError):
         split_sigma(np.zeros(3, dtype=complex), lc)
-    with pytest.raises(PhiNotSurjectiveError):
-        phi_tilde(np.zeros(2, dtype=complex), lc)
 
 
 def test_sigma_extension_pointwise():
@@ -332,6 +303,20 @@ def test_verify_product_bse_lau_transport():
     assert rep.transport_dim_ok
     assert rep.transport_membership <= 1e-10
     assert rep.transport_hat_residual <= 1e-9
+
+
+@pytest.mark.parametrize("desc", [
+    lau_c_c2(),
+    direct_sum(diagonal_algebra(1, "A"), diagonal_algebra(2, "B")),
+], ids=["lau", "direct_sum"])
+def test_verify_product_bse_report_is_complete(desc):
+    rep = verify_product_bse(desc)
+    assert all(getattr(rep, f.name) is not None for f in dataclasses.fields(rep))
+    assert rep.verdict_direct.algebra is rep.iso.direct.algebra
+    assert rep.biconditional_ok and rep.sum_biconditional_ok
+    assert rep.sum_block_dim_ok and rep.sum_block_residual <= 1e-10
+    assert rep.transport_dim_ok
+    assert max(rep.transport_membership, rep.transport_hat_residual) <= 1e-9
 
 
 def test_containment_certificate_helper():

@@ -4,9 +4,9 @@ import pytest
 
 from banalg.cli import main
 from banalg.constructions import direct_sum
-from banalg.jsonio import algebra_to_dict, bundle_to_dict, write_json
+from banalg.jsonio import algebra_to_dict, bundle_to_dict
 
-from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect
+from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect, write_json
 
 
 @pytest.fixture

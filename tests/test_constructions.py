@@ -14,7 +14,6 @@ from banalg.constructions import (
     lau_product,
     phi_isomorphism,
     semidirect,
-    split_algebra,
 )
 from banalg.errors import (
     InvalidActionError,
@@ -236,27 +235,6 @@ def test_check_homomorphism_report():
     rep = check_homomorphism(half)
     assert not rep.is_homomorphism
     assert rep.residual == pytest.approx(0.25)
-
-
-def test_split_algebra_recovers_pointwise_fixture():
-    c2 = diagonal_algebra(2)
-    sub = np.array([[1.0], [1.0]], dtype=complex)   # span{(1, 1)}
-    ideal = np.array([[1.0], [0.0]], dtype=complex)  # span{(1, 0)}
-    spec, U = split_algebra(c2, sub, ideal)
-    desc = semidirect(spec)
-    assert validate(desc.algebra).accepted
-    ref = pointwise_semidirect()
-    assert np.allclose(desc.algebra.structure, ref.algebra.structure)
-    # U columns express the assembled basis inside C^2
-    assert np.allclose(U, np.array([[1.0, 1.0], [1.0, 0.0]]))
-
-
-def test_split_algebra_rejects_non_ideal():
-    c2 = diagonal_algebra(2)
-    sub = np.array([[1.0], [0.0]], dtype=complex)
-    not_ideal = np.array([[1.0], [1.0]], dtype=complex)  # (1,1) spans a subalgebra, not an ideal
-    with pytest.raises(InvalidActionError):
-        split_algebra(c2, sub, not_ideal)
 
 
 def test_ideal_span_full_for_pointwise_fixture():

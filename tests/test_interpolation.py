@@ -5,12 +5,13 @@ from scipy.optimize import linprog
 from banalg.errors import BseError
 from banalg.interpolation import (
     GAP_HARD_LIMIT,
-    certificate_slack,
     certificate_value,
     interpolation_residual,
     solve_dual,
     solve_primal,
 )
+
+from conftest import certificate_slack
 
 
 def lp_oracle(E, sigma, w):

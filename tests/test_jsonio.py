@@ -15,10 +15,9 @@ from banalg.jsonio import (
     morphism_to_dict,
     render_json,
     sigma_from_dict,
-    sigma_to_dict,
 )
 
-from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect
+from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect, sigma_to_dict
 
 
 def test_algebra_round_trip(c2):

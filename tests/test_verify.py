@@ -142,6 +142,29 @@ def test_fixture_verdicts_match_the_benchmark_reference():
     assert got == ref["verdicts"]
 
 
+def test_lau_fixture_runs_one_product_bse_pass(monkeypatch):
+    # Phi is built once, and each of A, B, A x_phi B, A (+) B gets one
+    # multiplier space; verify adds one for the fixture's verdict and one for
+    # the S_B = 0 check
+    from banalg import bse
+
+    calls = {"phi_isomorphism": 0, "multiplier_space": 0}
+    for module in (bse, verify):
+        for name in calls:
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), "lau", 0)
+    assert all(r.verdict != "FAIL" for r in records)
+    assert calls["phi_isomorphism"] == 1
+    assert calls["multiplier_space"] <= 6
+
+
 def test_theorem_records_rejects_unknown():
     with pytest.raises(ValueError):
         theorem_records(lau_c_c2(), "nope", RunConfig(count=1))
