@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Stress the interpolation solvers on random full-rank complex instances.
+
+Two corpora, each of --count instances drawn from --seed:
+  rectangular  s < n, n in [4, 16]: solve_primal's cone path;
+  square       s = n in [2, 16]: the cone program solve_dual runs, checked
+               against solve_primal's exact linear-solve value.
+For each corpus prints the failures (a BseError, a gap beyond GAP_HARD_LIMIT,
+or an infeasible certificate), the path-following iteration total and maximum,
+the worst relative primal-dual gap and the wall time.
+
+Usage: python scripts/solver_stress.py [--count N] [--seed S]
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+
+import numpy as np
+
+from banalg.errors import BseError
+from banalg.interpolation import (
+    GAP_HARD_LIMIT,
+    GAP_REL,
+    MAX_ITER,
+    _solve_cone,
+    interpolation_residual,
+    solve_primal,
+)
+
+
+def rectangular(rng):
+    n = int(rng.integers(4, 17))
+    s = int(rng.integers(1, n))
+    return s, n
+
+
+def square(rng):
+    n = int(rng.integers(2, 17))
+    return n, n
+
+
+def instances(shape, count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        s, n = shape(rng)
+        E = rng.standard_normal((s, n)) + 1j * rng.standard_normal((s, n))
+        sigma = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        yield E, sigma, rng.uniform(0.5, 2.0, n)
+
+
+def run_rectangular(E, sigma, w):
+    """(iterations, relative gap, ok) of solve_primal's cone path."""
+    sol = solve_primal(E, sigma, w)
+    ok = (interpolation_residual(E, sol.a, sigma) <= 1e-9
+          and float(np.max(np.abs(E.T @ sol.c) - w)) <= 1e-12)
+    return sol.iterations, sol.gap / max(1.0, sol.value), ok
+
+
+def run_square(E, sigma, w):
+    """(iterations, relative gap, ok) of the dual cone program against the
+    exact square value.  solve_dual returns this program's dual_value and c;
+    it is called here directly for its iteration count."""
+    exact = solve_primal(E, sigma, w).value
+    sol = _solve_cone(E, sigma, w, GAP_REL)
+    ok = float(np.max(np.abs(E.T @ sol.c) - w)) <= 1e-12
+    return sol.iterations, abs(exact - sol.dual_value) / max(1.0, exact), ok
+
+
+def stress(name, shape, run, count, seed) -> int:
+    failures = total = most = 0
+    worst = 0.0
+    t0 = time.perf_counter()
+    for E, sigma, w in instances(shape, count, seed):
+        try:
+            iterations, gap, ok = run(E, sigma, w)
+        except BseError:
+            failures += 1
+            continue
+        failures += not (ok and gap <= GAP_HARD_LIMIT and iterations < MAX_ITER)
+        total += iterations
+        most = max(most, iterations)
+        worst = max(worst, gap)
+    elapsed = time.perf_counter() - t0
+    print(f"{name:<12} {count:>6} {failures:>8} {total:>10} {most:>8} "
+          f"{worst:>11.2e} {elapsed:>8.2f}")
+    return failures
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--count", type=int, default=300, help="instances per corpus")
+    ap.add_argument("--seed", type=int, default=2024)
+    args = ap.parse_args()
+
+    print(f"{'corpus':<12} {'count':>6} {'failures':>8} {'iterations':>10} "
+          f"{'max iter':>8} {'worst gap':>11} {'wall s':>8}")
+    failures = (stress("rectangular", rectangular, run_rectangular, args.count, args.seed)
+                + stress("square", square, run_square, args.count, args.seed))
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

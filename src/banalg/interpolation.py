@@ -18,6 +18,17 @@ a Mehrotra predictor-corrector step (Alizadeh & Goldfarb, Math. Prog. 2003;
 Lobo, Vandenberghe, Boyd & Lebret, LAA 1998).  Both iterates stay strictly
 inside their cones and the gap z.s shrinks to GAP_REL; the interpolant is
 then projected onto A x = b and the certificate scaled into feasibility.
+
+Each iteration works in the NT-scaled variables dz~ = W dz, ds~ = W^-1 ds,
+where W z = W^-1 s = lam and z.s = lam.lam.  It forms W, W^-1 and lam, one QR
+factorization of (G W^-1)^T and W^-1 r_d once, and both directions share them.
+The predictor stays in the scaled space: dz~ comes from Q, ds~ = -lam - dz~
+(its rc = -lam o lam, and lam o d = rc has d = -lam), and the affine gap is
+(lam + a dz~).(lam + a ds~), so it needs no dy and no product with W^-1.  The
+corrector adds dy from R, ds = r_d - G^T dy (the dual residual then shrinks by
+exactly 1 - alpha) and dz = W^-1 dz~.  Each step length is one first-root
+computation over both scaled directions stacked.
+
 When E is square and invertible (semisimple case: as many characters as
 dimensions) the primal is a single linear solve and no iteration runs.
 """
@@ -33,9 +44,12 @@ from .errors import BseError
 
 GAP_REL = 1e-8  # relative primal-dual gap target
 GAP_HARD_LIMIT = 1e-6  # beyond this the solve is reported as failed
-MAX_ITER = 60  # path-following steps; random full-rank instances take 6 to 14
+# path-following steps; random full-rank instances take at most 16 rectangular
+# (3,000 at seed 7) and 7 square, 5.8 on average on the verify harness
+MAX_ITER = 60
 
 _J = np.array([1.0, -1.0, -1.0])  # the cone's Lorentz form diag(1, -1, -1)
+_JD = np.diag(_J)
 
 
 @dataclass
@@ -56,6 +70,7 @@ class InterpolationSolution:
     gap: float
     method: str  # "square" (one linear solve) | "barrier" (path following)
     unique: bool
+    iterations: int  # path-following steps taken; 0 when none ran
 
 
 def _real_lift(E: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,35 +101,43 @@ def _scale_into_feasibility(E: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.n
     return c
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cone-wise (last axis) dot product."""
+    return np.einsum("...k,...k->...", x, y)
+
+
 def _det(x: np.ndarray) -> np.ndarray:
     """Cone-wise x^T J x = x_0^2 - |x_bar|^2; positive inside the cone."""
-    return np.sum(_J * x * x, axis=1)
+    return _dot(_J * x, x)
 
 
 def _jordan(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cone-wise Jordan product x o y = (x.y, x_0 y_bar + y_0 x_bar)."""
-    return np.concatenate([np.sum(x * y, axis=1, keepdims=True),
-                           x[:, :1] * y[:, 1:] + y[:, :1] * x[:, 1:]], axis=1)
+    out = x[:, :1] * y + y[:, :1] * x
+    out[:, 0] = _dot(x, y)
+    return out
 
 
 def _jordan_solve(lam: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The d with lam o d = r, cone-wise (lam inside the cone)."""
-    l0, lb = lam[:, :1], lam[:, 1:]
-    d0 = ((l0[:, 0] * r[:, 0] - np.sum(lb * r[:, 1:], axis=1)) / _det(lam))[:, None]
-    return np.concatenate([d0, (r[:, 1:] - d0 * lb) / l0], axis=1)
+    d0 = _dot(_J * lam, r) / _det(lam)
+    out = (r - d0[:, None] * lam) / lam[:, :1]
+    out[:, 0] = d0
+    return out
 
 
 def _max_step(x: np.ndarray, d: np.ndarray) -> float:
     """Largest t with x + t d in every cone: the first positive root of
-    det(x + t d) = a t^2 + 2 b t + c, or inf when there is none."""
+    det(x + t d) = a t^2 + 2 b t + c, or inf when there is none.  d may stack
+    several directions on a leading axis; the step then suits them all."""
     a = _det(d)
-    b = np.sum(_J * x * d, axis=1)
+    b = _dot(_J * x, d)
     c = _det(x)
     disc = b * b - a * c
     hits = (disc >= 0) & ((a < 0) | (b < 0))
-    if not np.any(hits):
-        return np.inf
-    return float(np.min(c[hits] / (np.sqrt(disc[hits]) - b[hits])))
+    roots = np.divide(c, np.sqrt(np.abs(disc)) - b, out=np.full(b.shape, np.inf),
+                      where=hits)
+    return float(np.min(roots))
 
 
 def _nt_scaling(z: np.ndarray, s: np.ndarray):
@@ -122,15 +145,14 @@ def _nt_scaling(z: np.ndarray, s: np.ndarray):
     zdet, sdet = _det(z), _det(s)
     zn = z / np.sqrt(zdet)[:, None]
     sn = s / np.sqrt(sdet)[:, None]
-    gamma = np.sqrt((1.0 + np.sum(zn * sn, axis=1)) / 2.0)
+    gamma = np.sqrt((1.0 + _dot(zn, sn)) / 2.0)
     wbar = (sn + _J * zn) / (2.0 * gamma)[:, None]
     wbar[:, 0] += 1.0
     v = wbar / np.sqrt(2.0 * wbar[:, :1])
     beta = (sdet / zdet) ** 0.25
-    vv = 2.0 * v[:, :, None] * v[:, None, :]
     Jv = _J * v
-    W = beta[:, None, None] * (vv - np.diag(_J))
-    Winv = (2.0 * Jv[:, :, None] * Jv[:, None, :] - np.diag(_J)) / beta[:, None, None]
+    W = beta[:, None, None] * (2.0 * v[:, :, None] * v[:, None, :] - _JD)
+    Winv = (2.0 * Jv[:, :, None] * Jv[:, None, :] - _JD) / beta[:, None, None]
     return W, Winv, np.einsum("iab,ib->ia", W, z)
 
 
@@ -170,7 +192,7 @@ def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
     z = np.concatenate([np.linalg.norm(x0, axis=1, keepdims=True) + 1.0, x0], axis=1)
     y = np.zeros(2 * s)
     sl = cost.copy()
-    for _ in range(MAX_ITER):
+    for iterations in range(MAX_ITER):
         rp = b - np.einsum("irt,it->r", Ag, z[:, 1:])
         rd = cost - lift_t(y) - sl
         gap = float(np.sum(z * sl))
@@ -187,30 +209,32 @@ def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
         Q, R = np.linalg.qr(np.einsum("iab,irb->iar", Winv[:, :, 1:], Ag)
                             .reshape(3 * n, 2 * s))
         u = np.linalg.solve(R.T, rp)
+        rd_scaled = np.einsum("iab,ib->ia", Winv, rd)
 
-        def direction(rc):
-            # W dz + W^-1 ds = lam \ rc,  G dz = rp,  G^T dy + ds = rd
-            f = (_jordan_solve(lam, rc) - np.einsum("iab,ib->ia", Winv, rd)).reshape(-1)
+        def scaled_direction(rhs):
+            # dz~ + ds~ = rhs = lam \ rc,  G W^-1 dz~ = rp,  W^-1 G^T dy + ds~ = W^-1 rd
+            f = (rhs - rd_scaled).reshape(-1)
             t = u - Q.T @ f
             dz_scaled = (f + Q @ t).reshape(n, 3)
-            dy = np.linalg.solve(R, t)
-            ds = rd - lift_t(dy)
-            dz = np.einsum("iab,ib->ia", Winv, dz_scaled)
-            ds_scaled = np.einsum("iab,ib->ia", Winv, ds)
-            alpha = min(1.0, 0.99 * min(_max_step(lam, dz_scaled),
-                                        _max_step(lam, ds_scaled)))
-            return dz, dy, ds, dz_scaled, ds_scaled, alpha
+            steps = np.stack([dz_scaled, rhs - dz_scaled])
+            return t, steps, min(1.0, 0.99 * _max_step(lam, steps))
 
-        lam_sq = _jordan(lam, lam)
-        dz, _, ds, dz_a, ds_a, alpha = direction(-lam_sq)
-        gap_aff = float(np.sum((z + alpha * dz) * (sl + alpha * ds)))
+        # predictor (rc = -lam o lam, so lam \ rc = -lam): z.s = lam.lam under
+        # NT scaling, so the affine gap is read in the scaled space
+        _, (dz_a, ds_a), alpha = scaled_direction(-lam)
+        gap_aff = float(np.sum((lam + alpha * dz_a) * (lam + alpha * ds_a)))
         centering = min(1.0, max(0.0, gap_aff / gap)) ** 3
-        rc = -lam_sq - _jordan(dz_a, ds_a)
+        rc = -_jordan(lam, lam) - _jordan(dz_a, ds_a)
         rc[:, 0] += centering * gap / n
-        dz, dy, ds, _, _, alpha = direction(rc)
-        z = z + alpha * dz
+        # corrector: ds = rd - G^T dy shrinks the dual residual by exactly
+        # 1 - alpha, however large W^-1 grows
+        t, (dz_scaled, _), alpha = scaled_direction(_jordan_solve(lam, rc))
+        dy = np.linalg.solve(R, t)
+        z = z + alpha * np.einsum("iab,ib->ia", Winv, dz_scaled)
         y = y + alpha * dy
-        sl = sl + alpha * ds
+        sl = sl + alpha * (rd - lift_t(dy))
+    else:
+        iterations = MAX_ITER
 
     # coordinate i is in the support when its share of the objective beats
     # its dual constraint's relative slack; their product is ~ mu either way
@@ -230,7 +254,7 @@ def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
             f"(relative gap {gap / max(1.0, value):.3e})"
         )
     return InterpolationSolution(a, c, value, dual_value, gap, "barrier",
-                                 _is_unique(E, a, support))
+                                 _is_unique(E, a, support), iterations)
 
 
 def _system(E, sigma, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,7 +281,7 @@ def solve_primal(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
     if not np.any(np.abs(sigma) > 0):
         return InterpolationSolution(
             np.zeros(n, dtype=complex), np.zeros(s, dtype=complex), 0.0, 0.0, 0.0,
-            "square" if s == n else "barrier", unique=True,
+            "square" if s == n else "barrier", unique=True, iterations=0,
         )
     if s == n:
         # full-rank square system: the interpolation constraints pin a uniquely
@@ -270,8 +294,8 @@ def solve_primal(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
         c = np.linalg.solve(E.T, d)
         c = _scale_into_feasibility(E, c, w)
         dual_value = certificate_value(c, sigma)
-        return InterpolationSolution(a, c, value, dual_value,
-                                     value - dual_value, "square", unique=True)
+        return InterpolationSolution(a, c, value, dual_value, value - dual_value,
+                                     "square", unique=True, iterations=0)
     return _solve_cone(E, sigma, w, gap_rel)
 
 

@@ -5,6 +5,11 @@ from scipy.optimize import linprog
 from banalg.errors import BseError
 from banalg.interpolation import (
     GAP_HARD_LIMIT,
+    GAP_REL,
+    MAX_ITER,
+    _max_step,
+    _nt_scaling,
+    _solve_cone,
     certificate_value,
     interpolation_residual,
     solve_dual,
@@ -31,7 +36,7 @@ def lp_oracle(E, sigma, w):
 def test_square_exact(c2=None):
     E = np.eye(2, dtype=complex)
     sol = solve_primal(E, np.array([1.0, 1.0 + 0j]), np.ones(2))
-    assert sol.method == "square"
+    assert sol.method == "square" and sol.iterations == 0
     assert sol.value == pytest.approx(2.0)
     assert np.allclose(sol.a, [1.0, 1.0])
     assert sol.dual_value == pytest.approx(2.0)
@@ -126,16 +131,88 @@ def test_square_certificate_on_subnormal_data():
     assert certificate_slack(np.eye(2), sol.c, np.ones(2)) <= 0
 
 
-def test_stress_corpus():
-    """Random full-rank complex rectangular instances: every one certified."""
+def rectangular_corpus():
+    """Random full-rank complex rectangular instances, s < n <= 16."""
     rng = np.random.default_rng(2024)
     for _ in range(300):
         n = int(rng.integers(4, 17))
         s = int(rng.integers(1, n))
         E = rng.standard_normal((s, n)) + 1j * rng.standard_normal((s, n))
         sigma = rng.standard_normal(s) + 1j * rng.standard_normal(s)
-        w = rng.uniform(0.5, 2.0, n)
+        yield E, sigma, rng.uniform(0.5, 2.0, n)
+
+
+def square_corpus():
+    """Random full-rank complex square instances, s = n in [2, 16]: the shape
+    every dual solve of the verify harness has."""
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(2, 17))
+        E = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        sigma = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        yield E, sigma, rng.uniform(0.5, 2.0, n)
+
+
+def test_stress_corpus():
+    """Rectangular instances: every one certified, none at the iteration cap."""
+    for E, sigma, w in rectangular_corpus():
         sol = solve_primal(E, sigma, w)
         assert interpolation_residual(E, sol.a, sigma) <= 1e-9
         assert certificate_slack(E, sol.c, w) <= 1e-12
         assert sol.gap <= GAP_HARD_LIMIT * max(1.0, sol.value)
+        assert 0 < sol.iterations < MAX_ITER
+
+
+def test_stress_corpus_square_dual():
+    """Square instances: the dual cone program meets the exact linear-solve value."""
+    for E, sigma, w in square_corpus():
+        exact = solve_primal(E, sigma, w).value
+        value, c = solve_dual(E, sigma, w)
+        assert abs(value - exact) <= GAP_HARD_LIMIT * max(1.0, value)
+        assert certificate_slack(E, c, w) <= 1e-12
+
+
+def test_square_cone_iterations_below_cap():
+    """The cone program solve_dual runs on square E never reaches MAX_ITER."""
+    for E, sigma, w in square_corpus():
+        assert 0 < _solve_cone(E, sigma, w, GAP_REL).iterations < MAX_ITER
+
+
+def test_nt_scaling_identities():
+    """W is symmetric with inverse Winv, W z = Winv s = lam, and z.s = lam.lam:
+    the identities that let the predictor work in the scaled space."""
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        z, s = rng.standard_normal((2, n, 3))
+        z[:, 0] = np.linalg.norm(z[:, 1:], axis=1) + rng.uniform(1e-3, 2.0, n)
+        s[:, 0] = np.linalg.norm(s[:, 1:], axis=1) + rng.uniform(1e-3, 2.0, n)
+        W, Winv, lam = _nt_scaling(z, s)
+        assert np.allclose(W, W.transpose(0, 2, 1), rtol=0, atol=1e-12)
+        assert np.allclose(Winv, Winv.transpose(0, 2, 1), rtol=0, atol=1e-12)
+        assert np.allclose(W @ Winv, np.eye(3), rtol=0, atol=1e-10)
+        assert np.allclose(np.einsum("iab,ib->ia", W, z), lam, rtol=0, atol=1e-10)
+        assert np.allclose(np.einsum("iab,ib->ia", Winv, s), lam, rtol=0, atol=1e-10)
+        assert np.sum(z * s) == pytest.approx(np.sum(lam * lam), rel=1e-12)
+
+
+def test_stacked_max_step_is_the_smaller_step():
+    """The step over stacked directions is the smaller separate step, and it
+    stops each direction at the boundary of the first cone it leaves."""
+    def cone_det(v):
+        return v[..., 0] ** 2 - np.sum(v[..., 1:] ** 2, axis=-1)
+
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        x = rng.standard_normal((n, 3))
+        x[:, 0] = np.linalg.norm(x[:, 1:], axis=1) + rng.uniform(1e-3, 2.0, n)
+        d = rng.standard_normal((2, n, 3))
+        t = _max_step(x, d)
+        assert t == min(_max_step(x, d[0]), _max_step(x, d[1]))
+        inside = x + 0.999 * t * d
+        assert np.all(cone_det(inside) > 0) and np.all(inside[..., 0] > 0)
+        assert np.min(np.abs(cone_det(x + t * d))) <= 1e-9 * np.max(x[:, 0] ** 2)
+    x = np.array([[1.0, 0.0, 0.0]])
+    inward = np.array([[[1.0, 0.0, 0.0]], [[2.0, 1.0, 0.0]]])  # never leaves the cone
+    assert _max_step(x, inward) == np.inf

@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script, args", [
     ("lau_isometry_sweep.py", ["--fixtures", "2", "--samples", "2"]),
     ("run_verify.py", ["--count", "1", "--max-dim", "4", "--out", "{tmp}"]),
+    ("solver_stress.py", ["--count", "5", "--seed", "1"]),
 ])
 def test_script_runs(tmp_path, script, args):
     env = dict(os.environ)
