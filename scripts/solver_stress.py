@@ -64,7 +64,7 @@ def run_square(E, sigma, w):
     exact square value.  solve_dual returns this program's dual_value and c;
     it is called here directly for its iteration count."""
     exact = solve_primal(E, sigma, w).value
-    sol = _solve_cone(E, sigma, w, GAP_REL)
+    sol, _ = _solve_cone(E, sigma, w, GAP_REL)
     ok = float(np.max(np.abs(E.T @ sol.c) - w)) <= 1e-12
     return sol.iterations, abs(exact - sol.dual_value) / max(1.0, exact), ok
 

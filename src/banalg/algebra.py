@@ -267,18 +267,21 @@ def rank_basis(M: np.ndarray | Iterable[np.ndarray]) -> tuple[int, np.ndarray]:
     the row space of M and the rows vh[rank:].conj() span its null space.  A
     singular value counts when it exceeds RANK_CUTOFF times the largest one;
     a zero matrix has rank 0 and a 0-row matrix has rank 0 with vh = I.
-    Each block is folded into the triangular factor of the rows before it,
+    Each block is stacked under the rows before it, and while the stack is
+    taller than wide it is folded into its triangular factor,
     R = qr([R; block]) (the tall-skinny QR of Demmel, Grigori, Hoemmen and
-    Langou), then the SVD of the small R factor is taken (Chan's R-SVD): R is
+    Langou); then the SVD of the small R factor is taken (Chan's R-SVD): R is
     at most cols x cols, so a tall constraint system is never held whole and
-    never builds its rows x rows left singular vectors.
+    never builds its rows x rows left singular vectors.  A square or wide
+    stack is not folded, since its QR would not shrink it: a single square
+    or wide matrix gets one SVD.
     """
     R = None
     for block in (M,) if isinstance(M, np.ndarray) else M:
-        if R is not None:
-            block = np.concatenate([R, block])
-        R = np.linalg.qr(block, mode="r")
-        del block  # hold no rows while the next block is built
+        R = block if R is None else np.concatenate([R, block])
+        del block  # the stack holds its rows: drop the block before the QR
+        if R.shape[0] > R.shape[1]:
+            R = np.linalg.qr(R, mode="r")
     if R is None:
         raise ValueError("rank_basis needs at least one row block")
     if R.shape[0] == 0:

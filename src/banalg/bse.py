@@ -12,7 +12,9 @@ directly as a cone program with no interpolation step.
 pass: it builds Phi(a, b) = (a - phi(b), b) once, computes the multiplier
 spaces of A, B, A x_phi B and A (+) B once each, and derives the four
 verdicts, the block split M(A (+) B) = M(A) x M(B) and the transport
-through Phi from those spaces.
+through Phi from those spaces.  Their private cores `_bse_pass` and
+`_product_pass` also take a multiplier space already computed, so that the
+harness computes one space per fixture algebra; a verdict does not keep it.
 """
 
 from __future__ import annotations
@@ -41,12 +43,7 @@ from .errors import (
     RankDeficientCharactersError,
     SpanConditionError,
 )
-from .interpolation import (
-    GAP_REL,
-    certificate_value,
-    solve_dual,
-    solve_primal,
-)
+from .interpolation import GAP_REL, _dual, _primal, certificate_value
 from .multipliers import MultiplierBasis, hat, multiplier_residual, multiplier_space
 from .spectra import (
     CharacterSet,
@@ -130,7 +127,8 @@ def bse_norm_primal(values: np.ndarray, S: CharacterSet, algebra: Algebra,
     values = np.asarray(values, dtype=complex)
     if values.shape != (len(S),):
         raise ValueError(f"sigma must assign one value per character ({len(S)})")
-    sol = solve_primal(S.matrix, values, algebra.weights, gap_rel)
+    # _check_charset has decided the rank of this matrix; skip solve_primal's check
+    sol = _primal(S.matrix, values, algebra.weights, gap_rel)
     return BSEFunction(
         characters=S,
         values=values,
@@ -151,7 +149,7 @@ def bse_norm_dual(values: np.ndarray, S: CharacterSet, algebra: Algebra,
     values = np.asarray(values, dtype=complex)
     if values.shape != (len(S),):
         raise ValueError(f"sigma must assign one value per character ({len(S)})")
-    return solve_dual(S.matrix, values, algebra.weights, gap_rel)
+    return _dual(S.matrix, values, algebra.weights, gap_rel)
 
 
 def delta_weak_bai(algebra: Algebra, S: CharacterSet) -> BaiCertificate:
@@ -216,9 +214,10 @@ def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
     return _bse_pass(algebra, tol, S)[0]
 
 
-def _bse_pass(algebra: Algebra, tol: float,
-              S: CharacterSet | None = None) -> tuple[BseVerdict, MultiplierBasis]:
-    """check_bse_property, also returning the multiplier space it computed."""
+def _bse_pass(algebra: Algebra, tol: float, S: CharacterSet | None = None,
+              mult: MultiplierBasis | None = None) -> tuple[BseVerdict, MultiplierBasis]:
+    """check_bse_property on the multiplier space `mult` of the algebra, computed
+    here when not given, also returning that space."""
     if not is_without_order(algebra):
         raise NotWithoutOrderError(
             f"algebra {algebra.name!r} has a nonzero annihilator"
@@ -239,7 +238,8 @@ def _bse_pass(algebra: Algebra, tol: float,
             stacklevel=3,
         )
     # multiplier hats
-    mult = multiplier_space(algebra)
+    if mult is None:
+        mult = multiplier_space(algebra)
     hats = np.array([hat(T, S, tol) for T in mult.basis]) if mult.dim else np.zeros((0, len(S)), dtype=complex)
     m_space = _orthonormal_rows(hats)
     res_m_in_c, wit_m = _containment_residual(m_space, c_space)
@@ -266,7 +266,7 @@ def _require_surjective(chars: LauCharacters):
     desc = chars.descriptor
     if desc.phi is None:
         raise PhiNotSurjectiveError("product carries no homomorphism")
-    rank = np.linalg.matrix_rank(desc.phi.matrix)
+    rank = rank_basis(desc.phi.matrix)[0]
     if rank < desc.first.dim or any(g is None for g in chars.gamma):
         raise PhiNotSurjectiveError(
             "phi does not have dense range; composed characters are not in Delta(B)"
@@ -455,13 +455,20 @@ def verify_product_bse(desc: ProductDescriptor,
     matching hats through the character pairing.  A direct sum (phi = 0) is
     its own direct sum, and Phi is the identity.
     """
+    return _product_pass(desc, tol)
+
+
+def _product_pass(desc: ProductDescriptor, tol: float,
+                  m_product: MultiplierBasis | None = None) -> ProductBseReport:
+    """verify_product_bse on the multiplier space `m_product` of A x_phi B,
+    computed here when not given."""
     if desc.kind not in ("lau", "direct_sum"):
         raise ValueError("product report needs a lau product or direct sum")
     iso = phi_isomorphism(desc.first, desc.second, desc.phi, tol,
                           force=not desc.contractive)
     va, ma = _bse_pass(desc.first, tol)
     vb, mb = _bse_pass(desc.second, tol)
-    vp, mp = _bse_pass(desc.algebra, tol)
+    vp, mp = _bse_pass(desc.algebra, tol, mult=m_product)
     vd, md = _bse_pass(iso.direct.algebra, tol)
     membership, hat_res = _transport_residuals(desc, iso, mp, tol)
     return ProductBseReport(

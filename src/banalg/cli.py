@@ -171,15 +171,19 @@ def _cmd_check_bse(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = RunConfig(
-        tol_algebraic=args.tol,
-        tol_opt=args.opt_tol,
-        seed=args.seed,
-        families=tuple(args.families.split(",")) if args.families else FAMILIES,
-        count=args.count,
-        max_dim=args.max_dim,
-        jobs=args.jobs,
-    )
+    try:
+        cfg = RunConfig(
+            tol_algebraic=args.tol,
+            tol_opt=args.opt_tol,
+            seed=args.seed,
+            families=tuple(args.families.split(",")) if args.families else FAMILIES,
+            count=args.count,
+            max_dim=args.max_dim,
+            jobs=args.jobs,
+        )
+    except ValueError as exc:  # a bad configuration is bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.bundle:
         desc = bundle_from_dict(load_json(args.bundle), where=args.bundle)
         report = Report(config=cfg, records=theorem_records(desc, args.theorem, cfg))

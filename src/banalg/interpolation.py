@@ -31,6 +31,10 @@ computation over both scaled directions stacked.
 
 When E is square and invertible (semisimple case: as many characters as
 dimensions) the primal is a single linear solve and no iteration runs.
+Only the primal route asks whether the minimizer is unique; the dual route
+returns no minimizer.  `solve_primal` and `solve_dual` check that E has full
+row rank; the BSE norms, which have just checked the rank of the same
+character matrix, call their cores `_primal` and `_dual` directly.
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ class InterpolationSolution:
     value is the primal objective of the returned (feasible) interpolant;
     dual_value = |sum_j c_j sigma_j| for the returned (feasible) certificate;
     the true optimum lies in [dual_value, value].  unique reports whether the
-    minimizer is the only one; the norm value, not the minimizer, is the
+    minimizer is the only one; it is set only on the primal route (solve_dual
+    returns no minimizer), and the norm value, not the minimizer, is the
     contractual output either way.
     """
 
@@ -171,8 +176,12 @@ def _is_unique(E: np.ndarray, a: np.ndarray, support: np.ndarray) -> bool:
 
 
 def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
-                gap_rel: float) -> InterpolationSolution:
-    """Path following on the lifted cone program from a strictly feasible start."""
+                gap_rel: float) -> tuple[InterpolationSolution, np.ndarray]:
+    """Path following on the lifted cone program from a strictly feasible start.
+
+    Returns the solution, with `unique` left False, and the support mask of
+    its interpolant, from which the primal route decides `unique`.
+    """
     s, n = E.shape
     sn = float(np.max(np.abs(sigma)))
     A, b = _real_lift(E, sigma / sn)
@@ -254,7 +263,7 @@ def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
             f"(relative gap {gap / max(1.0, value):.3e})"
         )
     return InterpolationSolution(a, c, value, dual_value, gap, "barrier",
-                                 _is_unique(E, a, support), iterations)
+                                 unique=False, iterations=iterations), support
 
 
 def _system(E, sigma, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -276,7 +285,12 @@ def solve_primal(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
     Always returns a feasible interpolant and a feasible dual certificate
     whose values bracket the optimum within the achieved gap.
     """
-    E, sigma, w = _system(E, sigma, w)
+    return _primal(*_system(E, sigma, w), gap_rel)
+
+
+def _primal(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
+            gap_rel: float) -> InterpolationSolution:
+    """solve_primal on arrays that passed `_system`'s checks."""
     s, n = E.shape
     if not np.any(np.abs(sigma) > 0):
         return InterpolationSolution(
@@ -296,7 +310,9 @@ def solve_primal(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
         dual_value = certificate_value(c, sigma)
         return InterpolationSolution(a, c, value, dual_value, value - dual_value,
                                      "square", unique=True, iterations=0)
-    return _solve_cone(E, sigma, w, gap_rel)
+    sol, support = _solve_cone(E, sigma, w, gap_rel)
+    sol.unique = _is_unique(E, sol.a, support)
+    return sol
 
 
 def solve_dual(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
@@ -306,8 +322,13 @@ def solve_dual(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
     Runs regardless of the shape of E, so on semisimple instances (square E)
     this is an independent computation from the primal's plain linear solve.
     """
-    E, sigma, w = _system(E, sigma, w)
+    return _dual(*_system(E, sigma, w), gap_rel)
+
+
+def _dual(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
+          gap_rel: float) -> tuple[float, np.ndarray]:
+    """solve_dual on arrays that passed `_system`'s checks."""
     if not np.any(np.abs(sigma) > 0):
         return 0.0, np.zeros(E.shape[0], dtype=complex)
-    sol = _solve_cone(E, sigma, w, gap_rel)
+    sol, _ = _solve_cone(E, sigma, w, gap_rel)
     return sol.dual_value, sol.c

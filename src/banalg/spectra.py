@@ -13,7 +13,7 @@ two routes are cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,14 +51,17 @@ class CharacterSet:
     algebra: Algebra
     characters: list[Character]
     provenance: str = "numerical"  # or "closed_form"
+    _rank: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        for a, ch in enumerate(self.characters):
-            if ch.algebra is not self.algebra:
-                raise SpectraError("character belongs to a different algebra")
-            for other in self.characters[:a]:
-                if ch.distance(other) <= SEPARATION:
-                    raise SpectraError("character set has (near-)duplicate entries")
+        if any(ch.algebra is not self.algebra for ch in self.characters):
+            raise SpectraError("character belongs to a different algebra")
+        # sup-norm distance of every pair at once, a character never to itself
+        V = self.matrix
+        dist = np.abs(V[:, None, :] - V[None, :, :]).max(axis=2, initial=0.0)
+        np.fill_diagonal(dist, np.inf)
+        if np.any(dist <= SEPARATION):
+            raise SpectraError("character set has (near-)duplicate entries")
 
     def __len__(self):
         return len(self.characters)
@@ -77,7 +80,10 @@ class CharacterSet:
         return np.array([ch.values for ch in self.characters])
 
     def rank(self) -> int:
-        return rank_basis(self.matrix)[0]
+        """Rank of the character matrix, decided once and kept."""
+        if self._rank is None:
+            self._rank = rank_basis(self.matrix)[0]
+        return self._rank
 
 
 def multiplicativity_residual(algebra: Algebra, values: np.ndarray) -> float:

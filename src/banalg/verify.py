@@ -6,6 +6,12 @@ error).  Check names carry the fixture name so a report is a flat, sorted,
 byte-stable list.  There is one set of checks per family: a product bundle
 gets exactly the checks of a generated fixture of its kind, and
 `theorem_records` only filters them by anchor.
+
+A semidirect or Lau fixture computes the multiplier space of its algebra
+once, and every check that reads M(A) reads that space: the S_B = 0 split,
+the fixture's BSE verdict (on the fixture's own character set) and, on a
+Lau fixture, the product-BSE pass, which adds one space for each of A, B
+and A (+) B.
 """
 
 from __future__ import annotations
@@ -18,21 +24,22 @@ import numpy as np
 
 from .algebra import operator_norm, validate
 from .bse import (
+    _bse_pass,
+    _product_pass,
     bse_norm_dual,
     bse_norm_primal,
-    check_bse_property,
     delta_weak_bai,
     sigma_extension,
     split_sigma,
     theta,
     theta_product_residual,
-    verify_product_bse,
 )
 from .constructions import group_character_values, ideal_span_is_full
 from .errors import BanalgError, SpanConditionError
 from .fixtures import FAMILIES, Fixture, build_fixture, fixture_rng
 from .jsonio import render_json
 from .multipliers import (
+    MultiplierBasis,
     block_space,
     blocks_from_vector,
     decompose_left_multiplier,
@@ -88,6 +95,10 @@ class RunConfig:
             raise ValueError("tolerances must be positive")
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if self.sigma_samples < 1:
+            raise ValueError("sigma_samples must be >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         if not 1 <= self.max_dim <= 16:
             raise ValueError("max_dim must stay at desk scale (1..16)")
         unknown = set(self.families) - set(FAMILIES)
@@ -182,8 +193,9 @@ def _duality_checks(records, fix: Fixture, S: CharacterSet, cfg: RunConfig,
          detail=f"norm {bai.norm:.6g}")
 
 
-def _bse_verdict_check(records, fix: Fixture, S: CharacterSet, cfg: RunConfig):
-    v = check_bse_property(fix.algebra, cfg.tol_algebraic, S=S)
+def _bse_verdict_check(records, fix: Fixture, S: CharacterSet, cfg: RunConfig,
+                       mult: MultiplierBasis | None = None):
+    v = _bse_pass(fix.algebra, cfg.tol_algebraic, S, mult)[0]
     if not v.semisimple:
         _skip(records, f"{fix.name}/check-bse", "bse-def",
               "outside hypotheses: not semisimple")
@@ -193,7 +205,7 @@ def _bse_verdict_check(records, fix: Fixture, S: CharacterSet, cfg: RunConfig):
          detail=f"is_bse={v.is_bse}")
 
 
-def _block_checks(records, fix: Fixture, cfg: RunConfig):
+def _block_checks(records, fix: Fixture, cfg: RunConfig, mult: MultiplierBasis):
     desc = fix.descriptor
     lm = left_multiplier_space(fix.algebra)
     worst_rel = 0.0
@@ -217,7 +229,7 @@ def _block_checks(records, fix: Fixture, cfg: RunConfig):
     # multipliers of the product split with S_B = 0 under the full span condition
     if ideal_span_is_full(desc):
         worst_sb = 0.0
-        for T in multiplier_space(fix.algebra).basis:
+        for T in mult.basis:
             dec = decompose_left_multiplier(T, desc, cfg.tol_algebraic)
             worst_sb = max(worst_sb, float(np.max(np.abs(dec.S_B), initial=0.0)))
         _rec(records, f"{fix.name}/multiplier-sb-zero", "sub", worst_sb,
@@ -259,7 +271,8 @@ def _semidirect_checks(records, fix: Fixture, cfg: RunConfig,
     _rec(records, f"{fix.name}/psi-uniqueness", "prop24", worst_disc, 1e-12)
     _rec(records, f"{fix.name}/psi-identity", "prop24", worst_id, 1e-10)
 
-    _block_checks(records, fix, cfg)
+    mult = multiplier_space(fix.algebra)  # shared by the checks below
+    _block_checks(records, fix, cfg, mult)
 
     # sigma extension needs the full span hypothesis
     try:
@@ -272,7 +285,7 @@ def _semidirect_checks(records, fix: Fixture, cfg: RunConfig,
         _skip(records, f"{fix.name}/sigma-extension", "sub", str(exc))
 
     _duality_checks(records, fix, sdc.set, cfg, rng)
-    _bse_verdict_check(records, fix, sdc.set, cfg)
+    _bse_verdict_check(records, fix, sdc.set, cfg, mult)
 
 
 def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator):
@@ -288,10 +301,11 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
     _rec(records, f"{fix.name}/characters-disjoint", "prop24",
          float(card_gap) + disjoint_res, cfg.tol_algebraic)
 
-    _block_checks(records, fix, cfg)
+    mult = multiplier_space(fix.algebra)  # shared by the checks below
+    _block_checks(records, fix, cfg, mult)
 
     # one product-BSE pass: Phi, the four verdicts and the structural checks
-    rep = verify_product_bse(desc, cfg.tol_algebraic)
+    rep = _product_pass(desc, cfg.tol_algebraic, mult)
     iso = rep.iso
     bound_excess = operator_norm(iso.forward) - iso.norm_bound
     _rec(records, f"{fix.name}/phi-iso-norm", "lau-bse", max(0.0, bound_excess),
@@ -353,7 +367,7 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
          cfg.tol_algebraic)
 
     _duality_checks(records, fix, lc.set, cfg, rng)
-    _bse_verdict_check(records, fix, lc.set, cfg)
+    _bse_verdict_check(records, fix, lc.set, cfg, mult)
 
 
 def _plain_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator):

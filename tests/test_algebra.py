@@ -229,6 +229,27 @@ def test_rank_basis_against_full_svd(M, bounds):
     assert np.allclose(M @ got_vh[rank:].conj().T, 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape, blocks, folds", [
+    ((4, 4), None, 0),  # square: its QR would not shrink it
+    ((2, 6), None, 0),  # wide
+    ((6, 4), None, 1),  # tall
+    ((6, 4), [2], 1),  # 2 x 4 stays, then the 6 x 4 stack folds
+    ((12, 4), [4, 8], 2),  # each stack of R and a block is taller than wide
+], ids=["square", "wide", "tall", "wide-then-tall", "tall-slabs"])
+def test_rank_basis_folds_only_taller_than_wide_stacks(monkeypatch, shape, blocks, folds):
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    qr_calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda A, mode: qr_calls.append(A.shape) or qr(A, mode=mode))
+    rank, vh = rank_basis(M if blocks is None else iter(np.split(M, blocks)))
+    assert len(qr_calls) == folds
+    assert all(rows > cols for rows, cols in qr_calls)
+    assert rank == min(shape)
+    assert np.allclose(M @ vh[rank:].conj().T, 0.0, atol=1e-12)
+
+
 def test_rank_basis_refuses_blocks_without_a_column_count():
     with pytest.raises(ValueError):
         rank_basis([])  # no block says how many columns there are

@@ -234,3 +234,17 @@ def test_bse_norm_malformed_sigma_exit_2(algebra_file, tmp_path, capsys):
     code, _, err = run_cli(capsys, "bse-norm", algebra_file, "--sigma", str(sigma))
     assert code == 2
     assert "values[0]" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--count", "0"],
+    ["verify", "--max-dim", "17"],
+    ["verify", "--families", "nope"],
+    ["verify", "--jobs", "-3"],
+], ids=["count", "max-dim", "families", "jobs"])
+def test_verify_bad_configuration_exit_2(capsys, argv):
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert stdout == ""

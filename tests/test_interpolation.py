@@ -175,7 +175,8 @@ def test_stress_corpus_square_dual():
 def test_square_cone_iterations_below_cap():
     """The cone program solve_dual runs on square E never reaches MAX_ITER."""
     for E, sigma, w in square_corpus():
-        assert 0 < _solve_cone(E, sigma, w, GAP_REL).iterations < MAX_ITER
+        sol, _ = _solve_cone(E, sigma, w, GAP_REL)
+        assert 0 < sol.iterations < MAX_ITER
 
 
 def test_nt_scaling_identities():
@@ -216,3 +217,22 @@ def test_stacked_max_step_is_the_smaller_step():
     x = np.array([[1.0, 0.0, 0.0]])
     inward = np.array([[[1.0, 0.0, 0.0]], [[2.0, 1.0, 0.0]]])  # never leaves the cone
     assert _max_step(x, inward) == np.inf
+
+
+def test_only_the_primal_route_decides_uniqueness(monkeypatch):
+    """solve_dual returns no minimizer, so it never runs the uniqueness test;
+    the cone path of solve_primal runs it once."""
+    from banalg import interpolation
+
+    calls = []
+    original = interpolation._is_unique
+    monkeypatch.setattr(interpolation, "_is_unique",
+                        lambda *args: calls.append(1) or original(*args))
+    rng = np.random.default_rng(3)
+    for shape in ((3, 7), (4, 4)):
+        E = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        sigma = rng.standard_normal(shape[0]) + 1j * rng.standard_normal(shape[0])
+        solve_dual(E, sigma, np.ones(shape[1]))
+    assert calls == []
+    assert solve_primal(E[:3], sigma[:3], np.ones(4)).method == "barrier"
+    assert calls == [1]

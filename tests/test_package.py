@@ -10,3 +10,26 @@ def test_all_names_resolve_on_the_package():
 
 def test_all_has_no_duplicates():
     assert len(banalg.__all__) == len(set(banalg.__all__))
+
+
+def test_rank_decisions_live_in_the_kernel():
+    """`np.linalg.svd` and `np.linalg.matrix_rank` appear in the package only
+    inside `algebra.rank_basis`, so every rank is decided with one cutoff."""
+    import ast
+    from pathlib import Path
+
+    outside = []
+    for path in sorted(Path(banalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "algebra.py":
+            kernel = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef)
+                          and node.name == "rank_basis")
+            allowed = {id(node) for node in ast.walk(kernel)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("svd", "matrix_rank")
+                    and id(node) not in allowed):
+                outside.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert outside == []

@@ -5,6 +5,7 @@ from banalg.algebra import Algebra, validate
 from banalg.constructions import SemidirectSpec, semidirect
 from banalg.errors import IllConditionedError, SpectraError
 from banalg.spectra import (
+    SEPARATION,
     Character,
     CharacterSet,
     characters_lau,
@@ -70,6 +71,35 @@ def test_character_set_rejects_duplicates(c2):
     v = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(SpectraError):
         CharacterSet(c2, [Character(c2, v), Character(c2, v + 1e-9)])
+
+
+@pytest.mark.parametrize("gap, ok", [(0.5, False), (2.0, True)])
+def test_character_set_separation(c2, gap, ok):
+    v = np.array([1.0, 0.0], dtype=complex)
+    pair = [Character(c2, v), Character(c2, v + [0.0, gap * SEPARATION])]
+    if ok:
+        assert len(CharacterSet(c2, pair)) == 2
+    else:
+        with pytest.raises(SpectraError):
+            CharacterSet(c2, pair)
+
+
+def test_character_set_empty_and_single(c2):
+    assert len(CharacterSet(c2, [])) == 0
+    assert CharacterSet(c2, []).matrix.shape == (0, 2)
+    assert len(CharacterSet(c2, [Character(c2, [1.0, 0.0])])) == 1
+
+
+def test_character_set_rejects_a_character_of_another_algebra(c2, z2):
+    with pytest.raises(SpectraError):
+        CharacterSet(c2, [Character(c2, [1.0, 0.0]), Character(z2, [1.0, 1.0])])
+
+
+def test_character_set_rank_is_stable(z2z2):
+    S = characters_numerical(z2z2)
+    assert S.rank() == S.rank() == 4
+    partial = CharacterSet(z2z2, S.characters[:2])
+    assert partial.rank() == partial.rank() == 2
 
 
 def test_match_character_sets_threshold(c2):

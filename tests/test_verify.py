@@ -142,13 +142,11 @@ def test_fixture_verdicts_match_the_benchmark_reference():
     assert got == ref["verdicts"]
 
 
-def test_lau_fixture_runs_one_product_bse_pass(monkeypatch):
-    # Phi is built once, and each of A, B, A x_phi B, A (+) B gets one
-    # multiplier space; verify adds one for the fixture's verdict and one for
-    # the S_B = 0 check
+def _count_calls(monkeypatch, names):
+    """Count calls of `names` made through the bse and verify namespaces."""
     from banalg import bse
 
-    calls = {"phi_isomorphism": 0, "multiplier_space": 0}
+    calls = dict.fromkeys(names, 0)
     for module in (bse, verify):
         for name in calls:
             if hasattr(module, name):
@@ -159,10 +157,53 @@ def test_lau_fixture_runs_one_product_bse_pass(monkeypatch):
                     return _original(*args, **kwargs)
 
                 monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_lau_fixture_runs_one_product_bse_pass(monkeypatch):
+    # Phi is built once, and each of A, B, A x_phi B, A (+) B gets one
+    # multiplier space; the S_B = 0 check and the fixture's verdict read the
+    # product's space
+    calls = _count_calls(monkeypatch, ("phi_isomorphism", "multiplier_space"))
     records = fixture_records(RunConfig(seed=0, max_dim=6), "lau", 0)
     assert all(r.verdict != "FAIL" for r in records)
+    assert any(r.name.endswith("/multiplier-sb-zero") and r.verdict == "PASS"
+               for r in records)
     assert calls["phi_isomorphism"] == 1
-    assert calls["multiplier_space"] <= 6
+    assert calls["multiplier_space"] == 4
+
+
+def test_semidirect_fixture_computes_one_multiplier_space(monkeypatch):
+    # the S_B = 0 check (full span here) and the fixture's verdict share M(A)
+    calls = _count_calls(monkeypatch, ("multiplier_space",))
+    records = fixture_records(RunConfig(seed=0, max_dim=6), "semidirect", 2)
+    assert all(r.verdict != "FAIL" for r in records)
+    assert {r.name.rsplit("/", 1)[1]: r.verdict for r in records
+            if r.name.endswith(("/multiplier-sb-zero", "/check-bse"))} == {
+        "multiplier-sb-zero": "PASS", "check-bse": "PASS"}
+    assert calls["multiplier_space"] == 1
+
+
+def test_duality_checks_rank_the_character_matrix_once(monkeypatch):
+    from banalg import interpolation, spectra
+    from banalg.fixtures import fixture_rng
+
+    cfg = RunConfig(seed=0, max_dim=6)
+    fix = build_fixture("diag", cfg.seed, 0, cfg.max_dim)
+    S = spectra.characters_numerical(fix.algebra, cfg.tol_algebraic)
+    ranked = []
+    for module in (spectra, interpolation):
+        original = module.rank_basis
+
+        def counted(M, _original=original):
+            ranked.append(np.array_equal(M, S.matrix))
+            return _original(M)
+
+        monkeypatch.setattr(module, "rank_basis", counted)
+    records = []
+    verify._duality_checks(records, fix, S, cfg, fixture_rng(1, "diag", 0))
+    assert [r.verdict for r in records] == ["PASS", "PASS"]
+    assert ranked == [True]
 
 
 def test_theorem_records_rejects_unknown():
@@ -237,3 +278,9 @@ def test_runconfig_validation():
         RunConfig(tol_opt=-1.0)
     with pytest.raises(ValueError):
         RunConfig(families=("bogus",))
+    # jobs < 1 would run serially unasked, and sigma_samples < 1 would make
+    # every bse-duality record a vacuous PASS
+    for field in ("jobs", "sigma_samples"):
+        for value in (0, -3):
+            with pytest.raises(ValueError, match=field):
+                RunConfig(**{field: value})
