@@ -13,8 +13,9 @@ pass: it builds Phi(a, b) = (a - phi(b), b) once, computes the multiplier
 spaces of A, B, A x_phi B and A (+) B once each, and derives the four
 verdicts, the block split M(A (+) B) = M(A) x M(B) and the transport
 through Phi from those spaces.  Their private cores `_bse_pass` and
-`_product_pass` also take a multiplier space already computed, so that the
-harness computes one space per fixture algebra; a verdict does not keep it.
+`_product_pass` also take a multiplier space already computed, and
+`_product_pass` the product's characters, so that the harness computes one
+space and one character set per fixture algebra; a verdict keeps no space.
 """
 
 from __future__ import annotations
@@ -176,18 +177,16 @@ def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _containment_residual(inner: np.ndarray, outer_basis: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """Worst projection residual of inner rows onto span(outer rows), plus witness."""
-    worst, witness = 0.0, None
-    for row in inner:
-        nrm = float(np.linalg.norm(row))
-        if nrm == 0:
-            continue
-        proj = outer_basis.conj() @ row if outer_basis.shape[0] else np.zeros(0)
-        resid = row - (outer_basis.T @ proj if outer_basis.shape[0] else 0)
-        r = float(np.linalg.norm(resid)) / nrm
-        if r > worst:
-            worst, witness = r, row
-    return worst, witness
+    """Worst relative projection residual of the inner rows onto the span of
+    the orthonormal outer rows, plus the first row attaining it (None when
+    every residual is 0); zero rows count as contained."""
+    resid = inner - inner @ outer_basis.conj().T @ outer_basis
+    norms = np.linalg.norm(inner, axis=1)
+    r = np.linalg.norm(resid, axis=1) / np.where(norms > 0, norms, 1.0)
+    if not np.any(r > 0):
+        return 0.0, None
+    worst = int(np.argmax(r))
+    return float(r[worst]), inner[worst]
 
 
 @dataclass(eq=False)
@@ -240,8 +239,7 @@ def _bse_pass(algebra: Algebra, tol: float, S: CharacterSet | None = None,
     # multiplier hats
     if mult is None:
         mult = multiplier_space(algebra)
-    hats = np.array([hat(T, S, tol) for T in mult.basis]) if mult.dim else np.zeros((0, len(S)), dtype=complex)
-    m_space = _orthonormal_rows(hats)
+    m_space = _orthonormal_rows(hat(mult.stack, S, tol))
     res_m_in_c, wit_m = _containment_residual(m_space, c_space)
     res_c_in_m, wit_c = _containment_residual(c_space, m_space)
     is_bse = res_m_in_c <= tol and res_c_in_m <= tol
@@ -266,8 +264,7 @@ def _require_surjective(chars: LauCharacters):
     desc = chars.descriptor
     if desc.phi is None:
         raise PhiNotSurjectiveError("product carries no homomorphism")
-    rank = rank_basis(desc.phi.matrix)[0]
-    if rank < desc.first.dim or any(g is None for g in chars.gamma):
+    if chars.phi_rank() < desc.first.dim or any(g is None for g in chars.gamma):
         raise PhiNotSurjectiveError(
             "phi does not have dense range; composed characters are not in Delta(B)"
         )
@@ -459,18 +456,22 @@ def verify_product_bse(desc: ProductDescriptor,
 
 
 def _product_pass(desc: ProductDescriptor, tol: float,
-                  m_product: MultiplierBasis | None = None) -> ProductBseReport:
-    """verify_product_bse on the multiplier space `m_product` of A x_phi B,
-    computed here when not given."""
+                  m_product: MultiplierBasis | None = None,
+                  chars: LauCharacters | None = None) -> ProductBseReport:
+    """verify_product_bse on the multiplier space `m_product` of A x_phi B and
+    its characters `chars`, each computed here when not given; the verdicts
+    reuse the parent sets and the cross check's numerical set, if kept."""
     if desc.kind not in ("lau", "direct_sum"):
         raise ValueError("product report needs a lau product or direct sum")
     iso = phi_isomorphism(desc.first, desc.second, desc.phi, tol,
                           force=not desc.contractive)
-    va, ma = _bse_pass(desc.first, tol)
-    vb, mb = _bse_pass(desc.second, tol)
-    vp, mp = _bse_pass(desc.algebra, tol, mult=m_product)
+    if chars is None:
+        chars = characters_lau(desc, tol, cross_check=False)
+    va, ma = _bse_pass(desc.first, tol, chars.a_chars)
+    vb, mb = _bse_pass(desc.second, tol, chars.b_chars)
+    vp, mp = _bse_pass(desc.algebra, tol, chars.numerical, m_product)
     vd, md = _bse_pass(iso.direct.algebra, tol)
-    membership, hat_res = _transport_residuals(desc, iso, mp, tol)
+    membership, hat_res = _transport_residuals(iso, mp, chars, tol)
     return ProductBseReport(
         descriptor=desc,
         iso=iso,
@@ -488,32 +489,23 @@ def _product_pass(desc: ProductDescriptor, tol: float,
 
 def _block_split_residual(direct: ProductDescriptor, md: MultiplierBasis) -> float:
     """Worst off-diagonal block, or diagonal block that is not a parent multiplier."""
-    A, B = direct.first, direct.second
     asl, bsl = direct.first_slice, direct.second_slice
-    off = 0.0
-    for T in md.basis:
-        off = max(off, float(np.max(np.abs(T.matrix[asl, bsl]), initial=0.0)))
-        off = max(off, float(np.max(np.abs(T.matrix[bsl, asl]), initial=0.0)))
-        # diagonal blocks must be multipliers of the parents
-        off = max(off, multiplier_residual(A, T.matrix[asl, asl]))
-        off = max(off, multiplier_residual(B, T.matrix[bsl, bsl]))
-    return off
+    Ts = md.stack
+    off = float(np.max(np.abs(Ts[:, asl, bsl]), initial=0.0))
+    off = max(off, float(np.max(np.abs(Ts[:, bsl, asl]), initial=0.0)))
+    # diagonal blocks must be multipliers of the parents
+    return max(off, multiplier_residual(direct.first, Ts[:, asl, asl]),
+               multiplier_residual(direct.second, Ts[:, bsl, bsl]))
 
 
-def _transport_residuals(desc: ProductDescriptor, iso: PhiIsomorphism,
-                         m_lau: MultiplierBasis, tol: float) -> tuple[float, float]:
+def _transport_residuals(iso: PhiIsomorphism, m_lau: MultiplierBasis,
+                         lau_chars: LauCharacters, tol: float) -> tuple[float, float]:
     """Worst Phi^-1 T Phi multiplier residual on A (+) B, and worst hat mismatch."""
-    lau_chars = characters_lau(desc, tol, cross_check=False)
     sum_chars = characters_lau(iso.direct, tol, cross_check=False,
                                a_chars=lau_chars.a_chars, b_chars=lau_chars.b_chars)
-    membership = 0.0
-    hat_res = 0.0
-    inv, fwd = iso.inverse.matrix, iso.forward.matrix
-    for T in m_lau.basis:
-        Smat = inv @ T.matrix @ fwd
-        membership = max(membership, multiplier_residual(iso.direct.algebra, Smat))
-        t_hat = hat(T.matrix, lau_chars.set, tol)
-        s_hat = hat(Smat, sum_chars.set, tol)
-        # the character pairing fixes indices blockwise: E_k <-> E_k, F_j <-> F_j
-        hat_res = max(hat_res, float(np.max(np.abs(t_hat - s_hat), initial=0.0)))
-    return membership, hat_res
+    Ts = m_lau.stack
+    Ss = iso.inverse.matrix @ Ts @ iso.forward.matrix
+    membership = multiplier_residual(iso.direct.algebra, Ss)
+    # the character pairing fixes indices blockwise: E_k <-> E_k, F_j <-> F_j
+    hat_res = np.abs(hat(Ts, lau_chars.set, tol) - hat(Ss, sum_chars.set, tol))
+    return membership, float(np.max(hat_res, initial=0.0))

@@ -15,6 +15,11 @@ built.  The block machinery realizes the four-block form (T_B, S_B, S_I,
 R_I) of a left multiplier on a subalgebra(+)ideal product and the linear
 relations tying the blocks together, whose eight groups reach the kernel
 as eight row blocks.
+
+The residuals, the block (de)composition and `hat` take one map or a stack
+of maps along leading axes (a space's `stack`), so a check over a whole
+space is one contraction: a residual is the worst over the stack, and a
+refusal is raised when any map fails.
 """
 
 from __future__ import annotations
@@ -40,13 +45,15 @@ SLAB_I = 4
 
 
 def _of_product(c: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """[x, y, r] -> X(x y)_r for the product tensor c[x, y, k] and a map X."""
-    return np.einsum("xyk,rk->xyr", c, X)
+    """[..., x, y, r] -> X(x y)_r for the product tensor c[x, y, k] and a
+    map X, or a stack of maps X[..., r, k]."""
+    return np.einsum("xyk,...rk->...xyr", c, X)
 
 
 def _times_image(c: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """[x, y, r] -> (x X(y))_r for the product tensor c[x, k, r] and a map X."""
-    return np.einsum("xkr,ky->xyr", c, X)
+    """[..., x, y, r] -> (x X(y))_r for the product tensor c[x, k, r] and a
+    map X, or a stack of maps X[..., k, y]."""
+    return np.einsum("xkr,...ky->...xyr", c, X)
 
 
 def _of_product_op(c: np.ndarray, rows: int) -> np.ndarray:
@@ -65,8 +72,8 @@ def _times_image_op(c: np.ndarray, cols: int) -> np.ndarray:
 
 
 def _max_norm(diff: np.ndarray, weights: np.ndarray) -> float:
-    """Largest weighted-l1 norm over the last axis."""
-    return float(np.max(np.abs(diff) @ weights))
+    """Largest weighted-l1 norm over the last axis; 0 on an empty stack."""
+    return float(np.max(np.abs(diff) @ weights, initial=0.0))
 
 
 @dataclass(eq=False)
@@ -79,17 +86,23 @@ class MultiplierBasis:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def stack(self) -> np.ndarray:
+        """The basis maps as one (dim, n, n) array."""
+        n = self.algebra.dim
+        return np.array([T.matrix for T in self.basis], dtype=complex).reshape(-1, n, n)
+
 
 def left_multiplier_residual(algebra: Algebra, T: np.ndarray) -> float:
-    """max_{i,j} || T(e_i e_j) - e_i T(e_j) ||."""
+    """max_{i,j} || T(e_i e_j) - e_i T(e_j) ||, the worst over a stack T[..., n, n]."""
     c = algebra.structure
     return _max_norm(_of_product(c, T) - _times_image(c, T), algebra.weights)
 
 
 def multiplier_residual(algebra: Algebra, T: np.ndarray) -> float:
-    """max_{i,j} || T(e_i) e_j - e_i T(e_j) ||."""
+    """max_{i,j} || T(e_i) e_j - e_i T(e_j) ||, the worst over a stack T[..., n, n]."""
     c = algebra.structure
-    image_times = np.einsum("mi,mjr->ijr", T, c)  # T(e_i) e_j
+    image_times = np.einsum("...mi,mjr->...ijr", T, c)  # T(e_i) e_j
     return _max_norm(image_times - _times_image(c, T), algebra.weights)
 
 
@@ -145,13 +158,15 @@ class BlockDecomposition:
     """T(b, a) = (S_B(a) + T_B(b), R_I(a) + S_I(b)) with the relation residuals.
 
     relation_residuals holds the max residuals of items (ii), (iii), (iv).
+    The blocks of a stack of maps keep its leading axes, and each residual
+    is the worst over the stack.
     """
 
     descriptor: ProductDescriptor
-    T_B: np.ndarray  # m x m
-    S_B: np.ndarray  # m x p
-    S_I: np.ndarray  # p x m
-    R_I: np.ndarray  # p x p
+    T_B: np.ndarray  # [..., m, m]
+    S_B: np.ndarray  # [..., m, p]
+    S_I: np.ndarray  # [..., p, m]
+    R_I: np.ndarray  # [..., p, p]
     relation_residuals: dict[str, float]
     membership_residuals: dict[str, float]
 
@@ -202,10 +217,11 @@ def _block_relation_residuals(desc: ProductDescriptor, T_B, S_B, S_I, R_I
 
 def decompose_left_multiplier(T: LinearMap | np.ndarray, desc: ProductDescriptor,
                               tol: float = DEFAULT_TOL) -> BlockDecomposition:
-    """Split T in LM(B (+) I) into its four blocks and certify the relations."""
+    """Split T in LM(B (+) I), or a stack T[..., n, n] of such maps, into its
+    four blocks and certify the relations."""
     alg = desc.algebra
     mat = T.matrix if isinstance(T, LinearMap) else np.asarray(T, dtype=complex)
-    if mat.shape != (alg.dim, alg.dim):
+    if mat.shape[-2:] != (alg.dim, alg.dim):
         raise ValueError("multiplier matrix has the wrong shape")
     res = left_multiplier_residual(alg, mat)
     if res > tol:
@@ -213,49 +229,46 @@ def decompose_left_multiplier(T: LinearMap | np.ndarray, desc: ProductDescriptor
             f"input is not a left multiplier (residual {res:.3e} > {tol:g})"
         )
     bsl, isl = desc.subalgebra_slice, desc.ideal_slice
-    blocks = BlockDecomposition(
-        descriptor=desc,
-        T_B=mat[bsl, bsl],
-        S_B=mat[bsl, isl],
-        S_I=mat[isl, bsl],
-        R_I=mat[isl, isl],
-        relation_residuals={},
-        membership_residuals={},
-    )
-    rel, mem = _block_relation_residuals(desc, blocks.T_B, blocks.S_B,
-                                         blocks.S_I, blocks.R_I)
-    blocks.relation_residuals = rel
-    blocks.membership_residuals = mem
-    return blocks
+    blocks = (mat[..., bsl, bsl], mat[..., bsl, isl], mat[..., isl, bsl], mat[..., isl, isl])
+    return BlockDecomposition(desc, *blocks, *_block_relation_residuals(desc, *blocks))
+
+
+def _recompose(blocks: BlockDecomposition, tol: float) -> tuple[np.ndarray, float]:
+    """Assemble the maps, stacked or not, of blocks whose stored residuals
+    satisfy the relations; certify them in LM(B (+) I), and return them with
+    their worst left-multiplier residual."""
+    desc = blocks.descriptor
+    alg = desc.algebra
+    violated = [
+        (item, value)
+        for item, value in
+        {**blocks.relation_residuals,
+         **{f"membership {k}": v for k, v in blocks.membership_residuals.items()}}.items()
+        if value > tol
+    ]
+    if violated:
+        raise RelationsViolatedError(violated)
+    bsl, isl = desc.subalgebra_slice, desc.ideal_slice
+    T = np.zeros(blocks.T_B.shape[:-2] + (alg.dim, alg.dim), dtype=complex)
+    T[..., bsl, bsl] = blocks.T_B
+    T[..., bsl, isl] = blocks.S_B
+    T[..., isl, bsl] = blocks.S_I
+    T[..., isl, isl] = blocks.R_I
+    res = left_multiplier_residual(alg, T)
+    if res > tol:
+        raise NotAMultiplierError(
+            f"recomposed map is not a left multiplier (residual {res:.3e})"
+        )
+    return T, res
 
 
 def recompose(blocks: BlockDecomposition, desc: ProductDescriptor | None = None,
               tol: float = DEFAULT_TOL) -> LinearMap:
     """Assemble T from relation-satisfying blocks; certify T in LM(B (+) I)."""
     desc = desc or blocks.descriptor
-    alg = desc.algebra
-    rel, mem = _block_relation_residuals(desc, blocks.T_B, blocks.S_B,
-                                         blocks.S_I, blocks.R_I)
-    violated = [
-        (item, value)
-        for item, value in
-        {**rel, **{f"membership {k}": v for k, v in mem.items()}}.items()
-        if value > tol
-    ]
-    if violated:
-        raise RelationsViolatedError(violated)
-    bsl, isl = desc.subalgebra_slice, desc.ideal_slice
-    T = np.zeros((alg.dim, alg.dim), dtype=complex)
-    T[bsl, bsl] = blocks.T_B
-    T[bsl, isl] = blocks.S_B
-    T[isl, bsl] = blocks.S_I
-    T[isl, isl] = blocks.R_I
-    res = left_multiplier_residual(alg, T)
-    if res > tol:
-        raise NotAMultiplierError(
-            f"recomposed map is not a left multiplier (residual {res:.3e})"
-        )
-    return LinearMap(alg, alg, T)
+    parts = (blocks.T_B, blocks.S_B, blocks.S_I, blocks.R_I)
+    fresh = BlockDecomposition(desc, *parts, *_block_relation_residuals(desc, *parts))
+    return LinearMap(desc.algebra, desc.algebra, _recompose(fresh, tol)[0])
 
 
 def block_space(desc: ProductDescriptor) -> np.ndarray:
@@ -298,17 +311,13 @@ def block_space(desc: ProductDescriptor) -> np.ndarray:
 
 
 def blocks_from_vector(vec: np.ndarray, desc: ProductDescriptor) -> BlockDecomposition:
-    """Unpack a block_space row into a BlockDecomposition (residuals recomputed)."""
-    bsl, isl = desc.subalgebra_slice, desc.ideal_slice
-    m = bsl.stop - bsl.start
-    p = isl.stop - isl.start
-    o1, o2, o3 = m * m, m * m + m * p, m * m + m * p + p * m
-    T_B = vec[:o1].reshape(m, m)
-    S_B = vec[o1:o2].reshape(m, p)
-    S_I = vec[o2:o3].reshape(p, m)
-    R_I = vec[o3:].reshape(p, p)
-    rel, mem = _block_relation_residuals(desc, T_B, S_B, S_I, R_I)
-    return BlockDecomposition(desc, T_B, S_B, S_I, R_I, rel, mem)
+    """Unpack a block_space row, or a stack of rows, into a BlockDecomposition
+    (residuals recomputed)."""
+    m, p = desc.subalgebra.dim, desc.ideal.dim
+    parts = np.split(vec, [m * m, m * m + m * p, m * m + 2 * m * p], axis=-1)
+    shapes = ((m, m), (m, p), (p, m), (p, p))
+    blocks = [x.reshape(vec.shape[:-1] + s) for x, s in zip(parts, shapes)]
+    return BlockDecomposition(desc, *blocks, *_block_relation_residuals(desc, *blocks))
 
 
 def hat(T: LinearMap | np.ndarray, S: CharacterSet, tol: float = DEFAULT_TOL,
@@ -317,7 +326,8 @@ def hat(T: LinearMap | np.ndarray, S: CharacterSet, tol: float = DEFAULT_TOL,
 
     c runs over basis vectors; the one maximizing |phi(c)| defines the value
     and every other basis direction with |phi(c)| above threshold must agree
-    within tol.
+    within tol.  A stack of maps T[..., n, n] gives the stack of transforms
+    [..., |S|], and UndefinedHatError is raised if any map has none.
     """
     mat = T.matrix if isinstance(T, LinearMap) else np.asarray(T, dtype=complex)
     V = S.matrix
@@ -328,9 +338,9 @@ def hat(T: LinearMap | np.ndarray, S: CharacterSet, tol: float = DEFAULT_TOL,
     live = scores > threshold * top[:, None]
     # ratio[r, i] = phi_r(T e_i) / phi_r(e_i) on every direction that counts
     ratio = np.where(live, (V @ mat) / np.where(live, V, 1.0), 0.0)
-    out = ratio[np.arange(len(V)), np.argmax(scores, axis=1)]
-    disc = np.where(live, np.abs(ratio - out[:, None]), 0.0)
-    if np.any(disc > np.maximum(tol, 10 * tol * np.abs(out))[:, None]):
+    out = ratio[..., np.arange(len(V)), np.argmax(scores, axis=1)]
+    disc = np.where(live, np.abs(ratio - out[..., None]), 0.0)
+    if np.any(disc > np.maximum(tol, 10 * tol * np.abs(out))[..., None]):
         raise UndefinedHatError(
             f"hat value inconsistent across basis directions ({float(np.max(disc)):.3e})"
         )

@@ -312,6 +312,7 @@ class LauCharacters:
 
     gamma[r] is the index in b_chars of the composed character phi_A o phi
     (defined for surjective phi; None entries mark compositions that are zero).
+    numerical is the numerical character set of the cross check, if one ran.
     """
 
     set: CharacterSet
@@ -320,10 +321,18 @@ class LauCharacters:
     gamma: list[int | None]
     descriptor: ProductDescriptor
     cross_check_distance: float | None = None
+    numerical: CharacterSet | None = field(default=None, init=False, repr=False)
+    _phi_rank: int | None = field(default=None, init=False, repr=False)
 
     @property
     def e_count(self) -> int:
         return len(self.a_chars)
+
+    def phi_rank(self) -> int:
+        """Rank of the matrix of phi, decided once and kept."""
+        if self._phi_rank is None:
+            self._phi_rank = rank_basis(self.descriptor.phi.matrix)[0]
+        return self._phi_rank
 
 
 def characters_lau(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
@@ -379,7 +388,6 @@ def characters_lau(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
         descriptor=desc,
     )
     if cross_check:
-        numeric = characters_numerical(alg, tol)
-        _, hausdorff = match_character_sets(numeric, out.set)
-        out.cross_check_distance = hausdorff
+        out.numerical = characters_numerical(alg, tol)
+        _, out.cross_check_distance = match_character_sets(out.numerical, out.set)
     return out

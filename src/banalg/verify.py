@@ -10,8 +10,8 @@ gets exactly the checks of a generated fixture of its kind, and
 A semidirect or Lau fixture computes the multiplier space of its algebra
 once, and every check that reads M(A) reads that space: the S_B = 0 split,
 the fixture's BSE verdict (on the fixture's own character set) and, on a
-Lau fixture, the product-BSE pass, which adds one space for each of A, B
-and A (+) B.
+Lau fixture, the product-BSE pass, which also reuses the fixture's character
+sets and adds one space for each of A, B and A (+) B.
 """
 
 from __future__ import annotations
@@ -40,13 +40,12 @@ from .fixtures import FAMILIES, Fixture, build_fixture, fixture_rng
 from .jsonio import render_json
 from .multipliers import (
     MultiplierBasis,
+    _recompose,
     block_space,
     blocks_from_vector,
     decompose_left_multiplier,
-    left_multiplier_residual,
     left_multiplier_space,
     multiplier_space,
-    recompose,
 )
 from .spectra import (
     Character,
@@ -208,30 +207,21 @@ def _bse_verdict_check(records, fix: Fixture, S: CharacterSet, cfg: RunConfig,
 def _block_checks(records, fix: Fixture, cfg: RunConfig, mult: MultiplierBasis):
     desc = fix.descriptor
     lm = left_multiplier_space(fix.algebra)
-    worst_rel = 0.0
-    for T in lm.basis:
-        dec = decompose_left_multiplier(T, desc, cfg.tol_algebraic)
-        worst_rel = max(worst_rel, dec.max_relation_residual,
-                        dec.max_membership_residual)
-    _rec(records, f"{fix.name}/lemma-decompose", "lemma21", worst_rel,
+    dec = decompose_left_multiplier(lm.stack, desc, cfg.tol_algebraic)
+    _rec(records, f"{fix.name}/lemma-decompose", "lemma21",
+         max(dec.max_relation_residual, dec.max_membership_residual),
          cfg.tol_algebraic, detail=f"dim LM = {lm.dim}")
     bs = block_space(desc)
     dim_gap = abs(bs.shape[0] - lm.dim)
     _rec(records, f"{fix.name}/lemma-block-dim", "lemma21", float(dim_gap), 0.0,
          detail=f"block space {bs.shape[0]} vs LM {lm.dim}")
-    worst_rec = 0.0
-    for vec in bs:
-        blocks = blocks_from_vector(vec, desc)
-        T = recompose(blocks, desc, cfg.tol_algebraic)
-        worst_rec = max(worst_rec, left_multiplier_residual(fix.algebra, T.matrix))
+    worst_rec = _recompose(blocks_from_vector(bs, desc), cfg.tol_algebraic)[1]
     _rec(records, f"{fix.name}/lemma-recompose", "lemma21", worst_rec,
          cfg.tol_algebraic)
     # multipliers of the product split with S_B = 0 under the full span condition
     if ideal_span_is_full(desc):
-        worst_sb = 0.0
-        for T in mult.basis:
-            dec = decompose_left_multiplier(T, desc, cfg.tol_algebraic)
-            worst_sb = max(worst_sb, float(np.max(np.abs(dec.S_B), initial=0.0)))
+        dec = decompose_left_multiplier(mult.stack, desc, cfg.tol_algebraic)
+        worst_sb = float(np.max(np.abs(dec.S_B), initial=0.0))
         _rec(records, f"{fix.name}/multiplier-sb-zero", "sub", worst_sb,
              cfg.tol_algebraic)
     else:
@@ -305,7 +295,7 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
     _block_checks(records, fix, cfg, mult)
 
     # one product-BSE pass: Phi, the four verdicts and the structural checks
-    rep = _product_pass(desc, cfg.tol_algebraic, mult)
+    rep = _product_pass(desc, cfg.tol_algebraic, mult, lc)
     iso = rep.iso
     bound_excess = operator_norm(iso.forward) - iso.norm_bound
     _rec(records, f"{fix.name}/phi-iso-norm", "lau-bse", max(0.0, bound_excess),

@@ -333,6 +333,49 @@ def test_containment_certificate_helper():
     assert res <= 1e-12
 
 
+def loop_containment_residual(inner, outer_basis):
+    """Oracle: one inner row at a time; zero rows skipped, the first worst row kept."""
+    worst, witness = 0.0, None
+    for row in inner:
+        nrm = float(np.linalg.norm(row))
+        if nrm == 0:
+            continue
+        proj = outer_basis.conj() @ row if outer_basis.shape[0] else np.zeros(0)
+        resid = row - (outer_basis.T @ proj if outer_basis.shape[0] else 0)
+        r = float(np.linalg.norm(resid)) / nrm
+        if r > worst:
+            worst, witness = r, row
+    return worst, witness
+
+
+def test_containment_residual_matches_row_loop():
+    from banalg.bse import _containment_residual, _orthonormal_rows
+
+    rng = np.random.default_rng(4)
+    outer = _orthonormal_rows(rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
+    inner = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    inner[2] = 0.0
+    e3 = np.array([0, 0, 1, 0], dtype=complex)
+    cases = [
+        (inner, outer),
+        (inner, outer[:0]),  # empty outer basis: every nonzero row has residual 1
+        (np.zeros((3, 4), dtype=complex), outer),  # only zero rows
+        (inner[:0], outer),  # no rows
+        # rows 1 and 2 tie at residual 1 (e3 and -1j e3 against the e0, e1 plane):
+        # the first of them is the witness
+        (np.array([[1, 0, 0, 0], e3, -1j * e3]), np.eye(4, dtype=complex)[:2]),
+    ]
+    for rows, basis in cases:
+        res, witness = _containment_residual(rows, basis)
+        want, want_witness = loop_containment_residual(rows, basis)
+        assert res == pytest.approx(want, abs=1e-15)
+        if want_witness is None:
+            assert witness is None
+        else:
+            assert np.array_equal(witness, want_witness)
+    assert np.array_equal(_containment_residual(*cases[-1])[1], e3)
+
+
 def test_theta_reports_product_law():
     lc = characters_lau(lau_c_c2())
     th = theta(np.array([1.0 + 2.0j]), np.array([0.5, -1.0j]), lc)

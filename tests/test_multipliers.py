@@ -5,7 +5,7 @@ import pytest
 
 from banalg.constructions import finite_abelian_group_algebra
 from banalg.errors import NotAMultiplierError, RelationsViolatedError, UndefinedHatError
-from banalg.fixtures import lau_fixture, semidirect_fixture
+from banalg.fixtures import build_fixture, lau_fixture, semidirect_fixture
 from banalg.multipliers import (
     SLAB_I,
     BlockDecomposition,
@@ -13,6 +13,7 @@ from banalg.multipliers import (
     _constraint_blocks,
     _left_constraints,
     _mult_constraints,
+    _recompose,
     block_space,
     blocks_from_vector,
     decompose_left_multiplier,
@@ -385,3 +386,70 @@ def test_hat_multiplicative_over_composition(z2z2):
     lhs = hat(S1 @ S2, S)
     rhs = hat(S1, S) * hat(S2, S)
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
+
+
+@pytest.mark.parametrize("family", ["group", "semidirect", "lau"])
+@pytest.mark.parametrize("index", [0, 1])
+def test_stacked_checks_match_per_map(family, index):
+    # each stacked helper equals the max (residuals) or the stack (hats,
+    # blocks) of its one-map results, on the spaces and on generic maps
+    fix = build_fixture(family, 0, index, 6)
+    alg, desc = fix.algebra, fix.descriptor
+    S = characters_numerical(alg)
+    mult, lm = multiplier_space(alg), left_multiplier_space(alg)
+    rng = np.random.default_rng(index)
+    generic = rng.standard_normal((3, alg.dim, alg.dim)) + 0j
+    for stack in (mult.stack, lm.stack, generic):
+        for residual in (multiplier_residual, left_multiplier_residual):
+            per_map = max(residual(alg, T) for T in stack)
+            assert residual(alg, stack) == pytest.approx(per_map, rel=1e-14, abs=1e-14)
+    assert mult.stack.shape == (mult.dim, alg.dim, alg.dim)
+    assert np.max(np.abs(hat(mult.stack, S) - np.array([hat(T, S) for T in mult.basis]))) <= 1e-14
+    if desc is None:
+        return
+    stacked = decompose_left_multiplier(lm.stack, desc)
+    singles = [decompose_left_multiplier(T, desc) for T in lm.basis]
+    for name in ("T_B", "S_B", "S_I", "R_I"):
+        assert np.array_equal(getattr(stacked, name),
+                              np.array([getattr(d, name) for d in singles]))
+    for field in ("relation_residuals", "membership_residuals"):
+        for key, value in getattr(stacked, field).items():
+            per_map = max(getattr(d, field)[key] for d in singles)
+            assert value == pytest.approx(per_map, abs=1e-14)
+    bs = block_space(desc)
+    maps, worst = _recompose(blocks_from_vector(bs, desc), 1e-9)
+    singles = [recompose(blocks_from_vector(vec, desc), desc).matrix for vec in bs]
+    assert np.array_equal(maps, np.array(singles).reshape(maps.shape))
+    assert worst == pytest.approx(max((left_multiplier_residual(alg, T) for T in singles),
+                                      default=0.0), abs=1e-14)
+    assert blocks_from_vector(bs, desc).relation_residuals == pytest.approx(
+        {k: max(blocks_from_vector(v, desc).relation_residuals[k] for v in bs)
+         for k in ("ii", "iii", "iv")}, abs=1e-14)
+
+
+def test_one_bad_map_refuses_the_stack():
+    # a stack is refused with the error its one bad map gets alone
+    desc = lau_fixture(0, 0, 6).descriptor
+    alg = desc.algebra
+    lm = left_multiplier_space(alg)
+    bad = lm.stack
+    bad[1] = np.random.default_rng(3).standard_normal((alg.dim, alg.dim))
+    with pytest.raises(NotAMultiplierError):
+        decompose_left_multiplier(bad[1], desc)
+    with pytest.raises(NotAMultiplierError):
+        decompose_left_multiplier(bad, desc)
+    decompose_left_multiplier(lm.stack, desc)
+    S = characters_numerical(alg)
+    with pytest.raises(UndefinedHatError):
+        hat(bad[1], S)
+    with pytest.raises(UndefinedHatError):
+        hat(bad, S)
+    hat(lm.stack, S)
+    rows = np.array(block_space(desc))
+    m = desc.subalgebra.dim
+    rows[-1, m * m] += 1.0  # S_B(a b) = 0 fails for this row only
+    with pytest.raises(RelationsViolatedError):
+        recompose(blocks_from_vector(rows[-1], desc), desc)
+    with pytest.raises(RelationsViolatedError):
+        _recompose(blocks_from_vector(rows, desc), 1e-9)
+    _recompose(blocks_from_vector(rows[:-1], desc), 1e-9)

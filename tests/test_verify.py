@@ -184,6 +184,46 @@ def test_semidirect_fixture_computes_one_multiplier_space(monkeypatch):
     assert calls["multiplier_space"] == 1
 
 
+def test_lau_fixture_extracts_characters_once_per_algebra(monkeypatch):
+    # A and B for the fixture's closed-form set, A x_phi B for its cross
+    # check and A (+) B for its verdict; the product pass reuses the first three
+    from banalg import bse, spectra
+
+    seen = []
+    original = spectra.characters_numerical
+
+    def counted(algebra, *args, **kwargs):
+        seen.append(id(algebra))
+        return original(algebra, *args, **kwargs)
+
+    for module in (spectra, bse, verify):
+        monkeypatch.setattr(module, "characters_numerical", counted)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), "lau", 0)
+    assert all(r.verdict != "FAIL" for r in records)
+    assert len(seen) == len(set(seen)) == 4
+
+
+def test_lau_fixture_ranks_phi_once(monkeypatch):
+    # surjectivity is asked four times per sigma sample and decided once
+    from banalg import bse, spectra
+
+    cfg = RunConfig(seed=0, max_dim=6)
+    phi = build_fixture("lau", cfg.seed, 0, cfg.max_dim).descriptor.phi.matrix
+    ranked = []
+    for module in (spectra, bse):
+        original = module.rank_basis
+
+        def counted(M, _original=original):
+            ranked.append(isinstance(M, np.ndarray) and np.array_equal(M, phi))
+            return _original(M)
+
+        monkeypatch.setattr(module, "rank_basis", counted)
+    records = fixture_records(cfg, "lau", 0)
+    assert any(r.name.endswith("/theta-isometry") and r.verdict == "PASS"
+               for r in records)
+    assert sum(ranked) == 1
+
+
 def test_duality_checks_rank_the_character_matrix_once(monkeypatch):
     from banalg import interpolation, spectra
     from banalg.fixtures import fixture_rng
