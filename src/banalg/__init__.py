@@ -12,7 +12,6 @@ from .algebra import (
     Element,
     LinearMap,
     ValidationReport,
-    dual_norm,
     norm,
     operator_norm,
     validate,
@@ -67,7 +66,6 @@ __all__ = [
     "Element",
     "LinearMap",
     "ValidationReport",
-    "dual_norm",
     "norm",
     "operator_norm",
     "validate",

@@ -65,26 +65,12 @@ class Algebra:
             raise ValueError(f"coefficient vector must have length {self.dim}")
         return Element(self, coeffs)
 
-    def basis_element(self, i: int) -> "Element":
-        coeffs = np.zeros(self.dim, dtype=complex)
-        coeffs[i] = 1.0
-        return Element(self, coeffs)
-
-    def unit_element(self) -> "Element":
-        if self.unit is None:
-            raise ValueError(f"algebra {self.name!r} has no declared unit")
-        return Element(self, np.array(self.unit))
-
     def multiply_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """coeffs_k = sum_{i,j} a_i b_j c[i,j,k]"""
         return np.einsum("i,j,ijk->k", a, b, self.structure)
 
     def norm_coeffs(self, a: np.ndarray) -> float:
         return float(np.sum(self.weights * np.abs(a)))
-
-    def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of x -> a*x in the basis: M[k, j] = sum_i a_i c[i,j,k]."""
-        return np.einsum("i,ijk->kj", a, self.structure)
 
     def __repr__(self):
         return f"Algebra({self.name!r}, dim={self.dim})"
@@ -141,17 +127,6 @@ def norm(a: Element) -> float:
     return a.norm
 
 
-def dual_norm(f: np.ndarray, algebra: Algebra) -> float:
-    """Exact dual of the weighted l1 norm: max_i |f_i| / w_i.
-
-    f holds the functional's values on the basis.
-    """
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (algebra.dim,):
-        raise ValueError("functional vector length mismatch")
-    return float(np.max(np.abs(f) / algebra.weights))
-
-
 @dataclass(eq=False)
 class LinearMap:
     """matrix is target-dim x source-dim; columns are images of source basis vectors."""
@@ -172,10 +147,6 @@ class LinearMap:
         if x.algebra is not self.source:
             raise AlgebraMismatchError("element is not in the map's source algebra")
         return Element(self.target, self.matrix @ x.coeffs)
-
-    @staticmethod
-    def identity(algebra: Algebra) -> "LinearMap":
-        return LinearMap(algebra, algebra, np.eye(algebra.dim, dtype=complex))
 
     def __repr__(self):
         return f"LinearMap({self.source.name!r} -> {self.target.name!r})"

@@ -12,10 +12,10 @@ directly as a cone program with no interpolation step.
 pass: it builds Phi(a, b) = (a - phi(b), b) once, computes the multiplier
 spaces of A, B, A x_phi B and A (+) B once each, and derives the four
 verdicts, the block split M(A (+) B) = M(A) x M(B) and the transport
-through Phi from those spaces.  Their private cores `_bse_pass` and
-`_product_pass` also take a multiplier space already computed, and
-`_product_pass` the product's characters, so that the harness computes one
-space and one character set per fixture algebra; a verdict keeps no space.
+through Phi from those spaces.  `check_bse_property` takes a character set
+and a multiplier space already computed, and `verify_product_bse` the
+product's space and characters, so that the harness computes one space and
+one character set per fixture algebra; a verdict keeps no space.
 """
 
 from __future__ import annotations
@@ -203,20 +203,16 @@ class BseVerdict:
 
 
 def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
-                       S: CharacterSet | None = None) -> BseVerdict:
+                       S: CharacterSet | None = None,
+                       mult: MultiplierBasis | None = None) -> BseVerdict:
     """Compare the interpolable functions on Delta(A) with the multiplier hats.
 
     The algebra must be without order (checked).  Verdict is true iff the two
     subspaces of functions on the characters coincide; when they differ, a
     function in one space far from the other is returned as a counterexample.
+    S defaults to the numerical character set and `mult` to the algebra's
+    multiplier space; pass either to judge on one already computed.
     """
-    return _bse_pass(algebra, tol, S)[0]
-
-
-def _bse_pass(algebra: Algebra, tol: float, S: CharacterSet | None = None,
-              mult: MultiplierBasis | None = None) -> tuple[BseVerdict, MultiplierBasis]:
-    """check_bse_property on the multiplier space `mult` of the algebra, computed
-    here when not given, also returning that space."""
     if not is_without_order(algebra):
         raise NotWithoutOrderError(
             f"algebra {algebra.name!r} has a nonzero annihilator"
@@ -234,7 +230,7 @@ def _bse_pass(algebra: Algebra, tol: float, S: CharacterSet | None = None,
             f"algebra {algebra.name!r} is not semisimple; BSE verdict is outside "
             "the usual hypotheses",
             SemisimplicityWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     # multiplier hats
     if mult is None:
@@ -246,7 +242,7 @@ def _bse_pass(algebra: Algebra, tol: float, S: CharacterSet | None = None,
     counterexample = None
     if not is_bse:
         counterexample = wit_m if res_m_in_c > res_c_in_m else wit_c
-    verdict = BseVerdict(
+    return BseVerdict(
         algebra=algebra,
         characters=S,
         is_bse=is_bse,
@@ -257,14 +253,10 @@ def _bse_pass(algebra: Algebra, tol: float, S: CharacterSet | None = None,
         containment_c_in_m=res_c_in_m,
         counterexample=counterexample,
     )
-    return verdict, mult
 
 
 def _require_surjective(chars: LauCharacters):
-    desc = chars.descriptor
-    if desc.phi is None:
-        raise PhiNotSurjectiveError("product carries no homomorphism")
-    if chars.phi_rank() < desc.first.dim or any(g is None for g in chars.gamma):
+    if not chars.surjective():
         raise PhiNotSurjectiveError(
             "phi does not have dense range; composed characters are not in Delta(B)"
         )
@@ -441,8 +433,9 @@ class ProductBseReport:
             self.verdict_first.is_bse and self.verdict_second.is_bse)
 
 
-def verify_product_bse(desc: ProductDescriptor,
-                       tol: float = DEFAULT_TOL) -> ProductBseReport:
+def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
+                       m_product: MultiplierBasis | None = None,
+                       chars: LauCharacters | None = None) -> ProductBseReport:
     """BSE verdicts for A, B, A x_phi B and A (+) B, plus the structural checks.
 
     Phi(a, b) = (a - phi(b), b) is built once, and each of the four algebras
@@ -450,28 +443,25 @@ def verify_product_bse(desc: ProductDescriptor,
     direct sum's space must split blockwise as M(A) x M(B), and conjugation
     by Phi must carry the product's multipliers onto the direct sum's, with
     matching hats through the character pairing.  A direct sum (phi = 0) is
-    its own direct sum, and Phi is the identity.
+    its own direct sum, and Phi is the identity.  The product is judged on
+    its closed-form characters `chars` and A, B on their parent sets; pass
+    `m_product` or `chars` to reuse a space or character set already computed.
     """
-    return _product_pass(desc, tol)
-
-
-def _product_pass(desc: ProductDescriptor, tol: float,
-                  m_product: MultiplierBasis | None = None,
-                  chars: LauCharacters | None = None) -> ProductBseReport:
-    """verify_product_bse on the multiplier space `m_product` of A x_phi B and
-    its characters `chars`, each computed here when not given; the verdicts
-    reuse the parent sets and the cross check's numerical set, if kept."""
     if desc.kind not in ("lau", "direct_sum"):
         raise ValueError("product report needs a lau product or direct sum")
     iso = phi_isomorphism(desc.first, desc.second, desc.phi, tol,
                           force=not desc.contractive)
     if chars is None:
         chars = characters_lau(desc, tol, cross_check=False)
-    va, ma = _bse_pass(desc.first, tol, chars.a_chars)
-    vb, mb = _bse_pass(desc.second, tol, chars.b_chars)
-    vp, mp = _bse_pass(desc.algebra, tol, chars.numerical, m_product)
-    vd, md = _bse_pass(iso.direct.algebra, tol)
-    membership, hat_res = _transport_residuals(iso, mp, chars, tol)
+    if m_product is None:
+        m_product = multiplier_space(desc.algebra)
+    ma, mb, md = (multiplier_space(alg)
+                  for alg in (desc.first, desc.second, iso.direct.algebra))
+    va = check_bse_property(desc.first, tol, chars.a_chars, ma)
+    vb = check_bse_property(desc.second, tol, chars.b_chars, mb)
+    vp = check_bse_property(desc.algebra, tol, chars.set, m_product)
+    vd = check_bse_property(iso.direct.algebra, tol, mult=md)
+    membership, hat_res = _transport_residuals(iso, m_product, chars, tol)
     return ProductBseReport(
         descriptor=desc,
         iso=iso,
@@ -481,7 +471,7 @@ def _product_pass(desc: ProductDescriptor, tol: float,
         verdict_direct=vd,
         sum_block_dim_ok=md.dim == ma.dim + mb.dim,
         sum_block_residual=_block_split_residual(iso.direct, md),
-        transport_dim_ok=mp.dim == md.dim,
+        transport_dim_ok=m_product.dim == md.dim,
         transport_membership=membership,
         transport_hat_residual=hat_res,
     )

@@ -233,7 +233,7 @@ def decompose_left_multiplier(T: LinearMap | np.ndarray, desc: ProductDescriptor
     return BlockDecomposition(desc, *blocks, *_block_relation_residuals(desc, *blocks))
 
 
-def _recompose(blocks: BlockDecomposition, tol: float) -> tuple[np.ndarray, float]:
+def recompose(blocks: BlockDecomposition, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     """Assemble the maps, stacked or not, of blocks whose stored residuals
     satisfy the relations; certify them in LM(B (+) I), and return them with
     their worst left-multiplier residual."""
@@ -260,15 +260,6 @@ def _recompose(blocks: BlockDecomposition, tol: float) -> tuple[np.ndarray, floa
             f"recomposed map is not a left multiplier (residual {res:.3e})"
         )
     return T, res
-
-
-def recompose(blocks: BlockDecomposition, desc: ProductDescriptor | None = None,
-              tol: float = DEFAULT_TOL) -> LinearMap:
-    """Assemble T from relation-satisfying blocks; certify T in LM(B (+) I)."""
-    desc = desc or blocks.descriptor
-    parts = (blocks.T_B, blocks.S_B, blocks.S_I, blocks.R_I)
-    fresh = BlockDecomposition(desc, *parts, *_block_relation_residuals(desc, *parts))
-    return LinearMap(desc.algebra, desc.algebra, _recompose(fresh, tol)[0])
 
 
 def block_space(desc: ProductDescriptor) -> np.ndarray:

@@ -7,8 +7,9 @@ multiplication operators commute and are simultaneously diagonalizable:
 the characters are their joint eigenvalues, read off with the eigenvectors
 of one generic element and verified multiplicative.  The extraction is
 deterministic and finds exactly dim A/rad characters.  Product algebras
-also get closed-form character sets assembled from their parents, and the
-two routes are cross-checked.
+also get closed-form character sets E u F assembled from their parents'
+sets by one assembler that verifies every row multiplicative, and the two
+routes are cross-checked.
 """
 
 from __future__ import annotations
@@ -86,11 +87,13 @@ class CharacterSet:
         return self._rank
 
 
-def multiplicativity_residual(algebra: Algebra, values: np.ndarray) -> float:
-    """max_{i,j} |phi(e_i e_j) - phi(e_i) phi(e_j)|."""
-    lhs = algebra.structure @ values  # (n, n): phi(e_i e_j)
-    rhs = np.outer(values, values)
-    return float(np.max(np.abs(lhs - rhs)))
+def multiplicativity_residual(algebra: Algebra, values: np.ndarray) -> np.ndarray:
+    """max_{i,j} |phi(e_i e_j) - phi(e_i) phi(e_j)| for a functional phi, or
+    one residual per row of a stack values[..., n]."""
+    v = np.asarray(values)
+    lhs = np.einsum("ijk,...k->...ij", algebra.structure, v)  # phi(e_i e_j)
+    rhs = v[..., :, None] * v[..., None, :]
+    return np.abs(lhs - rhs).max(axis=(-2, -1), initial=0.0)
 
 
 def _trace_form(algebra: Algebra) -> np.ndarray:
@@ -122,8 +125,7 @@ def characters_numerical(algebra: Algebra, tol: float = DEFAULT_TOL) -> Characte
         vals = np.einsum("irb,br->ri", np.linalg.inv(W) @ lam, W)  # diag(W^-1 Lambda_i W)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError("the generic element repeats a character value") from exc
-    res = np.abs(np.einsum("ijk,rk->rij", c, vals)
-                 - vals[:, :, None] * vals[:, None, :]).max(axis=(1, 2), initial=0.0)
+    res = multiplicativity_residual(algebra, vals)
     # a kept row must be a nonzero functional (sup norm above SEPARATION)
     # and multiplicative within tol
     ok = (res <= tol) & (np.abs(vals).max(axis=1, initial=0.0) > SEPARATION)
@@ -220,6 +222,29 @@ def psi_of(phi: Character, desc: ProductDescriptor, tol: float = DEFAULT_TOL
     return psi1, discrepancy
 
 
+def _closed_form(alg: Algebra, e_rows: np.ndarray, f_rows: np.ndarray,
+                 tol: float) -> CharacterSet:
+    """The closed-form set E u F of a product from its E and F value rows,
+    each verified multiplicative within tol."""
+    rows = np.concatenate([e_rows, f_rows])
+    res = multiplicativity_residual(alg, rows)
+    bad = np.flatnonzero(res > tol)
+    if bad.size:
+        part = "E" if bad[0] < len(e_rows) else "F"
+        raise SpectraError(
+            f"assembled {part}-character is not multiplicative ({res[bad[0]]:.3e})")
+    chars = [Character(alg, v, float(r)) for v, r in zip(rows, res)]
+    return CharacterSet(alg, chars, provenance="closed_form")
+
+
+def _locate(values: np.ndarray, S: CharacterSet, what: str) -> int:
+    """Index of the character of S equal to `values` within SEPARATION."""
+    dists = np.abs(S.matrix - values).max(axis=1, initial=0.0)
+    if not len(S) or np.min(dists) > SEPARATION:
+        raise SpectraError(f"{what} did not land on a subalgebra character")
+    return int(np.argmin(dists))
+
+
 def characters_semidirect(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
                           cross_check: bool = True) -> "SemidirectCharacters":
     """Closed-form Delta(B (+) I) = E u F from the parents' character sets.
@@ -235,46 +260,26 @@ def characters_semidirect(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
     B, I = desc.subalgebra, desc.ideal
     b_chars = characters_numerical(B, tol)
     i_chars = characters_numerical(I, tol)
-    chars: list[Character] = []
+    e_rows = np.zeros((len(i_chars), alg.dim), dtype=complex)
+    e_rows[:, desc.ideal_slice] = i_chars.matrix
     psis: list[np.ndarray | None] = []
-    psi_index: list[int | None] = []
-    for phi in i_chars:
+    for row, phi in zip(e_rows, i_chars):
         psi_vals, disc = psi_of(phi, desc, tol)
         if disc > tol:
             raise SpectraError(f"psi construction is normalizer-dependent ({disc:.3e})")
-        vals = np.zeros(alg.dim, dtype=complex)
         if psi_vals is not None:
-            vals[desc.subalgebra_slice] = psi_vals
-            dists = [float(np.max(np.abs(psi_vals - psi.values))) for psi in b_chars]
-            j = int(np.argmin(dists)) if dists else 0
-            if not dists or dists[j] > SEPARATION:
-                raise SpectraError(
-                    "nonzero induced psi did not land on a subalgebra character"
-                )
-            psi_index.append(j)
-        else:
-            psi_index.append(None)
-        vals[desc.ideal_slice] = phi.values
-        res = multiplicativity_residual(alg, vals)
-        if res > tol:
-            raise SpectraError(f"assembled E-character is not multiplicative ({res:.3e})")
-        chars.append(Character(alg, vals, res))
+            row[desc.subalgebra_slice] = psi_vals
         psis.append(psi_vals)
-    e_count = len(chars)
-    for psi in b_chars:
-        vals = np.zeros(alg.dim, dtype=complex)
-        vals[desc.subalgebra_slice] = psi.values
-        res = multiplicativity_residual(alg, vals)
-        if res > tol:
-            raise SpectraError(f"assembled F-character is not multiplicative ({res:.3e})")
-        chars.append(Character(alg, vals, res))
+    f_rows = np.zeros((len(b_chars), alg.dim), dtype=complex)
+    f_rows[:, desc.subalgebra_slice] = b_chars.matrix
     out = SemidirectCharacters(
-        set=CharacterSet(alg, chars, provenance="closed_form"),
+        set=_closed_form(alg, e_rows, f_rows, tol),
         subalgebra_chars=b_chars,
         ideal_chars=i_chars,
         psi_values=psis,
-        psi_index=psi_index,
-        e_count=e_count,
+        psi_index=[None if v is None else _locate(v, b_chars, "nonzero induced psi")
+                   for v in psis],
+        e_count=len(i_chars),
         descriptor=desc,
     )
     if cross_check:
@@ -312,7 +317,6 @@ class LauCharacters:
 
     gamma[r] is the index in b_chars of the composed character phi_A o phi
     (defined for surjective phi; None entries mark compositions that are zero).
-    numerical is the numerical character set of the cross check, if one ran.
     """
 
     set: CharacterSet
@@ -321,7 +325,6 @@ class LauCharacters:
     gamma: list[int | None]
     descriptor: ProductDescriptor
     cross_check_distance: float | None = None
-    numerical: CharacterSet | None = field(default=None, init=False, repr=False)
     _phi_rank: int | None = field(default=None, init=False, repr=False)
 
     @property
@@ -333,6 +336,12 @@ class LauCharacters:
         if self._phi_rank is None:
             self._phi_rank = rank_basis(self.descriptor.phi.matrix)[0]
         return self._phi_rank
+
+    def surjective(self) -> bool:
+        """Whether phi maps B onto A: every composition phi_A o phi is a
+        character of B, and rank phi = dim A."""
+        return (all(g is not None for g in self.gamma)
+                and self.phi_rank() == self.descriptor.first.dim)
 
 
 def characters_lau(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
@@ -352,42 +361,23 @@ def characters_lau(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
         a_chars = characters_numerical(A, tol)
     if b_chars is None:
         b_chars = characters_numerical(B, tol)
-    chars: list[Character] = []
-    gamma: list[int | None] = []
-    for phi_a in a_chars:
-        comp = phi_a.values @ desc.phi.matrix  # (phi_A o phi)(e_j^B)
-        vals = np.zeros(alg.dim, dtype=complex)
-        vals[desc.first_slice] = phi_a.values
-        vals[desc.second_slice] = comp
-        res = multiplicativity_residual(alg, vals)
-        if res > tol:
-            raise SpectraError(f"assembled E-character is not multiplicative ({res:.3e})")
-        chars.append(Character(alg, vals, res))
-        if np.max(np.abs(comp), initial=0.0) <= tol:
-            gamma.append(None)
-        else:
-            dists = [float(np.max(np.abs(comp - psi.values))) for psi in b_chars]
-            j = int(np.argmin(dists))
-            if dists[j] > SEPARATION:
-                raise SpectraError(
-                    "composition with phi did not land on a subalgebra character"
-                )
-            gamma.append(j)
-    for psi in b_chars:
-        vals = np.zeros(alg.dim, dtype=complex)
-        vals[desc.second_slice] = psi.values
-        res = multiplicativity_residual(alg, vals)
-        if res > tol:
-            raise SpectraError(f"assembled F-character is not multiplicative ({res:.3e})")
-        chars.append(Character(alg, vals, res))
+    # (phi_A o phi)(e_j^B), one vector-matrix product per character: one
+    # matmul over the stack changes residuals in the last bits
+    comps = [phi_a.values @ desc.phi.matrix for phi_a in a_chars]
+    e_rows = np.zeros((len(a_chars), alg.dim), dtype=complex)
+    e_rows[:, desc.first_slice] = a_chars.matrix
+    e_rows[:, desc.second_slice] = np.reshape(comps, (len(a_chars), B.dim))
+    f_rows = np.zeros((len(b_chars), alg.dim), dtype=complex)
+    f_rows[:, desc.second_slice] = b_chars.matrix
     out = LauCharacters(
-        set=CharacterSet(alg, chars, provenance="closed_form"),
+        set=_closed_form(alg, e_rows, f_rows, tol),
         a_chars=a_chars,
         b_chars=b_chars,
-        gamma=gamma,
+        gamma=[None if np.max(np.abs(comp), initial=0.0) <= tol
+               else _locate(comp, b_chars, "composition with phi") for comp in comps],
         descriptor=desc,
     )
     if cross_check:
-        out.numerical = characters_numerical(alg, tol)
-        _, out.cross_check_distance = match_character_sets(out.numerical, out.set)
+        numeric = characters_numerical(alg, tol)
+        _, out.cross_check_distance = match_character_sets(numeric, out.set)
     return out

@@ -9,9 +9,11 @@ gets exactly the checks of a generated fixture of its kind, and
 
 A semidirect or Lau fixture computes the multiplier space of its algebra
 once, and every check that reads M(A) reads that space: the S_B = 0 split,
-the fixture's BSE verdict (on the fixture's own character set) and, on a
-Lau fixture, the product-BSE pass, which also reuses the fixture's character
-sets and adds one space for each of A, B and A (+) B.
+the fixture's BSE verdict (on the fixture's closed-form character set) and,
+on a Lau fixture, `verify_product_bse`, which also reuses the fixture's
+character sets and adds one space for each of A, B and A (+) B.  A Lau
+product is judged once: its `check-bse` record and the biconditional read
+the same verdict.
 """
 
 from __future__ import annotations
@@ -24,15 +26,16 @@ import numpy as np
 
 from .algebra import operator_norm, validate
 from .bse import (
-    _bse_pass,
-    _product_pass,
+    BseVerdict,
     bse_norm_dual,
     bse_norm_primal,
+    check_bse_property,
     delta_weak_bai,
     sigma_extension,
     split_sigma,
     theta,
     theta_product_residual,
+    verify_product_bse,
 )
 from .constructions import group_character_values, ideal_span_is_full
 from .errors import BanalgError, SpanConditionError
@@ -40,12 +43,12 @@ from .fixtures import FAMILIES, Fixture, build_fixture, fixture_rng
 from .jsonio import render_json
 from .multipliers import (
     MultiplierBasis,
-    _recompose,
     block_space,
     blocks_from_vector,
     decompose_left_multiplier,
     left_multiplier_space,
     multiplier_space,
+    recompose,
 )
 from .spectra import (
     Character,
@@ -192,16 +195,14 @@ def _duality_checks(records, fix: Fixture, S: CharacterSet, cfg: RunConfig,
          detail=f"norm {bai.norm:.6g}")
 
 
-def _bse_verdict_check(records, fix: Fixture, S: CharacterSet, cfg: RunConfig,
-                       mult: MultiplierBasis | None = None):
-    v = _bse_pass(fix.algebra, cfg.tol_algebraic, S, mult)[0]
-    if not v.semisimple:
+def _bse_verdict_check(records, fix: Fixture, verdict: BseVerdict, tol: float):
+    if not verdict.semisimple:
         _skip(records, f"{fix.name}/check-bse", "bse-def",
               "outside hypotheses: not semisimple")
         return
-    res = max(v.containment_m_in_c, v.containment_c_in_m)
-    _rec(records, f"{fix.name}/check-bse", "bse-def", res, cfg.tol_algebraic,
-         detail=f"is_bse={v.is_bse}")
+    res = max(verdict.containment_m_in_c, verdict.containment_c_in_m)
+    _rec(records, f"{fix.name}/check-bse", "bse-def", res, tol,
+         detail=f"is_bse={verdict.is_bse}")
 
 
 def _block_checks(records, fix: Fixture, cfg: RunConfig, mult: MultiplierBasis):
@@ -215,7 +216,7 @@ def _block_checks(records, fix: Fixture, cfg: RunConfig, mult: MultiplierBasis):
     dim_gap = abs(bs.shape[0] - lm.dim)
     _rec(records, f"{fix.name}/lemma-block-dim", "lemma21", float(dim_gap), 0.0,
          detail=f"block space {bs.shape[0]} vs LM {lm.dim}")
-    worst_rec = _recompose(blocks_from_vector(bs, desc), cfg.tol_algebraic)[1]
+    worst_rec = recompose(blocks_from_vector(bs, desc), cfg.tol_algebraic)[1]
     _rec(records, f"{fix.name}/lemma-recompose", "lemma21", worst_rec,
          cfg.tol_algebraic)
     # multipliers of the product split with S_B = 0 under the full span condition
@@ -275,7 +276,9 @@ def _semidirect_checks(records, fix: Fixture, cfg: RunConfig,
         _skip(records, f"{fix.name}/sigma-extension", "sub", str(exc))
 
     _duality_checks(records, fix, sdc.set, cfg, rng)
-    _bse_verdict_check(records, fix, sdc.set, cfg, mult)
+    _bse_verdict_check(records, fix,
+                       check_bse_property(fix.algebra, cfg.tol_algebraic, sdc.set, mult),
+                       cfg.tol_algebraic)
 
 
 def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator):
@@ -295,17 +298,14 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
     _block_checks(records, fix, cfg, mult)
 
     # one product-BSE pass: Phi, the four verdicts and the structural checks
-    rep = _product_pass(desc, cfg.tol_algebraic, mult, lc)
+    rep = verify_product_bse(desc, cfg.tol_algebraic, mult, lc)
     iso = rep.iso
     bound_excess = operator_norm(iso.forward) - iso.norm_bound
     _rec(records, f"{fix.name}/phi-iso-norm", "lau-bse", max(0.0, bound_excess),
          1e-12,
          detail=f"|Phi| = {operator_norm(iso.forward):.6g} <= {iso.norm_bound:.6g}")
 
-    surjective = bool(fix.meta.get("surjective", True)) and all(
-        g is not None for g in lc.gamma
-    )
-    if surjective:
+    if lc.surjective():
         worst_split = 0.0
         worst_theta = 0.0
         worst_mult = 0.0
@@ -357,7 +357,7 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
          cfg.tol_algebraic)
 
     _duality_checks(records, fix, lc.set, cfg, rng)
-    _bse_verdict_check(records, fix, lc.set, cfg, mult)
+    _bse_verdict_check(records, fix, rep.verdict_product, cfg.tol_algebraic)
 
 
 def _plain_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator):
@@ -375,7 +375,8 @@ def _plain_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generato
         _, dist = match_character_sets(S, expected, threshold=1e-6)
         _rec(records, f"{fix.name}/characters-oracle", "plumbing", dist, 1e-10)
     _duality_checks(records, fix, S, cfg, rng)
-    _bse_verdict_check(records, fix, S, cfg)
+    _bse_verdict_check(records, fix, check_bse_property(fix.algebra, cfg.tol_algebraic, S),
+                       cfg.tol_algebraic)
 
 
 def _checks(fix: Fixture, cfg: RunConfig, rng: np.random.Generator) -> list[Record]:

@@ -26,6 +26,21 @@ def certificate_slack(E, c, w):
     return float(np.max(np.abs(E.T @ c) - w))
 
 
+def basis_element(algebra, i):
+    """The basis vector e_i as an element."""
+    return algebra.element(np.eye(algebra.dim)[i])
+
+
+def left_mult_matrix(algebra, a):
+    """Matrix of x -> a*x in the basis: M[k, j] = sum_i a_i c[i,j,k]."""
+    return np.einsum("i,ijk->kj", a, algebra.structure)
+
+
+def dual_norm(f, algebra):
+    """Exact dual of the weighted l1 norm: max_i |f_i| / w_i, f the values on the basis."""
+    return float(np.max(np.abs(f) / algebra.weights))
+
+
 def span_contains(space, T, tol=1e-8):
     """Whether T lies in the span of a multiplier basis (Frobenius projection residual)."""
     if not space.basis:

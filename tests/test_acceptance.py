@@ -88,9 +88,8 @@ def test_criterion_1_lemma_equivalence(semidirect_fixtures):
         bs = block_space(desc)
         dims_exact = dims_exact and bs.shape[0] == lm.dim
         for vec in bs:
-            T = recompose(blocks_from_vector(vec, desc), desc, tol=1e-9)
-            worst_rec = max(worst_rec,
-                            left_multiplier_residual(fix.algebra, T.matrix))
+            T, _ = recompose(blocks_from_vector(vec, desc), tol=1e-9)
+            worst_rec = max(worst_rec, left_multiplier_residual(fix.algebra, T))
     ok = worst_rel <= 1e-9 and worst_rec <= 1e-9 and dims_exact
     _announce(1, ok,
               f"block decomposition over {len(semidirect_fixtures)} products: "

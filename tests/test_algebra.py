@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 from banalg.algebra import (
     Algebra,
     LinearMap,
-    dual_norm,
     operator_norm,
     rank_basis,
     validate,
 )
 from banalg.errors import AlgebraMismatchError, ValidationRejected
 
-from conftest import diagonal_algebra
+from conftest import basis_element, diagonal_algebra, dual_norm, left_mult_matrix
 
 
 def test_validate_pointwise_accepted(c2):
@@ -75,20 +74,20 @@ def test_multiply_pointwise(c2):
 
 
 def test_multiply_nilpotent(nilpotent2):
-    e0 = nilpotent2.basis_element(0)
-    e1 = nilpotent2.basis_element(1)
+    e0 = basis_element(nilpotent2, 0)
+    e1 = basis_element(nilpotent2, 1)
     assert np.allclose((e0 * e0).coeffs, e1.coeffs)
     assert np.allclose((e0 * e1).coeffs, 0)
 
 
 def test_multiply_group_law(z2):
-    d1 = z2.basis_element(1)
-    assert np.allclose((d1 * d1).coeffs, z2.basis_element(0).coeffs)
+    d1 = basis_element(z2, 1)
+    assert np.allclose((d1 * d1).coeffs, basis_element(z2, 0).coeffs)
 
 
 def test_multiply_mismatch(c2, z2):
     with pytest.raises(AlgebraMismatchError):
-        c2.basis_element(0) * z2.basis_element(0)
+        basis_element(c2, 0) * basis_element(z2, 0)
 
 
 def test_norms(c2):
@@ -101,7 +100,7 @@ def test_norms(c2):
 
 
 def test_operator_norm_identity(c2):
-    assert operator_norm(LinearMap.identity(c2)) == pytest.approx(1.0)
+    assert operator_norm(LinearMap(c2, c2, np.eye(2))) == pytest.approx(1.0)
 
 
 def test_operator_norm_embedding(c2):
@@ -124,11 +123,11 @@ def test_operator_norm_diagonal_embedding_brute_force(c2):
 
 
 def test_left_mult_operator(c2, nilpotent2):
-    assert np.allclose(c2.left_mult_matrix(c2.unit), np.eye(2))
+    assert np.allclose(left_mult_matrix(c2, c2.unit), np.eye(2))
     assert np.allclose(
-        c2.left_mult_matrix(np.array([2, 5])), np.diag([2.0, 5.0])
+        left_mult_matrix(c2, np.array([2, 5])), np.diag([2.0, 5.0])
     )
-    M = nilpotent2.left_mult_matrix(nilpotent2.basis_element(0).coeffs)
+    M = left_mult_matrix(nilpotent2, basis_element(nilpotent2, 0).coeffs)
     expected = np.zeros((2, 2))
     expected[1, 0] = 1.0  # e0 . e0 = e1
     assert np.allclose(M, expected)
@@ -187,7 +186,7 @@ def test_left_mult_matches_multiply(xs, ys):
 
     alg = finite_abelian_group_algebra([4])
     a, b = alg.element(xs), alg.element(ys)
-    assert np.allclose(alg.left_mult_matrix(a.coeffs) @ b.coeffs, (a * b).coeffs)
+    assert np.allclose(left_mult_matrix(alg, a.coeffs) @ b.coeffs, (a * b).coeffs)
 
 
 def _projector(rows):

@@ -116,7 +116,7 @@ def test_delta_weak_bai(c2, z2):
     cert = delta_weak_bai(c2, S)
     assert cert.norm == pytest.approx(2.0)
     assert np.allclose(cert.element.coeffs, [1.0, 1.0])
-    assert cert.norm <= c2.unit_element().norm + 1e-12
+    assert cert.norm <= c2.element(c2.unit).norm + 1e-12
     S2 = characters_numerical(z2)
     cert = delta_weak_bai(z2, S2)
     assert cert.norm == pytest.approx(1.0)

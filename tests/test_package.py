@@ -50,3 +50,32 @@ def test_multiplier_checks_run_on_stacks():
                     for sub in ast.walk(node.iter)):
                 loops.append(f"{name}:{node.iter.lineno}")
     assert loops == []
+
+
+def test_every_library_function_has_a_caller():
+    """Every function and method defined in the package is exported in
+    `banalg.__all__` or referenced by name from the package, `scripts/` or
+    `perfbench/`; what only the tests call belongs in the tests.  Dunder
+    methods are exempt."""
+    import ast
+    from pathlib import Path
+
+    package = Path(banalg.__file__).parent
+    root = package.parents[1]
+    defined = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append((path.name, node.lineno, node.name))
+    referenced = set()
+    for folder in (package, root / "scripts", root / "perfbench"):
+        for path in sorted(folder.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+    uncalled = [f"{file}:{line} {name}" for file, line, name in defined
+                if not (name.startswith("__") and name.endswith("__"))
+                and name not in banalg.__all__ and name not in referenced]
+    assert uncalled == []

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from banalg.algebra import operator_norm, validate
-from banalg.constructions import ideal_span_is_full
+from banalg.algebra import LinearMap, operator_norm, validate
+from banalg.constructions import ideal_span_is_full, lau_product
 from banalg.fixtures import FAMILIES, build_fixture, fixture_generators
 from banalg import verify
 from banalg.errors import IllConditionedError
@@ -18,7 +18,7 @@ from banalg.verify import (
     theorem_records,
 )
 
-from conftest import lau_c_c2, pointwise_semidirect
+from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -162,15 +162,34 @@ def _count_calls(monkeypatch, names):
 
 def test_lau_fixture_runs_one_product_bse_pass(monkeypatch):
     # Phi is built once, and each of A, B, A x_phi B, A (+) B gets one
-    # multiplier space; the S_B = 0 check and the fixture's verdict read the
-    # product's space
-    calls = _count_calls(monkeypatch, ("phi_isomorphism", "multiplier_space"))
+    # multiplier space and one verdict; the S_B = 0 check reads the product's
+    # space, and the check-bse record the product's verdict
+    calls = _count_calls(monkeypatch, ("phi_isomorphism", "multiplier_space",
+                                       "check_bse_property"))
     records = fixture_records(RunConfig(seed=0, max_dim=6), "lau", 0)
     assert all(r.verdict != "FAIL" for r in records)
     assert any(r.name.endswith("/multiplier-sb-zero") and r.verdict == "PASS"
                for r in records)
     assert calls["phi_isomorphism"] == 1
     assert calls["multiplier_space"] == 4
+    assert calls["check_bse_property"] == 4
+    by_check = {r.name.rsplit("/", 1)[1]: r.detail for r in records}
+    product_flag = by_check["lau-bse-biconditional"].rsplit("AxB=", 1)[1]
+    assert by_check["check-bse"] == f"is_bse={product_flag}"
+
+
+def test_lau_bundle_with_non_surjective_phi_skips_the_split_checks():
+    # phi(1) = (1, 1) composes every character of A to the one of B, but
+    # rank phi = 1 < dim A: the split and theta checks skip, the rest run
+    A, B = diagonal_algebra(2, "A"), diagonal_algebra(1, "B")
+    phi = LinearMap(B, A, np.array([[1.0], [1.0]], dtype=complex))
+    desc = lau_product(A, B, phi, force=True)
+    records = theorem_records(desc, None, RunConfig())
+    skipped = {r.name: r.detail for r in records if r.verdict == "SKIP"}
+    assert skipped == {f"lau/bundle/{name}": "phi is not surjective"
+                       for name in ("split-norm-additive", "theta-isometry",
+                                    "theta-multiplicative")}
+    assert [r.verdict for r in records].count("PASS") == len(records) - 3 == 15
 
 
 def test_semidirect_fixture_computes_one_multiplier_space(monkeypatch):
