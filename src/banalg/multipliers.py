@@ -3,9 +3,12 @@
 LM(A):  T(xy) = x T(y)        (left multipliers)
 M(A):   T(x) y = x T(y)       (multipliers)
 
-Every constraint system and residual is a contraction of the structure
-tensor c[i,j,k] (or of its sub-tensors on a product's blocks) with the
-unknown map.  Spaces are the null spaces of the linearized constraints,
+Every residual is a contraction of the structure tensor c[i,j,k] (or of
+its sub-tensors on a product's blocks) with the unknown map.  Each row of a
+linearized constraint system holds at most 2n nonzeros, c-values on
+Kronecker-delta positions, so a row block is assembled by direct placement:
+one zero array of the block's shape, with the delta terms written into it by
+advanced-index assignment.  Spaces are the null spaces of those systems,
 taken with `algebra.rank_basis` (a QR fold over row blocks, then the SVD of
 the small R factor, with one relative singular-value cutoff), which yields
 Frobenius-orthonormal bases and stable dimension counts.  The M and LM
@@ -57,17 +60,32 @@ def _times_image(c: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _of_product_op(c: np.ndarray, rows: int) -> np.ndarray:
-    """Matrix of X -> _of_product(c, X) over row-major vec(X), X with `rows` rows."""
+    """Matrix of X -> _of_product(c, X) over row-major vec(X), X with `rows` rows.
+
+    Entry (x, y, r), (s, k) is delta_rs c[x,y,k], placed on the diagonal r = s.
+    """
     x, y, k = c.shape
-    # C order keeps the reshape a view; einsum's default layout would make it copy
-    op = np.einsum("xyk,rs->xyrsk", c, np.eye(rows), order="C")
+    op = np.zeros((x, y, rows, rows, k), dtype=c.dtype)
+    idx = np.arange(rows)
+    op[:, :, idx, idx, :] = c[:, :, None, :]
     return op.reshape(x * y * rows, rows * k)
 
 
+def _minus_times_image(op: np.ndarray, c: np.ndarray) -> None:
+    """Subtract in place, on op[x, y, r, k, z], the terms delta_yz c[x,k,r]."""
+    idx = np.arange(op.shape[1])
+    op[:, idx, :, :, idx] -= c.transpose(0, 2, 1)
+
+
 def _times_image_op(c: np.ndarray, cols: int) -> np.ndarray:
-    """Matrix of X -> _times_image(c, X) over row-major vec(X), X with `cols` columns."""
+    """Matrix of X -> _times_image(c, X) over row-major vec(X), X with `cols` columns.
+
+    Entry (x, y, r), (k, z) is delta_yz c[x,k,r], placed on the diagonal y = z.
+    """
     x, k, r = c.shape
-    op = np.einsum("xkr,yz->xyrkz", c, np.eye(cols), order="C")  # C order, as above
+    op = np.zeros((x, cols, r, k, cols), dtype=c.dtype)
+    idx = np.arange(cols)
+    op[:, idx, :, :, idx] = c.transpose(0, 2, 1)
     return op.reshape(x * cols * r, k * cols)
 
 
@@ -113,7 +131,7 @@ def _left_constraints(c: np.ndarray, i: slice) -> np.ndarray:
     """
     n = c.shape[0]
     rows = _of_product_op(c[i], n)
-    rows -= _times_image_op(c[i], n)
+    _minus_times_image(rows.reshape(-1, n, n, n, n), c[i])
     return rows
 
 
@@ -123,9 +141,11 @@ def _mult_constraints(c: np.ndarray, i: slice) -> np.ndarray:
     Row (i, j, r), column (k, l): delta_li c[k,j,r] - delta_lj c[i,k,r].
     """
     n = c.shape[0]
-    rows = np.einsum("kjr,li->ijrkl", c, np.eye(n)[:, i], order="C").reshape(-1, n * n)
-    rows -= _times_image_op(c[i], n)
-    return rows
+    ii = np.arange(n)[i]
+    rows = np.zeros((len(ii), n, n, n, n), dtype=c.dtype)
+    rows[np.arange(len(ii)), :, :, :, ii] = c.transpose(1, 2, 0)
+    _minus_times_image(rows, c[i])
+    return rows.reshape(-1, n * n)
 
 
 Constraints = Callable[[np.ndarray, slice], np.ndarray]  # (c, slice of i) -> rows

@@ -1,0 +1,84 @@
+"""Exact-rank oracle: the M and LM systems over the rationals.
+
+Every dimension `multipliers` reports comes from one relative singular-value
+cutoff.  Here the same constraint systems are built from their definitions
+with rational structure constants and ranked exactly with sympy's
+DomainMatrix over QQ, so a dimension the float route gets wrong cannot hide
+behind an oracle that shares its cutoff.
+"""
+
+import numpy as np
+import pytest
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
+
+from banalg.algebra import Algebra, validate
+from banalg.constructions import finite_abelian_group_algebra
+from banalg.multipliers import left_multiplier_space, multiplier_space
+
+
+def rational_structure(alg):
+    """c[i, j, k] as exact rationals; the structure must be real."""
+    c = alg.structure
+    assert not np.any(c.imag), "exact oracle needs real structure constants"
+    return [[[QQ(*float(x).as_integer_ratio()) for x in row] for row in plane]
+            for plane in c.real]
+
+
+def exact_nullity(alg, kind):
+    """dim of {T : T(e_i) e_j = e_i T(e_j)} ("M") or {T : T(e_i e_j) = e_i T(e_j)}
+    ("LM"), over vec(T) row-major: T[k, l] is the e_k coefficient of T(e_l)."""
+    c, n = rational_structure(alg), alg.dim
+    system = {}
+    for i in range(n):
+        for j in range(n):
+            for r in range(n):
+                row = {}
+
+                def add(k, l, v):
+                    if v:
+                        row[k * n + l] = row.get(k * n + l, QQ(0)) + v
+
+                for m in range(n):
+                    if kind == "M":
+                        add(m, i, c[m][j][r])  # T(e_i) e_j
+                    else:
+                        add(r, m, c[i][j][m])  # T(e_i e_j)
+                    add(m, j, -c[i][m][r])  # e_i T(e_j)
+                row = {col: v for col, v in row.items() if v}
+                if row:
+                    system[len(system)] = row
+    if not system:
+        return n * n
+    return n * n - DomainMatrix(system, (len(system), n * n), QQ).rank()
+
+
+def zero_product(n):
+    return Algebra(f"zero{n}", np.ones(n), np.zeros((n, n, n), dtype=complex))
+
+
+def module_extension():
+    """B (+) X with B = C^2 pointwise, X = C^2, X^2 = 0, e0 x0 = x0 and x1
+    unacted: an algebra with order, where M(A) and LM(A) differ."""
+    c = np.zeros((4, 4, 4), dtype=complex)
+    c[0, 0, 0] = c[1, 1, 1] = 1.0  # e0^2 = e0, e1^2 = e1
+    c[0, 2, 2] = c[2, 0, 2] = 1.0  # e0 x0 = x0 e0 = x0
+    return Algebra("C2(+)X", np.ones(4), c)
+
+
+CASES = [
+    # unital, so M(A) = LM(A) = {L_a}, of dimension |G|
+    *(pytest.param(finite_abelian_group_algebra(orders), n, n, id=f"l1Z{orders}")
+      for orders, n in (([2, 2], 4), ([3, 2], 6), ([2, 2, 2], 8), ([3, 3], 9), ([2, 4], 8))),
+    pytest.param(zero_product(3), 9, 9, id="zero-product"),
+    pytest.param(module_extension(), 7, 4, id="module-extension"),
+]
+
+
+@pytest.mark.parametrize("alg, dim_m, dim_lm", CASES)
+def test_multiplier_dimensions_match_exact_nullity(alg, dim_m, dim_lm):
+    assert validate(alg).accepted
+    exact_m, exact_lm = exact_nullity(alg, "M"), exact_nullity(alg, "LM")
+    assert (exact_m, exact_lm) == (dim_m, dim_lm)  # known by hand
+    assert multiplier_space(alg).dim == exact_m
+    assert left_multiplier_space(alg).dim == exact_lm

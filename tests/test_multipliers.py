@@ -198,11 +198,27 @@ def test_constraint_blocks_stack_to_full_systems(c2, z2, zero_product2):
             assert np.array_equal(np.vstack(blocks), full(alg))
 
 
+@pytest.mark.parametrize("constraints", [_mult_constraints, _left_constraints])
+def test_constraint_slab_memory_peak(constraints):
+    # l1(Z4 x Z4): one slab is 1,024 x 256 complex (4 MiB); its
+    # Kronecker-delta terms are placed into that one array, so no second
+    # full-size temporary is held while it is built
+    c = finite_abelian_group_algebra([4, 4]).structure
+    tracemalloc.start()
+    try:
+        slab = constraints(c, slice(0, SLAB_I))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert slab.shape == (SLAB_I * 16 * 16, 16 * 16)
+    assert peak <= 1.25 * slab.nbytes
+
+
 @pytest.mark.parametrize("space", [multiplier_space, left_multiplier_space])
 def test_multiplier_space_memory_peak(space):
-    # l1(Z4 x Z4): the whole system is 4,096 x 256 complex (16 MiB), and with
-    # its einsum temporaries took a 48 MiB peak; numpy reports its buffers to
-    # tracemalloc
+    # l1(Z4 x Z4): the whole system is 4,096 x 256 complex (16 MiB), but it
+    # reaches the kernel one 4 MiB slab at a time, each built in place; numpy
+    # reports its buffers to tracemalloc
     alg = finite_abelian_group_algebra([4, 4])
     tracemalloc.start()
     try:

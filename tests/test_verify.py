@@ -9,6 +9,7 @@ from banalg.constructions import ideal_span_is_full, lau_product
 from banalg.fixtures import FAMILIES, build_fixture, fixture_generators
 from banalg import verify
 from banalg.errors import IllConditionedError
+from banalg.multipliers import MultiplierBasis
 from banalg.verify import (
     THEOREMS,
     Report,
@@ -140,6 +141,33 @@ def test_fixture_verdicts_match_the_benchmark_reference():
     got = {r.name: r.verdict for index in range(ref["indices"])
            for family in FAMILIES for r in fixture_records(cfg, family, index)}
     assert got == ref["verdicts"]
+
+
+def _block_space_one_row_short(monkeypatch):
+    original = verify.block_space
+    monkeypatch.setattr(verify, "block_space", lambda desc: original(desc)[:-1])
+
+
+def _multiplier_space_one_map_short(monkeypatch):
+    from banalg import bse
+
+    original = bse.multiplier_space
+    monkeypatch.setattr(bse, "multiplier_space", lambda alg: MultiplierBasis(
+        alg, "M", original(alg).basis[:-1]))
+
+
+@pytest.mark.parametrize("family, record, patch", [
+    ("semidirect", "lemma-block-dim", _block_space_one_row_short),
+    ("lau", "lemma-block-dim", _block_space_one_row_short),
+    ("group", "check-bse", _multiplier_space_one_map_short),
+    ("diag", "check-bse", _multiplier_space_one_map_short),
+])
+def test_null_space_dimension_records_can_fail(monkeypatch, family, record, patch):
+    # negative controls: a null space one dimension short, fed from the layer
+    # below the check, fails exactly the record that reads its dimension
+    patch(monkeypatch)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
+    assert [r.name for r in records if r.verdict == "FAIL"] == [f"{family}/000/{record}"]
 
 
 def _count_calls(monkeypatch, names):
