@@ -44,7 +44,7 @@ from .errors import (
     RankDeficientCharactersError,
     SpanConditionError,
 )
-from .interpolation import GAP_REL, _dual, _primal, certificate_value
+from .interpolation import GAP_REL, _dual, _primal
 from .multipliers import MultiplierBasis, hat, multiplier_residual, multiplier_space
 from .spectra import (
     CharacterSet,
@@ -88,9 +88,6 @@ class BSEFunction:
         alg = self.characters.algebra
         f = self.characters.matrix.T @ self.dual_certificate
         return float(np.max(np.abs(f) / alg.weights))
-
-    def certificate_value(self) -> float:
-        return certificate_value(self.dual_certificate, self.values)
 
 
 @dataclass(eq=False)

@@ -20,14 +20,20 @@ inside their cones and the gap z.s shrinks to GAP_REL; the interpolant is
 then projected onto A x = b and the certificate scaled into feasibility.
 
 Each iteration works in the NT-scaled variables dz~ = W dz, ds~ = W^-1 ds,
-where W z = W^-1 s = lam and z.s = lam.lam.  It forms W, W^-1 and lam, one QR
-factorization of (G W^-1)^T and W^-1 r_d once, and both directions share them.
-The predictor stays in the scaled space: dz~ comes from Q, ds~ = -lam - dz~
-(its rc = -lam o lam, and lam o d = rc has d = -lam), and the affine gap is
-(lam + a dz~).(lam + a ds~), so it needs no dy and no product with W^-1.  The
-corrector adds dy from R, ds = r_d - G^T dy (the dual residual then shrinks by
-exactly 1 - alpha) and dz = W^-1 dz~.  Each step length is one first-root
-computation over both scaled directions stacked.
+where W z = W^-1 s = lam and z.s = lam.lam.  The 3-dimensional cones give the
+NT quantities in closed form: lam = beta (2 v (v.z) - J z) and
+W^-1 = (2 (Jv)(Jv)^T - J) / beta, so W itself is never formed, and det z and
+det s come from the boundary test that precedes them.  The step forms one QR
+factorization of (G W^-1)^T, the inverse of its R, W^-1 r_d, J lam and
+det lam once, and both directions share them.  The predictor stays in the
+scaled space: dz~ comes from Q, ds~ = -lam - dz~ (its rc = -lam o lam, and
+lam o d = rc has d = -lam), and the affine gap is (lam + a dz~).(lam + a ds~),
+so it needs no dy and no product with W^-1.  The corrector solves lam o d = rc
+with the shared J lam and det lam, then adds dy from R^-1,
+ds = r_d - G^T dy (the dual residual then shrinks by exactly 1 - alpha) and
+dz = W^-1 dz~.  Each direction is written into one preallocated stack of
+(dz~, ds~), and each step length is one first-root computation over that
+stack.
 
 When E is square and invertible (semisimple case: as many characters as
 dimensions) the primal is a single linear solve and no iteration runs.
@@ -123,31 +129,25 @@ def _jordan(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jordan_solve(lam: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The d with lam o d = r, cone-wise (lam inside the cone)."""
-    d0 = _dot(_J * lam, r) / _det(lam)
-    out = (r - d0[:, None] * lam) / lam[:, :1]
-    out[:, 0] = d0
-    return out
-
-
-def _max_step(x: np.ndarray, d: np.ndarray) -> float:
+def _max_step(Jx: np.ndarray, xdet: np.ndarray, d: np.ndarray) -> float:
     """Largest t with x + t d in every cone: the first positive root of
-    det(x + t d) = a t^2 + 2 b t + c, or inf when there is none.  d may stack
-    several directions on a leading axis; the step then suits them all."""
+    det(x + t d) = a t^2 + 2 b t + c, or inf when there is none.  x enters as
+    J x and det x, which one step shares between its step lengths; d may stack
+    several directions on a leading axis, and the step then suits them all."""
     a = _det(d)
-    b = _dot(_J * x, d)
-    c = _det(x)
-    disc = b * b - a * c
+    b = _dot(Jx, d)
+    disc = b * b - a * xdet
     hits = (disc >= 0) & ((a < 0) | (b < 0))
-    roots = np.divide(c, np.sqrt(np.abs(disc)) - b, out=np.full(b.shape, np.inf),
+    roots = np.divide(xdet, np.sqrt(np.abs(disc)) - b, out=np.full(b.shape, np.inf),
                       where=hits)
-    return float(np.min(roots))
+    return float(roots.min())
 
 
-def _nt_scaling(z: np.ndarray, s: np.ndarray):
-    """Nesterov-Todd scaling: W and W^-1, cone-wise, with W z = W^-1 s = lam."""
-    zdet, sdet = _det(z), _det(s)
+def _nt_scaling(z: np.ndarray, s: np.ndarray, zdet: np.ndarray,
+                sdet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nesterov-Todd scaling, cone-wise, from z, s and their determinants:
+    W^-1 and lam with W z = W^-1 s = lam.  W = beta (2 v v^T - J) is never
+    formed; lam = beta (2 v (v.z) - J z) and W^-1 = (2 (Jv)(Jv)^T - J) / beta."""
     zn = z / np.sqrt(zdet)[:, None]
     sn = s / np.sqrt(sdet)[:, None]
     gamma = np.sqrt((1.0 + _dot(zn, sn)) / 2.0)
@@ -156,9 +156,9 @@ def _nt_scaling(z: np.ndarray, s: np.ndarray):
     v = wbar / np.sqrt(2.0 * wbar[:, :1])
     beta = (sdet / zdet) ** 0.25
     Jv = _J * v
-    W = beta[:, None, None] * (2.0 * v[:, :, None] * v[:, None, :] - _JD)
     Winv = (2.0 * Jv[:, :, None] * Jv[:, None, :] - _JD) / beta[:, None, None]
-    return W, Winv, np.einsum("iab,ib->ia", W, z)
+    lam = beta[:, None] * (2.0 * _dot(v, z)[:, None] * v - _J * z)
+    return Winv, lam
 
 
 def _is_unique(E: np.ndarray, a: np.ndarray, support: np.ndarray) -> bool:
@@ -185,63 +185,68 @@ def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
     s, n = E.shape
     sn = float(np.max(np.abs(sigma)))
     A, b = _real_lift(E, sigma / sn)
-    Ag = A.reshape(2 * s, n, 2).transpose(1, 0, 2)  # (n, 2s, 2): the blocks A_i
+    AgT = A.reshape(2 * s, n, 2).transpose(1, 2, 0).copy()  # (n, 2, 2s): the A_i^T
     cost = np.zeros((n, 3))
     cost[:, 0] = w
     bscale = max(1.0, float(np.linalg.norm(b)))
     cscale = max(1.0, float(np.linalg.norm(w)))
-
-    def lift_t(y):  # G^T y, cone-wise: (0, A_i^T y)
-        out = np.zeros((n, 3))
-        out[:, 1:] = np.einsum("irt,r->it", Ag, y)
-        return out
 
     # start: the min-norm interpolant with slack 1 in every cone, y = 0
     x0 = np.linalg.lstsq(A, b, rcond=None)[0].reshape(n, 2)
     z = np.concatenate([np.linalg.norm(x0, axis=1, keepdims=True) + 1.0, x0], axis=1)
     y = np.zeros(2 * s)
     sl = cost.copy()
+    steps = np.empty((2, n, 3))  # (dz~, ds~) of one direction, for its step length
     for iterations in range(MAX_ITER):
-        rp = b - np.einsum("irt,it->r", Ag, z[:, 1:])
-        rd = cost - lift_t(y) - sl
-        gap = float(np.sum(z * sl))
+        rp = b - A @ z[:, 1:].ravel()
+        rd = cost - sl  # and minus G^T y = (0, A_i^T y), cone-wise
+        rd[:, 1:] -= (y @ A).reshape(n, 2)
+        gap = float(np.vdot(z, sl))
         if (gap <= gap_rel * max(1.0, float(w @ z[:, 0]))
                 and np.linalg.norm(rp) <= 1e-10 * bscale
                 and np.linalg.norm(rd) <= 1e-10 * cscale):
             break
-        if not (np.min(_det(z)) > 0 and np.min(_det(sl)) > 0):
+        zdet, sdet = _det(z), _det(sl)
+        if not (zdet.min() > 0 and sdet.min() > 0):
             break  # an iterate lies within rounding of its cone's boundary
-        W, Winv, lam = _nt_scaling(z, sl)
+        Winv, lam = _nt_scaling(z, sl, zdet, sdet)
+        Jlam = _J * lam
+        lamdet = _dot(Jlam, lam)
         # the scaled constraint matrix G W^-1, transposed (one 3 x 2s block per
         # cone), as Q R: the normal matrix G W^-2 G^T is R^T R, and working
         # with Q keeps G dz = rp accurate to rounding however large W^-1 grows
-        Q, R = np.linalg.qr(np.einsum("iab,irb->iar", Winv[:, :, 1:], Ag)
-                            .reshape(3 * n, 2 * s))
-        u = np.linalg.solve(R.T, rp)
-        rd_scaled = np.einsum("iab,ib->ia", Winv, rd)
+        Q, R = np.linalg.qr((Winv[:, :, 1:] @ AgT).reshape(3 * n, 2 * s))
+        Rinv = np.linalg.inv(R)
+        u = rp @ Rinv  # R^-T rp
+        rd_scaled = (Winv @ rd[:, :, None]).reshape(3 * n)
 
         def scaled_direction(rhs):
             # dz~ + ds~ = rhs = lam \ rc,  G W^-1 dz~ = rp,  W^-1 G^T dy + ds~ = W^-1 rd
-            f = (rhs - rd_scaled).reshape(-1)
+            f = rhs.reshape(-1) - rd_scaled
             t = u - Q.T @ f
-            dz_scaled = (f + Q @ t).reshape(n, 3)
-            steps = np.stack([dz_scaled, rhs - dz_scaled])
-            return t, steps, min(1.0, 0.99 * _max_step(lam, steps))
+            steps[0] = (f + Q @ t).reshape(n, 3)
+            steps[1] = rhs - steps[0]
+            return t, min(1.0, 0.99 * _max_step(Jlam, lamdet, steps))
 
         # predictor (rc = -lam o lam, so lam \ rc = -lam): z.s = lam.lam under
         # NT scaling, so the affine gap is read in the scaled space
-        _, (dz_a, ds_a), alpha = scaled_direction(-lam)
-        gap_aff = float(np.sum((lam + alpha * dz_a) * (lam + alpha * ds_a)))
+        _, alpha = scaled_direction(-lam)
+        ends = lam + alpha * steps
+        gap_aff = float(np.vdot(ends[0], ends[1]))
         centering = min(1.0, max(0.0, gap_aff / gap)) ** 3
-        rc = -_jordan(lam, lam) - _jordan(dz_a, ds_a)
+        rc = -_jordan(lam, lam) - _jordan(steps[0], steps[1])
         rc[:, 0] += centering * gap / n
-        # corrector: ds = rd - G^T dy shrinks the dual residual by exactly
-        # 1 - alpha, however large W^-1 grows
-        t, (dz_scaled, _), alpha = scaled_direction(_jordan_solve(lam, rc))
-        dy = np.linalg.solve(R, t)
-        z = z + alpha * np.einsum("iab,ib->ia", Winv, dz_scaled)
-        y = y + alpha * dy
-        sl = sl + alpha * (rd - lift_t(dy))
+        # corrector: the d with lam o d = rc, then ds = rd - G^T dy shrinks the
+        # dual residual by exactly 1 - alpha, however large W^-1 grows
+        d0 = _dot(Jlam, rc) / lamdet
+        rhs = (rc - d0[:, None] * lam) / lam[:, :1]
+        rhs[:, 0] = d0
+        t, alpha = scaled_direction(rhs)
+        z += alpha * (Winv @ steps[0][:, :, None]).reshape(n, 3)
+        dy = Rinv @ t
+        y += alpha * dy
+        rd[:, 1:] -= (dy @ A).reshape(n, 2)  # now ds = rd - G^T dy
+        sl += alpha * rd
     else:
         iterations = MAX_ITER
 

@@ -276,7 +276,6 @@ def characters_semidirect(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
         set=_closed_form(alg, e_rows, f_rows, tol),
         subalgebra_chars=b_chars,
         ideal_chars=i_chars,
-        psi_values=psis,
         psi_index=[None if v is None else _locate(v, b_chars, "nonzero induced psi")
                    for v in psis],
         e_count=len(i_chars),
@@ -300,7 +299,6 @@ class SemidirectCharacters:
     set: CharacterSet
     subalgebra_chars: CharacterSet
     ideal_chars: CharacterSet
-    psi_values: list[np.ndarray | None]
     psi_index: list[int | None]
     e_count: int
     descriptor: ProductDescriptor

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread for the whole suite, set before numpy loads OpenBLAS: the
+# solves here are small, and on a machine with few cores busy with other work a
+# second BLAS thread per process turns sub-second tests into many-second ones.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 
@@ -104,6 +112,17 @@ def pointwise_semidirect():
     I = Algebra("Ifix", np.ones(1), one.copy())
     act = np.ones((1, 1, 1), dtype=complex)
     return semidirect(SemidirectSpec(B, I, act, act.copy()))
+
+
+def module_extension_semidirect():
+    """B (+) X with B = C^2 pointwise, X = C^2, X^2 = 0, e0 x0 = x0 e0 = x0 and
+    x1 unacted: a module extension with order (x1 annihilates everything),
+    where M(A) and LM(A) differ."""
+    B = diagonal_algebra(2, "C2")
+    X = Algebra("X", np.ones(2), np.zeros((2, 2, 2), dtype=complex))
+    act = np.zeros((2, 2, 2), dtype=complex)
+    act[0, 0, 0] = 1.0
+    return semidirect(SemidirectSpec(B, X, act, act.copy()))
 
 
 @pytest.fixture

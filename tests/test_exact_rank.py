@@ -1,10 +1,10 @@
-"""Exact-rank oracle: the M and LM systems over the rationals.
+"""Exact-rank oracle: the M and LM systems and the trace form over the rationals.
 
-Every dimension `multipliers` reports comes from one relative singular-value
-cutoff.  Here the same constraint systems are built from their definitions
-with rational structure constants and ranked exactly with sympy's
-DomainMatrix over QQ, so a dimension the float route gets wrong cannot hide
-behind an oracle that shares its cutoff.
+Every dimension `multipliers` reports, and the character count of `spectra`,
+comes from one relative singular-value cutoff.  Here the same systems are
+built from their definitions with rational structure constants and ranked
+exactly with sympy's DomainMatrix over QQ, so a dimension or count the float
+route gets wrong cannot hide behind an oracle that shares its cutoff.
 """
 
 import numpy as np
@@ -15,6 +15,9 @@ from sympy.polys.matrices import DomainMatrix
 from banalg.algebra import Algebra, validate
 from banalg.constructions import finite_abelian_group_algebra
 from banalg.multipliers import left_multiplier_space, multiplier_space
+from banalg.spectra import characters_numerical
+
+from conftest import module_extension_semidirect
 
 
 def rational_structure(alg):
@@ -53,17 +56,19 @@ def exact_nullity(alg, kind):
     return n * n - DomainMatrix(system, (len(system), n * n), QQ).rank()
 
 
+def exact_trace_rank(alg):
+    """Rank of the trace form t(a, b) = tr L_ab = sum_m c[a, b, m] tr L_m: by
+    Dieudonne's criterion its radical is rad A, so in characteristic 0 its
+    rank is dim A/rad, the number of characters."""
+    c, n = rational_structure(alg), alg.dim
+    traces = [sum((c[m][j][j] for j in range(n)), QQ(0)) for m in range(n)]
+    form = [[sum((c[a][b][m] * traces[m] for m in range(n)), QQ(0)) for b in range(n)]
+            for a in range(n)]
+    return DomainMatrix(form, (n, n), QQ).rank()
+
+
 def zero_product(n):
     return Algebra(f"zero{n}", np.ones(n), np.zeros((n, n, n), dtype=complex))
-
-
-def module_extension():
-    """B (+) X with B = C^2 pointwise, X = C^2, X^2 = 0, e0 x0 = x0 and x1
-    unacted: an algebra with order, where M(A) and LM(A) differ."""
-    c = np.zeros((4, 4, 4), dtype=complex)
-    c[0, 0, 0] = c[1, 1, 1] = 1.0  # e0^2 = e0, e1^2 = e1
-    c[0, 2, 2] = c[2, 0, 2] = 1.0  # e0 x0 = x0 e0 = x0
-    return Algebra("C2(+)X", np.ones(4), c)
 
 
 CASES = [
@@ -71,7 +76,8 @@ CASES = [
     *(pytest.param(finite_abelian_group_algebra(orders), n, n, id=f"l1Z{orders}")
       for orders, n in (([2, 2], 4), ([3, 2], 6), ([2, 2, 2], 8), ([3, 3], 9), ([2, 4], 8))),
     pytest.param(zero_product(3), 9, 9, id="zero-product"),
-    pytest.param(module_extension(), 7, 4, id="module-extension"),
+    # B (+) X with x1 unacted: an algebra with order
+    pytest.param(module_extension_semidirect().algebra, 7, 4, id="module-extension"),
 ]
 
 
@@ -82,3 +88,16 @@ def test_multiplier_dimensions_match_exact_nullity(alg, dim_m, dim_lm):
     assert (exact_m, exact_lm) == (dim_m, dim_lm)  # known by hand
     assert multiplier_space(alg).dim == exact_m
     assert left_multiplier_space(alg).dim == exact_lm
+
+
+# |G| characters on l1(G), none on the zero product, C^2's two on B (+) X
+CHARACTER_COUNTS = (4, 6, 8, 9, 8, 0, 2)
+
+
+@pytest.mark.parametrize("alg, count", [
+    pytest.param(case.values[0], count, id=case.id)
+    for case, count in zip(CASES, CHARACTER_COUNTS, strict=True)
+])
+def test_character_count_matches_exact_trace_rank(alg, count):
+    assert exact_trace_rank(alg) == count  # known by hand
+    assert len(characters_numerical(alg)) == count

@@ -7,6 +7,8 @@ from banalg.interpolation import (
     GAP_HARD_LIMIT,
     GAP_REL,
     MAX_ITER,
+    _J,
+    _det,
     _max_step,
     _nt_scaling,
     _solve_cone,
@@ -180,20 +182,19 @@ def test_square_cone_iterations_below_cap():
 
 
 def test_nt_scaling_identities():
-    """W is symmetric with inverse Winv, W z = Winv s = lam, and z.s = lam.lam:
-    the identities that let the predictor work in the scaled space."""
+    """Winv is symmetric, Winv s = lam and Winv lam = z (so W z = lam for W its
+    inverse), and z.s = lam.lam: the identities that let the predictor work in
+    the scaled space."""
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(1, 9))
         z, s = rng.standard_normal((2, n, 3))
         z[:, 0] = np.linalg.norm(z[:, 1:], axis=1) + rng.uniform(1e-3, 2.0, n)
         s[:, 0] = np.linalg.norm(s[:, 1:], axis=1) + rng.uniform(1e-3, 2.0, n)
-        W, Winv, lam = _nt_scaling(z, s)
-        assert np.allclose(W, W.transpose(0, 2, 1), rtol=0, atol=1e-12)
+        Winv, lam = _nt_scaling(z, s, _det(z), _det(s))
         assert np.allclose(Winv, Winv.transpose(0, 2, 1), rtol=0, atol=1e-12)
-        assert np.allclose(W @ Winv, np.eye(3), rtol=0, atol=1e-10)
-        assert np.allclose(np.einsum("iab,ib->ia", W, z), lam, rtol=0, atol=1e-10)
         assert np.allclose(np.einsum("iab,ib->ia", Winv, s), lam, rtol=0, atol=1e-10)
+        assert np.allclose(np.einsum("iab,ib->ia", Winv, lam), z, rtol=0, atol=1e-10)
         assert np.sum(z * s) == pytest.approx(np.sum(lam * lam), rel=1e-12)
 
 
@@ -203,20 +204,23 @@ def test_stacked_max_step_is_the_smaller_step():
     def cone_det(v):
         return v[..., 0] ** 2 - np.sum(v[..., 1:] ** 2, axis=-1)
 
+    def max_step(x, d):
+        return _max_step(_J * x, _det(x), d)
+
     rng = np.random.default_rng(12)
     for _ in range(50):
         n = int(rng.integers(1, 9))
         x = rng.standard_normal((n, 3))
         x[:, 0] = np.linalg.norm(x[:, 1:], axis=1) + rng.uniform(1e-3, 2.0, n)
         d = rng.standard_normal((2, n, 3))
-        t = _max_step(x, d)
-        assert t == min(_max_step(x, d[0]), _max_step(x, d[1]))
+        t = max_step(x, d)
+        assert t == min(max_step(x, d[0]), max_step(x, d[1]))
         inside = x + 0.999 * t * d
         assert np.all(cone_det(inside) > 0) and np.all(inside[..., 0] > 0)
         assert np.min(np.abs(cone_det(x + t * d))) <= 1e-9 * np.max(x[:, 0] ** 2)
     x = np.array([[1.0, 0.0, 0.0]])
     inward = np.array([[[1.0, 0.0, 0.0]], [[2.0, 1.0, 0.0]]])  # never leaves the cone
-    assert _max_step(x, inward) == np.inf
+    assert max_step(x, inward) == np.inf
 
 
 def test_only_the_primal_route_decides_uniqueness(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from banalg.algebra import LinearMap, operator_norm, validate
+from banalg.bse import SemisimplicityWarning
 from banalg.constructions import ideal_span_is_full, lau_product
 from banalg.fixtures import FAMILIES, build_fixture, fixture_generators
 from banalg import verify
@@ -19,7 +20,12 @@ from banalg.verify import (
     theorem_records,
 )
 
-from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect
+from conftest import (
+    diagonal_algebra,
+    lau_c_c2,
+    module_extension_semidirect,
+    pointwise_semidirect,
+)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -168,6 +174,42 @@ def test_null_space_dimension_records_can_fail(monkeypatch, family, record, patc
     patch(monkeypatch)
     records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
     assert [r.name for r in records if r.verdict == "FAIL"] == [f"{family}/000/{record}"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bse_duality_record_can_fail(monkeypatch, family):
+    # negative control: a dual cone solve that overstates its value by 1e-5,
+    # ten times the duality tolerance tol_opt, fails exactly bse-duality
+    from banalg import bse
+
+    original = bse._dual
+
+    def overstated(*args):
+        value, certificate = original(*args)
+        return value * (1 + 1e-5), certificate
+
+    monkeypatch.setattr(bse, "_dual", overstated)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
+    assert [r.name for r in records if r.verdict == "FAIL"] == [f"{family}/000/bse-duality"]
+
+
+def test_check_bse_skips_an_algebra_with_order():
+    # x1 annihilates the module extension, so the BSE property is outside its
+    # hypotheses: check-bse is a SKIP, not an /error FAIL, and every other
+    # check still runs (on characters that do not separate the radical X)
+    with pytest.warns(SemisimplicityWarning):
+        records = theorem_records(module_extension_semidirect(), None, RunConfig())
+    skipped = {r.name: r.detail for r in records if r.verdict == "SKIP"}
+    assert skipped == {
+        "semidirect/bundle/check-bse": "outside hypotheses: has order",
+        "semidirect/bundle/multiplier-sb-zero": "<IB> span is not full",
+        "semidirect/bundle/sigma-extension": "<IB> is a proper subspace of the ideal",
+    }
+    assert sorted(r.name.rsplit("/", 1)[1] for r in records if r.verdict == "PASS") == [
+        "bse-duality", "characters-disjoint", "characters-union", "delta-weak-bai",
+        "lemma-block-dim", "lemma-decompose", "lemma-recompose", "psi-identity",
+        "psi-uniqueness", "validate",
+    ]
 
 
 def _count_calls(monkeypatch, names):
