@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
 """Stress the interpolation solvers on random full-rank complex instances.
 
-Two corpora, each of --count instances drawn from --seed:
+Three corpora, each of --count instances drawn from --seed:
   rectangular  s < n, n in [4, 16]: solve_primal's cone path;
   square       s = n in [2, 16]: the cone program solve_dual runs, checked
-               against solve_primal's exact linear-solve value.
+               against solve_primal's exact linear-solve value;
+  square x4    the square instances again, each sigma joined by three more
+               drawn from a separate generator, and the four solved in one
+               batched cone loop; a member also fails when it takes other
+               iterations than its sigma solved alone.
 For each corpus prints the failures (a BseError, a gap beyond GAP_HARD_LIMIT,
-or an infeasible certificate), the path-following iteration total and maximum,
-the worst relative primal-dual gap and the wall time.
+an infeasible certificate, or a batch member off its own iteration count), the
+path-following iteration total and maximum over solves (batch members), the
+worst relative primal-dual gap and the wall time.  Exits 1 on any failure.
 
 Usage: python scripts/solver_stress.py [--count N] [--seed S]
 """
@@ -52,21 +57,46 @@ def instances(shape, count, seed):
 
 
 def run_rectangular(E, sigma, w):
-    """(iterations, relative gap, ok) of solve_primal's cone path."""
+    """([iterations], relative gap, ok) of solve_primal's cone path."""
     sol = solve_primal(E, sigma, w)
     ok = (interpolation_residual(E, sol.a, sigma) <= 1e-9
           and float(np.max(np.abs(E.T @ sol.c) - w)) <= 1e-12)
-    return sol.iterations, sol.gap / max(1.0, sol.value), ok
+    return [sol.iterations], sol.gap / max(1.0, sol.value), ok
 
 
 def run_square(E, sigma, w):
-    """(iterations, relative gap, ok) of the dual cone program against the
+    """([iterations], relative gap, ok) of the dual cone program against the
     exact square value.  solve_dual returns this program's dual_value and c;
-    it is called here directly for its iteration count."""
-    exact = solve_primal(E, sigma, w).value
-    sol, _ = _solve_cone(E, sigma, w, GAP_REL)
-    ok = float(np.max(np.abs(E.T @ sol.c) - w)) <= 1e-12
-    return sol.iterations, abs(exact - sol.dual_value) / max(1.0, exact), ok
+    the cone core is called here directly for its iteration count."""
+    return run_batch(E, sigma[None], w)
+
+
+def run_batch(E, sigmas, w):
+    """(iterations per member, worst relative gap, ok) of one batched dual cone
+    loop over the rows of sigmas, each against its exact square value."""
+    gaps, ok = [], True
+    batch = _solve_cone(E, sigmas, w, GAP_REL)
+    for sigma, (sol, _) in zip(sigmas, batch):
+        exact = solve_primal(E, sigma, w).value
+        gaps.append(abs(exact - sol.dual_value) / max(1.0, exact))
+        ok &= float(np.max(np.abs(E.T @ sol.c) - w)) <= 1e-12
+    return [sol.iterations for sol, _ in batch], max(gaps), ok
+
+
+def square_x4(seed):
+    """run_batch on the instance's sigma and three more from a generator of
+    its own, so the other corpora draw what they drew before; a member that
+    takes other iterations than its sigma alone is not ok."""
+    rng = np.random.default_rng([seed, 4])
+
+    def run(E, sigma, w):
+        n = len(sigma)
+        sigmas = np.vstack([sigma, rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))])
+        iterations, gap, ok = run_batch(E, sigmas, w)
+        alone = [_solve_cone(E, row[None], w, GAP_REL)[0][0].iterations for row in sigmas]
+        return iterations, gap, ok and iterations == alone
+
+    return run
 
 
 def stress(name, shape, run, count, seed) -> int:
@@ -79,9 +109,9 @@ def stress(name, shape, run, count, seed) -> int:
         except BseError:
             failures += 1
             continue
-        failures += not (ok and gap <= GAP_HARD_LIMIT and iterations < MAX_ITER)
-        total += iterations
-        most = max(most, iterations)
+        failures += not (ok and gap <= GAP_HARD_LIMIT and max(iterations) < MAX_ITER)
+        total += sum(iterations)
+        most = max(most, *iterations)
         worst = max(worst, gap)
     elapsed = time.perf_counter() - t0
     print(f"{name:<12} {count:>6} {failures:>8} {total:>10} {most:>8} "
@@ -98,7 +128,8 @@ def main() -> int:
     print(f"{'corpus':<12} {'count':>6} {'failures':>8} {'iterations':>10} "
           f"{'max iter':>8} {'worst gap':>11} {'wall s':>8}")
     failures = (stress("rectangular", rectangular, run_rectangular, args.count, args.seed)
-                + stress("square", square, run_square, args.count, args.seed))
+                + stress("square", square, run_square, args.count, args.seed)
+                + stress("square x4", square, square_x4(args.seed), args.count, args.seed))
     return 1 if failures else 0
 
 

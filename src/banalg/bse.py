@@ -140,12 +140,17 @@ def bse_norm_primal(values: np.ndarray, S: CharacterSet, algebra: Algebra,
 
 
 def bse_norm_dual(values: np.ndarray, S: CharacterSet, algebra: Algebra,
-                  gap_rel: float = GAP_REL) -> tuple[float, np.ndarray]:
+                  gap_rel: float = GAP_REL) -> tuple[float | np.ndarray, np.ndarray]:
     """Dual route, straight from the defining inequality: the supremum of
-    |sum_j c_j sigma(phi_j)| over coefficient vectors with dual norm <= 1."""
+    |sum_j c_j sigma(phi_j)| over coefficient vectors with dual norm <= 1.
+
+    values of shape (|S|,) give the value (a float) and the certificate
+    (|S|,); a stack of k sigmas, shape (k, |S|), gives (k,) values and
+    (k, |S|) certificates from one cone loop, with S checked once.
+    """
     _check_charset(S, algebra)
     values = np.asarray(values, dtype=complex)
-    if values.shape != (len(S),):
+    if values.ndim not in (1, 2) or values.shape[-1] != len(S):
         raise ValueError(f"sigma must assign one value per character ({len(S)})")
     return _dual(S.matrix, values, algebra.weights, gap_rel)
 

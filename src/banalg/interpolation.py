@@ -35,6 +35,16 @@ dz = W^-1 dz~.  Each direction is written into one preallocated stack of
 (dz~, ds~), and each step length is one first-root computation over that
 stack.
 
+The loop runs a stack of k right-hand sides sigma on one E at once, with a
+leading batch axis on every iterate; a single sigma is a batch of one.  The
+members share the lift A and its blocks A_i^T, the cost and its scale, and
+one least-squares solve with k right-hand sides for the start point and one
+for the final projection.  Each member has its own z, s, y and residual
+scale, and its own NT scaling, QR of (G W^-1)^T, directions and step lengths.
+Each member stops on its own test (the gap closed, an iterate within rounding
+of its cone's boundary, or MAX_ITER) and leaves the batch as it stands, so it
+takes the iterations of its solve alone and is certified on its own.
+
 When E is square and invertible (semisimple case: as many characters as
 dimensions) the primal is a single linear solve and no iteration runs.
 Only the primal route asks whether the minimizer is unique; the dual route
@@ -91,9 +101,9 @@ def _real_lift(E: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray
     A[0::2, 1::2] = -E.imag
     A[1::2, 0::2] = E.imag
     A[1::2, 1::2] = E.real
-    b = np.zeros(2 * s)
-    b[0::2] = sigma.real
-    b[1::2] = sigma.imag
+    b = np.zeros(sigma.shape[:-1] + (2 * s,))
+    b[..., 0::2] = sigma.real
+    b[..., 1::2] = sigma.imag
     return A, b
 
 
@@ -106,10 +116,9 @@ def certificate_value(c: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def _scale_into_feasibility(E: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    ratio = float(np.max(np.abs(E.T @ c) / w))
-    if ratio > 1.0:
-        c = c / ratio
-    return c
+    """c (or each row of a stack of c) divided by its dual norm when that exceeds 1."""
+    ratio = np.max(np.abs(c @ E) / w, axis=-1, keepdims=True)
+    return c / np.maximum(ratio, 1.0)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -124,23 +133,25 @@ def _det(x: np.ndarray) -> np.ndarray:
 
 def _jordan(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cone-wise Jordan product x o y = (x.y, x_0 y_bar + y_0 x_bar)."""
-    out = x[:, :1] * y + y[:, :1] * x
-    out[:, 0] = _dot(x, y)
+    out = x[..., :1] * y + y[..., :1] * x
+    out[..., 0] = _dot(x, y)
     return out
 
 
-def _max_step(Jx: np.ndarray, xdet: np.ndarray, d: np.ndarray) -> float:
-    """Largest t with x + t d in every cone: the first positive root of
-    det(x + t d) = a t^2 + 2 b t + c, or inf when there is none.  x enters as
-    J x and det x, which one step shares between its step lengths; d may stack
-    several directions on a leading axis, and the step then suits them all."""
+def _max_step(Jx: np.ndarray, xdet: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Largest t per member with x + t d in every cone: the first positive root
+    of det(x + t d) = a t^2 + 2 b t + c, or inf when there is none.  x enters as
+    J x (members, n, 3) and det x (members, n), which one step shares between
+    its step lengths; d stacks each member's directions, (members, r, n, 3),
+    and the member's step suits all r of them."""
     a = _det(d)
-    b = _dot(Jx, d)
+    b = _dot(Jx[:, None], d)
+    xdet = xdet[:, None]
     disc = b * b - a * xdet
     hits = (disc >= 0) & ((a < 0) | (b < 0))
     roots = np.divide(xdet, np.sqrt(np.abs(disc)) - b, out=np.full(b.shape, np.inf),
                       where=hits)
-    return float(roots.min())
+    return roots.min(axis=(1, 2))
 
 
 def _nt_scaling(z: np.ndarray, s: np.ndarray, zdet: np.ndarray,
@@ -148,16 +159,16 @@ def _nt_scaling(z: np.ndarray, s: np.ndarray, zdet: np.ndarray,
     """Nesterov-Todd scaling, cone-wise, from z, s and their determinants:
     W^-1 and lam with W z = W^-1 s = lam.  W = beta (2 v v^T - J) is never
     formed; lam = beta (2 v (v.z) - J z) and W^-1 = (2 (Jv)(Jv)^T - J) / beta."""
-    zn = z / np.sqrt(zdet)[:, None]
-    sn = s / np.sqrt(sdet)[:, None]
+    zn = z / np.sqrt(zdet)[..., None]
+    sn = s / np.sqrt(sdet)[..., None]
     gamma = np.sqrt((1.0 + _dot(zn, sn)) / 2.0)
-    wbar = (sn + _J * zn) / (2.0 * gamma)[:, None]
-    wbar[:, 0] += 1.0
-    v = wbar / np.sqrt(2.0 * wbar[:, :1])
+    wbar = (sn + _J * zn) / (2.0 * gamma)[..., None]
+    wbar[..., 0] += 1.0
+    v = wbar / np.sqrt(2.0 * wbar[..., :1])
     beta = (sdet / zdet) ** 0.25
     Jv = _J * v
-    Winv = (2.0 * Jv[:, :, None] * Jv[:, None, :] - _JD) / beta[:, None, None]
-    lam = beta[:, None] * (2.0 * _dot(v, z)[:, None] * v - _J * z)
+    Winv = (2.0 * Jv[..., :, None] * Jv[..., None, :] - _JD) / beta[..., None, None]
+    lam = beta[..., None] * (2.0 * _dot(v, z)[..., None] * v - _J * z)
     return Winv, lam
 
 
@@ -176,99 +187,123 @@ def _is_unique(E: np.ndarray, a: np.ndarray, support: np.ndarray) -> bool:
 
 
 def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
-                gap_rel: float) -> tuple[InterpolationSolution, np.ndarray]:
-    """Path following on the lifted cone program from a strictly feasible start.
+                gap_rel: float) -> list[tuple[InterpolationSolution, np.ndarray]]:
+    """Path following on the lifted cone program from a strictly feasible start,
+    for every row of the (k, s) stack sigma in one loop.
 
-    Returns the solution, with `unique` left False, and the support mask of
-    its interpolant, from which the primal route decides `unique`.
+    Returns one (solution, support mask of its interpolant) per row, each
+    solution with `unique` left False; the primal route decides `unique` from
+    the mask.  Each member stops on its own test and is then left as it is,
+    so it takes the iterations, and gets the result, of a batch of one.
     """
+    k = len(sigma)
     s, n = E.shape
-    sn = float(np.max(np.abs(sigma)))
-    A, b = _real_lift(E, sigma / sn)
+    sn = np.max(np.abs(sigma), axis=1)
+    A, b = _real_lift(E, sigma / sn[:, None])
     AgT = A.reshape(2 * s, n, 2).transpose(1, 2, 0).copy()  # (n, 2, 2s): the A_i^T
     cost = np.zeros((n, 3))
     cost[:, 0] = w
-    bscale = max(1.0, float(np.linalg.norm(b)))
+    bscale = np.maximum(1.0, np.linalg.norm(b, axis=1))
     cscale = max(1.0, float(np.linalg.norm(w)))
 
     # start: the min-norm interpolant with slack 1 in every cone, y = 0
-    x0 = np.linalg.lstsq(A, b, rcond=None)[0].reshape(n, 2)
-    z = np.concatenate([np.linalg.norm(x0, axis=1, keepdims=True) + 1.0, x0], axis=1)
-    y = np.zeros(2 * s)
-    sl = cost.copy()
-    steps = np.empty((2, n, 3))  # (dz~, ds~) of one direction, for its step length
-    for iterations in range(MAX_ITER):
-        rp = b - A @ z[:, 1:].ravel()
+    x0 = np.linalg.lstsq(A, b.T, rcond=None)[0].T.reshape(k, n, 2)
+    z = np.concatenate([np.linalg.norm(x0, axis=2, keepdims=True) + 1.0, x0], axis=2)
+    y = np.zeros((k, 2 * s))
+    sl = np.repeat(cost[None], k, axis=0)
+    # the members still iterating, and their rows of the state, in one order
+    live, bl, bsl = np.arange(k), b, bscale
+    z_end, sl_end, y_end = np.empty_like(z), np.empty_like(sl), np.empty_like(y)
+    iterations = np.full(k, MAX_ITER)
+    buffer = np.empty((k, 2, n, 3))  # (dz~, ds~) of one direction, per member
+    for iteration in range(MAX_ITER):
+        m = len(live)
+        rp = bl - z[..., 1:].reshape(m, 2 * n) @ A.T
         rd = cost - sl  # and minus G^T y = (0, A_i^T y), cone-wise
-        rd[:, 1:] -= (y @ A).reshape(n, 2)
-        gap = float(np.vdot(z, sl))
-        if (gap <= gap_rel * max(1.0, float(w @ z[:, 0]))
-                and np.linalg.norm(rp) <= 1e-10 * bscale
-                and np.linalg.norm(rd) <= 1e-10 * cscale):
-            break
+        rd[..., 1:] -= (y @ A).reshape(m, n, 2)
+        gap = _dot(z.reshape(m, -1), sl.reshape(m, -1))
         zdet, sdet = _det(z), _det(sl)
-        if not (zdet.min() > 0 and sdet.min() > 0):
-            break  # an iterate lies within rounding of its cone's boundary
+        stop = gap <= gap_rel * np.maximum(1.0, z[..., 0] @ w)
+        if stop.any():  # the residuals matter only where the gap has closed
+            stop &= ((np.sqrt(_dot(rp, rp)) <= 1e-10 * bsl)
+                     & (np.sqrt(_dot(rd.reshape(m, -1), rd.reshape(m, -1)))
+                        <= 1e-10 * cscale))
+        # or an iterate lies within rounding of its cone's boundary
+        stop |= ~(np.minimum(zdet, sdet).min(axis=1) > 0)
+        if stop.any():
+            done = live[stop]
+            z_end[done], sl_end[done], y_end[done] = z[stop], sl[stop], y[stop]
+            iterations[done] = iteration
+            keep = ~stop
+            live, bl, bsl, z, sl, y, rp, rd, gap, zdet, sdet = (
+                v[keep] for v in (live, bl, bsl, z, sl, y, rp, rd, gap, zdet, sdet))
+            m = len(live)
+            if not m:
+                break
         Winv, lam = _nt_scaling(z, sl, zdet, sdet)
         Jlam = _J * lam
         lamdet = _dot(Jlam, lam)
         # the scaled constraint matrix G W^-1, transposed (one 3 x 2s block per
         # cone), as Q R: the normal matrix G W^-2 G^T is R^T R, and working
         # with Q keeps G dz = rp accurate to rounding however large W^-1 grows
-        Q, R = np.linalg.qr((Winv[:, :, 1:] @ AgT).reshape(3 * n, 2 * s))
+        Q, R = np.linalg.qr((Winv[..., 1:] @ AgT).reshape(m, 3 * n, 2 * s))
         Rinv = np.linalg.inv(R)
-        u = rp @ Rinv  # R^-T rp
-        rd_scaled = (Winv @ rd[:, :, None]).reshape(3 * n)
+        u = (rp[:, None] @ Rinv)[:, 0]  # R^-T rp
+        rd_scaled = (Winv @ rd[..., None]).reshape(m, 3 * n)
+        steps = buffer[:m]
 
         def scaled_direction(rhs):
             # dz~ + ds~ = rhs = lam \ rc,  G W^-1 dz~ = rp,  W^-1 G^T dy + ds~ = W^-1 rd
-            f = rhs.reshape(-1) - rd_scaled
-            t = u - Q.T @ f
-            steps[0] = (f + Q @ t).reshape(n, 3)
-            steps[1] = rhs - steps[0]
-            return t, min(1.0, 0.99 * _max_step(Jlam, lamdet, steps))
+            f = rhs.reshape(m, -1) - rd_scaled
+            t = u - (f[:, None] @ Q)[:, 0]
+            steps[:, 0] = (f + (Q @ t[..., None])[..., 0]).reshape(m, n, 3)
+            steps[:, 1] = rhs - steps[:, 0]
+            return t, np.minimum(1.0, 0.99 * _max_step(Jlam, lamdet, steps))
 
         # predictor (rc = -lam o lam, so lam \ rc = -lam): z.s = lam.lam under
         # NT scaling, so the affine gap is read in the scaled space
         _, alpha = scaled_direction(-lam)
-        ends = lam + alpha * steps
-        gap_aff = float(np.vdot(ends[0], ends[1]))
-        centering = min(1.0, max(0.0, gap_aff / gap)) ** 3
-        rc = -_jordan(lam, lam) - _jordan(steps[0], steps[1])
-        rc[:, 0] += centering * gap / n
+        ends = lam[:, None] + alpha[:, None, None, None] * steps
+        gap_aff = _dot(ends[:, 0].reshape(m, -1), ends[:, 1].reshape(m, -1))
+        centering = np.minimum(1.0, np.maximum(0.0, gap_aff / gap)) ** 3
+        rc = -_jordan(lam, lam) - _jordan(steps[:, 0], steps[:, 1])
+        rc[..., 0] += (centering * gap / n)[:, None]
         # corrector: the d with lam o d = rc, then ds = rd - G^T dy shrinks the
         # dual residual by exactly 1 - alpha, however large W^-1 grows
         d0 = _dot(Jlam, rc) / lamdet
-        rhs = (rc - d0[:, None] * lam) / lam[:, :1]
-        rhs[:, 0] = d0
+        rhs = (rc - d0[..., None] * lam) / lam[..., :1]
+        rhs[..., 0] = d0
         t, alpha = scaled_direction(rhs)
-        z += alpha * (Winv @ steps[0][:, :, None]).reshape(n, 3)
-        dy = Rinv @ t
-        y += alpha * dy
-        rd[:, 1:] -= (dy @ A).reshape(n, 2)  # now ds = rd - G^T dy
-        sl += alpha * rd
-    else:
-        iterations = MAX_ITER
+        z += alpha[:, None, None] * (Winv @ steps[:, 0, :, :, None])[..., 0]
+        dy = (Rinv @ t[..., None])[..., 0]
+        y += alpha[:, None] * dy
+        rd[..., 1:] -= (dy @ A).reshape(m, n, 2)  # now ds = rd - G^T dy
+        sl += alpha[:, None, None] * rd
+    z_end[live], sl_end[live], y_end[live] = z, sl, y  # those at MAX_ITER
 
     # coordinate i is in the support when its share of the objective beats
     # its dual constraint's relative slack; their product is ~ mu either way
-    share = w * z[:, 0] / float(w @ z[:, 0])
-    support = share > 1.0 - np.linalg.norm(sl[:, 1:], axis=1) / w
-    x = z[:, 1:].reshape(-1)
-    x = x + np.linalg.lstsq(A, b - A @ x, rcond=None)[0]
-    a = sn * (x[0::2] + 1j * x[1::2])
-    c = _scale_into_feasibility(E, y[0::2] - 1j * y[1::2], w)
-    value = float(np.sum(w * np.abs(a)))
-    dual_value = certificate_value(c, sigma)
-    gap = value - dual_value
-    if not (gap <= GAP_HARD_LIMIT * max(1.0, value)
-            and interpolation_residual(E, a, sigma) <= 1e-9 * sn):
-        raise BseError(
-            f"interpolation solver failed to certify the optimum "
-            f"(relative gap {gap / max(1.0, value):.3e})"
-        )
-    return InterpolationSolution(a, c, value, dual_value, gap, "barrier",
-                                 unique=False, iterations=iterations), support
+    share = w * z_end[..., 0] / (z_end[..., 0] @ w)[:, None]
+    support = share > 1.0 - np.linalg.norm(sl_end[..., 1:], axis=2) / w
+    x = z_end[..., 1:].reshape(k, 2 * n)
+    x = x + np.linalg.lstsq(A, (b - x @ A.T).T, rcond=None)[0].T
+    a = sn[:, None] * (x[:, 0::2] + 1j * x[:, 1::2])
+    c = _scale_into_feasibility(E, y_end[:, 0::2] - 1j * y_end[:, 1::2], w)
+    solutions = []
+    for i in range(k):
+        value = float(np.sum(w * np.abs(a[i])))
+        dual_value = certificate_value(c[i], sigma[i])
+        gap = value - dual_value
+        if not (gap <= GAP_HARD_LIMIT * max(1.0, value)
+                and interpolation_residual(E, a[i], sigma[i]) <= 1e-9 * sn[i]):
+            raise BseError(
+                f"interpolation solver failed to certify the optimum "
+                f"(relative gap {gap / max(1.0, value):.3e})"
+            )
+        solutions.append((InterpolationSolution(a[i], c[i], value, dual_value, gap, "barrier",
+                                                unique=False, iterations=int(iterations[i])),
+                          support[i]))
+    return solutions
 
 
 def _system(E, sigma, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -315,25 +350,35 @@ def _primal(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
         dual_value = certificate_value(c, sigma)
         return InterpolationSolution(a, c, value, dual_value, value - dual_value,
                                      "square", unique=True, iterations=0)
-    sol, support = _solve_cone(E, sigma, w, gap_rel)
+    sol, support = _solve_cone(E, sigma[None], w, gap_rel)[0]
     sol.unique = _is_unique(E, sol.a, support)
     return sol
 
 
 def solve_dual(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
-               gap_rel: float = GAP_REL) -> tuple[float, np.ndarray]:
+               gap_rel: float = GAP_REL) -> tuple[float | np.ndarray, np.ndarray]:
     """Dual route: run the cone program itself and report the certificate side.
 
-    Runs regardless of the shape of E, so on semisimple instances (square E)
-    this is an independent computation from the primal's plain linear solve.
+    sigma of shape (s,) gives the dual value (a float) and the certificate
+    (s,); a stack of shape (k, s) gives (k,) values and (k, s) certificates,
+    from one cone loop.  Runs regardless of the shape of E, so on semisimple
+    instances (square E) this is an independent computation from the primal's
+    plain linear solve.
     """
     return _dual(*_system(E, sigma, w), gap_rel)
 
 
 def _dual(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
-          gap_rel: float) -> tuple[float, np.ndarray]:
-    """solve_dual on arrays that passed `_system`'s checks."""
-    if not np.any(np.abs(sigma) > 0):
-        return 0.0, np.zeros(E.shape[0], dtype=complex)
-    sol, _ = _solve_cone(E, sigma, w, gap_rel)
-    return sol.dual_value, sol.c
+          gap_rel: float) -> tuple[float | np.ndarray, np.ndarray]:
+    """solve_dual on arrays that passed `_system`'s checks.  An all-zero sigma
+    gets 0 and a zero certificate without a solve."""
+    stack = sigma.reshape(-1, sigma.shape[-1])
+    values = np.zeros(len(stack))
+    certificates = np.zeros(stack.shape, dtype=complex)
+    live = np.flatnonzero(np.any(np.abs(stack) > 0, axis=1))
+    if live.size:
+        for i, (sol, _) in zip(live, _solve_cone(E, stack[live], w, gap_rel)):
+            values[i], certificates[i] = sol.dual_value, sol.c
+    if sigma.ndim == 1:
+        return float(values[0]), certificates[0]
+    return values, certificates

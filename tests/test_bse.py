@@ -72,6 +72,24 @@ def test_bse_dual_matches_primal(c2):
     assert bse_norm_dual(np.zeros(2, dtype=complex), S, c2)[0] == 0
 
 
+def test_bse_dual_on_a_stack_matches_one_at_a_time(z2z2):
+    S = characters_numerical(z2z2)
+    rng = np.random.default_rng(9)
+    sigmas = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    sigmas[1] = 0
+    values, certificates = bse_norm_dual(sigmas, S, z2z2)
+    assert values.shape == (3,) and certificates.shape == (3, 4)
+    for sigma, value, certificate in zip(sigmas, values, certificates):
+        one, cert = bse_norm_dual(sigma, S, z2z2)
+        assert isinstance(one, float)
+        assert value == pytest.approx(one, rel=1e-12, abs=0)
+        assert np.allclose(certificate, cert, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        bse_norm_dual(sigmas[None], S, z2z2)
+    with pytest.raises(ValueError):
+        bse_norm_dual(sigmas[:, :3], S, z2z2)
+
+
 def test_dual_never_exceeds_primal_random(z2z2):
     S = characters_numerical(z2z2)
     rng = np.random.default_rng(0)

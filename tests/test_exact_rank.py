@@ -1,4 +1,5 @@
-"""Exact-rank oracle: the M and LM systems and the trace form over the rationals.
+"""Exact-rank oracle: the M, LM and annihilator systems and the trace form over
+the rationals.
 
 Every dimension `multipliers` reports, and the character count of `spectra`,
 comes from one relative singular-value cutoff.  Here the same systems are
@@ -12,7 +13,7 @@ import pytest
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from banalg.algebra import Algebra, validate
+from banalg.algebra import Algebra, annihilator_basis, validate
 from banalg.constructions import finite_abelian_group_algebra
 from banalg.multipliers import left_multiplier_space, multiplier_space
 from banalg.spectra import characters_numerical
@@ -54,6 +55,14 @@ def exact_nullity(alg, kind):
     if not system:
         return n * n
     return n * n - DomainMatrix(system, (len(system), n * n), QQ).rank()
+
+
+def exact_annihilator_nullity(alg):
+    """dim of {a : a e_j = 0 for every j}: the null space of a -> (a e_j)_j,
+    whose row (j, r) reads the e_r coefficient sum_i a_i c[i, j, r]."""
+    c, n = rational_structure(alg), alg.dim
+    rows = [[c[i][j][r] for i in range(n)] for j in range(n) for r in range(n)]
+    return n - DomainMatrix(rows, (n * n, n), QQ).rank()
 
 
 def exact_trace_rank(alg):
@@ -101,3 +110,17 @@ CHARACTER_COUNTS = (4, 6, 8, 9, 8, 0, 2)
 def test_character_count_matches_exact_trace_rank(alg, count):
     assert exact_trace_rank(alg) == count  # known by hand
     assert len(characters_numerical(alg)) == count
+
+
+# unital group algebras annihilate nothing; the zero product annihilates all
+# of C^3, and B (+) X annihilates the unacted direction x1
+ANNIHILATOR_DIMS = (0, 0, 0, 0, 0, 3, 1)
+
+
+@pytest.mark.parametrize("alg, dim", [
+    pytest.param(case.values[0], dim, id=case.id)
+    for case, dim in zip(CASES, ANNIHILATOR_DIMS, strict=True)
+])
+def test_annihilator_dimension_matches_exact_nullity(alg, dim):
+    assert exact_annihilator_nullity(alg) == dim  # known by hand
+    assert annihilator_basis(alg).shape[0] == dim

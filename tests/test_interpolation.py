@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -174,10 +176,59 @@ def test_stress_corpus_square_dual():
         assert certificate_slack(E, c, w) <= 1e-12
 
 
+def test_stress_corpus_square_dual_batched():
+    """The square corpus with three more sigma per E, each group of four in one
+    cone loop: every member meets its exact linear-solve value."""
+    rng = np.random.default_rng(2025)
+    for E, sigma, w in square_corpus():
+        n = len(sigma)
+        sigmas = np.vstack([sigma, rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))])
+        values, certificates = solve_dual(E, sigmas, w)
+        for sigma, value, c in zip(sigmas, values, certificates):
+            exact = solve_primal(E, sigma, w).value
+            assert abs(value - exact) <= GAP_HARD_LIMIT * max(1.0, value)
+            assert certificate_slack(E, c, w) <= 1e-12
+
+
+@pytest.mark.parametrize("corpus", [square_corpus, rectangular_corpus])
+def test_batch_members_match_their_solves_alone(corpus):
+    """Four sigma on one E in one cone loop: each member stops on its own test,
+    so it takes the iterations, and reaches the dual value, of a batch of one."""
+    rng = np.random.default_rng(7)
+    staggered = False
+    for E, _, w in itertools.islice(corpus(), 40):
+        s = E.shape[0]
+        sigmas = rng.standard_normal((4, s)) + 1j * rng.standard_normal((4, s))
+        batch = _solve_cone(E, sigmas, w, GAP_REL)
+        for sigma, (sol, _) in zip(sigmas, batch):
+            (alone, _), = _solve_cone(E, sigma[None], w, GAP_REL)
+            assert sol.iterations == alone.iterations
+            assert sol.dual_value == pytest.approx(alone.dual_value, rel=1e-12)
+        staggered |= len({sol.iterations for sol, _ in batch}) > 1
+    assert staggered  # some batch had members stop at different iterations
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 5)])
+def test_zero_sigma_in_a_batch(shape):
+    """An all-zero member gets 0 and a zero certificate without a solve; the
+    other members come out exactly as in the batch without it."""
+    rng = np.random.default_rng(8)
+    s, n = shape
+    E = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    w = rng.uniform(0.5, 2.0, n)
+    sigmas = rng.standard_normal((3, s)) + 1j * rng.standard_normal((3, s))
+    values, certificates = solve_dual(E, sigmas, w)
+    zvalues, zcertificates = solve_dual(E, np.insert(sigmas, 1, 0.0, axis=0), w)
+    assert zvalues.shape == (4,) and zcertificates.shape == (4, s)
+    assert zvalues[1] == 0 and not np.any(zcertificates[1])
+    assert np.array_equal(np.delete(zvalues, 1), values)
+    assert np.array_equal(np.delete(zcertificates, 1, axis=0), certificates)
+
+
 def test_square_cone_iterations_below_cap():
     """The cone program solve_dual runs on square E never reaches MAX_ITER."""
     for E, sigma, w in square_corpus():
-        sol, _ = _solve_cone(E, sigma, w, GAP_REL)
+        (sol, _), = _solve_cone(E, sigma[None], w, GAP_REL)
         assert 0 < sol.iterations < MAX_ITER
 
 
@@ -205,7 +256,8 @@ def test_stacked_max_step_is_the_smaller_step():
         return v[..., 0] ** 2 - np.sum(v[..., 1:] ** 2, axis=-1)
 
     def max_step(x, d):
-        return _max_step(_J * x, _det(x), d)
+        # one member whose directions are stacked on d's leading axis
+        return _max_step((_J * x)[None], _det(x)[None], d.reshape(1, -1, *x.shape))[0]
 
     rng = np.random.default_rng(12)
     for _ in range(50):

@@ -193,6 +193,26 @@ def test_bse_duality_record_can_fail(monkeypatch, family):
     assert [r.name for r in records if r.verdict == "FAIL"] == [f"{family}/000/bse-duality"]
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bse_duality_record_reads_every_batch_member(monkeypatch, family):
+    # negative control for the batched dual solve: only the third sigma
+    # sample's value is overstated, so bse-duality fails only if the record
+    # reads each member's own value, not one broadcast from member 0
+    from banalg import bse
+
+    original = bse._dual
+
+    def third_overstated(*args):
+        values, certificates = original(*args)
+        values = values.copy()
+        values[2] *= 1 + 1e-5
+        return values, certificates
+
+    monkeypatch.setattr(bse, "_dual", third_overstated)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
+    assert [r.name for r in records if r.verdict == "FAIL"] == [f"{family}/000/bse-duality"]
+
+
 def test_check_bse_skips_an_algebra_with_order():
     # x1 annihilates the module extension, so the BSE property is outside its
     # hypotheses: check-bse is a SKIP, not an /error FAIL, and every other
