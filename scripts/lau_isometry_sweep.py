@@ -37,7 +37,7 @@ def main() -> int:
         for _ in range(args.samples):
             tau = rng.standard_normal(na) + 1j * rng.standard_normal(na)
             rho = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
-            iso = max(iso, theta(tau, rho, lc).isometry_defect)
+            iso = max(iso, abs(theta(tau, rho, lc).norm_slack))
             mult = max(mult, theta_product_residual(
                 lc, tau, rho,
                 rng.standard_normal(na) + 1j * rng.standard_normal(na),

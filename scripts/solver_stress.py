@@ -76,11 +76,11 @@ def run_batch(E, sigmas, w):
     loop over the rows of sigmas, each against its exact square value."""
     gaps, ok = [], True
     batch = _solve_cone(E, sigmas, w, GAP_REL)
-    for sigma, (sol, _) in zip(sigmas, batch):
+    for sigma, sol in zip(sigmas, batch):
         exact = solve_primal(E, sigma, w).value
         gaps.append(abs(exact - sol.dual_value) / max(1.0, exact))
         ok &= float(np.max(np.abs(E.T @ sol.c) - w)) <= 1e-12
-    return [sol.iterations for sol, _ in batch], max(gaps), ok
+    return [sol.iterations for sol in batch], max(gaps), ok
 
 
 def square_x4(seed):
@@ -93,7 +93,7 @@ def square_x4(seed):
         n = len(sigma)
         sigmas = np.vstack([sigma, rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))])
         iterations, gap, ok = run_batch(E, sigmas, w)
-        alone = [_solve_cone(E, row[None], w, GAP_REL)[0][0].iterations for row in sigmas]
+        alone = [_solve_cone(E, row[None], w, GAP_REL)[0].iterations for row in sigmas]
         return iterations, gap, ok and iterations == alone
 
     return run

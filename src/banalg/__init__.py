@@ -53,7 +53,6 @@ from .bse import (
     bse_norm_primal,
     check_bse_property,
     delta_weak_bai,
-    join_tau_rho,
     sigma_extension,
     split_sigma,
     theta,
@@ -99,7 +98,6 @@ __all__ = [
     "bse_norm_primal",
     "check_bse_property",
     "delta_weak_bai",
-    "join_tau_rho",
     "sigma_extension",
     "split_sigma",
     "theta",

@@ -9,13 +9,18 @@ inequality sup { |sum c_j sigma(phi_j)| : ||sum c_j phi_j||_dual <= 1 }
 directly as a cone program with no interpolation step.
 
 `verify_product_bse` checks that A x_phi B is BSE iff A and B are in one
-pass: it builds Phi(a, b) = (a - phi(b), b) once, computes the multiplier
+pass: it builds Phi(a, b) = (a - phi(b), b) once on the product it is
+given (only A (+) B is assembled anew), computes the multiplier
 spaces of A, B, A x_phi B and A (+) B once each, and derives the four
 verdicts, the block split M(A (+) B) = M(A) x M(B) and the transport
 through Phi from those spaces.  `check_bse_property` takes a character set
 and a multiplier space already computed, and `verify_product_bse` the
 product's space and characters, so that the harness computes one space and
 one character set per fixture algebra; a verdict keeps no space.
+
+On a Lau product, `split_sigma` splits sigma into (tau, rho) and `theta`
+joins (tau, rho) back into sigma; both return the three BSE functions and
+the slack ||tau|| + ||rho|| - ||sigma|| of one `SplitResult`.
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ class SemisimplicityWarning(UserWarning):
 class BSEFunction:
     """A function on a finite character list with its BSE norm and witnesses.
 
-    minimizer_unique says whether the minimum-norm interpolant is the only
-    one; the norm is the contractual output regardless.
+    The norm is the contractual output; the minimizer is one interpolant
+    attaining it, which need not be the only one.
     """
 
     characters: CharacterSet
@@ -75,7 +80,6 @@ class BSEFunction:
     dual_certificate: np.ndarray
     gap: float
     method: str
-    minimizer_unique: bool
 
     def interpolation_error(self) -> float:
         return float(
@@ -135,7 +139,6 @@ def bse_norm_primal(values: np.ndarray, S: CharacterSet, algebra: Algebra,
         dual_certificate=sol.c,
         gap=sol.gap,
         method=sol.method,
-        minimizer_unique=sol.unique,
     )
 
 
@@ -178,17 +181,13 @@ def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
     return vh[:rank]
 
 
-def _containment_residual(inner: np.ndarray, outer_basis: np.ndarray) -> tuple[float, np.ndarray | None]:
+def _containment_residual(inner: np.ndarray, outer_basis: np.ndarray) -> float:
     """Worst relative projection residual of the inner rows onto the span of
-    the orthonormal outer rows, plus the first row attaining it (None when
-    every residual is 0); zero rows count as contained."""
+    the orthonormal outer rows; zero rows count as contained."""
     resid = inner - inner @ outer_basis.conj().T @ outer_basis
     norms = np.linalg.norm(inner, axis=1)
     r = np.linalg.norm(resid, axis=1) / np.where(norms > 0, norms, 1.0)
-    if not np.any(r > 0):
-        return 0.0, None
-    worst = int(np.argmax(r))
-    return float(r[worst]), inner[worst]
+    return float(np.max(r, initial=0.0))
 
 
 @dataclass(eq=False)
@@ -201,7 +200,6 @@ class BseVerdict:
     multiplier_hat_dim: int
     containment_m_in_c: float  # multiplier hats inside the interpolable functions
     containment_c_in_m: float  # and the reverse
-    counterexample: np.ndarray | None = None
 
 
 def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
@@ -210,8 +208,8 @@ def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
     """Compare the interpolable functions on Delta(A) with the multiplier hats.
 
     The algebra must be without order (checked).  Verdict is true iff the two
-    subspaces of functions on the characters coincide; when they differ, a
-    function in one space far from the other is returned as a counterexample.
+    subspaces of functions on the characters coincide, each contained in the
+    other up to tol.
     S defaults to the numerical character set and `mult` to the algebra's
     multiplier space; pass either to judge on one already computed.
     """
@@ -238,22 +236,17 @@ def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
     if mult is None:
         mult = multiplier_space(algebra)
     m_space = _orthonormal_rows(hat(mult.stack, S, tol))
-    res_m_in_c, wit_m = _containment_residual(m_space, c_space)
-    res_c_in_m, wit_c = _containment_residual(c_space, m_space)
-    is_bse = res_m_in_c <= tol and res_c_in_m <= tol
-    counterexample = None
-    if not is_bse:
-        counterexample = wit_m if res_m_in_c > res_c_in_m else wit_c
+    res_m_in_c = _containment_residual(m_space, c_space)
+    res_c_in_m = _containment_residual(c_space, m_space)
     return BseVerdict(
         algebra=algebra,
         characters=S,
-        is_bse=is_bse,
+        is_bse=res_m_in_c <= tol and res_c_in_m <= tol,
         semisimple=semisimple,
         gelfand_space_dim=c_space.shape[0],
         multiplier_hat_dim=m_space.shape[0],
         containment_m_in_c=res_m_in_c,
         containment_c_in_m=res_c_in_m,
-        counterexample=counterexample,
     )
 
 
@@ -269,7 +262,7 @@ class SplitResult:
     tau: BSEFunction
     rho: BSEFunction
     sigma: BSEFunction
-    norm_slack: float  # ||tau|| + ||rho|| - ||sigma||, expected <= ~0
+    norm_slack: float  # ||tau|| + ||rho|| - ||sigma||, expected ~0
 
 
 def _gamma(chars: LauCharacters) -> np.ndarray:
@@ -303,34 +296,17 @@ def split_sigma(sigma_values: np.ndarray, chars: LauCharacters) -> SplitResult:
     return _split_result(tau_values, rho_values, sigma_values, chars)
 
 
-def join_tau_rho(tau_values: np.ndarray, rho_values: np.ndarray,
-                 chars: LauCharacters) -> SplitResult:
-    """sigma(phi, phi o phi') = tau(phi) + rho(phi o phi'); sigma(0, psi) = rho(psi)."""
+def theta(tau_values: np.ndarray, rho_values: np.ndarray,
+          chars: LauCharacters) -> SplitResult:
+    """The pairing (tau, rho) -> sigma: sigma(phi, phi o phi') = tau(phi) +
+    rho(phi o phi') and sigma(0, psi) = rho(psi).  It is isometric when the
+    returned norm_slack ||tau|| + ||rho|| - ||sigma|| is 0; the product law
+    is `theta_product_residual`."""
     _require_surjective(chars)
     tau_values = np.asarray(tau_values, dtype=complex)
     rho_values = np.asarray(rho_values, dtype=complex)
     sigma_values = np.concatenate([tau_values + rho_values[_gamma(chars)], rho_values])
     return _split_result(tau_values, rho_values, sigma_values, chars)
-
-
-@dataclass(eq=False)
-class ThetaResult:
-    sigma: BSEFunction
-    tau: BSEFunction
-    rho: BSEFunction
-    isometry_defect: float  # | ||sigma|| - (||tau|| + ||rho||) |
-    product_law_residual: float  # homomorphism law checked on the pair squared
-
-
-def theta(tau_values: np.ndarray, rho_values: np.ndarray,
-          chars: LauCharacters) -> ThetaResult:
-    """The pairing (tau, rho) -> sigma, certified isometric and multiplicative."""
-    joined = join_tau_rho(tau_values, rho_values, chars)
-    defect = abs(joined.sigma.bse_norm - (joined.tau.bse_norm + joined.rho.bse_norm))
-    law = theta_product_residual(chars, tau_values, rho_values,
-                                 tau_values, rho_values)
-    return ThetaResult(sigma=joined.sigma, tau=joined.tau, rho=joined.rho,
-                       isometry_defect=defect, product_law_residual=law)
 
 
 def theta_product_residual(chars: LauCharacters,
@@ -362,8 +338,7 @@ def theta_product_residual(chars: LauCharacters,
 class ExtensionResult:
     sigma: BSEFunction
     rho: BSEFunction
-    witness: Element  # the lifted interpolant (b, 0)
-    witness_error: float
+    witness_error: float  # how far the lifted interpolant (b, 0) misses sigma
     norm_slack: float  # ||sigma|| - ||rho||, expected <= ~0
 
 
@@ -398,7 +373,6 @@ def sigma_extension(rho_values: np.ndarray,
     return ExtensionResult(
         sigma=sigma,
         rho=rho,
-        witness=witness,
         witness_error=werr,
         norm_slack=sigma.bse_norm - rho.bse_norm,
     )
@@ -440,19 +414,18 @@ def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
                        chars: LauCharacters | None = None) -> ProductBseReport:
     """BSE verdicts for A, B, A x_phi B and A (+) B, plus the structural checks.
 
-    Phi(a, b) = (a - phi(b), b) is built once, and each of the four algebras
-    gets one multiplier space, shared by its verdict and the checks: the
-    direct sum's space must split blockwise as M(A) x M(B), and conjugation
-    by Phi must carry the product's multipliers onto the direct sum's, with
-    matching hats through the character pairing.  A direct sum (phi = 0) is
+    Phi(a, b) = (a - phi(b), b) is built once on `desc` itself, and each of
+    the four algebras gets one multiplier space, shared by its verdict and
+    the checks: the direct sum's space must split blockwise as M(A) x M(B),
+    and conjugation by Phi must carry the product's multipliers onto the
+    direct sum's, with matching hats through the character pairing.  A direct sum (phi = 0) is
     its own direct sum, and Phi is the identity.  The product is judged on
     its closed-form characters `chars` and A, B on their parent sets; pass
     `m_product` or `chars` to reuse a space or character set already computed.
     """
     if desc.kind not in ("lau", "direct_sum"):
         raise ValueError("product report needs a lau product or direct sum")
-    iso = phi_isomorphism(desc.first, desc.second, desc.phi, tol,
-                          force=not desc.contractive)
+    iso = phi_isomorphism(desc, tol)
     if chars is None:
         chars = characters_lau(desc, tol, cross_check=False)
     if m_product is None:

@@ -114,13 +114,13 @@ def _cmd_multipliers(args) -> int:
         "algebra": algebra.name,
         "kind": space.kind,
         "dim": space.dim,
-        "basis": [[[complex_pair(z) for z in row] for row in T.matrix]
-                  for T in space.basis],
+        "basis": [[[complex_pair(z) for z in row] for row in T]
+                  for T in space.stack],
     }
     if args.blocks:
         bundle = bundle_from_dict(load_json(args.blocks), where=args.blocks)
         blocks = []
-        for T in space.basis:
+        for T in space.stack:
             dec = decompose_left_multiplier(T, bundle, args.tol)
             blocks.append({
                 "relation_residuals": {k: float(v) for k, v in
@@ -203,13 +203,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="algebraic residual tolerance (default 1e-9)")
     common.add_argument("--opt-tol", type=float, default=argparse.SUPPRESS,
                         help="optimization tolerance (default 1e-6)")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed of verify's fixtures and sigma samples")
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="worker processes for verify")
-    common.add_argument("--format", choices=("json", "text"),
-                        default=argparse.SUPPRESS,
-                        help="report rendering for verify")
 
     parser = argparse.ArgumentParser(
         prog="banalg",
@@ -278,11 +271,15 @@ def make_parser() -> argparse.ArgumentParser:
                    help=f"comma list from {','.join(FAMILIES)}")
     v.add_argument("--count", type=int, default=2, help="fixtures per family")
     v.add_argument("--max-dim", type=int, default=5)
+    v.add_argument("--seed", type=int, default=0,
+                   help="seed of the fixtures and sigma samples")
+    v.add_argument("--jobs", type=int, default=1, help="worker processes")
+    v.add_argument("--format", choices=("json", "text"), default="text",
+                   help="report rendering")
     return parser
 
 
-_GLOBAL_DEFAULTS = {"tol": 1e-9, "opt_tol": 1e-6, "seed": 0, "jobs": 1,
-                    "format": "text"}
+_GLOBAL_DEFAULTS = {"tol": 1e-9, "opt_tol": 1e-6}
 
 
 def main(argv: list[str] | None = None) -> int:

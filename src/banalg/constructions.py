@@ -57,16 +57,13 @@ class ProductDescriptor:
     """Provenance of a constructed product algebra.
 
     first/second are the parents in block order (B, I for semidirect;
-    A, B for lau and direct_sum).  Embeddings are the isometric coordinate
-    inclusions of the parents into the product.
+    A, B for lau and direct_sum).
     """
 
     kind: str  # "semidirect" | "lau" | "direct_sum"
     algebra: Algebra
     first: Algebra
     second: Algebra
-    embed_first: LinearMap
-    embed_second: LinearMap
     phi: LinearMap | None = None
     contractive: bool = True
 
@@ -95,12 +92,6 @@ class ProductDescriptor:
     @property
     def ideal(self) -> Algebra:
         return self.second if self.kind == "semidirect" else self.first
-
-
-def _embedding(parent: Algebra, product: Algebra, offset: int) -> LinearMap:
-    m = np.zeros((product.dim, parent.dim), dtype=complex)
-    m[offset : offset + parent.dim, :] = np.eye(parent.dim)
-    return LinearMap(parent, product, m)
 
 
 def semidirect(spec: SemidirectSpec, tol: float = DEFAULT_TOL,
@@ -140,8 +131,6 @@ def semidirect(spec: SemidirectSpec, tol: float = DEFAULT_TOL,
         algebra=algebra,
         first=B,
         second=I,
-        embed_first=_embedding(B, algebra, 0),
-        embed_second=_embedding(I, algebra, m),
     )
 
 
@@ -226,8 +215,6 @@ def lau_product(A: Algebra, B: Algebra, phi: LinearMap, tol: float = DEFAULT_TOL
         algebra=algebra,
         first=A,
         second=B,
-        embed_first=_embedding(A, algebra, 0),
-        embed_second=_embedding(B, algebra, nA),
         phi=phi,
         contractive=report.is_contractive,
     )
@@ -255,9 +242,10 @@ class PhiIsomorphism:
         return operator_norm(self.lau.phi) + 1.0
 
 
-def phi_isomorphism(A: Algebra, B: Algebra, phi: LinearMap,
-                    tol: float = DEFAULT_TOL, force: bool = False) -> PhiIsomorphism:
-    lau = lau_product(A, B, phi, tol, force=force)
+def phi_isomorphism(lau: ProductDescriptor, tol: float = DEFAULT_TOL) -> PhiIsomorphism:
+    """Phi for a lau product already built: only A (+) B and the two matrices
+    are new, and the returned `lau` is the descriptor passed in."""
+    A, B, phi = lau.first, lau.second, lau.phi
     direct = direct_sum(A, B, tol)
     nA, nB = A.dim, B.dim
     n = nA + nB

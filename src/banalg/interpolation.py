@@ -47,8 +47,9 @@ takes the iterations of its solve alone and is certified on its own.
 
 When E is square and invertible (semisimple case: as many characters as
 dimensions) the primal is a single linear solve and no iteration runs.
-Only the primal route asks whether the minimizer is unique; the dual route
-returns no minimizer.  `solve_primal` and `solve_dual` check that E has full
+Both routes return the optimal value bracketed by a feasible pair; the
+interpolant is one minimizer, and the value, not the minimizer, is the
+contractual output.  `solve_primal` and `solve_dual` check that E has full
 row rank; the BSE norms, which have just checked the rank of the same
 character matrix, call their cores `_primal` and `_dual` directly.
 """
@@ -78,10 +79,8 @@ class InterpolationSolution:
 
     value is the primal objective of the returned (feasible) interpolant;
     dual_value = |sum_j c_j sigma_j| for the returned (feasible) certificate;
-    the true optimum lies in [dual_value, value].  unique reports whether the
-    minimizer is the only one; it is set only on the primal route (solve_dual
-    returns no minimizer), and the norm value, not the minimizer, is the
-    contractual output either way.
+    the true optimum lies in [dual_value, value].  The value, not the
+    interpolant, is the contractual output: a is one minimizer.
     """
 
     a: np.ndarray
@@ -90,7 +89,6 @@ class InterpolationSolution:
     dual_value: float
     gap: float
     method: str  # "square" (one linear solve) | "barrier" (path following)
-    unique: bool
     iterations: int  # path-following steps taken; 0 when none ran
 
 
@@ -172,29 +170,14 @@ def _nt_scaling(z: np.ndarray, s: np.ndarray, zdet: np.ndarray,
     return Winv, lam
 
 
-def _is_unique(E: np.ndarray, a: np.ndarray, support: np.ndarray) -> bool:
-    """The optimal face is one point iff the support columns E_i a_i/|a_i|,
-    read as vectors of R^2s, are linearly independent.  The path-following
-    iterate converges to the face's relative interior, so the support read
-    off it is the largest support of any minimizer."""
-    T = np.flatnonzero(support)
-    if T.size > 2 * E.shape[0]:
-        return False
-    cols = E[:, T] * np.exp(1j * np.angle(a[T]))
-    K = np.concatenate([cols.real, cols.imag])
-    eig = np.linalg.eigvalsh(K.T @ K)
-    return bool(eig[0] > GAP_REL * eig[-1])
-
-
 def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
-                gap_rel: float) -> list[tuple[InterpolationSolution, np.ndarray]]:
+                gap_rel: float) -> list[InterpolationSolution]:
     """Path following on the lifted cone program from a strictly feasible start,
     for every row of the (k, s) stack sigma in one loop.
 
-    Returns one (solution, support mask of its interpolant) per row, each
-    solution with `unique` left False; the primal route decides `unique` from
-    the mask.  Each member stops on its own test and is then left as it is,
-    so it takes the iterations, and gets the result, of a batch of one.
+    Returns one solution per row.  Each member stops on its own test and is
+    then left as it is, so it takes the iterations, and gets the result, of
+    a batch of one.
     """
     k = len(sigma)
     s, n = E.shape
@@ -213,7 +196,7 @@ def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
     sl = np.repeat(cost[None], k, axis=0)
     # the members still iterating, and their rows of the state, in one order
     live, bl, bsl = np.arange(k), b, bscale
-    z_end, sl_end, y_end = np.empty_like(z), np.empty_like(sl), np.empty_like(y)
+    z_end, y_end = np.empty_like(z), np.empty_like(y)
     iterations = np.full(k, MAX_ITER)
     buffer = np.empty((k, 2, n, 3))  # (dz~, ds~) of one direction, per member
     for iteration in range(MAX_ITER):
@@ -232,7 +215,7 @@ def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
         stop |= ~(np.minimum(zdet, sdet).min(axis=1) > 0)
         if stop.any():
             done = live[stop]
-            z_end[done], sl_end[done], y_end[done] = z[stop], sl[stop], y[stop]
+            z_end[done], y_end[done] = z[stop], y[stop]
             iterations[done] = iteration
             keep = ~stop
             live, bl, bsl, z, sl, y, rp, rd, gap, zdet, sdet = (
@@ -279,12 +262,8 @@ def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
         y += alpha[:, None] * dy
         rd[..., 1:] -= (dy @ A).reshape(m, n, 2)  # now ds = rd - G^T dy
         sl += alpha[:, None, None] * rd
-    z_end[live], sl_end[live], y_end[live] = z, sl, y  # those at MAX_ITER
+    z_end[live], y_end[live] = z, y  # those at MAX_ITER
 
-    # coordinate i is in the support when its share of the objective beats
-    # its dual constraint's relative slack; their product is ~ mu either way
-    share = w * z_end[..., 0] / (z_end[..., 0] @ w)[:, None]
-    support = share > 1.0 - np.linalg.norm(sl_end[..., 1:], axis=2) / w
     x = z_end[..., 1:].reshape(k, 2 * n)
     x = x + np.linalg.lstsq(A, (b - x @ A.T).T, rcond=None)[0].T
     a = sn[:, None] * (x[:, 0::2] + 1j * x[:, 1::2])
@@ -300,9 +279,8 @@ def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
                 f"interpolation solver failed to certify the optimum "
                 f"(relative gap {gap / max(1.0, value):.3e})"
             )
-        solutions.append((InterpolationSolution(a[i], c[i], value, dual_value, gap, "barrier",
-                                                unique=False, iterations=int(iterations[i])),
-                          support[i]))
+        solutions.append(InterpolationSolution(a[i], c[i], value, dual_value, gap,
+                                               "barrier", iterations=int(iterations[i])))
     return solutions
 
 
@@ -335,7 +313,7 @@ def _primal(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
     if not np.any(np.abs(sigma) > 0):
         return InterpolationSolution(
             np.zeros(n, dtype=complex), np.zeros(s, dtype=complex), 0.0, 0.0, 0.0,
-            "square" if s == n else "barrier", unique=True, iterations=0,
+            "square" if s == n else "barrier", iterations=0,
         )
     if s == n:
         # full-rank square system: the interpolation constraints pin a uniquely
@@ -349,10 +327,8 @@ def _primal(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
         c = _scale_into_feasibility(E, c, w)
         dual_value = certificate_value(c, sigma)
         return InterpolationSolution(a, c, value, dual_value, value - dual_value,
-                                     "square", unique=True, iterations=0)
-    sol, support = _solve_cone(E, sigma[None], w, gap_rel)[0]
-    sol.unique = _is_unique(E, sol.a, support)
-    return sol
+                                     "square", iterations=0)
+    return _solve_cone(E, sigma[None], w, gap_rel)[0]
 
 
 def solve_dual(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
@@ -377,7 +353,7 @@ def _dual(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
     certificates = np.zeros(stack.shape, dtype=complex)
     live = np.flatnonzero(np.any(np.abs(stack) > 0, axis=1))
     if live.size:
-        for i, (sol, _) in zip(live, _solve_cone(E, stack[live], w, gap_rel)):
+        for i, sol in zip(live, _solve_cone(E, stack[live], w, gap_rel)):
             values[i], certificates[i] = sol.dual_value, sol.c
     if sigma.ndim == 1:
         return float(values[0]), certificates[0]

@@ -117,20 +117,18 @@ def _tensor_from_sparse(entries: Any, shape: tuple[int, int, int],
     return t
 
 
+def _sparse_tensor(t: np.ndarray) -> list:
+    """[i, j, k, re, im] for every nonzero entry, in row-major index order."""
+    return [[int(i), int(j), int(k), float(t[i, j, k].real), float(t[i, j, k].imag)]
+            for i, j, k in np.argwhere(t != 0)]
+
+
 def algebra_to_dict(algebra: Algebra) -> dict:
-    entries = []
-    n = algebra.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                z = algebra.structure[i, j, k]
-                if z != 0:
-                    entries.append([i, j, k, float(z.real), float(z.imag)])
     doc: dict[str, Any] = {
         "name": algebra.name,
-        "dim": n,
+        "dim": algebra.dim,
         "weights": [float(w) for w in algebra.weights],
-        "structure": entries,
+        "structure": _sparse_tensor(algebra.structure),
     }
     if algebra.unit is not None:
         doc["unit"] = [complex_pair(z) for z in algebra.unit]
@@ -226,17 +224,6 @@ def sigma_from_dict(doc: Any, expected_len: int | None = None,
     if v:
         raise SchemaError(v)
     return np.array(out, dtype=complex)
-
-
-def _sparse_tensor(t: np.ndarray) -> list:
-    entries = []
-    it = np.nditer(t, flags=["multi_index"])
-    for z in it:
-        zz = complex(z)
-        if zz != 0:
-            i, j, k = it.multi_index
-            entries.append([int(i), int(j), int(k), zz.real, zz.imag])
-    return entries
 
 
 def actions_from_dict(doc: Any, m: int, p: int, where: str = "$"

@@ -19,10 +19,11 @@ R_I) of a left multiplier on a subalgebra(+)ideal product and the linear
 relations tying the blocks together, whose eight groups reach the kernel
 as eight row blocks.
 
+A space is held as its `stack`, the (dim, n, n) array of its basis maps.
 The residuals, the block (de)composition and `hat` take one map or a stack
-of maps along leading axes (a space's `stack`), so a check over a whole
-space is one contraction: a residual is the worst over the stack, and a
-refusal is raised when any map fails.
+of maps along leading axes, so a check over a whole space is one
+contraction: a residual is the worst over the stack, and a refusal is
+raised when any map fails.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Algebra, LinearMap, rank_basis
+from .algebra import DEFAULT_TOL, Algebra, LinearMap, _readonly, rank_basis
 from .constructions import ProductDescriptor
 from .errors import (
     NotAMultiplierError,
@@ -96,19 +97,19 @@ def _max_norm(diff: np.ndarray, weights: np.ndarray) -> float:
 
 @dataclass(eq=False)
 class MultiplierBasis:
+    """A Frobenius-orthonormal basis of M(A) or LM(A): the null-space rows of
+    its constraint system, held as one read-only (dim, n, n) stack of maps."""
+
     algebra: Algebra
     kind: str  # "LM" | "M"
-    basis: list[LinearMap]
+    stack: np.ndarray
+
+    def __post_init__(self):
+        self.stack = _readonly(np.asarray(self.stack, dtype=complex))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def stack(self) -> np.ndarray:
-        """The basis maps as one (dim, n, n) array."""
-        n = self.algebra.dim
-        return np.array([T.matrix for T in self.basis], dtype=complex).reshape(-1, n, n)
+        return len(self.stack)
 
 
 def left_multiplier_residual(algebra: Algebra, T: np.ndarray) -> float:
@@ -161,8 +162,7 @@ def _constraint_blocks(algebra: Algebra, constraints: Constraints) -> Iterator[n
 def _space(algebra: Algebra, kind: str, constraints: Constraints) -> MultiplierBasis:
     rank, vh = rank_basis(_constraint_blocks(algebra, constraints))
     n = algebra.dim
-    basis = [LinearMap(algebra, algebra, row.reshape(n, n)) for row in vh[rank:].conj()]
-    return MultiplierBasis(algebra, kind, basis)
+    return MultiplierBasis(algebra, kind, vh[rank:].conj().reshape(-1, n, n))
 
 
 def left_multiplier_space(algebra: Algebra) -> MultiplierBasis:

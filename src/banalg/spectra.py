@@ -9,7 +9,9 @@ of one generic element and verified multiplicative.  The extraction is
 deterministic and finds exactly dim A/rad characters.  Product algebras
 also get closed-form character sets E u F assembled from their parents'
 sets by one assembler that verifies every row multiplicative, and the two
-routes are cross-checked.
+routes are cross-checked.  A semidirect set induces each psi_phi once and
+keeps the worst normalizer discrepancy of those inductions, so nothing
+downstream induces them again.
 """
 
 from __future__ import annotations
@@ -263,10 +265,12 @@ def characters_semidirect(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
     e_rows = np.zeros((len(i_chars), alg.dim), dtype=complex)
     e_rows[:, desc.ideal_slice] = i_chars.matrix
     psis: list[np.ndarray | None] = []
+    worst_disc = 0.0
     for row, phi in zip(e_rows, i_chars):
         psi_vals, disc = psi_of(phi, desc, tol)
         if disc > tol:
             raise SpectraError(f"psi construction is normalizer-dependent ({disc:.3e})")
+        worst_disc = max(worst_disc, disc)
         if psi_vals is not None:
             row[desc.subalgebra_slice] = psi_vals
         psis.append(psi_vals)
@@ -280,6 +284,7 @@ def characters_semidirect(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
                    for v in psis],
         e_count=len(i_chars),
         descriptor=desc,
+        psi_discrepancy=worst_disc,
     )
     if cross_check:
         numeric = characters_numerical(alg, tol)
@@ -293,7 +298,8 @@ class SemidirectCharacters:
     """E u F decomposition; E block first (indexed like ideal_chars), then F.
 
     psi_index[r] locates psi_phi (for ideal character r) inside
-    subalgebra_chars; None marks psi_phi = 0.
+    subalgebra_chars; None marks psi_phi = 0.  psi_discrepancy is the worst
+    normalizer discrepancy `psi_of` reported while building E.
     """
 
     set: CharacterSet
@@ -302,6 +308,7 @@ class SemidirectCharacters:
     psi_index: list[int | None]
     e_count: int
     descriptor: ProductDescriptor
+    psi_discrepancy: float = 0.0
     cross_check_distance: float | None = None
 
     @property

@@ -51,9 +51,9 @@ def dual_norm(f, algebra):
 
 def span_contains(space, T, tol=1e-8):
     """Whether T lies in the span of a multiplier basis (Frobenius projection residual)."""
-    if not space.basis:
+    if not space.dim:
         return float(np.linalg.norm(T)) <= tol
-    flat = np.array([b.matrix.reshape(-1) for b in space.basis])
+    flat = space.stack.reshape(space.dim, -1)
     t = np.asarray(T, dtype=complex).reshape(-1)
     proj = flat.conj() @ t  # orthonormal rows
     resid = t - flat.T @ proj

@@ -81,7 +81,7 @@ def test_criterion_1_lemma_equivalence(semidirect_fixtures):
     for fix in semidirect_fixtures:
         desc = fix.descriptor
         lm = left_multiplier_space(fix.algebra)
-        for T in lm.basis:
+        for T in lm.stack:
             dec = decompose_left_multiplier(T, desc, tol=1e-9)
             worst_rel = max(worst_rel, dec.max_relation_residual,
                             dec.max_membership_residual)
@@ -199,7 +199,7 @@ def test_criterion_5_theta_isometry(lau_fixtures):
             tau = rng.standard_normal(na) + 1j * rng.standard_normal(na)
             rho = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
             th = theta(tau, rho, lc)
-            worst_iso = max(worst_iso, th.isometry_defect)
+            worst_iso = max(worst_iso, abs(th.norm_slack))
             worst_mult = max(worst_mult, theta_product_residual(
                 lc, tau, rho,
                 rng.standard_normal(na) + 1j * rng.standard_normal(na),
@@ -218,7 +218,7 @@ def test_criterion_6_phi_transport(lau_fixtures):
     worst_member = 0.0
     for fix in lau_fixtures[:12]:
         desc = fix.descriptor
-        iso = phi_isomorphism(desc.first, desc.second, desc.phi)
+        iso = phi_isomorphism(desc)
         worst_bound = max(worst_bound, operator_norm(iso.forward) - iso.norm_bound)
         rep = verify_product_bse(desc)
         dims_ok = dims_ok and rep.transport_dim_ok

@@ -35,13 +35,14 @@ def test_build_group_and_characters(tmp_path, capsys):
     assert all(c["residual"] <= 1e-9 for c in chars["characters"])
 
 
-def test_characters_output_ignores_seed(tmp_path, capsys):
+def test_characters_rejects_seed(tmp_path, capsys):
+    # --seed, --jobs and --format belong to verify, the one command reading them
     out = tmp_path / "g.json"
     run_cli(capsys, "build", "group", "--orders", "2,3", "-o", str(out))
-    outputs = [run_cli(capsys, "--seed", seed, "characters", str(out))
-               for seed in ("0", "5")]
-    assert outputs[0][0] == 0
-    assert outputs[0] == outputs[1]
+    with pytest.raises(SystemExit) as exc:
+        main(["characters", "--seed", "0", str(out)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_build_lau_bundle_and_verify(tmp_path, capsys):

@@ -62,14 +62,6 @@ def test_semidirect_broken_action_rejected():
         semidirect(SemidirectSpec(B, I, act_bi, act_ib))
 
 
-def test_embeddings_isometric():
-    desc = pointwise_semidirect()
-    for emb, parent in ((desc.embed_first, desc.first), (desc.embed_second, desc.second)):
-        assert operator_norm(emb) == pytest.approx(1.0)
-        x = parent.element(np.array([1.5 + 0.5j] * parent.dim))
-        assert emb(x).norm == pytest.approx(x.norm)
-
-
 def test_lau_zero_phi_equals_direct_sum():
     A = diagonal_algebra(2, "A")
     B = diagonal_algebra(2, "B")
@@ -156,13 +148,13 @@ def test_phi_isomorphism_zero_is_identity():
     A = diagonal_algebra(1, "A")
     B = diagonal_algebra(1, "B")
     zero = LinearMap(B, A, np.zeros((1, 1), dtype=complex))
-    iso = phi_isomorphism(A, B, zero)
+    iso = phi_isomorphism(lau_product(A, B, zero))
     assert np.array_equal(iso.forward.matrix, np.eye(2))
 
 
 def test_phi_isomorphism_explicit_formula_and_inverse():
     desc = lau_c_c2()
-    iso = phi_isomorphism(desc.first, desc.second, desc.phi)
+    iso = phi_isomorphism(desc)
     v = np.array([2.0, 3.0, 4.0], dtype=complex)  # (a, b1, b2)
     assert np.allclose(iso.forward.matrix @ v, [2.0 - 3.0, 3.0, 4.0])
     assert np.allclose(iso.inverse.matrix @ (iso.forward.matrix @ v), v)
@@ -179,7 +171,7 @@ def test_phi_isomorphism_explicit_formula_and_inverse():
 
 def test_phi_isomorphism_norm_bound():
     desc = lau_c_c2()
-    iso = phi_isomorphism(desc.first, desc.second, desc.phi)
+    iso = phi_isomorphism(desc)
     nrm = operator_norm(iso.forward)
     assert nrm <= iso.norm_bound + 1e-12
     assert nrm == pytest.approx(2.0)

@@ -1,5 +1,5 @@
-"""Exact-rank oracle: the M, LM and annihilator systems and the trace form over
-the rationals.
+"""Exact-rank oracle: the M, LM, block and annihilator systems and the trace
+form over the rationals.
 
 Every dimension `multipliers` reports, and the character count of `spectra`,
 comes from one relative singular-value cutoff.  Here the same systems are
@@ -15,10 +15,10 @@ from sympy.polys.matrices import DomainMatrix
 
 from banalg.algebra import Algebra, annihilator_basis, validate
 from banalg.constructions import finite_abelian_group_algebra
-from banalg.multipliers import left_multiplier_space, multiplier_space
+from banalg.multipliers import block_space, left_multiplier_space, multiplier_space
 from banalg.spectra import characters_numerical
 
-from conftest import module_extension_semidirect
+from conftest import lau_c_c2, module_extension_semidirect, pointwise_semidirect
 
 
 def rational_structure(alg):
@@ -52,6 +52,50 @@ def exact_nullity(alg, kind):
                 row = {col: v for col, v in row.items() if v}
                 if row:
                     system[len(system)] = row
+    if not system:
+        return n * n
+    return n * n - DomainMatrix(system, (len(system), n * n), QQ).rank()
+
+
+def exact_block_nullity(desc):
+    """dim of the block space of a subalgebra (+) ideal product: the maps
+    T = [[T_B, S_B], [S_I, R_I]] (rows and columns in B, I order) with
+
+      T_B in LM(B), S_B in Hom_B(I, B), S_I in Hom_B(B, I), R_I in Hom_B(I, I),
+      (ii)  R_I(a a') = a R_I(a') + a S_B(a'),
+      (iii) R_I(a b) = a S_I(b) + a T_B(b),
+      (iv)  S_B(a a') = 0 and S_B(a b) = 0,
+
+    for b, b' in B and a, a' in I.  Each relation reads, for x, y in its
+    blocks and r in its output block, sum_{k in K1} c[x, y, k] T[r, k]
+    - sum_{k in K2} c[x, k, r] T[k, y]: K1 is the block x y lands in, and K2
+    the blocks of the images multiplied by x.  Unknowns are vec(T)."""
+    c, n = rational_structure(desc.algebra), desc.algebra.dim
+    B = list(range(n))[desc.subalgebra_slice]
+    I = list(range(n))[desc.ideal_slice]
+    relations = [  # x, y, r, K1, K2
+        (B, B, B, B, B),  # T_B in LM(B)
+        (B, I, B, I, B),  # S_B(b a) = b S_B(a)
+        (B, B, I, B, I),  # S_I(b b') = b S_I(b')
+        (B, I, I, I, I),  # R_I(b a) = b R_I(a)
+        (I, I, I, I, I + B),  # (ii)
+        (I, B, I, I, I + B),  # (iii)
+        (I, I, B, I, []),  # (iv), S_B(a a') = 0
+        (I, B, B, I, []),  # (iv), S_B(a b) = 0
+    ]
+    system = {}
+    for xs, ys, rs, k1, k2 in relations:
+        for x in xs:
+            for y in ys:
+                for r in rs:
+                    row = {}
+                    for k in k1:
+                        row[r * n + k] = row.get(r * n + k, QQ(0)) + c[x][y][k]
+                    for k in k2:
+                        row[k * n + y] = row.get(k * n + y, QQ(0)) - c[x][k][r]
+                    row = {col: v for col, v in row.items() if v}
+                    if row:
+                        system[len(system)] = row
     if not system:
         return n * n
     return n * n - DomainMatrix(system, (len(system), n * n), QQ).rank()
@@ -124,3 +168,16 @@ ANNIHILATOR_DIMS = (0, 0, 0, 0, 0, 3, 1)
 def test_annihilator_dimension_matches_exact_nullity(alg, dim):
     assert exact_annihilator_nullity(alg) == dim  # known by hand
     assert annihilator_basis(alg).shape[0] == dim
+
+
+@pytest.mark.parametrize("desc, dim_lm", [
+    # C^2 as B (+) I, unital: LM = {L_a}
+    pytest.param(pointwise_semidirect(), 2, id="pointwise-semidirect"),
+    pytest.param(module_extension_semidirect(), 4, id="module-extension"),
+    # C x_phi C^2 is unital (both parents are)
+    pytest.param(lau_c_c2(), 3, id="lau-c-c2"),
+])
+def test_block_space_dimension_matches_exact_nullity(desc, dim_lm):
+    exact = exact_block_nullity(desc)
+    assert exact == exact_nullity(desc.algebra, "LM") == dim_lm  # known by hand
+    assert block_space(desc).shape[0] == exact

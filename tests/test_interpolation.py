@@ -200,11 +200,11 @@ def test_batch_members_match_their_solves_alone(corpus):
         s = E.shape[0]
         sigmas = rng.standard_normal((4, s)) + 1j * rng.standard_normal((4, s))
         batch = _solve_cone(E, sigmas, w, GAP_REL)
-        for sigma, (sol, _) in zip(sigmas, batch):
-            (alone, _), = _solve_cone(E, sigma[None], w, GAP_REL)
+        for sigma, sol in zip(sigmas, batch):
+            alone, = _solve_cone(E, sigma[None], w, GAP_REL)
             assert sol.iterations == alone.iterations
             assert sol.dual_value == pytest.approx(alone.dual_value, rel=1e-12)
-        staggered |= len({sol.iterations for sol, _ in batch}) > 1
+        staggered |= len({sol.iterations for sol in batch}) > 1
     assert staggered  # some batch had members stop at different iterations
 
 
@@ -228,7 +228,7 @@ def test_zero_sigma_in_a_batch(shape):
 def test_square_cone_iterations_below_cap():
     """The cone program solve_dual runs on square E never reaches MAX_ITER."""
     for E, sigma, w in square_corpus():
-        (sol, _), = _solve_cone(E, sigma[None], w, GAP_REL)
+        sol, = _solve_cone(E, sigma[None], w, GAP_REL)
         assert 0 < sol.iterations < MAX_ITER
 
 
@@ -273,22 +273,3 @@ def test_stacked_max_step_is_the_smaller_step():
     x = np.array([[1.0, 0.0, 0.0]])
     inward = np.array([[[1.0, 0.0, 0.0]], [[2.0, 1.0, 0.0]]])  # never leaves the cone
     assert max_step(x, inward) == np.inf
-
-
-def test_only_the_primal_route_decides_uniqueness(monkeypatch):
-    """solve_dual returns no minimizer, so it never runs the uniqueness test;
-    the cone path of solve_primal runs it once."""
-    from banalg import interpolation
-
-    calls = []
-    original = interpolation._is_unique
-    monkeypatch.setattr(interpolation, "_is_unique",
-                        lambda *args: calls.append(1) or original(*args))
-    rng = np.random.default_rng(3)
-    for shape in ((3, 7), (4, 4)):
-        E = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        sigma = rng.standard_normal(shape[0]) + 1j * rng.standard_normal(shape[0])
-        solve_dual(E, sigma, np.ones(shape[1]))
-    assert calls == []
-    assert solve_primal(E[:3], sigma[:3], np.ones(4)).method == "barrier"
-    assert calls == [1]

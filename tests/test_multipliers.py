@@ -155,16 +155,16 @@ def test_left_multiplier_dims_against_oracle(c2, z2, zero_product2):
         assert space.dim == expected
         oracle = naive_left_multiplier_nullspace(alg)
         assert oracle.shape[0] == expected
-        for T in space.basis:
-            assert left_multiplier_residual(alg, T.matrix) <= 1e-12
+        for T in space.stack:
+            assert left_multiplier_residual(alg, T) <= 1e-12
     for alg in [c2, z2, zero_product2] + [d.algebra for d in product_fixtures()]:
         space = multiplier_space(alg)
         oracle = naive_multiplier_nullspace(alg)
         assert space.dim == oracle.shape[0]
         for row in oracle:  # same span, not only the same dimension
             assert span_contains(space, row.reshape(alg.dim, alg.dim), tol=1e-9)
-        for T in space.basis:
-            assert multiplier_residual(alg, T.matrix) <= 1e-12
+        for T in space.stack:
+            assert multiplier_residual(alg, T) <= 1e-12
 
 
 def full_left_constraints(alg):
@@ -231,8 +231,8 @@ def test_multiplier_space_memory_peak(space):
 
 
 def test_left_multipliers_of_pointwise_are_diagonal(c2):
-    for T in left_multiplier_space(c2).basis:
-        assert abs(T.matrix[0, 1]) < 1e-12 and abs(T.matrix[1, 0]) < 1e-12
+    for T in left_multiplier_space(c2).stack:
+        assert abs(T[0, 1]) < 1e-12 and abs(T[1, 0]) < 1e-12
 
 
 def test_multiplier_space_unital_bijection(c2, z2z2):
@@ -290,10 +290,10 @@ def test_decompose_rejects_non_multiplier(sd_pointwise):
 
 def test_recompose_roundtrip(sd_pointwise):
     desc = sd_pointwise
-    for T in left_multiplier_space(desc.algebra).basis:
+    for T in left_multiplier_space(desc.algebra).stack:
         dec = decompose_left_multiplier(T, desc)
         back, _ = recompose(dec)
-        assert np.allclose(back, T.matrix, atol=1e-12)
+        assert np.allclose(back, T, atol=1e-12)
 
 
 def test_recompose_rejects_nonzero_sb(sd_pointwise):
@@ -321,7 +321,7 @@ def test_block_space_on_lau_descriptor():
     lm = left_multiplier_space(desc.algebra)
     bs = block_space(desc)
     assert bs.shape[0] == lm.dim
-    for T in lm.basis:
+    for T in lm.stack:
         dec = decompose_left_multiplier(T, desc)
         assert dec.max_relation_residual <= 1e-10
 
@@ -360,7 +360,7 @@ def test_hat_against_loop_oracle(c2, z3, z2z2):
         space = multiplier_space(alg)
         for _ in range(3):
             co = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-            T = sum(c * B.matrix for c, B in zip(co, space.basis))
+            T = sum(c * B for c, B in zip(co, space.stack))
             expected = naive_hat(T, S)
             assert np.max(np.abs(hat(T, S) - expected)) <= 1e-12 * np.max(np.abs(expected))
             # a generic map is no multiplier: where its directions disagree
@@ -393,8 +393,8 @@ def test_hat_multiplicative_over_composition(z2z2):
     rng = np.random.default_rng(0)
     co = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
     co2 = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    S1 = sum(c * T.matrix for c, T in zip(co, space.basis))
-    S2 = sum(c * T.matrix for c, T in zip(co2, space.basis))
+    S1 = sum(c * T for c, T in zip(co, space.stack))
+    S2 = sum(c * T for c, T in zip(co2, space.stack))
     assert multiplier_residual(z2z2, S1) <= 1e-9
     lhs = hat(S1 @ S2, S)
     rhs = hat(S1, S) * hat(S2, S)
@@ -417,11 +417,11 @@ def test_stacked_checks_match_per_map(family, index):
             per_map = max(residual(alg, T) for T in stack)
             assert residual(alg, stack) == pytest.approx(per_map, rel=1e-14, abs=1e-14)
     assert mult.stack.shape == (mult.dim, alg.dim, alg.dim)
-    assert np.max(np.abs(hat(mult.stack, S) - np.array([hat(T, S) for T in mult.basis]))) <= 1e-14
+    assert np.max(np.abs(hat(mult.stack, S) - np.array([hat(T, S) for T in mult.stack]))) <= 1e-14
     if desc is None:
         return
     stacked = decompose_left_multiplier(lm.stack, desc)
-    singles = [decompose_left_multiplier(T, desc) for T in lm.basis]
+    singles = [decompose_left_multiplier(T, desc) for T in lm.stack]
     for name in ("T_B", "S_B", "S_I", "R_I"):
         assert np.array_equal(getattr(stacked, name),
                               np.array([getattr(d, name) for d in singles]))
@@ -445,7 +445,7 @@ def test_one_bad_map_refuses_the_stack():
     desc = lau_fixture(0, 0, 6).descriptor
     alg = desc.algebra
     lm = left_multiplier_space(alg)
-    bad = lm.stack
+    bad = lm.stack.copy()
     bad[1] = np.random.default_rng(3).standard_normal((alg.dim, alg.dim))
     with pytest.raises(NotAMultiplierError):
         decompose_left_multiplier(bad[1], desc)

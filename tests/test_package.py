@@ -35,23 +35,6 @@ def test_rank_decisions_live_in_the_kernel():
     assert outside == []
 
 
-def test_multiplier_checks_run_on_stacks():
-    """`bse.py` and `verify.py` iterate over no `MultiplierBasis.basis`: every
-    check over a multiplier space is one contraction over its `stack`."""
-    import ast
-    from pathlib import Path
-
-    loops = []
-    for name in ("bse.py", "verify.py"):
-        tree = ast.parse((Path(banalg.__file__).parent / name).read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.For, ast.comprehension)) and any(
-                    isinstance(sub, ast.Attribute) and sub.attr == "basis"
-                    for sub in ast.walk(node.iter)):
-                loops.append(f"{name}:{node.iter.lineno}")
-    assert loops == []
-
-
 def test_every_library_function_has_a_caller():
     """Every function and method defined in the package is exported in
     `banalg.__all__` or referenced by name from the package, `scripts/` or
