@@ -9,10 +9,8 @@ __version__ = "0.1.0"
 
 from .algebra import (
     Algebra,
-    Element,
     LinearMap,
     ValidationReport,
-    norm,
     operator_norm,
     validate,
 )
@@ -62,10 +60,8 @@ from .verify import Report, RunConfig, run_verify
 
 __all__ = [
     "Algebra",
-    "Element",
     "LinearMap",
     "ValidationReport",
-    "norm",
     "operator_norm",
     "validate",
     "PhiIsomorphism",

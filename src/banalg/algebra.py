@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlgebraMismatchError, ValidationRejected
+from .errors import ValidationRejected
 
 DEFAULT_TOL = 1e-9
 RANK_CUTOFF = 1e-10  # relative singular-value cutoff of rank_basis
@@ -59,72 +59,8 @@ class Algebra:
     def dim(self) -> int:
         return self.weights.shape[0]
 
-    def element(self, coeffs) -> "Element":
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (self.dim,):
-            raise ValueError(f"coefficient vector must have length {self.dim}")
-        return Element(self, coeffs)
-
-    def multiply_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """coeffs_k = sum_{i,j} a_i b_j c[i,j,k]"""
-        return np.einsum("i,j,ijk->k", a, b, self.structure)
-
-    def norm_coeffs(self, a: np.ndarray) -> float:
-        return float(np.sum(self.weights * np.abs(a)))
-
     def __repr__(self):
         return f"Algebra({self.name!r}, dim={self.dim})"
-
-
-@dataclass(eq=False)
-class Element:
-    algebra: Algebra
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = _readonly(np.asarray(self.coeffs, dtype=complex))
-        if self.coeffs.shape != (self.algebra.dim,):
-            raise ValueError("coefficient length mismatch")
-
-    def _check_same(self, other: "Element"):
-        if self.algebra is not other.algebra:
-            raise AlgebraMismatchError(
-                f"elements live in different algebras "
-                f"({self.algebra.name!r} vs {other.algebra.name!r})"
-            )
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check_same(other)
-        return Element(self.algebra, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Element") -> "Element":
-        self._check_same(other)
-        return Element(self.algebra, self.coeffs - other.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            self._check_same(other)
-            return Element(
-                self.algebra, self.algebra.multiply_coeffs(self.coeffs, other.coeffs)
-            )
-        return Element(self.algebra, self.coeffs * complex(other))
-
-    def __rmul__(self, scalar) -> "Element":
-        return Element(self.algebra, self.coeffs * complex(scalar))
-
-    def __neg__(self) -> "Element":
-        return Element(self.algebra, -self.coeffs)
-
-    @property
-    def norm(self) -> float:
-        return self.algebra.norm_coeffs(self.coeffs)
-
-    def __repr__(self):
-        return f"Element({self.algebra.name!r}, {np.array2string(self.coeffs, precision=6)})"
-
-
-def norm(a: Element) -> float:
-    return a.norm
 
 
 @dataclass(eq=False)
@@ -142,11 +78,6 @@ class LinearMap:
                 f"matrix shape {self.matrix.shape} != "
                 f"({self.target.dim}, {self.source.dim})"
             )
-
-    def __call__(self, x: Element) -> Element:
-        if x.algebra is not self.source:
-            raise AlgebraMismatchError("element is not in the map's source algebra")
-        return Element(self.target, self.matrix @ x.coeffs)
 
     def __repr__(self):
         return f"LinearMap({self.source.name!r} -> {self.target.name!r})"

@@ -33,7 +33,6 @@ import numpy as np
 from .algebra import (
     DEFAULT_TOL,
     Algebra,
-    Element,
     is_without_order,
     rank_basis,
 )
@@ -76,7 +75,7 @@ class BSEFunction:
     characters: CharacterSet
     values: np.ndarray
     bse_norm: float
-    minimizer: Element
+    minimizer: np.ndarray  # coefficient vector
     dual_certificate: np.ndarray
     gap: float
     method: str
@@ -98,7 +97,7 @@ class BSEFunction:
 class BaiCertificate:
     """Minimum-norm element with phi(e) = 1 on every character."""
 
-    element: Element
+    element: np.ndarray  # coefficient vector
     norm: float
     residual: float
 
@@ -135,7 +134,7 @@ def bse_norm_primal(values: np.ndarray, S: CharacterSet, algebra: Algebra,
         characters=S,
         values=values,
         bse_norm=sol.value,
-        minimizer=algebra.element(sol.a),
+        minimizer=sol.a,
         dual_certificate=sol.c,
         gap=sol.gap,
         method=sol.method,
@@ -367,9 +366,8 @@ def sigma_extension(rho_values: np.ndarray,
     rho = bse_norm_primal(rho_values, sd.subalgebra_chars, B)
     sigma = bse_norm_primal(sigma_values, sd.set, desc.algebra)
     lifted = np.zeros(desc.algebra.dim, dtype=complex)
-    lifted[desc.subalgebra_slice] = rho.minimizer.coeffs
-    witness = desc.algebra.element(lifted)
-    werr = float(np.max(np.abs(gelfand(witness, sd.set) - sigma_values), initial=0.0))
+    lifted[desc.subalgebra_slice] = rho.minimizer
+    werr = float(np.max(np.abs(gelfand(lifted, sd.set) - sigma_values), initial=0.0))
     return ExtensionResult(
         sigma=sigma,
         rho=rho,
@@ -423,8 +421,6 @@ def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
     its closed-form characters `chars` and A, B on their parent sets; pass
     `m_product` or `chars` to reuse a space or character set already computed.
     """
-    if desc.kind not in ("lau", "direct_sum"):
-        raise ValueError("product report needs a lau product or direct sum")
     iso = phi_isomorphism(desc, tol)
     if chars is None:
         chars = characters_lau(desc, tol, cross_check=False)

@@ -142,7 +142,7 @@ def _cmd_bse_norm(args) -> int:
     doc = {
         "algebra": algebra.name,
         "bse_norm": fn.bse_norm,
-        "minimizer": [complex_pair(z) for z in fn.minimizer.coeffs],
+        "minimizer": [complex_pair(z) for z in fn.minimizer],
         "certificate": [complex_pair(z) for z in fn.dual_certificate],
         "gap": fn.gap,
         "method": fn.method,

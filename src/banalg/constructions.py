@@ -23,6 +23,7 @@ from .algebra import (
     validate,
 )
 from .errors import (
+    ConstructionError,
     InvalidActionError,
     NotContractiveError,
     NotHomomorphismError,
@@ -244,7 +245,10 @@ class PhiIsomorphism:
 
 def phi_isomorphism(lau: ProductDescriptor, tol: float = DEFAULT_TOL) -> PhiIsomorphism:
     """Phi for a lau product already built: only A (+) B and the two matrices
-    are new, and the returned `lau` is the descriptor passed in."""
+    are new, and the returned `lau` is the descriptor passed in.  Raises
+    ConstructionError on a semidirect descriptor, which has no phi."""
+    if lau.kind == "semidirect":
+        raise ConstructionError("Phi needs a lau product or direct sum, not semidirect")
     A, B, phi = lau.first, lau.second, lau.phi
     direct = direct_sum(A, B, tol)
     nA, nB = A.dim, B.dim

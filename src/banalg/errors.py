@@ -13,10 +13,6 @@ class BanalgError(Exception):
         self.detail = detail
 
 
-class AlgebraMismatchError(BanalgError):
-    code = "ALGEBRA_MISMATCH"
-
-
 class ValidationRejected(BanalgError):
     """An algebra spec violated one of the algebra axioms beyond tolerance."""
 

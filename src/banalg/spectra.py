@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Algebra, Element, rank_basis
+from .algebra import DEFAULT_TOL, Algebra, _readonly, rank_basis
 from .constructions import ProductDescriptor, ideal_span_is_full
 from .errors import IllConditionedError, NoNormalizerError, SpectraError
 
@@ -41,26 +41,27 @@ class Character:
         if not np.any(np.abs(self.values) > 0):
             raise ValueError("a character is a nonzero functional")
 
-    def __call__(self, a) -> complex:
-        coeffs = a.coeffs if isinstance(a, Element) else np.asarray(a, dtype=complex)
-        return complex(self.values @ coeffs)
-
     def distance(self, other: "Character") -> float:
         return float(np.max(np.abs(self.values - other.values)))
 
 
 @dataclass(eq=False)
 class CharacterSet:
+    """Characters of one algebra; `matrix` is the read-only |S| x n stack of
+    their value vectors (rows), built once at construction."""
+
     algebra: Algebra
     characters: list[Character]
     provenance: str = "numerical"  # or "closed_form"
+    matrix: np.ndarray = field(init=False, repr=False)
     _rank: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if any(ch.algebra is not self.algebra for ch in self.characters):
             raise SpectraError("character belongs to a different algebra")
+        V = np.array([ch.values for ch in self.characters], dtype=complex)
+        V = self.matrix = _readonly(V.reshape(len(self.characters), self.algebra.dim))
         # sup-norm distance of every pair at once, a character never to itself
-        V = self.matrix
         dist = np.abs(V[:, None, :] - V[None, :, :]).max(axis=2, initial=0.0)
         np.fill_diagonal(dist, np.inf)
         if np.any(dist <= SEPARATION):
@@ -74,13 +75,6 @@ class CharacterSet:
 
     def __getitem__(self, i) -> Character:
         return self.characters[i]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """|S| x n matrix whose rows are the character value vectors."""
-        if not self.characters:
-            return np.zeros((0, self.algebra.dim), dtype=complex)
-        return np.array([ch.values for ch in self.characters])
 
     def rank(self) -> int:
         """Rank of the character matrix, decided once and kept."""
@@ -141,11 +135,9 @@ def characters_numerical(algebra: Algebra, tol: float = DEFAULT_TOL) -> Characte
     return CharacterSet(algebra, chars, provenance="numerical")
 
 
-def gelfand(a: Element, S: CharacterSet) -> np.ndarray:
-    """(phi(a))_{phi in S}."""
-    if not len(S):
-        return np.zeros(0, dtype=complex)
-    return S.matrix @ a.coeffs
+def gelfand(a: np.ndarray, S: CharacterSet) -> np.ndarray:
+    """(phi(a))_{phi in S} for the coefficient vector a."""
+    return S.matrix @ a
 
 
 def is_semisimple(algebra: Algebra) -> bool:

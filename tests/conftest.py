@@ -35,8 +35,18 @@ def certificate_slack(E, c, w):
 
 
 def basis_element(algebra, i):
-    """The basis vector e_i as an element."""
-    return algebra.element(np.eye(algebra.dim)[i])
+    """The coefficient vector of the basis element e_i."""
+    return np.eye(algebra.dim, dtype=complex)[i]
+
+
+def multiply(algebra, a, b):
+    """Coefficients of the product ab: (ab)_k = sum_{i,j} a_i b_j c[i,j,k]."""
+    return np.einsum("i,j,ijk->k", a, b, algebra.structure)
+
+
+def weighted_norm(algebra, a):
+    """The weighted l1 norm ||a|| = sum_i w_i |a_i| of a coefficient vector."""
+    return float(np.sum(algebra.weights * np.abs(a)))
 
 
 def left_mult_matrix(algebra, a):
@@ -123,6 +133,18 @@ def module_extension_semidirect():
     act = np.zeros((2, 2, 2), dtype=complex)
     act[0, 0, 0] = 1.0
     return semidirect(SemidirectSpec(B, X, act, act.copy()))
+
+
+def dual_numbers_semidirect():
+    """B (+) I with B = C, b^2 = 0, and I = C[x]/(x^2) in the basis (1, x),
+    unit (1, 0), all weights 1, B acting on I by zero.  The ideal product is
+    nonzero, so the block relations (ii) and (iv) cut the block space down."""
+    B = Algebra("Bnil1", np.ones(1), np.zeros((1, 1, 1), dtype=complex))
+    c = np.zeros((2, 2, 2), dtype=complex)
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = 1.0
+    I = Algebra("C[x]/(x^2)", np.ones(2), c, unit=np.array([1.0, 0.0], dtype=complex))
+    zero = np.zeros((1, 2, 2), dtype=complex)
+    return semidirect(SemidirectSpec(B, I, zero, zero.transpose(1, 0, 2).copy()))
 
 
 @pytest.fixture

@@ -10,9 +10,16 @@ from banalg.algebra import (
     rank_basis,
     validate,
 )
-from banalg.errors import AlgebraMismatchError, ValidationRejected
+from banalg.errors import ValidationRejected
 
-from conftest import basis_element, diagonal_algebra, dual_norm, left_mult_matrix
+from conftest import (
+    basis_element,
+    diagonal_algebra,
+    dual_norm,
+    left_mult_matrix,
+    multiply,
+    weighted_norm,
+)
 
 
 def test_validate_pointwise_accepted(c2):
@@ -68,34 +75,26 @@ def test_require_valid_raises():
 
 
 def test_multiply_pointwise(c2):
-    a = c2.element([1, 2])
-    b = c2.element([3, 4])
-    assert np.allclose((a * b).coeffs, [3, 8])
+    assert np.allclose(multiply(c2, np.array([1, 2]), np.array([3, 4])), [3, 8])
 
 
 def test_multiply_nilpotent(nilpotent2):
     e0 = basis_element(nilpotent2, 0)
     e1 = basis_element(nilpotent2, 1)
-    assert np.allclose((e0 * e0).coeffs, e1.coeffs)
-    assert np.allclose((e0 * e1).coeffs, 0)
+    assert np.allclose(multiply(nilpotent2, e0, e0), e1)
+    assert np.allclose(multiply(nilpotent2, e0, e1), 0)
 
 
 def test_multiply_group_law(z2):
     d1 = basis_element(z2, 1)
-    assert np.allclose((d1 * d1).coeffs, basis_element(z2, 0).coeffs)
-
-
-def test_multiply_mismatch(c2, z2):
-    with pytest.raises(AlgebraMismatchError):
-        basis_element(c2, 0) * basis_element(z2, 0)
+    assert np.allclose(multiply(z2, d1, d1), basis_element(z2, 0))
 
 
 def test_norms(c2):
-    a = c2.element([3, -4j])
-    assert a.norm == pytest.approx(7.0)
+    assert weighted_norm(c2, np.array([3, -4j])) == pytest.approx(7.0)
     w = diagonal_algebra(2, weights=[2.0, 1.0])
     assert dual_norm(np.array([2.0, 3.0]), w) == pytest.approx(3.0)
-    assert c2.element(np.zeros(2)).norm == 0
+    assert weighted_norm(c2, np.zeros(2)) == 0
     assert dual_norm(np.zeros(2), c2) == 0
 
 
@@ -118,7 +117,7 @@ def test_operator_norm_diagonal_embedding_brute_force(c2):
     best = 0.0
     for _ in range(500):
         b = rng.standard_normal(1) + 1j * rng.standard_normal(1)
-        best = max(best, c2.norm_coeffs(phi.matrix @ b) / A.norm_coeffs(b))
+        best = max(best, weighted_norm(c2, phi.matrix @ b) / weighted_norm(A, b))
     assert best == pytest.approx(2.0, abs=1e-12)
 
 
@@ -127,7 +126,7 @@ def test_left_mult_operator(c2, nilpotent2):
     assert np.allclose(
         left_mult_matrix(c2, np.array([2, 5])), np.diag([2.0, 5.0])
     )
-    M = left_mult_matrix(nilpotent2, basis_element(nilpotent2, 0).coeffs)
+    M = left_mult_matrix(nilpotent2, basis_element(nilpotent2, 0))
     expected = np.zeros((2, 2))
     expected[1, 0] = 1.0  # e0 . e0 = e1
     assert np.allclose(M, expected)
@@ -144,10 +143,11 @@ complex_coeff = st.complex_numbers(
 @settings(max_examples=60)
 def test_multiply_bilinear_commutative(xs, ys, zs):
     alg = diagonal_algebra(2)
-    a, b, c = alg.element(xs), alg.element(ys), alg.element(zs)
-    assert np.allclose(((a + b) * c).coeffs, (a * c + b * c).coeffs)
-    assert np.allclose((a * b).coeffs, (b * a).coeffs)
-    assert np.allclose(((a * b) * c).coeffs, (a * (b * c)).coeffs)
+    a, b, c = np.array(xs), np.array(ys), np.array(zs)
+    assert np.allclose(multiply(alg, a + b, c), multiply(alg, a, c) + multiply(alg, b, c))
+    assert np.allclose(multiply(alg, a, b), multiply(alg, b, a))
+    assert np.allclose(multiply(alg, multiply(alg, a, b), c),
+                       multiply(alg, a, multiply(alg, b, c)))
 
 
 @given(st.lists(complex_coeff, min_size=3, max_size=3),
@@ -157,8 +157,9 @@ def test_submultiplicative_on_group_algebra(xs, ys):
     from banalg.constructions import finite_abelian_group_algebra
 
     alg = finite_abelian_group_algebra([3])
-    a, b = alg.element(xs), alg.element(ys)
-    assert (a * b).norm <= a.norm * b.norm + 1e-9 * max(1.0, a.norm * b.norm)
+    a, b = np.array(xs), np.array(ys)
+    bound = weighted_norm(alg, a) * weighted_norm(alg, b)
+    assert weighted_norm(alg, multiply(alg, a, b)) <= bound + 1e-9 * max(1.0, bound)
 
 
 @given(st.lists(complex_coeff, min_size=2, max_size=2))
@@ -170,12 +171,12 @@ def test_dual_norm_is_exact_dual(fs):
     rng = np.random.default_rng(1)
     for _ in range(20):
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert abs(f @ a) <= dn * alg.norm_coeffs(a) + 1e-9
+        assert abs(f @ a) <= dn * weighted_norm(alg, a) + 1e-9
     # equality is attained at a basis direction
     i = int(np.argmax(np.abs(f) / alg.weights))
     a = np.zeros(2, dtype=complex)
     a[i] = 1.0
-    assert abs(f @ a) == pytest.approx(dn * alg.norm_coeffs(a))
+    assert abs(f @ a) == pytest.approx(dn * weighted_norm(alg, a))
 
 
 @given(st.lists(complex_coeff, min_size=4, max_size=4),
@@ -185,8 +186,8 @@ def test_left_mult_matches_multiply(xs, ys):
     from banalg.constructions import finite_abelian_group_algebra
 
     alg = finite_abelian_group_algebra([4])
-    a, b = alg.element(xs), alg.element(ys)
-    assert np.allclose(left_mult_matrix(alg, a.coeffs) @ b.coeffs, (a * b).coeffs)
+    a, b = np.array(xs), np.array(ys)
+    assert np.allclose(left_mult_matrix(alg, a) @ b, multiply(alg, a, b))
 
 
 def _projector(rows):

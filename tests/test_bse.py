@@ -18,8 +18,9 @@ from banalg.bse import (
     theta_product_residual,
     verify_product_bse,
 )
-from banalg.constructions import SemidirectSpec, direct_sum, semidirect
+from banalg.constructions import SemidirectSpec, direct_sum, phi_isomorphism, semidirect
 from banalg.errors import (
+    ConstructionError,
     EmptyCharacterSetError,
     NotWithoutOrderError,
     PhiNotSurjectiveError,
@@ -27,7 +28,7 @@ from banalg.errors import (
 )
 from banalg.spectra import characters_lau, characters_numerical, characters_semidirect
 
-from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect
+from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect, weighted_norm
 
 
 def b_index(lc, values):
@@ -42,7 +43,7 @@ def test_bse_norm_pointwise_all_ones(c2):
     S = characters_numerical(c2)
     fn = bse_norm_primal(np.array([1.0, 1.0 + 0j]), S, c2)
     assert fn.bse_norm == pytest.approx(2.0)
-    assert np.allclose(fn.minimizer.coeffs, [1.0, 1.0])
+    assert np.allclose(fn.minimizer, [1.0, 1.0])
     assert fn.interpolation_error() <= 1e-12
 
 
@@ -59,9 +60,9 @@ def test_bse_norm_z2_fourier_inversion(z2):
     sigma = S.matrix[:, 1].copy()  # sigma(chi) = chi(delta_1): interpolant delta_1
     fn = bse_norm_primal(sigma, S, z2)
     assert fn.bse_norm == pytest.approx(1.0)
-    assert np.allclose(fn.minimizer.coeffs, [0.0, 1.0], atol=1e-10)
+    assert np.allclose(fn.minimizer, [0.0, 1.0], atol=1e-10)
     oracle = np.linalg.solve(S.matrix, sigma)
-    assert np.allclose(oracle, fn.minimizer.coeffs)
+    assert np.allclose(oracle, fn.minimizer)
 
 
 def test_bse_dual_matches_primal(c2):
@@ -132,12 +133,12 @@ def test_delta_weak_bai(c2, z2):
     S = characters_numerical(c2)
     cert = delta_weak_bai(c2, S)
     assert cert.norm == pytest.approx(2.0)
-    assert np.allclose(cert.element.coeffs, [1.0, 1.0])
-    assert cert.norm <= c2.element(c2.unit).norm + 1e-12
+    assert np.allclose(cert.element, [1.0, 1.0])
+    assert cert.norm <= weighted_norm(c2, c2.unit) + 1e-12
     S2 = characters_numerical(z2)
     cert = delta_weak_bai(z2, S2)
     assert cert.norm == pytest.approx(1.0)
-    assert np.allclose(cert.element.coeffs, [1.0, 0.0], atol=1e-10)
+    assert np.allclose(cert.element, [1.0, 0.0], atol=1e-10)
 
 
 def test_empty_character_set_raises(nilpotent2):
@@ -289,8 +290,8 @@ def test_sigma_extension_pointwise():
     # the lifted witness (b, 0) has the subalgebra norm
     desc = sdc.descriptor
     lifted = np.zeros(desc.algebra.dim, dtype=complex)
-    lifted[desc.subalgebra_slice] = ext.rho.minimizer.coeffs
-    assert desc.algebra.element(lifted).norm == pytest.approx(ext.rho.bse_norm)
+    lifted[desc.subalgebra_slice] = ext.rho.minimizer
+    assert weighted_norm(desc.algebra, lifted) == pytest.approx(ext.rho.bse_norm)
     # all-ones and zero cases
     ext = sigma_extension(np.ones(1, dtype=complex), sdc)
     assert np.allclose(ext.sigma.values, 1.0)
@@ -323,6 +324,17 @@ def test_verify_product_bse_lau_transport():
     assert rep.transport_dim_ok
     assert rep.transport_membership <= 1e-10
     assert rep.transport_hat_residual <= 1e-9
+
+
+def test_semidirect_product_has_no_phi_isomorphism():
+    """Phi(a, b) = (a - phi(b), b) needs a lau product or direct sum: on a
+    semidirect product both Phi and the product report refuse with a typed
+    error."""
+    desc = pointwise_semidirect()
+    with pytest.raises(ConstructionError, match="semidirect"):
+        phi_isomorphism(desc)
+    with pytest.raises(ConstructionError, match="semidirect"):
+        verify_product_bse(desc)
 
 
 @pytest.mark.parametrize("desc", [

@@ -38,8 +38,11 @@ def test_rank_decisions_live_in_the_kernel():
 def test_every_library_function_has_a_caller():
     """Every function and method defined in the package is exported in
     `banalg.__all__` or referenced by name from the package, `scripts/` or
-    `perfbench/`; what only the tests call belongs in the tests.  Dunder
-    methods are exempt."""
+    `perfbench/`; what only the tests call belongs in the tests.  Exempt are
+    only the dunders that Python or dataclasses call on the package's
+    behalf (construction, repr, len(), iteration and indexing); any other
+    dunder, such as an operator overload or `__call__`, must be referenced
+    by name like any other method."""
     import ast
     from pathlib import Path
 
@@ -58,7 +61,9 @@ def test_every_library_function_has_a_caller():
                     referenced.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     referenced.add(node.attr)
+    implicit = {"__init__", "__post_init__", "__repr__", "__len__", "__iter__",
+                "__getitem__"}
     uncalled = [f"{file}:{line} {name}" for file, line, name in defined
-                if not (name.startswith("__") and name.endswith("__"))
+                if name not in implicit
                 and name not in banalg.__all__ and name not in referenced]
     assert uncalled == []

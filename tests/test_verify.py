@@ -326,6 +326,43 @@ def test_psi_uniqueness_record_can_fail(monkeypatch):
         "semidirect/000/psi-uniqueness"]
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_delta_weak_bai_record_can_fail(monkeypatch, family):
+    # negative control: an identity certificate whose interpolation residual
+    # is off by 1e-5, ten times tol_opt, fails exactly delta-weak-bai
+    original = verify.delta_weak_bai
+
+    def offset(*args):
+        bai = original(*args)
+        bai.residual += 1e-5
+        return bai
+
+    monkeypatch.setattr(verify, "delta_weak_bai", offset)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
+    assert [r.name for r in records if r.verdict == "FAIL"] == [
+        f"{family}/000/delta-weak-bai"]
+
+
+def test_sigma_extension_record_can_fail(monkeypatch):
+    # negative control: a lifted witness (b, 0) that misses sigma by 1e-5, ten
+    # times tol_opt, fails exactly sigma-extension; at seed 0 index 2 is the
+    # first semidirect fixture with <IB> = I, where the record is a PASS
+    original = verify.sigma_extension
+
+    def offset(*args):
+        ext = original(*args)
+        ext.witness_error += 1e-5
+        return ext
+
+    cfg = RunConfig(seed=0, max_dim=6)
+    assert {r.name: r.verdict for r in fixture_records(cfg, "semidirect", 2)}[
+        "semidirect/002/sigma-extension"] == "PASS"
+    monkeypatch.setattr(verify, "sigma_extension", offset)
+    records = fixture_records(cfg, "semidirect", 2)
+    assert [r.name for r in records if r.verdict == "FAIL"] == [
+        "semidirect/002/sigma-extension"]
+
+
 def test_lau_bundle_with_non_surjective_phi_skips_the_split_checks():
     # phi(1) = (1, 1) composes every character of A to the one of B, but
     # rank phi = 1 < dim A: the split and theta checks skip, the rest run
