@@ -17,7 +17,7 @@ import numpy as np
 
 from banalg.bse import theta, theta_product_residual
 from banalg.fixtures import fixture_generators
-from banalg.spectra import characters_lau
+from banalg.spectra import characters_semidirect
 
 
 def main() -> int:
@@ -31,8 +31,8 @@ def main() -> int:
     print(f"{'fixture':<12} {'dims':<8} {'isometry defect':<18} {'product law':<14}")
     worst_iso = worst_mult = 0.0
     for fix in fixture_generators("lau", seed=args.seed, count=args.fixtures):
-        lc = characters_lau(fix.descriptor)
-        na, nb = len(lc.a_chars), len(lc.b_chars)
+        lc = characters_semidirect(fix.descriptor)
+        na, nb = len(lc.ideal_chars), len(lc.subalgebra_chars)
         iso = mult = 0.0
         for _ in range(args.samples):
             tau = rng.standard_normal(na) + 1j * rng.standard_normal(na)

@@ -28,7 +28,6 @@ from .constructions import (
 from .spectra import (
     Character,
     CharacterSet,
-    characters_lau,
     characters_numerical,
     characters_semidirect,
     gelfand,
@@ -75,7 +74,6 @@ __all__ = [
     "semidirect",
     "Character",
     "CharacterSet",
-    "characters_lau",
     "characters_numerical",
     "characters_semidirect",
     "gelfand",

@@ -18,9 +18,12 @@ and a multiplier space already computed, and `verify_product_bse` the
 product's space and characters, so that the harness computes one space and
 one character set per fixture algebra; a verdict keeps no space.
 
-On a Lau product, `split_sigma` splits sigma into (tau, rho) and `theta`
-joins (tau, rho) back into sigma; both return the three BSE functions and
-the slack ||tau|| + ||rho|| - ||sigma|| of one `SplitResult`.
+A Lau product's characters are its semidirect E u F (ideal A, subalgebra
+B), whose `psi_index` locates each phi_A o phi among the characters of B.
+`split_sigma` splits sigma into (tau, rho), `theta` joins (tau, rho) back
+into sigma, and `sigma_extension` builds (rho o psi, rho), all through that
+one index; the first two return the three BSE functions and the slack
+||tau|| + ||rho|| - ||sigma|| of one `SplitResult`.
 """
 
 from __future__ import annotations
@@ -52,10 +55,9 @@ from .interpolation import GAP_REL, _dual, _primal
 from .multipliers import MultiplierBasis, hat, multiplier_residual, multiplier_space
 from .spectra import (
     CharacterSet,
-    LauCharacters,
     SemidirectCharacters,
-    characters_lau,
     characters_numerical,
+    characters_semidirect,
     gelfand,
 )
 
@@ -249,7 +251,7 @@ def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
     )
 
 
-def _require_surjective(chars: LauCharacters):
+def _require_surjective(chars: SemidirectCharacters):
     if not chars.surjective():
         raise PhiNotSurjectiveError(
             "phi does not have dense range; composed characters are not in Delta(B)"
@@ -264,16 +266,17 @@ class SplitResult:
     norm_slack: float  # ||tau|| + ||rho|| - ||sigma||, expected ~0
 
 
-def _gamma(chars: LauCharacters) -> np.ndarray:
-    """Index into Delta(B) of phi_A o phi for each E character phi_A."""
-    return np.array([chars.gamma[r] for r in range(chars.e_count)], dtype=int)
+def _gamma(chars: SemidirectCharacters) -> np.ndarray:
+    """Index into the subalgebra characters of each E row's psi (phi_A o phi
+    on a lau product); every psi must be nonzero."""
+    return np.array(chars.psi_index, dtype=int)
 
 
 def _split_result(tau_values: np.ndarray, rho_values: np.ndarray,
-                  sigma_values: np.ndarray, chars: LauCharacters) -> SplitResult:
+                  sigma_values: np.ndarray, chars: SemidirectCharacters) -> SplitResult:
     desc = chars.descriptor
-    tau = bse_norm_primal(tau_values, chars.a_chars, desc.first)
-    rho = bse_norm_primal(rho_values, chars.b_chars, desc.second)
+    tau = bse_norm_primal(tau_values, chars.ideal_chars, desc.ideal)
+    rho = bse_norm_primal(rho_values, chars.subalgebra_chars, desc.subalgebra)
     sigma = bse_norm_primal(sigma_values, chars.set, desc.algebra)
     return SplitResult(
         tau=tau,
@@ -283,7 +286,7 @@ def _split_result(tau_values: np.ndarray, rho_values: np.ndarray,
     )
 
 
-def split_sigma(sigma_values: np.ndarray, chars: LauCharacters) -> SplitResult:
+def split_sigma(sigma_values: np.ndarray, chars: SemidirectCharacters) -> SplitResult:
     """tau(phi) = sigma(phi, phi o phi') - sigma(0, phi o phi'); rho(psi) = sigma(0, psi)."""
     _require_surjective(chars)
     sigma_values = np.asarray(sigma_values, dtype=complex)
@@ -296,7 +299,7 @@ def split_sigma(sigma_values: np.ndarray, chars: LauCharacters) -> SplitResult:
 
 
 def theta(tau_values: np.ndarray, rho_values: np.ndarray,
-          chars: LauCharacters) -> SplitResult:
+          chars: SemidirectCharacters) -> SplitResult:
     """The pairing (tau, rho) -> sigma: sigma(phi, phi o phi') = tau(phi) +
     rho(phi o phi') and sigma(0, psi) = rho(psi).  It is isometric when the
     returned norm_slack ||tau|| + ||rho|| - ||sigma|| is 0; the product law
@@ -308,7 +311,7 @@ def theta(tau_values: np.ndarray, rho_values: np.ndarray,
     return _split_result(tau_values, rho_values, sigma_values, chars)
 
 
-def theta_product_residual(chars: LauCharacters,
+def theta_product_residual(chars: SemidirectCharacters,
                            tau1: np.ndarray, rho1: np.ndarray,
                            tau2: np.ndarray, rho2: np.ndarray) -> float:
     """Pointwise residual of the homomorphism law for the pairing.
@@ -358,11 +361,7 @@ def sigma_extension(rho_values: np.ndarray,
     B = desc.subalgebra
     if rho_values.shape != (len(sd.subalgebra_chars),):
         raise ValueError("rho must assign one value per subalgebra character")
-    sigma_values = np.concatenate([
-        np.array([rho_values[sd.psi_index[r]] for r in range(sd.e_count)],
-                 dtype=complex),
-        rho_values,
-    ])
+    sigma_values = np.concatenate([rho_values[_gamma(sd)], rho_values])
     rho = bse_norm_primal(rho_values, sd.subalgebra_chars, B)
     sigma = bse_norm_primal(sigma_values, sd.set, desc.algebra)
     lifted = np.zeros(desc.algebra.dim, dtype=complex)
@@ -409,7 +408,7 @@ class ProductBseReport:
 
 def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
                        m_product: MultiplierBasis | None = None,
-                       chars: LauCharacters | None = None) -> ProductBseReport:
+                       chars: SemidirectCharacters | None = None) -> ProductBseReport:
     """BSE verdicts for A, B, A x_phi B and A (+) B, plus the structural checks.
 
     Phi(a, b) = (a - phi(b), b) is built once on `desc` itself, and each of
@@ -423,13 +422,13 @@ def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
     """
     iso = phi_isomorphism(desc, tol)
     if chars is None:
-        chars = characters_lau(desc, tol, cross_check=False)
+        chars = characters_semidirect(desc, tol, cross_check=False)
     if m_product is None:
         m_product = multiplier_space(desc.algebra)
     ma, mb, md = (multiplier_space(alg)
                   for alg in (desc.first, desc.second, iso.direct.algebra))
-    va = check_bse_property(desc.first, tol, chars.a_chars, ma)
-    vb = check_bse_property(desc.second, tol, chars.b_chars, mb)
+    va = check_bse_property(desc.first, tol, chars.ideal_chars, ma)
+    vb = check_bse_property(desc.second, tol, chars.subalgebra_chars, mb)
     vp = check_bse_property(desc.algebra, tol, chars.set, m_product)
     vd = check_bse_property(iso.direct.algebra, tol, mult=md)
     membership, hat_res = _transport_residuals(iso, m_product, chars, tol)
@@ -460,10 +459,11 @@ def _block_split_residual(direct: ProductDescriptor, md: MultiplierBasis) -> flo
 
 
 def _transport_residuals(iso: PhiIsomorphism, m_lau: MultiplierBasis,
-                         lau_chars: LauCharacters, tol: float) -> tuple[float, float]:
+                         lau_chars: SemidirectCharacters, tol: float) -> tuple[float, float]:
     """Worst Phi^-1 T Phi multiplier residual on A (+) B, and worst hat mismatch."""
-    sum_chars = characters_lau(iso.direct, tol, cross_check=False,
-                               a_chars=lau_chars.a_chars, b_chars=lau_chars.b_chars)
+    sum_chars = characters_semidirect(iso.direct, tol, cross_check=False,
+                                      ideal_chars=lau_chars.ideal_chars,
+                                      subalgebra_chars=lau_chars.subalgebra_chars)
     Ts = m_lau.stack
     Ss = iso.inverse.matrix @ Ts @ iso.forward.matrix
     membership = multiplier_residual(iso.direct.algebra, Ss)

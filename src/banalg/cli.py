@@ -38,7 +38,7 @@ from .multipliers import (
     left_multiplier_space,
     multiplier_space,
 )
-from .spectra import characters_lau, characters_numerical, characters_semidirect
+from .spectra import characters_numerical, characters_semidirect
 from .verify import THEOREMS, Report, RunConfig, run_verify, theorem_records
 
 
@@ -86,10 +86,7 @@ def _cmd_build(args) -> int:
 def _cmd_characters(args) -> int:
     algebra, desc = _load_algebra_or_bundle(args.algebra)
     if args.closed_form and desc is not None:
-        if desc.kind == "semidirect":
-            S = characters_semidirect(desc, args.tol).set
-        else:
-            S = characters_lau(desc, args.tol).set
+        S = characters_semidirect(desc, args.tol).set
     else:
         S = characters_numerical(algebra, args.tol)
     doc = {

@@ -8,10 +8,13 @@ the characters are their joint eigenvalues, read off with the eigenvectors
 of one generic element and verified multiplicative.  The extraction is
 deterministic and finds exactly dim A/rad characters.  Product algebras
 also get closed-form character sets E u F assembled from their parents'
-sets by one assembler that verifies every row multiplicative, and the two
-routes are cross-checked.  A semidirect set induces each psi_phi once and
-keeps the worst normalizer discrepancy of those inductions, so nothing
-downstream induces them again.
+sets by one constructor that verifies every row multiplicative, and the two
+routes are cross-checked.  A lau product A x_phi B is the semidirect
+product with ideal A and subalgebra B, where b.a = phi(b)a, so its
+characters are the semidirect E u F, with psi = phi_A o phi for each
+character phi_A of A; a direct sum is the case phi = 0.  The set induces
+each psi once and keeps the worst normalizer discrepancy of those
+inductions, so nothing downstream induces them again.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, Algebra, _readonly, rank_basis
 from .constructions import ProductDescriptor, ideal_span_is_full
-from .errors import IllConditionedError, NoNormalizerError, SpectraError
+from .errors import ConstructionError, IllConditionedError, NoNormalizerError, SpectraError
 
 SEPARATION = 1e-6  # characters closer than this in sup norm are the same character
 GENERIC_SEED = 0  # seeds the generic element of characters_numerical, afresh in every call
@@ -216,72 +219,66 @@ def psi_of(phi: Character, desc: ProductDescriptor, tol: float = DEFAULT_TOL
     return psi1, discrepancy
 
 
-def _closed_form(alg: Algebra, e_rows: np.ndarray, f_rows: np.ndarray,
-                 tol: float) -> CharacterSet:
-    """The closed-form set E u F of a product from its E and F value rows,
-    each verified multiplicative within tol."""
-    rows = np.concatenate([e_rows, f_rows])
-    res = multiplicativity_residual(alg, rows)
-    bad = np.flatnonzero(res > tol)
-    if bad.size:
-        part = "E" if bad[0] < len(e_rows) else "F"
-        raise SpectraError(
-            f"assembled {part}-character is not multiplicative ({res[bad[0]]:.3e})")
-    chars = [Character(alg, v, float(r)) for v, r in zip(rows, res)]
-    return CharacterSet(alg, chars, provenance="closed_form")
-
-
-def _locate(values: np.ndarray, S: CharacterSet, what: str) -> int:
-    """Index of the character of S equal to `values` within SEPARATION."""
-    dists = np.abs(S.matrix - values).max(axis=1, initial=0.0)
-    if not len(S) or np.min(dists) > SEPARATION:
-        raise SpectraError(f"{what} did not land on a subalgebra character")
-    return int(np.argmin(dists))
-
-
 def characters_semidirect(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
-                          cross_check: bool = True) -> "SemidirectCharacters":
+                          cross_check: bool = True,
+                          ideal_chars: CharacterSet | None = None,
+                          subalgebra_chars: CharacterSet | None = None,
+                          ) -> "SemidirectCharacters":
     """Closed-form Delta(B (+) I) = E u F from the parents' character sets.
 
     E pairs each ideal character phi with its induced psi_phi (possibly zero);
-    F extends each subalgebra character by zero on the ideal.  The union is
-    verified multiplicative and, when cross_check is set, matched against the
-    numerical character set of the assembled algebra.
+    F extends each subalgebra character by zero on the ideal.  A lau product
+    A x_phi B is the semidirect product with ideal A and subalgebra B acting
+    by b.a = phi(b)a, so there the psi of a character phi_A of A is
+    phi_A o phi, and on a direct sum every psi is 0.  Every row is verified
+    multiplicative and, when cross_check is set, the union is matched against
+    the numerical character set of the assembled algebra.  Pass
+    ideal_chars/subalgebra_chars to share parent sets (and their order)
+    between several products over the same parents.
     """
-    if desc.kind != "semidirect":
-        raise SpectraError("descriptor is not a semidirect product")
     alg = desc.algebra
-    B, I = desc.subalgebra, desc.ideal
-    b_chars = characters_numerical(B, tol)
-    i_chars = characters_numerical(I, tol)
-    e_rows = np.zeros((len(i_chars), alg.dim), dtype=complex)
-    e_rows[:, desc.ideal_slice] = i_chars.matrix
-    psis: list[np.ndarray | None] = []
+    if subalgebra_chars is None:
+        subalgebra_chars = characters_numerical(desc.subalgebra, tol)
+    if ideal_chars is None:
+        ideal_chars = characters_numerical(desc.ideal, tol)
+    ec = len(ideal_chars)
+    rows = np.zeros((ec + len(subalgebra_chars), alg.dim), dtype=complex)
+    rows[:ec, desc.ideal_slice] = ideal_chars.matrix
+    rows[ec:, desc.subalgebra_slice] = subalgebra_chars.matrix
+    psi_index: list[int | None] = []
     worst_disc = 0.0
-    for row, phi in zip(e_rows, i_chars):
+    for row, phi in zip(rows, ideal_chars):
         psi_vals, disc = psi_of(phi, desc, tol)
         if disc > tol:
             raise SpectraError(f"psi construction is normalizer-dependent ({disc:.3e})")
         worst_disc = max(worst_disc, disc)
-        if psi_vals is not None:
+        if psi_vals is None:
+            psi_index.append(None)
+        else:
             row[desc.subalgebra_slice] = psi_vals
-        psis.append(psi_vals)
-    f_rows = np.zeros((len(b_chars), alg.dim), dtype=complex)
-    f_rows[:, desc.subalgebra_slice] = b_chars.matrix
+            # psi_phi is the character of B equal to it within SEPARATION
+            dists = np.abs(subalgebra_chars.matrix - psi_vals).max(axis=1, initial=0.0)
+            if not len(subalgebra_chars) or np.min(dists) > SEPARATION:
+                raise SpectraError("nonzero induced psi did not land on a subalgebra character")
+            psi_index.append(int(np.argmin(dists)))
+    res = multiplicativity_residual(alg, rows)
+    bad = np.flatnonzero(res > tol)
+    if bad.size:
+        part = "E" if bad[0] < ec else "F"
+        raise SpectraError(
+            f"assembled {part}-character is not multiplicative ({res[bad[0]]:.3e})")
     out = SemidirectCharacters(
-        set=_closed_form(alg, e_rows, f_rows, tol),
-        subalgebra_chars=b_chars,
-        ideal_chars=i_chars,
-        psi_index=[None if v is None else _locate(v, b_chars, "nonzero induced psi")
-                   for v in psis],
-        e_count=len(i_chars),
+        set=CharacterSet(alg, [Character(alg, v, float(r)) for v, r in zip(rows, res)],
+                         provenance="closed_form"),
+        subalgebra_chars=subalgebra_chars,
+        ideal_chars=ideal_chars,
+        psi_index=psi_index,
         descriptor=desc,
         psi_discrepancy=worst_disc,
     )
     if cross_check:
         numeric = characters_numerical(alg, tol)
-        _, hausdorff = match_character_sets(numeric, out.set)
-        out.cross_check_distance = hausdorff
+        _, out.cross_check_distance = match_character_sets(numeric, out.set)
     return out
 
 
@@ -290,91 +287,38 @@ class SemidirectCharacters:
     """E u F decomposition; E block first (indexed like ideal_chars), then F.
 
     psi_index[r] locates psi_phi (for ideal character r) inside
-    subalgebra_chars; None marks psi_phi = 0.  psi_discrepancy is the worst
-    normalizer discrepancy `psi_of` reported while building E.
+    subalgebra_chars; None marks psi_phi = 0.  On a lau product A x_phi B
+    (ideal A, subalgebra B) the psi of a character phi_A of A is phi_A o phi.
+    psi_discrepancy is the worst normalizer discrepancy `psi_of` reported
+    while building E.
     """
 
     set: CharacterSet
     subalgebra_chars: CharacterSet
     ideal_chars: CharacterSet
     psi_index: list[int | None]
-    e_count: int
     descriptor: ProductDescriptor
     psi_discrepancy: float = 0.0
-    cross_check_distance: float | None = None
-
-    @property
-    def spans_full_ideal(self) -> bool:
-        return ideal_span_is_full(self.descriptor)
-
-
-@dataclass(eq=False)
-class LauCharacters:
-    """Delta(A x_phi B) = E u F; E block aligned with a_chars, F with b_chars.
-
-    gamma[r] is the index in b_chars of the composed character phi_A o phi
-    (defined for surjective phi; None entries mark compositions that are zero).
-    """
-
-    set: CharacterSet
-    a_chars: CharacterSet
-    b_chars: CharacterSet
-    gamma: list[int | None]
-    descriptor: ProductDescriptor
     cross_check_distance: float | None = None
     _phi_rank: int | None = field(default=None, init=False, repr=False)
 
     @property
     def e_count(self) -> int:
-        return len(self.a_chars)
+        return len(self.ideal_chars)
 
-    def phi_rank(self) -> int:
-        """Rank of the matrix of phi, decided once and kept."""
-        if self._phi_rank is None:
-            self._phi_rank = rank_basis(self.descriptor.phi.matrix)[0]
-        return self._phi_rank
+    @property
+    def spans_full_ideal(self) -> bool:
+        return ideal_span_is_full(self.descriptor)
 
     def surjective(self) -> bool:
-        """Whether phi maps B onto A: every composition phi_A o phi is a
-        character of B, and rank phi = dim A."""
-        return (all(g is not None for g in self.gamma)
-                and self.phi_rank() == self.descriptor.first.dim)
-
-
-def characters_lau(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
-                   cross_check: bool = True,
-                   a_chars: CharacterSet | None = None,
-                   b_chars: CharacterSet | None = None) -> LauCharacters:
-    """Closed-form Delta(A x_phi B): E = {(phi_A, phi_A o phi)}, F = {(0, psi)}.
-
-    Pass a_chars/b_chars to share parent character sets (and their ordering)
-    between several products over the same parents.
-    """
-    if desc.kind not in ("lau", "direct_sum"):
-        raise SpectraError("descriptor is not a lau product or direct sum")
-    alg = desc.algebra
-    A, B = desc.first, desc.second
-    if a_chars is None:
-        a_chars = characters_numerical(A, tol)
-    if b_chars is None:
-        b_chars = characters_numerical(B, tol)
-    # (phi_A o phi)(e_j^B), one vector-matrix product per character: one
-    # matmul over the stack changes residuals in the last bits
-    comps = [phi_a.values @ desc.phi.matrix for phi_a in a_chars]
-    e_rows = np.zeros((len(a_chars), alg.dim), dtype=complex)
-    e_rows[:, desc.first_slice] = a_chars.matrix
-    e_rows[:, desc.second_slice] = np.reshape(comps, (len(a_chars), B.dim))
-    f_rows = np.zeros((len(b_chars), alg.dim), dtype=complex)
-    f_rows[:, desc.second_slice] = b_chars.matrix
-    out = LauCharacters(
-        set=_closed_form(alg, e_rows, f_rows, tol),
-        a_chars=a_chars,
-        b_chars=b_chars,
-        gamma=[None if np.max(np.abs(comp), initial=0.0) <= tol
-               else _locate(comp, b_chars, "composition with phi") for comp in comps],
-        descriptor=desc,
-    )
-    if cross_check:
-        numeric = characters_numerical(alg, tol)
-        _, out.cross_check_distance = match_character_sets(numeric, out.set)
-    return out
+        """Whether phi maps B onto A on a lau product or direct sum: every
+        phi_A o phi is a character of B, and rank phi = dim A (decided once
+        and kept).  A semidirect descriptor has no phi: ConstructionError."""
+        phi = self.descriptor.phi
+        if phi is None:
+            raise ConstructionError("surjectivity needs a lau product or direct sum")
+        if any(ix is None for ix in self.psi_index):
+            return False
+        if self._phi_rank is None:
+            self._phi_rank = rank_basis(phi.matrix)[0]
+        return self._phi_rank == self.descriptor.ideal.dim

@@ -13,17 +13,21 @@ the fixture's BSE verdict (on the fixture's closed-form character set) and,
 on a Lau fixture, `verify_product_bse`, which also reuses the fixture's
 character sets and adds one space for each of A, B and A (+) B.  A Lau
 product is judged once: its `check-bse` record and the biconditional read
-the same verdict.
+the same verdict.  A Lau product's characters are its semidirect E u F
+(ideal A), so both product families build and check one closed-form set.
+An algebra with no characters SKIPs the duality checks, and one with order
+SKIPs every record that needs an algebra without order.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import operator_norm, validate
+from .algebra import is_without_order, operator_norm, validate
 from .bse import (
     BseVerdict,
     bse_norm_dual,
@@ -37,7 +41,7 @@ from .bse import (
     verify_product_bse,
 )
 from .constructions import group_character_values, ideal_span_is_full
-from .errors import BanalgError, NotWithoutOrderError, SpanConditionError
+from .errors import BanalgError, SpanConditionError
 from .fixtures import FAMILIES, Fixture, build_fixture, fixture_rng
 from .jsonio import render_json
 from .multipliers import (
@@ -52,13 +56,15 @@ from .multipliers import (
 from .spectra import (
     Character,
     CharacterSet,
-    characters_lau,
+    SemidirectCharacters,
     characters_numerical,
     characters_semidirect,
     match_character_sets,
 )
 
 THEOREMS = ("lemma21", "prop24", "lemma41", "theta", "tim2", "lau-bse", "sub")
+HAS_ORDER = "outside hypotheses: has order"
+NO_CHARACTERS = "outside hypotheses: no characters"
 
 
 @dataclass(slots=True)
@@ -177,6 +183,11 @@ def _random_sigma(rng: np.random.Generator, k: int) -> np.ndarray:
 
 def _duality_checks(records, fix: Fixture, S: CharacterSet, cfg: RunConfig,
                     rng: np.random.Generator):
+    if not len(S):
+        # with Delta empty every BSE statement is vacuous
+        _skip(records, f"{fix.name}/bse-duality", "duality", NO_CHARACTERS)
+        _skip(records, f"{fix.name}/delta-weak-bai", "bai", NO_CHARACTERS)
+        return
     sigmas = np.array([_random_sigma(rng, len(S)) for _ in range(cfg.sigma_samples)])
     duals, _ = bse_norm_dual(sigmas, S, fix.algebra)  # one cone loop for all samples
     worst = 0.0
@@ -206,12 +217,29 @@ def _bse_property_check(records, fix: Fixture, cfg: RunConfig, S: CharacterSet,
     """The check-bse record of the fixture's own algebra, judged on S; the BSE
     property is defined only for algebras without order, so one with order
     gets a SKIP."""
-    try:
-        verdict = check_bse_property(fix.algebra, cfg.tol_algebraic, S, mult)
-    except NotWithoutOrderError:
-        _skip(records, f"{fix.name}/check-bse", "bse-def", "outside hypotheses: has order")
+    if not is_without_order(fix.algebra):
+        _skip(records, f"{fix.name}/check-bse", "bse-def", HAS_ORDER)
         return
+    verdict = check_bse_property(fix.algebra, cfg.tol_algebraic, S, mult)
     _bse_verdict_check(records, fix, verdict, cfg.tol_algebraic)
+
+
+def _character_checks(records, fix: Fixture, cfg: RunConfig,
+                      sdc: SemidirectCharacters):
+    """E u F of a semidirect or lau product: its cross-check and its E/F split."""
+    desc = fix.descriptor
+    _rec(records, f"{fix.name}/characters-union", "prop24",
+         sdc.cross_check_distance, 1e-8,
+         detail=f"|E|={sdc.e_count} |F|={len(sdc.subalgebra_chars)}")
+    card_gap = abs(len(sdc.set) - (len(sdc.subalgebra_chars) + len(sdc.ideal_chars)))
+    ideal_part = np.abs(sdc.set.matrix[:, desc.ideal_slice])
+    e_rows = ideal_part[: sdc.e_count]
+    f_rows = ideal_part[sdc.e_count :]
+    disjoint_res = float(np.max(f_rows, initial=0.0))
+    if sdc.e_count and e_rows.size and float(np.min(np.max(e_rows, axis=1))) <= 1e-6:
+        disjoint_res = 1.0  # an E character with vanishing ideal part would collide with F
+    _rec(records, f"{fix.name}/characters-disjoint", "prop24",
+         float(card_gap) + disjoint_res, cfg.tol_algebraic)
 
 
 def _block_checks(records, fix: Fixture, cfg: RunConfig, mult: MultiplierBasis):
@@ -243,18 +271,7 @@ def _semidirect_checks(records, fix: Fixture, cfg: RunConfig,
                        rng: np.random.Generator):
     desc = fix.descriptor
     sdc = characters_semidirect(desc, cfg.tol_algebraic)
-    _rec(records, f"{fix.name}/characters-union", "prop24",
-         sdc.cross_check_distance, 1e-8,
-         detail=f"|E|={sdc.e_count} |F|={len(sdc.subalgebra_chars)}")
-    card_gap = abs(len(sdc.set) - (len(sdc.subalgebra_chars) + len(sdc.ideal_chars)))
-    ideal_part = np.abs(sdc.set.matrix[:, desc.ideal_slice])
-    e_rows = ideal_part[: sdc.e_count]
-    f_rows = ideal_part[sdc.e_count :]
-    disjoint_res = float(np.max(f_rows, initial=0.0))
-    if sdc.e_count and e_rows.size and float(np.min(np.max(e_rows, axis=1))) <= 1e-6:
-        disjoint_res = 1.0  # an E character with vanishing ideal part would collide with F
-    _rec(records, f"{fix.name}/characters-disjoint", "prop24",
-         float(card_gap) + disjoint_res, cfg.tol_algebraic)
+    _character_checks(records, fix, cfg, sdc)
 
     # psi well-definedness, and the factorization identity on the E rows
     # (phi, psi_phi): phi(e_i b_j) against phi(e_i) psi_phi(b_j) over all
@@ -284,48 +301,38 @@ def _semidirect_checks(records, fix: Fixture, cfg: RunConfig,
     _bse_property_check(records, fix, cfg, sdc.set, mult)
 
 
+# the records that read the product-BSE pass of a lau fixture
+_PRODUCT_BSE_RECORDS = (("phi-iso-norm", "lau-bse"), ("lau-bse-biconditional", "lau-bse"),
+                        ("lau-transport", "lau-bse"), ("sum-bse-biconditional", "tim2"),
+                        ("sum-multiplier-split", "tim2"), ("check-bse", "bse-def"))
+
+
 def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator):
     desc = fix.descriptor
-    lc = characters_lau(desc, cfg.tol_algebraic)
-    _rec(records, f"{fix.name}/characters-union", "prop24",
-         lc.cross_check_distance, 1e-8,
-         detail=f"|E|={lc.e_count} |F|={len(lc.b_chars)}")
-    card_gap = abs(len(lc.set) - (len(lc.a_chars) + len(lc.b_chars)))
-    first_part = np.abs(lc.set.matrix[:, desc.first_slice])
-    f_rows = first_part[lc.e_count :]
-    disjoint_res = float(np.max(f_rows, initial=0.0))
-    _rec(records, f"{fix.name}/characters-disjoint", "prop24",
-         float(card_gap) + disjoint_res, cfg.tol_algebraic)
+    sdc = characters_semidirect(desc, cfg.tol_algebraic)
+    _character_checks(records, fix, cfg, sdc)
 
     mult = multiplier_space(fix.algebra)  # shared by the checks below
     _block_checks(records, fix, cfg, mult)
 
-    # one product-BSE pass: Phi, the four verdicts and the structural checks
-    rep = verify_product_bse(desc, cfg.tol_algebraic, mult, lc)
-    iso = rep.iso
-    bound_excess = operator_norm(iso.forward) - iso.norm_bound
-    _rec(records, f"{fix.name}/phi-iso-norm", "lau-bse", max(0.0, bound_excess),
-         1e-12,
-         detail=f"|Phi| = {operator_norm(iso.forward):.6g} <= {iso.norm_bound:.6g}")
-
-    if lc.surjective():
+    if sdc.surjective():
         worst_split = 0.0
         worst_theta = 0.0
         worst_mult = 0.0
         for _ in range(cfg.sigma_samples):
-            sigma = _random_sigma(rng, len(lc.set))
-            sp = split_sigma(sigma, lc)
+            sigma = _random_sigma(rng, len(sdc.set))
+            sp = split_sigma(sigma, sdc)
             worst_split = max(worst_split, sp.norm_slack)  # <= 0 up to solver gap
-            tau = _random_sigma(rng, len(lc.a_chars))
-            rho = _random_sigma(rng, len(lc.b_chars))
-            th = theta(tau, rho, lc)
+            tau = _random_sigma(rng, len(sdc.ideal_chars))
+            rho = _random_sigma(rng, len(sdc.subalgebra_chars))
+            th = theta(tau, rho, sdc)
             worst_theta = max(worst_theta, abs(th.norm_slack))
             worst_mult = max(
                 worst_mult,
                 theta_product_residual(
-                    lc, tau, rho,
-                    _random_sigma(rng, len(lc.a_chars)),
-                    _random_sigma(rng, len(lc.b_chars)),
+                    sdc, tau, rho,
+                    _random_sigma(rng, len(sdc.ideal_chars)),
+                    _random_sigma(rng, len(sdc.subalgebra_chars)),
                 ),
             )
         _rec(records, f"{fix.name}/split-norm-additive", "lemma41",
@@ -339,6 +346,22 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
         _skip(records, f"{fix.name}/theta-multiplicative", "theta",
               "phi is not surjective")
 
+    _duality_checks(records, fix, sdc.set, cfg, rng)
+
+    # the product-BSE pass judges A, B, A x_phi B and A (+) B, so it needs all
+    # four without order; the product has order iff a parent has, since
+    # (-phi(b), b) annihilates A x_phi B when b annihilates B
+    if not is_without_order(fix.algebra):
+        for name, anchor in _PRODUCT_BSE_RECORDS:
+            _skip(records, f"{fix.name}/{name}", anchor, HAS_ORDER)
+        return
+    # one product-BSE pass: Phi, the four verdicts and the structural checks
+    rep = verify_product_bse(desc, cfg.tol_algebraic, mult, sdc)
+    iso = rep.iso
+    bound_excess = operator_norm(iso.forward) - iso.norm_bound
+    _rec(records, f"{fix.name}/phi-iso-norm", "lau-bse", max(0.0, bound_excess),
+         1e-12,
+         detail=f"|Phi| = {operator_norm(iso.forward):.6g} <= {iso.norm_bound:.6g}")
     _rec(records, f"{fix.name}/lau-bse-biconditional", "lau-bse",
          0.0 if rep.biconditional_ok else 1.0, 0.0,
          detail=f"A={rep.verdict_first.is_bse} B={rep.verdict_second.is_bse} "
@@ -358,8 +381,6 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
     _rec(records, f"{fix.name}/sum-multiplier-split", "tim2",
          max(rep.sum_block_residual, 0.0 if rep.sum_block_dim_ok else 1.0),
          cfg.tol_algebraic)
-
-    _duality_checks(records, fix, lc.set, cfg, rng)
     _bse_verdict_check(records, fix, rep.verdict_product, cfg.tol_algebraic)
 
 
@@ -408,26 +429,18 @@ def fixture_records(cfg: RunConfig, family: str, index: int) -> list[Record]:
     return _checks(fix, cfg, fixture_rng(cfg.seed + 1_000_003, family, index))
 
 
-def _worker(args) -> list[Record]:
-    cfg_dict, family, index = args
-    cfg = RunConfig(**cfg_dict)
-    return fixture_records(cfg, family, index)
-
-
 def run_verify(cfg: RunConfig) -> Report:
     """Generate fixtures per family, run every check, and assemble the report."""
-    units = [(family, index) for family in cfg.families for index in range(cfg.count)]
-    records: list[Record] = []
+    one = dataclasses.replace(cfg, jobs=1)  # a worker runs its fixture serially
+    families = [family for family in cfg.families for _ in range(cfg.count)]
+    indices = [index for _ in cfg.families for index in range(cfg.count)]
+    units = ([one] * len(families), families, indices)
     if cfg.jobs > 1:
-        cfg_dict = {**cfg.to_dict(), "jobs": 1}
-        cfg_dict["families"] = tuple(cfg_dict["families"])
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for recs in pool.map(_worker, [(cfg_dict, f, i) for f, i in units]):
-                records.extend(recs)
+            batches = list(pool.map(fixture_records, *units))
     else:
-        for family, index in units:
-            records.extend(fixture_records(cfg, family, index))
-    records.sort(key=lambda r: r.name)
+        batches = list(map(fixture_records, *units))
+    records = sorted((r for batch in batches for r in batch), key=lambda r: r.name)
     return Report(config=cfg, records=records)
 
 

@@ -83,17 +83,34 @@ def c2():
     return diagonal_algebra(2, "C2")
 
 
-@pytest.fixture
-def nilpotent2():
+def nil2():
     # e0 e0 = e1, every other product zero
     c = np.zeros((2, 2, 2), dtype=complex)
     c[0, 0, 1] = 1.0
     return Algebra("nil2", np.ones(2), c)
 
 
+def zero_product(n):
+    return Algebra(f"zero{n}", np.ones(n), np.zeros((n, n, n), dtype=complex))
+
+
+def x_truncated4():
+    """xC[x]/(x^4): the basis x, x^2, x^3 with x^i x^j = x^(i+j), zero past x^3."""
+    c = np.zeros((3, 3, 3), dtype=complex)
+    for i in range(3):
+        for j in range(2 - i):
+            c[i, j, i + j + 1] = 1.0
+    return Algebra("xC[x]/(x^4)", np.ones(3), c)
+
+
+@pytest.fixture
+def nilpotent2():
+    return nil2()
+
+
 @pytest.fixture
 def zero_product2():
-    return Algebra("zero2", np.ones(2), np.zeros((2, 2, 2), dtype=complex))
+    return zero_product(2)
 
 
 @pytest.fixture
@@ -133,6 +150,13 @@ def module_extension_semidirect():
     act = np.zeros((2, 2, 2), dtype=complex)
     act[0, 0, 0] = 1.0
     return semidirect(SemidirectSpec(B, X, act, act.copy()))
+
+
+def zero_product_semidirect():
+    """zero1 (+) zero1 with B acting by zero: every product vanishes, so there
+    are no characters and the whole algebra is its annihilator."""
+    zero = np.zeros((1, 1, 1), dtype=complex)
+    return semidirect(SemidirectSpec(zero_product(1), zero_product(1), zero, zero.copy()))
 
 
 def dual_numbers_semidirect():

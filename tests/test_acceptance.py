@@ -40,7 +40,6 @@ from banalg.multipliers import (
 from banalg.spectra import (
     Character,
     CharacterSet,
-    characters_lau,
     characters_numerical,
     characters_semidirect,
     match_character_sets,
@@ -101,7 +100,8 @@ def test_criterion_2_character_decomposition(semidirect_fixtures, lau_fixtures):
     worst = 0.0
     cardinality_ok = True
     disjoint_ok = True
-    for fix in semidirect_fixtures:
+    # a lau product is the semidirect product with ideal A: one closed form
+    for fix in semidirect_fixtures + lau_fixtures:
         sdc = characters_semidirect(fix.descriptor)
         worst = max(worst, sdc.cross_check_distance)
         cardinality_ok = cardinality_ok and len(sdc.set) == (
@@ -110,18 +110,6 @@ def test_criterion_2_character_decomposition(semidirect_fixtures, lau_fixtures):
         for r, ch in enumerate(sdc.set):
             part = float(np.max(np.abs(ch.values[isl])))
             if r < sdc.e_count:
-                disjoint_ok = disjoint_ok and part > 1e-6
-            else:
-                disjoint_ok = disjoint_ok and part == 0.0
-    for fix in lau_fixtures:
-        lc = characters_lau(fix.descriptor)
-        worst = max(worst, lc.cross_check_distance)
-        cardinality_ok = cardinality_ok and len(lc.set) == (
-            len(lc.a_chars) + len(lc.b_chars))
-        fsl = fix.descriptor.first_slice
-        for r, ch in enumerate(lc.set):
-            part = float(np.max(np.abs(ch.values[fsl])))
-            if r < lc.e_count:
                 disjoint_ok = disjoint_ok and part > 1e-6
             else:
                 disjoint_ok = disjoint_ok and part == 0.0
@@ -193,8 +181,8 @@ def test_criterion_5_theta_isometry(lau_fixtures):
     fixtures = [f for f in lau_fixtures if f.meta.get("surjective", True)][:3]
     assert fixtures
     for fix in fixtures:
-        lc = characters_lau(fix.descriptor)
-        na, nb = len(lc.a_chars), len(lc.b_chars)
+        lc = characters_semidirect(fix.descriptor)
+        na, nb = len(lc.ideal_chars), len(lc.subalgebra_chars)
         for _ in range(100):
             tau = rng.standard_normal(na) + 1j * rng.standard_normal(na)
             rho = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)

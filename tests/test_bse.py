@@ -26,14 +26,14 @@ from banalg.errors import (
     PhiNotSurjectiveError,
     SpanConditionError,
 )
-from banalg.spectra import characters_lau, characters_numerical, characters_semidirect
+from banalg.spectra import characters_numerical, characters_semidirect
 
 from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect, weighted_norm
 
 
 def b_index(lc, values):
-    """Index inside lc.b_chars of the character with the given value vector."""
-    for j, ch in enumerate(lc.b_chars):
+    """Index inside lc.subalgebra_chars of the character with the given value vector."""
+    for j, ch in enumerate(lc.subalgebra_chars):
         if np.allclose(ch.values, values, atol=1e-8):
             return j
     raise AssertionError("character not found")
@@ -199,7 +199,7 @@ def test_semisimplicity_warning_on_partial_characters(z2z2):
 
 
 def test_split_sigma_worked_example():
-    lc = characters_lau(lau_c_c2())
+    lc = characters_semidirect(lau_c_c2())
     # sigma(E) = 5, sigma(0, pi1) = 2, sigma(0, pi2) = 3
     j1 = b_index(lc, [1.0, 0.0])
     j2 = b_index(lc, [0.0, 1.0])
@@ -219,13 +219,13 @@ def test_split_sigma_worked_example():
 
 
 def test_split_sigma_zero():
-    lc = characters_lau(lau_c_c2())
+    lc = characters_semidirect(lau_c_c2())
     sp = split_sigma(np.zeros(3, dtype=complex), lc)
     assert sp.tau.bse_norm == 0 and sp.rho.bse_norm == 0
 
 
 def test_join_inverts_split():
-    lc = characters_lau(lau_c_c2())
+    lc = characters_semidirect(lau_c_c2())
     rng = np.random.default_rng(3)
     sigma = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     sp = split_sigma(sigma, lc)
@@ -238,7 +238,7 @@ def test_join_inverts_split():
 
 
 def test_theta_isometry_and_examples():
-    lc = characters_lau(lau_c_c2())
+    lc = characters_semidirect(lau_c_c2())
     ones_a = np.ones(1, dtype=complex)
     # tau = all-ones, rho = 0: indicator of the E block
     th = theta(ones_a, np.zeros(2, dtype=complex), lc)
@@ -260,7 +260,7 @@ def test_theta_isometry_and_examples():
 
 
 def test_theta_multiplicative():
-    lc = characters_lau(lau_c_c2())
+    lc = characters_semidirect(lau_c_c2())
     rng = np.random.default_rng(5)
     for _ in range(10):
         res = theta_product_residual(
@@ -275,9 +275,18 @@ def test_theta_multiplicative():
 
 def test_split_requires_surjective_phi():
     ds = direct_sum(diagonal_algebra(1, "A"), diagonal_algebra(2, "B"))
-    lc = characters_lau(ds)
+    lc = characters_semidirect(ds)
     with pytest.raises(PhiNotSurjectiveError):
         split_sigma(np.zeros(3, dtype=complex), lc)
+
+
+def test_semidirect_characters_have_no_surjectivity():
+    # surjectivity is a property of phi, and a semidirect descriptor has none
+    sdc = characters_semidirect(pointwise_semidirect())
+    with pytest.raises(ConstructionError):
+        sdc.surjective()
+    with pytest.raises(ConstructionError):
+        split_sigma(np.zeros(len(sdc.set), dtype=complex), sdc)
 
 
 def test_sigma_extension_pointwise():
@@ -398,11 +407,11 @@ def test_containment_residual_matches_row_loop():
 
 def test_theta_reports_product_law():
     # the law on the pair squared: the image of (tau, rho)^2 is sigma^2
-    lc = characters_lau(lau_c_c2())
+    lc = characters_semidirect(lau_c_c2())
     tau, rho = np.array([1.0 + 2.0j]), np.array([0.5, -1.0j])
     th = theta(tau, rho, lc)
     assert theta_product_residual(lc, tau, rho, tau, rho) <= 1e-12
-    g = np.array(lc.gamma)
+    g = np.array(lc.psi_index)
     squared = theta(tau * tau + 2 * rho[g] * tau, rho * rho, lc)
     assert np.max(np.abs(squared.sigma.values - th.sigma.values ** 2)) <= 1e-12
 

@@ -8,7 +8,6 @@ from banalg.spectra import (
     SEPARATION,
     Character,
     CharacterSet,
-    characters_lau,
     characters_numerical,
     characters_semidirect,
     gelfand,
@@ -180,26 +179,58 @@ def test_characters_semidirect_disjoint_blocks():
             assert ideal_part == 0
 
 
-def test_characters_lau_worked_example():
+def test_closed_form_characters_of_lau_worked_example():
     desc = lau_c_c2()
-    lc = characters_lau(desc)
+    lc = characters_semidirect(desc)
     assert len(lc.set) == 3
     assert lc.cross_check_distance <= 1e-10
-    assert len(lc.set) == len(lc.a_chars) + len(lc.b_chars)
+    assert len(lc.set) == len(lc.ideal_chars) + len(lc.subalgebra_chars)
     rows = {tuple(np.round(ch.values.real, 8)) for ch in lc.set}
     assert rows == {(1.0, 1.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
-    # gamma maps the single A-character to pi_1
-    target = lc.b_chars[lc.gamma[0]]
+    # psi_index maps the single A-character to pi_1
+    target = lc.subalgebra_chars[lc.psi_index[0]]
     assert np.allclose(target.values, [1.0, 0.0])
 
 
-def test_characters_lau_phi_zero_direct_sum():
+def test_closed_form_characters_of_direct_sum_have_zero_psi():
     from banalg.constructions import direct_sum
 
     ds = direct_sum(diagonal_algebra(1, "A"), diagonal_algebra(2, "B"))
-    lc = characters_lau(ds)
+    lc = characters_semidirect(ds)
     assert len(lc.set) == 3
-    assert all(g is None for g in lc.gamma)
+    assert all(g is None for g in lc.psi_index)
+
+
+def test_lau_closed_form_matches_the_composition_oracle():
+    # on A x_phi B the semidirect route induces psi through psi_of; the oracle
+    # is the Lau formula E = {(phi_A, phi_A o phi)}, composed directly
+    from banalg.algebra import DEFAULT_TOL
+    from banalg.constructions import direct_sum, finite_abelian_group_algebra
+    from banalg.fixtures import build_fixture, lau_fixture
+
+    descs = [build_fixture("lau", seed, index, 6).descriptor
+             for seed in (0, 97) for index in range(16)]
+    descs += [lau_fixture(seed, index, max_dim=4, surjective=False).descriptor
+              for seed in (0, 97) for index in range(4)]
+    descs += [lau_c_c2(),
+              direct_sum(diagonal_algebra(1, "A"), diagonal_algebra(2, "B")),
+              direct_sum(finite_abelian_group_algebra([3]), diagonal_algebra(2, "B"))]
+    zero_psis = 0
+    for desc in descs:
+        sdc = characters_semidirect(desc, cross_check=False)
+        comps = sdc.ideal_chars.matrix @ desc.phi.matrix
+        e_block = sdc.set.matrix[: sdc.e_count, desc.subalgebra_slice]
+        assert np.max(np.abs(e_block - comps), initial=0.0) <= 1e-14, desc.algebra.name
+        for r, comp in enumerate(comps):
+            if np.max(np.abs(comp)) <= DEFAULT_TOL:
+                assert sdc.psi_index[r] is None
+                zero_psis += 1
+                continue
+            dists = np.abs(sdc.subalgebra_chars.matrix - comp).max(axis=1)
+            assert sdc.psi_index[r] == int(np.argmin(dists))
+            assert dists.min() <= 1e-14
+    # one per non-surjective fixture, one for C (+) C^2, three for l1(Z3) (+) C^2
+    assert zero_psis == 8 + 1 + 3
 
 
 def test_every_character_verified_multiplicative(z2z2):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,11 +7,12 @@ import pytest
 
 from banalg.algebra import LinearMap, operator_norm, validate
 from banalg.bse import SemisimplicityWarning
-from banalg.constructions import ideal_span_is_full, lau_product
-from banalg.fixtures import FAMILIES, build_fixture, fixture_generators
+from banalg.constructions import direct_sum, ideal_span_is_full, lau_product
+from banalg.fixtures import FAMILIES, Fixture, build_fixture, fixture_generators, fixture_rng
 from banalg import verify
 from banalg.errors import IllConditionedError
 from banalg.multipliers import MultiplierBasis
+from banalg.spectra import CharacterSet, characters_numerical, characters_semidirect
 from banalg.verify import (
     THEOREMS,
     Report,
@@ -24,7 +26,11 @@ from conftest import (
     diagonal_algebra,
     lau_c_c2,
     module_extension_semidirect,
+    nil2,
     pointwise_semidirect,
+    x_truncated4,
+    zero_product,
+    zero_product_semidirect,
 )
 
 
@@ -102,10 +108,20 @@ def test_report_text_rendering_no_color():
     assert "\x1b[32m" in colored
 
 
+def _zoo_bundles():
+    # products with no characters or with order: every check outside its
+    # hypotheses must be a reasoned SKIP, never an /error
+    C = diagonal_algebra(1, "C")
+    return [zero_product_semidirect(), direct_sum(C, nil2()), direct_sum(nil2(), C),
+            direct_sum(zero_product(2), C),
+            direct_sum(module_extension_semidirect().algebra, C)]
+
+
+@pytest.mark.filterwarnings("ignore::banalg.bse.SemisimplicityWarning")
 def test_theorem_records_on_bundles():
     # a bundle runs the checks of its kind once; --theorem only filters them
     cfg = RunConfig(count=1)
-    for desc in (pointwise_semidirect(), lau_c_c2()):
+    for desc in (pointwise_semidirect(), lau_c_c2(), *_zoo_bundles()):
         every = theorem_records(desc, None, cfg)
         assert every and all(r.verdict in ("PASS", "SKIP") for r in every), (
             [(r.name, r.verdict, r.detail) for r in every]
@@ -117,6 +133,41 @@ def test_theorem_records_on_bundles():
                 assert kept == anchored, (desc.kind, theorem)
             else:
                 assert [(r.anchor, r.verdict) for r in kept] == [(theorem, "SKIP")]
+
+
+@pytest.mark.filterwarnings("ignore::banalg.bse.SemisimplicityWarning")
+def test_zoo_bundles_skip_for_a_reason():
+    # no characters: bse-duality and delta-weak-bai; order: check-bse and, on
+    # a lau product or direct sum, the five other records of the product-BSE pass
+    no_chars = {"bse-duality", "delta-weak-bai"}
+    product_bse = {"phi-iso-norm", "lau-bse-biconditional", "lau-transport",
+                   "sum-bse-biconditional", "sum-multiplier-split", "check-bse"}
+    for desc in _zoo_bundles():
+        records = theorem_records(desc, None, RunConfig(count=1))
+        skipped = {r.name.rsplit("/", 1)[1]: r.detail for r in records
+                   if r.verdict == "SKIP"}
+        has_order = product_bse if desc.kind != "semidirect" else {"check-bse"}
+        assert {k: v for k, v in skipped.items() if v.startswith("outside")} == {
+            **{name: "outside hypotheses: has order" for name in has_order},
+            **{name: "outside hypotheses: no characters" for name in no_chars
+               if not len(characters_numerical(desc.algebra))},
+        }, desc.algebra.name
+
+
+@pytest.mark.parametrize("make", [nil2, lambda: zero_product(2), x_truncated4])
+def test_plain_algebra_without_characters_skips_for_a_reason(make):
+    # Delta is empty, so every BSE statement is vacuous, and a nilpotent
+    # algebra has order: three reasoned SKIPs and no /error
+    alg = make()
+    fix = Fixture("diag", f"plain/{alg.name}", alg)
+    records = verify._checks(fix, RunConfig(count=1), fixture_rng(1, "diag", 0))
+    assert {r.name.rsplit("/", 1)[1]: (r.verdict, r.detail) for r in records} == {
+        "validate": ("PASS", ""),
+        "characters-residual": ("PASS", "0 characters"),
+        "bse-duality": ("SKIP", "outside hypotheses: no characters"),
+        "delta-weak-bai": ("SKIP", "outside hypotheses: no characters"),
+        "check-bse": ("SKIP", "outside hypotheses: has order"),
+    }
 
 
 def test_theorem_records_carry_the_full_fixture_checks():
@@ -520,3 +571,37 @@ def test_runconfig_validation():
         for value in (0, -3):
             with pytest.raises(ValueError, match=field):
                 RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize("family", ["semidirect", "lau"])
+def test_characters_union_record_can_fail(monkeypatch, family):
+    # negative control: a cross-check distance off by 1e-7, ten times the
+    # record's 1e-8, fails exactly characters-union in both product families
+    original = verify.characters_semidirect
+
+    def offset(*args, **kwargs):
+        sdc = original(*args, **kwargs)
+        sdc.cross_check_distance += 1e-7
+        return sdc
+
+    monkeypatch.setattr(verify, "characters_semidirect", offset)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
+    assert [r.name for r in records if r.verdict == "FAIL"] == [
+        f"{family}/000/characters-union"]
+
+
+@pytest.mark.parametrize("family", ["semidirect", "lau"])
+def test_characters_disjoint_record_can_fail(family):
+    # negative control: the real set with ideal_chars one character short, so
+    # that its last E row is read as an F row, fails characters-disjoint
+    cfg = RunConfig(seed=0, max_dim=6)
+    fix = build_fixture(family, cfg.seed, 0, cfg.max_dim)
+    sdc = characters_semidirect(fix.descriptor, cfg.tol_algebraic)
+    short = dataclasses.replace(sdc, ideal_chars=CharacterSet(
+        fix.descriptor.ideal, list(sdc.ideal_chars)[:-1]))
+    for chars, verdict in ((sdc, "PASS"), (short, "FAIL")):
+        records = []
+        verify._character_checks(records, fix, cfg, chars)
+        assert {r.name: r.verdict for r in records} == {
+            f"{family}/000/characters-union": "PASS",
+            f"{family}/000/characters-disjoint": verdict}
