@@ -2,7 +2,7 @@
 """Sweep random lau-product fixtures and tabulate the norm-additivity defect.
 
 For each fixture with a surjective contractive homomorphism, samples random
-(tau, rho) pairs and records |  ||sigma|| - (||tau|| + ||rho||)  | together
+(tau, rho) pairs, passes them to `theta` as one stack, and records |  ||sigma|| - (||tau|| + ||rho||)  | together
 with the pointwise residual of the pairing's product law.  Both should sit
 at machine precision; the sweep is a quick way to eyeball that across many
 random weight/scaling draws.
@@ -33,15 +33,12 @@ def main() -> int:
     for fix in fixture_generators("lau", seed=args.seed, count=args.fixtures):
         lc = characters_semidirect(fix.descriptor)
         na, nb = len(lc.ideal_chars), len(lc.subalgebra_chars)
-        iso = mult = 0.0
-        for _ in range(args.samples):
-            tau = rng.standard_normal(na) + 1j * rng.standard_normal(na)
-            rho = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
-            iso = max(iso, abs(theta(tau, rho, lc).norm_slack))
-            mult = max(mult, theta_product_residual(
-                lc, tau, rho,
-                rng.standard_normal(na) + 1j * rng.standard_normal(na),
-                rng.standard_normal(nb) + 1j * rng.standard_normal(nb)))
+        # each sample draws tau, rho and a second pair, in that order
+        draws = [[rng.standard_normal(k) + 1j * rng.standard_normal(k)
+                  for k in (na, nb, na, nb)] for _ in range(args.samples)]
+        tau, rho, tau2, rho2 = (np.array(v) for v in zip(*draws))
+        iso = float(np.max(np.abs(theta(tau, rho, lc).norm_slack)))
+        mult = theta_product_residual(lc, tau, rho, tau2, rho2)
         print(f"{fix.name:<12} {na}+{nb:<6} {iso:<18.3e} {mult:<14.3e}")
         worst_iso = max(worst_iso, iso)
         worst_mult = max(worst_mult, mult)

@@ -74,13 +74,11 @@ def run_square(E, sigma, w):
 def run_batch(E, sigmas, w):
     """(iterations per member, worst relative gap, ok) of one batched dual cone
     loop over the rows of sigmas, each against its exact square value."""
-    gaps, ok = [], True
     batch = _solve_cone(E, sigmas, w, GAP_REL)
-    for sigma, sol in zip(sigmas, batch):
-        exact = solve_primal(E, sigma, w).value
-        gaps.append(abs(exact - sol.dual_value) / max(1.0, exact))
-        ok &= float(np.max(np.abs(E.T @ sol.c) - w)) <= 1e-12
-    return [sol.iterations for sol in batch], max(gaps), ok
+    exact = solve_primal(E, sigmas, w).value
+    gap = float(np.max(np.abs(exact - batch.dual_value) / np.maximum(1.0, exact)))
+    ok = float(np.max(np.abs(batch.c @ E) - w)) <= 1e-12
+    return batch.iterations.tolist(), gap, ok
 
 
 def square_x4(seed):
@@ -93,7 +91,7 @@ def square_x4(seed):
         n = len(sigma)
         sigmas = np.vstack([sigma, rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))])
         iterations, gap, ok = run_batch(E, sigmas, w)
-        alone = [_solve_cone(E, row[None], w, GAP_REL)[0].iterations for row in sigmas]
+        alone = [_solve_cone(E, row[None], w, GAP_REL).iterations[0] for row in sigmas]
         return iterations, gap, ok and iterations == alone
 
     return run

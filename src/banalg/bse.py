@@ -20,10 +20,13 @@ one character set per fixture algebra; a verdict keeps no space.
 
 A Lau product's characters are its semidirect E u F (ideal A, subalgebra
 B), whose `psi_index` locates each phi_A o phi among the characters of B.
-`split_sigma` splits sigma into (tau, rho), `theta` joins (tau, rho) back
-into sigma, and `sigma_extension` builds (rho o psi, rho), all through that
-one index; the first two return the three BSE functions and the slack
-||tau|| + ||rho|| - ||sigma|| of one `SplitResult`.
+One join sigma = (tau + rho o psi, rho) through that index serves
+`split_sigma` (sigma to (tau, rho)), `theta` ((tau, rho) to sigma), its
+product law, and `sigma_extension` (tau = 0); the first two return the
+three BSE functions and the slack ||tau|| + ||rho|| - ||sigma||.  The BSE
+norms and these maps take one function or a stack of k, and every result
+keeps the stack's axis: on square E the primal solves the stack with one
+factorization, and the dual in one cone loop.
 """
 
 from __future__ import annotations
@@ -68,7 +71,8 @@ class SemisimplicityWarning(UserWarning):
 
 @dataclass(eq=False)
 class BSEFunction:
-    """A function on a finite character list with its BSE norm and witnesses.
+    """A function on a finite character list, or a stack of them, with its
+    BSE norm and witnesses, each in the stack's leading axes.
 
     The norm is the contractual output; the minimizer is one interpolant
     attaining it, which need not be the only one.
@@ -76,22 +80,23 @@ class BSEFunction:
 
     characters: CharacterSet
     values: np.ndarray
-    bse_norm: float
-    minimizer: np.ndarray  # coefficient vector
+    bse_norm: float | np.ndarray
+    minimizer: np.ndarray  # coefficient vector(s)
     dual_certificate: np.ndarray
-    gap: float
+    gap: float | np.ndarray
     method: str
 
     def interpolation_error(self) -> float:
+        """Worst |a-hat - sigma| over the stack."""
         return float(
             np.max(np.abs(gelfand(self.minimizer, self.characters) - self.values),
                    initial=0.0)
         )
 
     def certificate_feasibility(self) -> float:
-        """max_i |sum_j c_j phi_j(e_i)| / w_i; feasible when <= 1."""
+        """Worst max_i |sum_j c_j phi_j(e_i)| / w_i; feasible when <= 1."""
         alg = self.characters.algebra
-        f = self.characters.matrix.T @ self.dual_certificate
+        f = (self.characters.matrix.T @ self.dual_certificate[..., None])[..., 0]
         return float(np.max(np.abs(f) / alg.weights))
 
 
@@ -104,7 +109,8 @@ class BaiCertificate:
     residual: float
 
 
-def _check_charset(S: CharacterSet, algebra: Algebra):
+def _check_charset(values: np.ndarray, S: CharacterSet, algebra: Algebra) -> np.ndarray:
+    """values (|S|,) or (k, |S|) as an array, once S is checked."""
     if len(S) == 0:
         raise EmptyCharacterSetError("no characters to interpolate on")
     if S.algebra is not algebra:
@@ -121,15 +127,17 @@ def _check_charset(S: CharacterSet, algebra: Algebra):
             SemisimplicityWarning,
             stacklevel=3,
         )
+    values = np.asarray(values, dtype=complex)
+    if values.ndim not in (1, 2) or values.shape[-1] != len(S):
+        raise ValueError(f"sigma must assign one value per character ({len(S)})")
+    return values
 
 
 def bse_norm_primal(values: np.ndarray, S: CharacterSet, algebra: Algebra,
                     gap_rel: float = GAP_REL) -> BSEFunction:
-    """Minimum-norm interpolation route: ||sigma||_BSE = min{||a|| : a-hat = sigma}."""
-    _check_charset(S, algebra)
-    values = np.asarray(values, dtype=complex)
-    if values.shape != (len(S),):
-        raise ValueError(f"sigma must assign one value per character ({len(S)})")
+    """Minimum-norm interpolation route: ||sigma||_BSE = min{||a|| : a-hat = sigma},
+    for values (|S|,) or a stack (k, |S|)."""
+    values = _check_charset(values, S, algebra)
     # _check_charset has decided the rank of this matrix; skip solve_primal's check
     sol = _primal(S.matrix, values, algebra.weights, gap_rel)
     return BSEFunction(
@@ -152,10 +160,7 @@ def bse_norm_dual(values: np.ndarray, S: CharacterSet, algebra: Algebra,
     (|S|,); a stack of k sigmas, shape (k, |S|), gives (k,) values and
     (k, |S|) certificates from one cone loop, with S checked once.
     """
-    _check_charset(S, algebra)
-    values = np.asarray(values, dtype=complex)
-    if values.ndim not in (1, 2) or values.shape[-1] != len(S):
-        raise ValueError(f"sigma must assign one value per character ({len(S)})")
+    values = _check_charset(values, S, algebra)
     return _dual(S.matrix, values, algebra.weights, gap_rel)
 
 
@@ -263,13 +268,13 @@ class SplitResult:
     tau: BSEFunction
     rho: BSEFunction
     sigma: BSEFunction
-    norm_slack: float  # ||tau|| + ||rho|| - ||sigma||, expected ~0
+    norm_slack: float | np.ndarray  # ||tau|| + ||rho|| - ||sigma||, expected ~0
 
 
-def _gamma(chars: SemidirectCharacters) -> np.ndarray:
-    """Index into the subalgebra characters of each E row's psi (phi_A o phi
-    on a lau product); every psi must be nonzero."""
-    return np.array(chars.psi_index, dtype=int)
+def _join(tau: np.ndarray, rho: np.ndarray, chars: SemidirectCharacters) -> np.ndarray:
+    """sigma = (tau + rho o psi, rho) on E u F, for one pair or a stack; every
+    psi (phi_A o phi on a lau product) must be nonzero."""
+    return np.concatenate([tau + rho[..., chars.psi_index], rho], axis=-1)
 
 
 def _split_result(tau_values: np.ndarray, rho_values: np.ndarray,
@@ -278,23 +283,20 @@ def _split_result(tau_values: np.ndarray, rho_values: np.ndarray,
     tau = bse_norm_primal(tau_values, chars.ideal_chars, desc.ideal)
     rho = bse_norm_primal(rho_values, chars.subalgebra_chars, desc.subalgebra)
     sigma = bse_norm_primal(sigma_values, chars.set, desc.algebra)
-    return SplitResult(
-        tau=tau,
-        rho=rho,
-        sigma=sigma,
-        norm_slack=tau.bse_norm + rho.bse_norm - sigma.bse_norm,
-    )
+    return SplitResult(tau, rho, sigma, tau.bse_norm + rho.bse_norm - sigma.bse_norm)
 
 
 def split_sigma(sigma_values: np.ndarray, chars: SemidirectCharacters) -> SplitResult:
-    """tau(phi) = sigma(phi, phi o phi') - sigma(0, phi o phi'); rho(psi) = sigma(0, psi)."""
+    """tau(phi) = sigma(phi, phi o phi') - sigma(0, phi o phi'); rho(psi) = sigma(0, psi),
+    for one sigma or a stack."""
     _require_surjective(chars)
     sigma_values = np.asarray(sigma_values, dtype=complex)
-    if sigma_values.shape != (len(chars.set),):
+    if sigma_values.ndim not in (1, 2) or sigma_values.shape[-1] != len(chars.set):
         raise ValueError("sigma must assign one value per product character")
     ec = chars.e_count
-    rho_values = sigma_values[ec:]
-    tau_values = sigma_values[:ec] - rho_values[_gamma(chars)]
+    rho_values = sigma_values[..., ec:]
+    # what sigma keeps on E once rho's extension (rho o psi, rho) is taken off
+    tau_values = (sigma_values - _join(0, rho_values, chars))[..., :ec]
     return _split_result(tau_values, rho_values, sigma_values, chars)
 
 
@@ -303,12 +305,12 @@ def theta(tau_values: np.ndarray, rho_values: np.ndarray,
     """The pairing (tau, rho) -> sigma: sigma(phi, phi o phi') = tau(phi) +
     rho(phi o phi') and sigma(0, psi) = rho(psi).  It is isometric when the
     returned norm_slack ||tau|| + ||rho|| - ||sigma|| is 0; the product law
-    is `theta_product_residual`."""
+    is `theta_product_residual`.  One pair, or stacks of k tau and k rho."""
     _require_surjective(chars)
     tau_values = np.asarray(tau_values, dtype=complex)
     rho_values = np.asarray(rho_values, dtype=complex)
-    sigma_values = np.concatenate([tau_values + rho_values[_gamma(chars)], rho_values])
-    return _split_result(tau_values, rho_values, sigma_values, chars)
+    return _split_result(tau_values, rho_values, _join(tau_values, rho_values, chars),
+                         chars)
 
 
 def theta_product_residual(chars: SemidirectCharacters,
@@ -318,21 +320,13 @@ def theta_product_residual(chars: SemidirectCharacters,
 
     The pair product is (tau1 tau2 + phitilde(rho1) tau2 + tau1 phitilde(rho2),
     rho1 rho2); its image must match the pointwise product of the images.
+    Takes two pairs, or stacks of k pairs, and returns the worst residual.
     """
     _require_surjective(chars)
-    g = _gamma(chars)
-    t1, r1 = np.asarray(tau1, complex), np.asarray(rho1, complex)
-    t2, r2 = np.asarray(tau2, complex), np.asarray(rho2, complex)
-    pt1 = r1[g]  # phitilde(rho1) on Delta(A)
-    pt2 = r2[g]
-    tau_prod = t1 * t2 + pt1 * t2 + t1 * pt2
-    rho_prod = r1 * r2
-
-    def join_values(tv, rv):
-        return np.concatenate([tv + rv[g], rv])
-
-    lhs = join_values(tau_prod, rho_prod)
-    rhs = join_values(t1, r1) * join_values(t2, r2)
+    t1, r1, t2, r2 = (np.asarray(v, complex) for v in (tau1, rho1, tau2, rho2))
+    pt1, pt2 = (r[..., chars.psi_index] for r in (r1, r2))  # phitilde(rho) on Delta(A)
+    lhs = _join(t1 * t2 + pt1 * t2 + t1 * pt2, r1 * r2, chars)
+    rhs = _join(t1, r1, chars) * _join(t2, r2, chars)
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
@@ -361,7 +355,7 @@ def sigma_extension(rho_values: np.ndarray,
     B = desc.subalgebra
     if rho_values.shape != (len(sd.subalgebra_chars),):
         raise ValueError("rho must assign one value per subalgebra character")
-    sigma_values = np.concatenate([rho_values[_gamma(sd)], rho_values])
+    sigma_values = _join(0, rho_values, sd)
     rho = bse_norm_primal(rho_values, sd.subalgebra_chars, B)
     sigma = bse_norm_primal(sigma_values, sd.set, desc.algebra)
     lifted = np.zeros(desc.algebra.dim, dtype=complex)

@@ -85,10 +85,10 @@ def _cmd_build(args) -> int:
 
 def _cmd_characters(args) -> int:
     algebra, desc = _load_algebra_or_bundle(args.algebra)
-    if args.closed_form and desc is not None:
-        S = characters_semidirect(desc, args.tol).set
-    else:
-        S = characters_numerical(algebra, args.tol)
+    if args.closed_form and desc is None:
+        raise SchemaError([f"{args.algebra}: --closed-form needs a build bundle"])
+    S = (characters_semidirect(desc, args.tol).set if args.closed_form
+         else characters_numerical(algebra, args.tol))
     doc = {
         "algebra": algebra.name,
         "count": len(S),
@@ -235,7 +235,7 @@ def make_parser() -> argparse.ArgumentParser:
                        parents=[common])
     c.add_argument("algebra", help="algebra or build-bundle JSON")
     c.add_argument("--closed-form", action="store_true",
-                   help="use the product decomposition when a bundle is given")
+                   help="use the product decomposition (needs a build bundle)")
     c.add_argument("-o", "--output", default=None)
 
     m = sub.add_parser("multipliers", help="multiplier space basis", parents=[common])

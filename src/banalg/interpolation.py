@@ -46,12 +46,15 @@ of its cone's boundary, or MAX_ITER) and leaves the batch as it stands, so it
 takes the iterations of its solve alone and is certified on its own.
 
 When E is square and invertible (semisimple case: as many characters as
-dimensions) the primal is a single linear solve and no iteration runs.
-Both routes return the optimal value bracketed by a feasible pair; the
-interpolant is one minimizer, and the value, not the minimizer, is the
-contractual output.  `solve_primal` and `solve_dual` check that E has full
-row rank; the BSE norms, which have just checked the rank of the same
-character matrix, call their cores `_primal` and `_dual` directly.
+dimensions) the primal is a linear solve, one factorization of E and one of
+E^T for the whole stack, and no iteration runs.  Both routes take sigma (s,)
+or a stack (k, s) and keep its leading axes in every result; the cone
+program gives an all-zero sigma the zero pair without a solve.  Both return
+the optimal value bracketed by a feasible pair; the interpolant is one
+minimizer, and the value, not the minimizer, is the contractual output.
+`solve_primal` and `solve_dual` check that E has full row rank; the BSE
+norms, which have just checked the rank of the same character matrix, call
+their cores `_primal` and `_dual` directly.
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ _JD = np.diag(_J)
 
 @dataclass
 class InterpolationSolution:
-    """Feasible primal/dual pair with a certified gap.
+    """Feasible primal/dual pair with a certified gap, for sigma or each row of
+    a stack; every field but method keeps sigma's leading axes.
 
     value is the primal objective of the returned (feasible) interpolant;
     dual_value = |sum_j c_j sigma_j| for the returned (feasible) certificate;
@@ -85,11 +89,11 @@ class InterpolationSolution:
 
     a: np.ndarray
     c: np.ndarray
-    value: float
-    dual_value: float
-    gap: float
+    value: float | np.ndarray
+    dual_value: float | np.ndarray
+    gap: float | np.ndarray
     method: str  # "square" (one linear solve) | "barrier" (path following)
-    iterations: int  # path-following steps taken; 0 when none ran
+    iterations: int | np.ndarray  # path-following steps taken; 0 when none ran
 
 
 def _real_lift(E: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,18 +109,26 @@ def _real_lift(E: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return A, b
 
 
-def interpolation_residual(E: np.ndarray, a: np.ndarray, sigma: np.ndarray) -> float:
-    return float(np.max(np.abs(E @ a - sigma), initial=0.0))
-
-
-def certificate_value(c: np.ndarray, sigma: np.ndarray) -> float:
-    return float(abs(c @ sigma))
+def interpolation_residual(E: np.ndarray, a: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    return np.max(np.abs((E @ a[..., None])[..., 0] - sigma), axis=-1, initial=0.0)
 
 
 def _scale_into_feasibility(E: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
     """c (or each row of a stack of c) divided by its dual norm when that exceeds 1."""
-    ratio = np.max(np.abs(c @ E) / w, axis=-1, keepdims=True)
+    ratio = np.max(np.abs(c[..., None, :] @ E) / w, axis=-1)
     return c / np.maximum(ratio, 1.0)
+
+
+def _solution(sigma: np.ndarray, w: np.ndarray, a: np.ndarray, c: np.ndarray,
+              method: str, iterations: np.ndarray) -> InterpolationSolution:
+    """The stacked pair (a, c) and its values in sigma's leading axes, with one
+    BLAS call per row, so a row of a stack gets the bits of its solve alone."""
+    lead = sigma.shape[:-1]
+    a, c = a.reshape(lead + a.shape[-1:]), c.reshape(sigma.shape)
+    value = np.sum(w * np.abs(a), axis=-1)
+    dual_value = np.abs(c[..., None, :] @ sigma[..., :, None])[..., 0, 0][()]
+    return InterpolationSolution(a, c, value, dual_value, value - dual_value, method,
+                                 iterations.reshape(lead)[()])
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -171,11 +183,11 @@ def _nt_scaling(z: np.ndarray, s: np.ndarray, zdet: np.ndarray,
 
 
 def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
-                gap_rel: float) -> list[InterpolationSolution]:
+                gap_rel: float) -> InterpolationSolution:
     """Path following on the lifted cone program from a strictly feasible start,
-    for every row of the (k, s) stack sigma in one loop.
+    for every row of the (k, s) stack sigma, none of them all zero, in one loop.
 
-    Returns one solution per row.  Each member stops on its own test and is
+    Returns the stacked solution.  Each member stops on its own test and is
     then left as it is, so it takes the iterations, and gets the result, of
     a batch of one.
     """
@@ -268,20 +280,29 @@ def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
     x = x + np.linalg.lstsq(A, (b - x @ A.T).T, rcond=None)[0].T
     a = sn[:, None] * (x[:, 0::2] + 1j * x[:, 1::2])
     c = _scale_into_feasibility(E, y_end[:, 0::2] - 1j * y_end[:, 1::2], w)
-    solutions = []
-    for i in range(k):
-        value = float(np.sum(w * np.abs(a[i])))
-        dual_value = certificate_value(c[i], sigma[i])
-        gap = value - dual_value
-        if not (gap <= GAP_HARD_LIMIT * max(1.0, value)
-                and interpolation_residual(E, a[i], sigma[i]) <= 1e-9 * sn[i]):
-            raise BseError(
-                f"interpolation solver failed to certify the optimum "
-                f"(relative gap {gap / max(1.0, value):.3e})"
-            )
-        solutions.append(InterpolationSolution(a[i], c[i], value, dual_value, gap,
-                                               "barrier", iterations=int(iterations[i])))
-    return solutions
+    sol = _solution(sigma, w, a, c, "barrier", iterations)
+    failed = ~((sol.gap <= GAP_HARD_LIMIT * np.maximum(1.0, sol.value))
+               & (interpolation_residual(E, a, sigma) <= 1e-9 * sn))
+    if failed.any():
+        i = np.argmax(failed)  # the first member that failed
+        raise BseError(f"interpolation solver failed to certify the optimum "
+                       f"(relative gap {sol.gap[i] / max(1.0, sol.value[i]):.3e})")
+    return sol
+
+
+def _nonzero_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
+                  gap_rel: float) -> InterpolationSolution:
+    """`_solve_cone` on the rows of sigma (s,) or (k, s) that are not all zero;
+    an all-zero row gets a = 0, c = 0 and value 0 without a solve."""
+    s, n = E.shape
+    stack = sigma.reshape(-1, s)
+    live = np.any(np.abs(stack) > 0, axis=1)
+    a, iterations = np.zeros((len(stack), n), complex), np.zeros(len(stack), int)
+    c = np.zeros_like(stack)
+    if live.any():
+        sol = _solve_cone(E, stack[live], w, gap_rel)
+        a[live], c[live], iterations[live] = sol.a, sol.c, sol.iterations
+    return _solution(sigma, w, a, c, "barrier", iterations)
 
 
 def _system(E, sigma, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -301,7 +322,8 @@ def solve_primal(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
     """Primal route: exact linear solve when E is square, cone solver otherwise.
 
     Always returns a feasible interpolant and a feasible dual certificate
-    whose values bracket the optimum within the achieved gap.
+    whose values bracket the optimum within the achieved gap, for sigma or
+    for each row of a stack.
     """
     return _primal(*_system(E, sigma, w), gap_rel)
 
@@ -310,51 +332,32 @@ def _primal(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
             gap_rel: float) -> InterpolationSolution:
     """solve_primal on arrays that passed `_system`'s checks."""
     s, n = E.shape
-    if not np.any(np.abs(sigma) > 0):
-        return InterpolationSolution(
-            np.zeros(n, dtype=complex), np.zeros(s, dtype=complex), 0.0, 0.0, 0.0,
-            "square" if s == n else "barrier", iterations=0,
-        )
-    if s == n:
-        # full-rank square system: the interpolation constraints pin a uniquely
-        a = np.linalg.solve(E, sigma)
-        value = float(np.sum(w * np.abs(a)))
-        # dual certificate: the interpolant's phases pushed through E^{-T}
-        mags = np.abs(a)
-        live = mags > 1e-14 * float(np.max(mags))
-        d = np.where(live, w * np.exp(-1j * np.angle(a)), 0.0)
-        c = np.linalg.solve(E.T, d)
-        c = _scale_into_feasibility(E, c, w)
-        dual_value = certificate_value(c, sigma)
-        return InterpolationSolution(a, c, value, dual_value, value - dual_value,
-                                     "square", iterations=0)
-    return _solve_cone(E, sigma[None], w, gap_rel)[0]
+    if s != n:
+        return _nonzero_cone(E, sigma, w, gap_rel)
+    # full-rank square system: the interpolation constraints pin each a
+    # uniquely, and one factorization serves the whole stack
+    stack = sigma.reshape(-1, s)
+    a = np.ascontiguousarray(np.linalg.solve(E, stack.T).T)
+    # dual certificate: the interpolant's phases pushed through E^{-T}
+    mags = np.abs(a)
+    live = mags > 1e-14 * np.max(mags, axis=1, keepdims=True)
+    d = np.where(live, w * np.exp(-1j * np.angle(a)), 0.0)
+    c = _scale_into_feasibility(E, np.ascontiguousarray(np.linalg.solve(E.T, d.T).T), w)
+    return _solution(sigma, w, a, c, "square", np.zeros(len(stack), dtype=int))
 
 
 def solve_dual(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
                gap_rel: float = GAP_REL) -> tuple[float | np.ndarray, np.ndarray]:
-    """Dual route: run the cone program itself and report the certificate side.
-
-    sigma of shape (s,) gives the dual value (a float) and the certificate
-    (s,); a stack of shape (k, s) gives (k,) values and (k, s) certificates,
-    from one cone loop.  Runs regardless of the shape of E, so on semisimple
-    instances (square E) this is an independent computation from the primal's
-    plain linear solve.
+    """Dual route: run the cone program itself and report the certificate side,
+    the values and certificates in sigma's leading axes.  Runs regardless of
+    the shape of E, so on semisimple instances (square E) this is an
+    independent computation from the primal's plain linear solve.
     """
     return _dual(*_system(E, sigma, w), gap_rel)
 
 
 def _dual(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
           gap_rel: float) -> tuple[float | np.ndarray, np.ndarray]:
-    """solve_dual on arrays that passed `_system`'s checks.  An all-zero sigma
-    gets 0 and a zero certificate without a solve."""
-    stack = sigma.reshape(-1, sigma.shape[-1])
-    values = np.zeros(len(stack))
-    certificates = np.zeros(stack.shape, dtype=complex)
-    live = np.flatnonzero(np.any(np.abs(stack) > 0, axis=1))
-    if live.size:
-        for i, sol in zip(live, _solve_cone(E, stack[live], w, gap_rel)):
-            values[i], certificates[i] = sol.dual_value, sol.c
-    if sigma.ndim == 1:
-        return float(values[0]), certificates[0]
-    return values, certificates
+    """solve_dual on arrays that passed `_system`'s checks."""
+    sol = _nonzero_cone(E, sigma, w, gap_rel)
+    return sol.dual_value, sol.c

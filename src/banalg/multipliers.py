@@ -46,6 +46,7 @@ from .spectra import CharacterSet
 # at n = 16 a block is 1,024 x 256, and no more than one block and the
 # triangular factor of the rows before it are held at once.
 SLAB_I = 4
+HAT_THRESHOLD = 1e-8  # `hat` reads a direction c where |phi(c)| exceeds this share of the top
 
 
 def _of_product(c: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -331,13 +332,12 @@ def blocks_from_vector(vec: np.ndarray, desc: ProductDescriptor) -> BlockDecompo
     return BlockDecomposition(desc, *blocks, *_block_relation_residuals(desc, *blocks))
 
 
-def hat(T: LinearMap | np.ndarray, S: CharacterSet, tol: float = DEFAULT_TOL,
-        threshold: float = 1e-8) -> np.ndarray:
+def hat(T: LinearMap | np.ndarray, S: CharacterSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Gelfand transform of a multiplier: hat(T)(phi) = phi(T c) / phi(c).
 
     c runs over basis vectors; the one maximizing |phi(c)| defines the value
-    and every other basis direction with |phi(c)| above threshold must agree
-    within tol.  A stack of maps T[..., n, n] gives the stack of transforms
+    and every other basis direction with |phi(c)| above HAT_THRESHOLD times
+    that maximum must agree within tol.  A stack of maps T[..., n, n] gives the stack of transforms
     [..., |S|], and UndefinedHatError is raised if any map has none.
     """
     mat = T.matrix if isinstance(T, LinearMap) else np.asarray(T, dtype=complex)
@@ -346,7 +346,7 @@ def hat(T: LinearMap | np.ndarray, S: CharacterSet, tol: float = DEFAULT_TOL,
     top = np.max(scores, axis=1, initial=0.0)
     if np.any(top <= 0):
         raise UndefinedHatError("character vanishes on the whole basis")
-    live = scores > threshold * top[:, None]
+    live = scores > HAT_THRESHOLD * top[:, None]
     # ratio[r, i] = phi_r(T e_i) / phi_r(e_i) on every direction that counts
     ratio = np.where(live, (V @ mat) / np.where(live, V, 1.0), 0.0)
     out = ratio[..., np.arange(len(V)), np.argmax(scores, axis=1)]

@@ -19,6 +19,7 @@ inductions, so nothing downstream induces them again.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,8 +140,8 @@ def characters_numerical(algebra: Algebra, tol: float = DEFAULT_TOL) -> Characte
 
 
 def gelfand(a: np.ndarray, S: CharacterSet) -> np.ndarray:
-    """(phi(a))_{phi in S} for the coefficient vector a."""
-    return S.matrix @ a
+    """(phi(a))_{phi in S} for the coefficient vector a, or each row of a stack."""
+    return (S.matrix @ a[..., None])[..., 0]
 
 
 def is_semisimple(algebra: Algebra) -> bool:
@@ -306,8 +307,9 @@ class SemidirectCharacters:
     def e_count(self) -> int:
         return len(self.ideal_chars)
 
-    @property
+    @functools.cached_property
     def spans_full_ideal(self) -> bool:
+        """Whether <IB> = I, decided once and kept."""
         return ideal_span_is_full(self.descriptor)
 
     def surjective(self) -> bool:

@@ -16,7 +16,9 @@ product is judged once: its `check-bse` record and the biconditional read
 the same verdict.  A Lau product's characters are its semidirect E u F
 (ideal A), so both product families build and check one closed-form set.
 An algebra with no characters SKIPs the duality checks, and one with order
-SKIPs every record that needs an algebra without order.
+SKIPs every record that needs an algebra without order.  The sigma samples
+of a check go in as one stack: one primal and one dual call per character
+set (on square E the primal factors E once), one call per split check.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .bse import (
     theta_product_residual,
     verify_product_bse,
 )
-from .constructions import group_character_values, ideal_span_is_full
+from .constructions import group_character_values
 from .errors import BanalgError, SpanConditionError
 from .fixtures import FAMILIES, Fixture, build_fixture, fixture_rng
 from .jsonio import render_json
@@ -190,12 +192,10 @@ def _duality_checks(records, fix: Fixture, S: CharacterSet, cfg: RunConfig,
         return
     sigmas = np.array([_random_sigma(rng, len(S)) for _ in range(cfg.sigma_samples)])
     duals, _ = bse_norm_dual(sigmas, S, fix.algebra)  # one cone loop for all samples
-    worst = 0.0
-    for sigma, dual in zip(sigmas, duals):
-        fn = bse_norm_primal(sigma, S, fix.algebra)
-        worst = max(worst, abs(fn.bse_norm - dual) / max(1.0, fn.bse_norm))
-        worst = max(worst, fn.interpolation_error())
-        worst = max(worst, max(0.0, fn.certificate_feasibility() - 1.0))
+    fn = bse_norm_primal(sigmas, S, fix.algebra)  # and one primal call
+    gaps = np.abs(fn.bse_norm - duals) / np.maximum(1.0, fn.bse_norm)
+    worst = max(float(np.max(gaps)), fn.interpolation_error(),
+                fn.certificate_feasibility() - 1.0, 0.0)
     _rec(records, f"{fix.name}/bse-duality", "duality", worst, cfg.tol_opt)
     bai = delta_weak_bai(fix.algebra, S)
     _rec(records, f"{fix.name}/delta-weak-bai", "bai", bai.residual, cfg.tol_opt,
@@ -242,7 +242,8 @@ def _character_checks(records, fix: Fixture, cfg: RunConfig,
          float(card_gap) + disjoint_res, cfg.tol_algebraic)
 
 
-def _block_checks(records, fix: Fixture, cfg: RunConfig, mult: MultiplierBasis):
+def _block_checks(records, fix: Fixture, cfg: RunConfig, mult: MultiplierBasis,
+                  sdc: SemidirectCharacters):
     desc = fix.descriptor
     lm = left_multiplier_space(fix.algebra)
     dec = decompose_left_multiplier(lm.stack, desc, cfg.tol_algebraic)
@@ -257,7 +258,7 @@ def _block_checks(records, fix: Fixture, cfg: RunConfig, mult: MultiplierBasis):
     _rec(records, f"{fix.name}/lemma-recompose", "lemma21", worst_rec,
          cfg.tol_algebraic)
     # multipliers of the product split with S_B = 0 under the full span condition
-    if ideal_span_is_full(desc):
+    if sdc.spans_full_ideal:
         dec = decompose_left_multiplier(mult.stack, desc, cfg.tol_algebraic)
         worst_sb = float(np.max(np.abs(dec.S_B), initial=0.0))
         _rec(records, f"{fix.name}/multiplier-sb-zero", "sub", worst_sb,
@@ -285,7 +286,7 @@ def _semidirect_checks(records, fix: Fixture, cfg: RunConfig,
     _rec(records, f"{fix.name}/psi-identity", "prop24", worst_id, 1e-10)
 
     mult = multiplier_space(fix.algebra)  # shared by the checks below
-    _block_checks(records, fix, cfg, mult)
+    _block_checks(records, fix, cfg, mult, sdc)
 
     # sigma extension needs the full span hypothesis
     try:
@@ -313,32 +314,22 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
     _character_checks(records, fix, cfg, sdc)
 
     mult = multiplier_space(fix.algebra)  # shared by the checks below
-    _block_checks(records, fix, cfg, mult)
+    _block_checks(records, fix, cfg, mult, sdc)
 
     if sdc.surjective():
-        worst_split = 0.0
-        worst_theta = 0.0
-        worst_mult = 0.0
-        for _ in range(cfg.sigma_samples):
-            sigma = _random_sigma(rng, len(sdc.set))
-            sp = split_sigma(sigma, sdc)
-            worst_split = max(worst_split, sp.norm_slack)  # <= 0 up to solver gap
-            tau = _random_sigma(rng, len(sdc.ideal_chars))
-            rho = _random_sigma(rng, len(sdc.subalgebra_chars))
-            th = theta(tau, rho, sdc)
-            worst_theta = max(worst_theta, abs(th.norm_slack))
-            worst_mult = max(
-                worst_mult,
-                theta_product_residual(
-                    sdc, tau, rho,
-                    _random_sigma(rng, len(sdc.ideal_chars)),
-                    _random_sigma(rng, len(sdc.subalgebra_chars)),
-                ),
-            )
+        # each sample draws sigma, then two (tau, rho) pairs; one call per check
+        sizes = (len(sdc.set),) + (len(sdc.ideal_chars), len(sdc.subalgebra_chars)) * 2
+        draws = [[_random_sigma(rng, k) for k in sizes] for _ in range(cfg.sigma_samples)]
+        sigma, tau, rho, tau2, rho2 = (np.array(v) for v in zip(*draws))
+        sp = split_sigma(sigma, sdc)
+        th = theta(tau, rho, sdc)
+        # the split slack is <= 0 up to the solver gap
         _rec(records, f"{fix.name}/split-norm-additive", "lemma41",
-             worst_split, cfg.tol_opt)
-        _rec(records, f"{fix.name}/theta-isometry", "theta", worst_theta, cfg.tol_opt)
-        _rec(records, f"{fix.name}/theta-multiplicative", "theta", worst_mult, 1e-10)
+             np.max(sp.norm_slack, initial=0.0), cfg.tol_opt)
+        _rec(records, f"{fix.name}/theta-isometry", "theta",
+             np.max(np.abs(th.norm_slack), initial=0.0), cfg.tol_opt)
+        _rec(records, f"{fix.name}/theta-multiplicative", "theta",
+             theta_product_residual(sdc, tau, rho, tau2, rho2), 1e-10)
     else:
         _skip(records, f"{fix.name}/split-norm-additive", "lemma41",
               "phi is not surjective")

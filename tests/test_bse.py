@@ -26,6 +26,7 @@ from banalg.errors import (
     PhiNotSurjectiveError,
     SpanConditionError,
 )
+from banalg.fixtures import build_fixture
 from banalg.spectra import characters_numerical, characters_semidirect
 
 from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect, weighted_norm
@@ -88,6 +89,43 @@ def test_bse_dual_on_a_stack_matches_one_at_a_time(z2z2):
         bse_norm_dual(sigmas[None], S, z2z2)
     with pytest.raises(ValueError):
         bse_norm_dual(sigmas[:, :3], S, z2z2)
+
+
+@pytest.mark.parametrize("count", [4, 2])
+def test_bse_primal_on_a_stack_matches_one_at_a_time(z2z2, count):
+    # all four characters give a square system, solved for the stack with one
+    # factorization and equal to each row's solve bit for bit; two of them a
+    # rectangular one, run through one cone loop
+    import warnings
+
+    from banalg.spectra import CharacterSet
+
+    S = CharacterSet(z2z2, list(characters_numerical(z2z2))[:count])
+    rng = np.random.default_rng(10)
+    sigmas = rng.standard_normal((3, count)) + 1j * rng.standard_normal((3, count))
+    sigmas[1] = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SemisimplicityWarning)
+        fn = bse_norm_primal(sigmas, S, z2z2)
+        rows = [bse_norm_primal(sigma, S, z2z2) for sigma in sigmas]
+        with pytest.raises(ValueError):
+            bse_norm_primal(sigmas[None], S, z2z2)
+    assert fn.bse_norm.shape == fn.gap.shape == (3,)
+    assert fn.minimizer.shape == (3, 4) and fn.dual_certificate.shape == (3, count)
+    assert fn.bse_norm[1] == 0 and not np.any(fn.minimizer[1])
+    assert fn.method == rows[0].method == ("square" if count == 4 else "barrier")
+    for i, row in enumerate(rows):
+        if count == 4:
+            assert fn.bse_norm[i] == row.bse_norm and fn.gap[i] == row.gap
+            assert np.array_equal(fn.minimizer[i], row.minimizer)
+            assert np.array_equal(fn.dual_certificate[i], row.dual_certificate)
+        else:
+            assert fn.bse_norm[i] == pytest.approx(row.bse_norm, rel=1e-12, abs=0)
+            assert np.allclose(fn.dual_certificate[i], row.dual_certificate,
+                               rtol=0, atol=1e-12)
+    assert fn.interpolation_error() == max(row.interpolation_error() for row in rows)
+    assert fn.certificate_feasibility() == pytest.approx(
+        max(row.certificate_feasibility() for row in rows), rel=1e-12)
 
 
 def test_dual_never_exceeds_primal_random(z2z2):
@@ -235,6 +273,27 @@ def test_join_inverts_split():
     sp2 = split_sigma(joined.sigma.values, lc)
     assert np.allclose(sp2.tau.values, sp.tau.values)
     assert np.allclose(sp2.rho.values, sp.rho.values)
+
+
+def test_split_and_theta_on_a_stack_match_one_at_a_time():
+    lc = characters_semidirect(build_fixture("lau", 0, 0, 6).descriptor)
+    na, nb = len(lc.ideal_chars), len(lc.subalgebra_chars)
+    rng = np.random.default_rng(6)
+
+    def draw(k):
+        return rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
+
+    sigmas, taus, rhos = draw(na + nb), draw(na), draw(nb)
+    for stacked, rows in ((split_sigma(sigmas, lc), [split_sigma(s, lc) for s in sigmas]),
+                          (theta(taus, rhos, lc), [theta(*p, lc) for p in zip(taus, rhos)])):
+        assert stacked.norm_slack.shape == (3,)
+        for i, row in enumerate(rows):
+            assert stacked.norm_slack[i] == row.norm_slack
+            for part in ("tau", "rho", "sigma"):
+                one, many = getattr(row, part), getattr(stacked, part)
+                assert np.array_equal(many.values[i], one.values)
+                assert many.bse_norm[i] == one.bse_norm
+    assert theta_product_residual(lc, taus, rhos, draw(na), draw(nb)) <= 1e-12
 
 
 def test_theta_isometry_and_examples():

@@ -45,6 +45,17 @@ def test_characters_rejects_seed(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_characters_closed_form_needs_a_bundle(algebra_file, tmp_path, capsys):
+    # a plain algebra has no product decomposition: refused as bad input
+    code, stdout, err = run_cli(capsys, "characters", algebra_file, "--closed-form")
+    assert code == 2 and stdout == ""
+    assert err == f"error: {algebra_file}: --closed-form needs a build bundle\n"
+    bundle = tmp_path / "lau.json"
+    write_json(str(bundle), bundle_to_dict(lau_c_c2()))
+    code, stdout, _ = run_cli(capsys, "characters", str(bundle), "--closed-form")
+    assert code == 0 and json.loads(stdout)["count"] == 3
+
+
 def test_build_lau_bundle_and_verify(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

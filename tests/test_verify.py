@@ -264,6 +264,27 @@ def test_bse_duality_record_reads_every_batch_member(monkeypatch, family):
     assert [r.name for r in records if r.verdict == "FAIL"] == [f"{family}/000/bse-duality"]
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bse_duality_record_reads_every_primal_member(monkeypatch, family):
+    # negative control for the stacked primal solve: only the third sigma
+    # sample's primal value is overstated by 1e-5, so bse-duality fails only
+    # if the record reads each member's own value
+    from banalg import bse
+
+    original = bse._primal
+
+    def third_overstated(*args):
+        sol = original(*args)
+        if np.ndim(sol.value) == 1:  # a stack of samples
+            sol.value = sol.value.copy()
+            sol.value[2] *= 1 + 1e-5
+        return sol
+
+    monkeypatch.setattr(bse, "_primal", third_overstated)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
+    assert [r.name for r in records if r.verdict == "FAIL"] == [f"{family}/000/bse-duality"]
+
+
 def test_check_bse_skips_an_algebra_with_order():
     # x1 annihilates the module extension, so the BSE property is outside its
     # hypotheses: check-bse is a SKIP, not an /error FAIL, and every other
@@ -359,6 +380,35 @@ def test_theta_isometry_record_can_fail(monkeypatch):
     monkeypatch.setattr(verify, "theta", offset)
     records = fixture_records(RunConfig(seed=0, max_dim=6), "lau", 0)
     assert [r.name for r in records if r.verdict == "FAIL"] == ["lau/000/theta-isometry"]
+
+
+@pytest.mark.parametrize("member", [slice(None), 2])
+def test_split_norm_additive_record_can_fail(monkeypatch, member):
+    # negative control: a split whose norm slack is off by 1e-5, ten times
+    # tol_opt, on every sigma sample or on the third alone, fails exactly
+    # split-norm-additive
+    original = verify.split_sigma
+
+    def offset(*args):
+        sp = original(*args)
+        sp.norm_slack[member] += 1e-5
+        return sp
+
+    monkeypatch.setattr(verify, "split_sigma", offset)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), "lau", 0)
+    assert [r.name for r in records if r.verdict == "FAIL"] == ["lau/000/split-norm-additive"]
+
+
+def test_span_condition_is_decided_once_per_fixture(monkeypatch):
+    # multiplier-sb-zero and sigma-extension read the character set's one
+    # decision of <IB> = I
+    calls = _count_calls(monkeypatch, ("ideal_span_rank",))
+    for family in ("semidirect", "lau"):
+        for index in range(3):
+            calls["ideal_span_rank"] = 0
+            records = fixture_records(RunConfig(seed=0, max_dim=6), family, index)
+            assert all(r.verdict != "FAIL" for r in records)
+            assert calls["ideal_span_rank"] == 1, (family, index)
 
 
 def test_psi_uniqueness_record_can_fail(monkeypatch):
