@@ -17,7 +17,6 @@ from .algebra import (
 from .constructions import (
     PhiIsomorphism,
     ProductDescriptor,
-    SemidirectSpec,
     check_homomorphism,
     direct_sum,
     finite_abelian_group_algebra,
@@ -44,7 +43,6 @@ from .multipliers import (
     recompose,
 )
 from .bse import (
-    BaiCertificate,
     BSEFunction,
     bse_norm_dual,
     bse_norm_primal,
@@ -65,7 +63,6 @@ __all__ = [
     "validate",
     "PhiIsomorphism",
     "ProductDescriptor",
-    "SemidirectSpec",
     "check_homomorphism",
     "direct_sum",
     "finite_abelian_group_algebra",
@@ -86,7 +83,6 @@ __all__ = [
     "left_multiplier_space",
     "multiplier_space",
     "recompose",
-    "BaiCertificate",
     "BSEFunction",
     "bse_norm_dual",
     "bse_norm_primal",

@@ -21,9 +21,11 @@ one character set per fixture algebra; a verdict keeps no space.
 A Lau product's characters are its semidirect E u F (ideal A, subalgebra
 B), whose `psi_index` locates each phi_A o phi among the characters of B.
 One join sigma = (tau + rho o psi, rho) through that index serves
-`split_sigma` (sigma to (tau, rho)), `theta` ((tau, rho) to sigma), its
-product law, and `sigma_extension` (tau = 0); the first two return the
-three BSE functions and the slack ||tau|| + ||rho|| - ||sigma||.  The BSE
+`split_sigma` (sigma to (tau, rho)), `theta` ((tau, rho) to sigma) and
+`sigma_extension` (tau = 0); the first two return the three BSE functions
+and the slack ||tau|| + ||rho|| - ||sigma||.  The product law of the join
+is checked against the product's own multiplication, so it fails when
+`psi_index` is wrong.  The BSE
 norms and these maps take one function or a stack of k, and every result
 keeps the stack's axis: on square E the primal solves the stack with one
 factorization, and the dual in one cone loop.
@@ -100,15 +102,6 @@ class BSEFunction:
         return float(np.max(np.abs(f) / alg.weights))
 
 
-@dataclass(eq=False)
-class BaiCertificate:
-    """Minimum-norm element with phi(e) = 1 on every character."""
-
-    element: np.ndarray  # coefficient vector
-    norm: float
-    residual: float
-
-
 def _check_charset(values: np.ndarray, S: CharacterSet, algebra: Algebra) -> np.ndarray:
     """values (|S|,) or (k, |S|) as an array, once S is checked."""
     if len(S) == 0:
@@ -164,21 +157,16 @@ def bse_norm_dual(values: np.ndarray, S: CharacterSet, algebra: Algebra,
     return _dual(S.matrix, values, algebra.weights, gap_rel)
 
 
-def delta_weak_bai(algebra: Algebra, S: CharacterSet) -> BaiCertificate:
-    """Minimum-norm e with phi(e) = 1 for every character phi.
+def delta_weak_bai(algebra: Algebra, S: CharacterSet) -> BSEFunction:
+    """The BSE function sigma = 1: its minimizer is a minimum-norm e with
+    phi(e) = 1 for every character phi.
 
     Always feasible (characters are linearly independent); the norm is the
     optimal bound for a character-wise approximate identity.
     """
     if len(S) == 0:
         raise EmptyCharacterSetError("cannot build an identity certificate")
-    ones = np.ones(len(S), dtype=complex)
-    fn = bse_norm_primal(ones, S, algebra)
-    return BaiCertificate(
-        element=fn.minimizer,
-        norm=fn.bse_norm,
-        residual=fn.interpolation_error(),
-    )
+    return bse_norm_primal(np.ones(len(S), dtype=complex), S, algebra)
 
 
 def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
@@ -316,18 +304,30 @@ def theta(tau_values: np.ndarray, rho_values: np.ndarray,
 def theta_product_residual(chars: SemidirectCharacters,
                            tau1: np.ndarray, rho1: np.ndarray,
                            tau2: np.ndarray, rho2: np.ndarray) -> float:
-    """Pointwise residual of the homomorphism law for the pairing.
+    """Residual of the product law of the pairing, against the product's own
+    multiplication.
 
-    The pair product is (tau1 tau2 + phitilde(rho1) tau2 + tau1 phitilde(rho2),
-    rho1 rho2); its image must match the pointwise product of the images.
+    Interpolants a_k of tau_k on Delta(A) and b_k of rho_k on Delta(B) give
+    (a_k, b_k) in A x_phi B, whose Gelfand transform is the pairing of
+    (tau_k, rho_k) when psi_index is right; the transform of the product
+    (a_1, b_1)(a_2, b_2) must then be the pointwise product of the pairings.
     Takes two pairs, or stacks of k pairs, and returns the worst residual.
     """
     _require_surjective(chars)
+    desc = chars.descriptor
     t1, r1, t2, r2 = (np.asarray(v, complex) for v in (tau1, rho1, tau2, rho2))
-    pt1, pt2 = (r[..., chars.psi_index] for r in (r1, r2))  # phitilde(rho) on Delta(A)
-    lhs = _join(t1 * t2 + pt1 * t2 + t1 * pt2, r1 * r2, chars)
+    # one interpolation per parent, of both pairs' functions stacked
+    a = bse_norm_primal(np.stack([t1, t2]).reshape(-1, t1.shape[-1]),
+                        chars.ideal_chars, desc.ideal).minimizer
+    b = bse_norm_primal(np.stack([r1, r2]).reshape(-1, r1.shape[-1]),
+                        chars.subalgebra_chars, desc.subalgebra).minimizer
+    x = np.zeros((len(a), desc.algebra.dim), dtype=complex)
+    x[:, desc.ideal_slice] = a
+    x[:, desc.subalgebra_slice] = b
+    x1, x2 = x.reshape((2,) + t1.shape[:-1] + x.shape[-1:])
+    product = np.einsum("...i,...j,ijk->...k", x1, x2, desc.algebra.structure)
     rhs = _join(t1, r1, chars) * _join(t2, r2, chars)
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+    return float(np.max(np.abs(gelfand(product, chars.set) - rhs), initial=0.0))
 
 
 @dataclass(eq=False)

@@ -15,7 +15,6 @@ import sys
 from . import __version__
 from .bse import bse_norm_dual, bse_norm_primal, check_bse_property
 from .constructions import (
-    SemidirectSpec,
     finite_abelian_group_algebra,
     lau_product,
     semidirect,
@@ -71,7 +70,7 @@ def _cmd_build(args) -> int:
         B = algebra_from_dict(load_json(args.b), where=args.b)
         I = algebra_from_dict(load_json(args.i), where=args.i)
         bi, ib = actions_from_dict(load_json(args.actions), B.dim, I.dim, args.actions)
-        desc = semidirect(SemidirectSpec(B, I, bi, ib), tol=args.tol)
+        desc = semidirect(B, I, bi, ib, tol=args.tol)
         _emit(bundle_to_dict(desc), args.output)
         return 0
     # lau

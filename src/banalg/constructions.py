@@ -31,29 +31,6 @@ from .errors import (
 
 
 @dataclass(eq=False)
-class SemidirectSpec:
-    """B (dim m), I (dim p), and the module actions of B on I.
-
-    action_bi[j, i, :] = coefficients (in I) of e_j^B * e_i^I
-    action_ib[i, j, :] = coefficients (in I) of e_i^I * e_j^B
-    """
-
-    subalgebra: Algebra
-    ideal: Algebra
-    action_bi: np.ndarray
-    action_ib: np.ndarray
-
-    def __post_init__(self):
-        m, p = self.subalgebra.dim, self.ideal.dim
-        self.action_bi = np.asarray(self.action_bi, dtype=complex)
-        self.action_ib = np.asarray(self.action_ib, dtype=complex)
-        if self.action_bi.shape != (m, p, p):
-            raise ValueError(f"action_bi must have shape {(m, p, p)}")
-        if self.action_ib.shape != (p, m, p):
-            raise ValueError(f"action_ib must have shape {(p, m, p)}")
-
-
-@dataclass(eq=False)
 class ProductDescriptor:
     """Provenance of a constructed product algebra.
 
@@ -95,23 +72,29 @@ class ProductDescriptor:
         return self.second if self.kind == "semidirect" else self.first
 
 
-def semidirect(spec: SemidirectSpec, tol: float = DEFAULT_TOL,
-               name: str | None = None) -> ProductDescriptor:
+def semidirect(B: Algebra, I: Algebra, action_bi: np.ndarray, action_ib: np.ndarray,
+               tol: float = DEFAULT_TOL, name: str | None = None) -> ProductDescriptor:
     """Assemble B (+) I with product (b,a)(b',a') = (bb', aa' + ba' + ab').
 
+    B (dim m) is the subalgebra and I (dim p) the ideal; the module actions are
+    action_bi[j, i, :] = coefficients (in I) of e_j^B * e_i^I and
+    action_ib[i, j, :] = coefficients (in I) of e_i^I * e_j^B.
     The assembled structure tensor is validated; mixed associativity of the
     actions is exactly the associativity of the assembled tensor.
     """
-    B, I = spec.subalgebra, spec.ideal
+    m, p = B.dim, I.dim
+    if np.shape(action_bi) != (m, p, p):
+        raise ValueError(f"action_bi must have shape {(m, p, p)}")
+    if np.shape(action_ib) != (p, m, p):
+        raise ValueError(f"action_ib must have shape {(p, m, p)}")
     require_valid(B, tol)
     require_valid(I, tol)
-    m, p = B.dim, I.dim
     n = m + p
     c = np.zeros((n, n, n), dtype=complex)
     c[:m, :m, :m] = B.structure
     c[m:, m:, m:] = I.structure
-    c[:m, m:, m:] = spec.action_bi
-    c[m:, :m, m:] = spec.action_ib
+    c[:m, m:, m:] = action_bi
+    c[m:, :m, m:] = action_ib
     weights = np.concatenate([B.weights, I.weights])
     unit = None  # a semidirect product is unital only in special cases; not derived here
     algebra = Algebra(
@@ -221,11 +204,9 @@ def lau_product(A: Algebra, B: Algebra, phi: LinearMap, tol: float = DEFAULT_TOL
     )
 
 
-def direct_sum(A: Algebra, B: Algebra, tol: float = DEFAULT_TOL,
-               name: str | None = None) -> ProductDescriptor:
+def direct_sum(A: Algebra, B: Algebra, tol: float = DEFAULT_TOL) -> ProductDescriptor:
     zero = LinearMap(B, A, np.zeros((A.dim, B.dim), dtype=complex))
-    desc = lau_product(A, B, zero, tol, name=name or f"{A.name}(+){B.name}")
-    return desc
+    return lau_product(A, B, zero, tol, name=f"{A.name}(+){B.name}")
 
 
 @dataclass(eq=False)

@@ -22,7 +22,6 @@ import numpy as np
 from .algebra import Algebra, LinearMap
 from .constructions import (
     ProductDescriptor,
-    SemidirectSpec,
     finite_abelian_group_algebra,
     lau_product,
     semidirect,
@@ -68,12 +67,10 @@ def diag_fixture(seed: int, index: int, max_dim: int = 6) -> Fixture:
     return Fixture("diag", f"diag/{index:03d}", alg)
 
 
-def group_fixture(seed: int, index: int, max_order: int = 12) -> Fixture:
+def group_fixture(seed: int, index: int) -> Fixture:
     rng = fixture_rng(seed, "group", index)
     choices = ([2], [3], [4], [2, 2], [5], [2, 3], [2, 2, 2], [3, 3], [2, 4])
     orders = list(choices[int(rng.integers(0, len(choices)))])
-    if int(np.prod(orders)) > max_order:
-        orders = [2, 2]
     alg = finite_abelian_group_algebra(orders, name=f"group{orders}#{index}")
     twist = np.ones(alg.dim, dtype=complex)
     if rng.random() < 0.5:
@@ -131,8 +128,7 @@ def semidirect_fixture(seed: int, index: int, max_dim: int = 3,
             act_ib[k, l, k] = tB[l]
     B = Algebra(f"B{m}#{index}", wB, cB, unit=1.0 / tB)
     I = Algebra(f"I{p}#{index}", wI, cI, unit=1.0 / sI)
-    desc = semidirect(SemidirectSpec(B, I, act_bi, act_ib),
-                      name=f"sd{m}+{p}#{index}")
+    desc = semidirect(B, I, act_bi, act_ib, name=f"sd{m}+{p}#{index}")
     return Fixture(
         "semidirect", f"semidirect/{index:03d}", desc.algebra, desc,
         meta={"selector": selector, "full_span": all(l >= 0 for l in selector)},

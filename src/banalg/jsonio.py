@@ -29,8 +29,7 @@ from .errors import SchemaError
 def fmt_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError("non-finite float cannot be serialized")
-    s = format(float(x), ".17g")
-    return s
+    return format(float(x) + 0.0, ".17g")  # + 0.0 turns -0.0 into 0.0
 
 
 def render_json(obj: Any, indent: int = 0) -> str:
@@ -263,7 +262,7 @@ def bundle_from_dict(doc: Any, where: str = "$"):
     The product is re-assembled from the parents and checked against the
     stored tensor, so a bundle cannot drift from its own provenance.
     """
-    from .constructions import SemidirectSpec, lau_product, semidirect
+    from .constructions import lau_product, semidirect
 
     if not (isinstance(doc, dict) and "descriptor" in doc and "algebra" in doc):
         raise SchemaError([f"{where}: expected a build bundle with algebra + descriptor"])
@@ -278,7 +277,7 @@ def bundle_from_dict(doc: Any, where: str = "$"):
     stored = algebra_from_dict(doc["algebra"], f"{where}.algebra")
     if kind == "semidirect":
         bi, ib = actions_from_dict(d, first.dim, second.dim, f"{where}.descriptor")
-        desc = semidirect(SemidirectSpec(first, second, bi, ib), name=stored.name)
+        desc = semidirect(first, second, bi, ib, name=stored.name)
     else:
         if "phi" not in d:
             raise SchemaError([f"{where}.descriptor.phi: missing for a lau product"])

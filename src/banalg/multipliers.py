@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Algebra, LinearMap, _readonly, rank_basis
+from .algebra import DEFAULT_TOL, Algebra, _readonly, rank_basis
 from .constructions import ProductDescriptor
 from .errors import (
     NotAMultiplierError,
@@ -236,12 +236,12 @@ def _block_relation_residuals(desc: ProductDescriptor, T_B, S_B, S_I, R_I
     return relations, memberships
 
 
-def decompose_left_multiplier(T: LinearMap | np.ndarray, desc: ProductDescriptor,
+def decompose_left_multiplier(T: np.ndarray, desc: ProductDescriptor,
                               tol: float = DEFAULT_TOL) -> BlockDecomposition:
     """Split T in LM(B (+) I), or a stack T[..., n, n] of such maps, into its
     four blocks and certify the relations."""
     alg = desc.algebra
-    mat = T.matrix if isinstance(T, LinearMap) else np.asarray(T, dtype=complex)
+    mat = np.asarray(T, dtype=complex)
     if mat.shape[-2:] != (alg.dim, alg.dim):
         raise ValueError("multiplier matrix has the wrong shape")
     res = left_multiplier_residual(alg, mat)
@@ -332,7 +332,7 @@ def blocks_from_vector(vec: np.ndarray, desc: ProductDescriptor) -> BlockDecompo
     return BlockDecomposition(desc, *blocks, *_block_relation_residuals(desc, *blocks))
 
 
-def hat(T: LinearMap | np.ndarray, S: CharacterSet, tol: float = DEFAULT_TOL) -> np.ndarray:
+def hat(T: np.ndarray, S: CharacterSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Gelfand transform of a multiplier: hat(T)(phi) = phi(T c) / phi(c).
 
     c runs over basis vectors; the one maximizing |phi(c)| defines the value
@@ -340,7 +340,7 @@ def hat(T: LinearMap | np.ndarray, S: CharacterSet, tol: float = DEFAULT_TOL) ->
     that maximum must agree within tol.  A stack of maps T[..., n, n] gives the stack of transforms
     [..., |S|], and UndefinedHatError is raised if any map has none.
     """
-    mat = T.matrix if isinstance(T, LinearMap) else np.asarray(T, dtype=complex)
+    mat = np.asarray(T, dtype=complex)
     V = S.matrix
     scores = np.abs(V)
     top = np.max(scores, axis=1, initial=0.0)

@@ -198,8 +198,8 @@ def _duality_checks(records, fix: Fixture, S: CharacterSet, cfg: RunConfig,
                 fn.certificate_feasibility() - 1.0, 0.0)
     _rec(records, f"{fix.name}/bse-duality", "duality", worst, cfg.tol_opt)
     bai = delta_weak_bai(fix.algebra, S)
-    _rec(records, f"{fix.name}/delta-weak-bai", "bai", bai.residual, cfg.tol_opt,
-         detail=f"norm {bai.norm:.6g}")
+    _rec(records, f"{fix.name}/delta-weak-bai", "bai", bai.interpolation_error(),
+         cfg.tol_opt, detail=f"norm {bai.bse_norm:.6g}")
 
 
 def _bse_verdict_check(records, fix: Fixture, verdict: BseVerdict, tol: float):

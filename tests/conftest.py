@@ -11,7 +11,6 @@ import pytest
 
 from banalg.algebra import Algebra, LinearMap
 from banalg.constructions import (
-    SemidirectSpec,
     finite_abelian_group_algebra,
     lau_product,
     semidirect,
@@ -138,7 +137,7 @@ def pointwise_semidirect():
     B = Algebra("Bfix", np.ones(1), one, unit=np.ones(1, dtype=complex))
     I = Algebra("Ifix", np.ones(1), one.copy())
     act = np.ones((1, 1, 1), dtype=complex)
-    return semidirect(SemidirectSpec(B, I, act, act.copy()))
+    return semidirect(B, I, act, act.copy())
 
 
 def module_extension_semidirect():
@@ -149,14 +148,14 @@ def module_extension_semidirect():
     X = Algebra("X", np.ones(2), np.zeros((2, 2, 2), dtype=complex))
     act = np.zeros((2, 2, 2), dtype=complex)
     act[0, 0, 0] = 1.0
-    return semidirect(SemidirectSpec(B, X, act, act.copy()))
+    return semidirect(B, X, act, act.copy())
 
 
 def zero_product_semidirect():
     """zero1 (+) zero1 with B acting by zero: every product vanishes, so there
     are no characters and the whole algebra is its annihilator."""
     zero = np.zeros((1, 1, 1), dtype=complex)
-    return semidirect(SemidirectSpec(zero_product(1), zero_product(1), zero, zero.copy()))
+    return semidirect(zero_product(1), zero_product(1), zero, zero.copy())
 
 
 def dual_numbers_semidirect():
@@ -168,7 +167,7 @@ def dual_numbers_semidirect():
     c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = 1.0
     I = Algebra("C[x]/(x^2)", np.ones(2), c, unit=np.array([1.0, 0.0], dtype=complex))
     zero = np.zeros((1, 2, 2), dtype=complex)
-    return semidirect(SemidirectSpec(B, I, zero, zero.transpose(1, 0, 2).copy()))
+    return semidirect(B, I, zero, zero.transpose(1, 0, 2).copy())
 
 
 @pytest.fixture

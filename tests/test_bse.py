@@ -18,7 +18,7 @@ from banalg.bse import (
     theta_product_residual,
     verify_product_bse,
 )
-from banalg.constructions import SemidirectSpec, direct_sum, phi_isomorphism, semidirect
+from banalg.constructions import direct_sum, phi_isomorphism, semidirect
 from banalg.errors import (
     ConstructionError,
     EmptyCharacterSetError,
@@ -170,13 +170,13 @@ def test_bse_norm_is_a_norm(s1, s2, lam):
 def test_delta_weak_bai(c2, z2):
     S = characters_numerical(c2)
     cert = delta_weak_bai(c2, S)
-    assert cert.norm == pytest.approx(2.0)
-    assert np.allclose(cert.element, [1.0, 1.0])
-    assert cert.norm <= weighted_norm(c2, c2.unit) + 1e-12
+    assert cert.bse_norm == pytest.approx(2.0)
+    assert np.allclose(cert.minimizer, [1.0, 1.0])
+    assert cert.bse_norm <= weighted_norm(c2, c2.unit) + 1e-12
     S2 = characters_numerical(z2)
     cert = delta_weak_bai(z2, S2)
-    assert cert.norm == pytest.approx(1.0)
-    assert np.allclose(cert.element, [1.0, 0.0], atol=1e-10)
+    assert cert.bse_norm == pytest.approx(1.0)
+    assert np.allclose(cert.minimizer, [1.0, 0.0], atol=1e-10)
 
 
 def test_empty_character_set_raises(nilpotent2):
@@ -370,7 +370,7 @@ def test_sigma_extension_pointwise():
 def test_sigma_extension_requires_span():
     B = diagonal_algebra(1, "B")
     I = diagonal_algebra(1, "I")
-    desc = semidirect(SemidirectSpec(B, I, np.zeros((1, 1, 1)), np.zeros((1, 1, 1))))
+    desc = semidirect(B, I, np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))
     sdc = characters_semidirect(desc)
     with pytest.raises(SpanConditionError):
         sigma_extension(np.ones(1, dtype=complex), sdc)

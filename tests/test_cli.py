@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -155,6 +156,20 @@ def test_bse_norm_command(algebra_file, tmp_path, capsys):
     doc = json.loads(stdout)
     assert doc["bse_norm"] == pytest.approx(2.0)
     assert doc["dual_norm"] == pytest.approx(2.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("dual", [(), ("--dual",)], ids=["primal", "dual"])
+def test_bse_norm_of_zero_prints_no_negative_zero(tmp_path, capsys, dual):
+    # the square primal solves an all-zero sigma, and LU back-substitution
+    # can give -0.0: each zero must print as 0
+    group = tmp_path / "z4.json"
+    run_cli(capsys, "build", "group", "--orders", "4", "-o", str(group))
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text('{"values": [[0,0],[0,0],[0,0],[0,0]]}')
+    code, stdout, _ = run_cli(capsys, "bse-norm", str(group), "--sigma", str(sigma), *dual)
+    assert code == 0
+    assert json.loads(stdout)["bse_norm"] == 0
+    assert re.search(r"-0\b(?!\.)", stdout) is None
 
 
 def test_check_bse_command(algebra_file, capsys):

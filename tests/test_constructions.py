@@ -3,7 +3,6 @@ import pytest
 
 from banalg.algebra import Algebra, LinearMap, operator_norm, validate
 from banalg.constructions import (
-    SemidirectSpec,
     check_homomorphism,
     direct_sum,
     finite_abelian_group_algebra,
@@ -48,10 +47,18 @@ def test_semidirect_pointwise_isomorphic_to_c2():
 def test_semidirect_zero_actions_is_direct_like():
     B = diagonal_algebra(2, "B")
     I = Algebra("Izero", np.ones(2), np.zeros((2, 2, 2), dtype=complex))
-    spec = SemidirectSpec(B, I, np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
-    desc = semidirect(spec)
+    desc = semidirect(B, I, np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
     assert validate(desc.algebra).accepted
     assert ideal_span_rank(desc) == 0
+
+
+def test_semidirect_rejects_misshapen_actions():
+    # the actions may arrive from JSON: a wrong shape is refused before assembly
+    B, I = diagonal_algebra(1, "B"), diagonal_algebra(2, "I")
+    with pytest.raises(ValueError, match="action_bi"):
+        semidirect(B, I, np.zeros((2, 1, 1)), np.zeros((2, 1, 2)))
+    with pytest.raises(ValueError, match="action_ib"):
+        semidirect(B, I, np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
 
 
 def test_semidirect_broken_action_rejected():
@@ -65,7 +72,7 @@ def test_semidirect_broken_action_rejected():
         # (bb') . f0 = 0 but b . (b . f0) = b . f1 needs 0 = ... fails through
         # the assembled associativity check once b . f1 is nonzero
         act_bi[0, 1, 0] = 1.0
-        semidirect(SemidirectSpec(B, I, act_bi, act_ib))
+        semidirect(B, I, act_bi, act_ib)
 
 
 def test_lau_zero_phi_equals_direct_sum():

@@ -1,5 +1,5 @@
-"""Exact-rank oracle: the M, LM, block and annihilator systems and the trace
-form over the rationals.
+"""Exact-rank oracle: the M, LM, block and annihilator systems, the trace
+form and the rank of phi over the rationals.
 
 Every dimension `multipliers` reports, and the character count of `spectra`,
 comes from one relative singular-value cutoff.  Here the same systems are
@@ -13,12 +13,13 @@ import pytest
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from banalg.algebra import Algebra, annihilator_basis, validate
-from banalg.constructions import finite_abelian_group_algebra
+from banalg.algebra import Algebra, LinearMap, annihilator_basis, rank_basis, validate
+from banalg.constructions import finite_abelian_group_algebra, lau_product
 from banalg.multipliers import block_space, left_multiplier_space, multiplier_space
-from banalg.spectra import characters_numerical
+from banalg.spectra import characters_numerical, characters_semidirect
 
 from conftest import (
+    diagonal_algebra,
     dual_numbers_semidirect,
     lau_c_c2,
     module_extension_semidirect,
@@ -26,12 +27,16 @@ from conftest import (
 )
 
 
+def rational(array):
+    """A real array's entries as exact rationals, in nested lists."""
+    assert not np.any(array.imag), "exact oracle needs real entries"
+    return np.vectorize(lambda x: QQ(*float(x).as_integer_ratio()), otypes=[object])(
+        array.real).tolist()
+
+
 def rational_structure(alg):
     """c[i, j, k] as exact rationals; the structure must be real."""
-    c = alg.structure
-    assert not np.any(c.imag), "exact oracle needs real structure constants"
-    return [[[QQ(*float(x).as_integer_ratio()) for x in row] for row in plane]
-            for plane in c.real]
+    return rational(alg.structure)
 
 
 def exact_nullity(alg, kind):
@@ -194,3 +199,30 @@ def test_block_space_dimension_matches_exact_nullity(desc, dim_lm, loose):
     assert block_space(desc).shape[0] == exact
     for relation, nullity in loose.items():
         assert exact_block_nullity(desc, omit=(relation,)) == nullity
+
+
+def lau_case(weights_b, matrix):
+    """C^2 x_phi B for pointwise B with the given weights, phi: B -> C^2 the
+    rational matrix; each row of phi is zero or picks one coordinate, so phi
+    is a homomorphism."""
+    A = diagonal_algebra(2, "A2")
+    B = diagonal_algebra(len(weights_b), "Bw", weights=weights_b)
+    return lau_product(A, B, LinearMap(B, A, np.array(matrix, dtype=complex)))
+
+
+@pytest.mark.parametrize("desc, rank, surjective", [
+    pytest.param(lau_c_c2(), 1, True, id="surjective-c-c2"),
+    pytest.param(lau_case([1, 1, 1], [[0, 0, 1], [1, 0, 0]]), 2, True, id="surjective-c2-c3"),
+    # the second character of A composes to 0, so no psi for it
+    pytest.param(lau_case([1, 1], [[1, 0], [0, 0]]), 1, False, id="zero-row"),
+    # both characters of A compose to the same character of B: every psi
+    # exists, and only the rank of phi says it is not onto
+    pytest.param(lau_case([2, 1], [[1, 0], [1, 0]]), 1, False, id="repeated-row"),
+])
+def test_phi_rank_matches_exact_rank(desc, rank, surjective):
+    phi = desc.phi.matrix
+    exact = DomainMatrix(rational(phi), phi.shape, QQ).rank()
+    assert exact == rank  # known by hand
+    assert rank_basis(phi)[0] == exact
+    assert characters_semidirect(desc).surjective() is surjective
+    assert surjective == (exact == desc.first.dim)

@@ -44,6 +44,11 @@ def test_fmt_float_17_digits():
         fmt_float(float("nan"))
 
 
+def test_fmt_float_has_no_negative_zero():
+    assert fmt_float(-0.0) == fmt_float(0.0) == "0"
+    assert fmt_float(-1e-300) == "-1e-300"
+
+
 def test_render_json_deterministic_sorted_keys():
     doc = {"b": 1, "a": [1.5, {"z": True, "y": None}]}
     assert render_json(doc) == render_json({"a": [1.5, {"y": None, "z": True}], "b": 1})

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from banalg.algebra import Algebra, validate
-from banalg.constructions import SemidirectSpec, semidirect
+from banalg.constructions import semidirect
 from banalg.errors import IllConditionedError, SpectraError
 from banalg.spectra import (
     SEPARATION,
@@ -124,8 +124,7 @@ def test_psi_pointwise_fixture():
 def test_psi_zero_for_zero_actions():
     B = diagonal_algebra(1, "B")
     I = diagonal_algebra(1, "I")
-    spec = SemidirectSpec(B, I, np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))
-    desc = semidirect(spec)
+    desc = semidirect(B, I, np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))
     S_I = characters_numerical(desc.ideal)
     psi, _ = psi_of(S_I[0], desc)
     assert psi is None
@@ -139,7 +138,7 @@ def test_psi_two_normalizers_agree():
     act_bi[0, 0, 0] = 1.0
     act_bi[0, 1, 1] = 1.0
     act_ib = np.transpose(act_bi, (1, 0, 2))
-    desc = semidirect(SemidirectSpec(B, I, act_bi, act_ib))
+    desc = semidirect(B, I, act_bi, act_ib)
     for phi in characters_numerical(desc.ideal):
         psi, disc = psi_of(phi, desc)
         assert disc <= 1e-12
@@ -161,7 +160,7 @@ def test_characters_semidirect_matches_transport():
 def test_characters_semidirect_nilpotent_ideal_gives_only_f(nilpotent2):
     B = diagonal_algebra(1, "B")
     act = np.zeros((1, 2, 2), dtype=complex)
-    desc = semidirect(SemidirectSpec(B, nilpotent2, act, np.transpose(act, (1, 0, 2))))
+    desc = semidirect(B, nilpotent2, act, np.transpose(act, (1, 0, 2)))
     sdc = characters_semidirect(desc)
     assert sdc.e_count == 0
     assert len(sdc.set) == len(sdc.subalgebra_chars) == 1

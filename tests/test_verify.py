@@ -12,7 +12,12 @@ from banalg.fixtures import FAMILIES, Fixture, build_fixture, fixture_generators
 from banalg import verify
 from banalg.errors import IllConditionedError
 from banalg.multipliers import MultiplierBasis
-from banalg.spectra import CharacterSet, characters_numerical, characters_semidirect
+from banalg.spectra import (
+    Character,
+    CharacterSet,
+    characters_numerical,
+    characters_semidirect,
+)
 from banalg.verify import (
     THEOREMS,
     Report,
@@ -435,7 +440,7 @@ def test_delta_weak_bai_record_can_fail(monkeypatch, family):
 
     def offset(*args):
         bai = original(*args)
-        bai.residual += 1e-5
+        bai.values = bai.values + 1e-5  # sigma = 1 + 1e-5, still read against e
         return bai
 
     monkeypatch.setattr(verify, "delta_weak_bai", offset)
@@ -655,3 +660,171 @@ def test_characters_disjoint_record_can_fail(family):
         assert {r.name: r.verdict for r in records} == {
             f"{family}/000/characters-union": "PASS",
             f"{family}/000/characters-disjoint": verdict}
+
+
+def test_theta_multiplicative_record_can_fail(monkeypatch):
+    # negative control: the pairing read with a wrong psi_index (each psi moved
+    # to the next subalgebra character) no longer matches the Lau product's
+    # own multiplication, and exactly theta-multiplicative fails
+    original = verify.theta_product_residual
+
+    def shifted(chars, *pairs):
+        f = len(chars.subalgebra_chars)
+        assert f > 1
+        wrong = [(ix + 1) % f for ix in chars.psi_index]
+        return original(dataclasses.replace(chars, psi_index=wrong), *pairs)
+
+    monkeypatch.setattr(verify, "theta_product_residual", shifted)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), "lau", 0)
+    assert [r.name for r in records if r.verdict == "FAIL"] == [
+        "lau/000/theta-multiplicative"]
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_psi_identity_record_can_fail(monkeypatch, index):
+    # negative control: the closed-form set with the psi part of each E row off
+    # by 1e-9, ten times the record's 1e-10, fails exactly psi-identity
+    original = verify.characters_semidirect
+
+    def offset(*args, **kwargs):
+        sdc = original(*args, **kwargs)
+        alg, rows = sdc.set.algebra, sdc.set.matrix.copy()
+        rows[: sdc.e_count, sdc.descriptor.subalgebra_slice] += 1e-9
+        return dataclasses.replace(sdc, set=CharacterSet(
+            alg, [Character(alg, row) for row in rows], provenance="closed_form"))
+
+    monkeypatch.setattr(verify, "characters_semidirect", offset)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), "semidirect", index)
+    assert [r.name for r in records if r.verdict == "FAIL"] == [
+        f"semidirect/{index:03d}/psi-identity"]
+
+
+@pytest.mark.parametrize("family", ["semidirect", "lau"])
+def test_lemma_decompose_record_can_fail(monkeypatch, family):
+    # negative control: a block decomposition whose relation (ii) residual is
+    # off by 1e-8, ten times tol_algebraic, fails exactly lemma-decompose
+    original = verify.decompose_left_multiplier
+
+    def offset(*args):
+        dec = original(*args)
+        dec.relation_residuals["ii"] += 1e-8
+        return dec
+
+    monkeypatch.setattr(verify, "decompose_left_multiplier", offset)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
+    assert [r.name for r in records if r.verdict == "FAIL"] == [
+        f"{family}/000/lemma-decompose"]
+
+
+@pytest.mark.parametrize("family, index", [("semidirect", 2), ("lau", 0)])
+def test_multiplier_sb_zero_record_can_fail(monkeypatch, family, index):
+    # negative control: blocks whose S_B is 1e-8, ten times tol_algebraic, where
+    # the split has S_B = 0, fail exactly multiplier-sb-zero; at seed 0 index 2
+    # is the first semidirect fixture with <IB> = I, where the record is a PASS
+    original = verify.decompose_left_multiplier
+
+    def offset(*args):
+        dec = original(*args)
+        dec.S_B = dec.S_B + 1e-8
+        return dec
+
+    monkeypatch.setattr(verify, "decompose_left_multiplier", offset)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), family, index)
+    assert [r.name for r in records if r.verdict == "FAIL"] == [
+        f"{family}/{index:03d}/multiplier-sb-zero"]
+
+
+def test_phi_iso_norm_record_can_fail(monkeypatch):
+    # negative control: Phi scaled by 1 + 1e-11 breaks the bound
+    # ||Phi|| <= ||phi|| + 1, which is attained, by about 1e-11 (ten times the
+    # record's 1e-12) and fails exactly phi-iso-norm
+    from banalg import bse
+
+    original = bse.phi_isomorphism
+
+    def scaled(*args):
+        iso = original(*args)
+        fwd = iso.forward
+        iso.forward = LinearMap(fwd.source, fwd.target, fwd.matrix * (1 + 1e-11))
+        return iso
+
+    monkeypatch.setattr(bse, "phi_isomorphism", scaled)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), "lau", 0)
+    assert [r.name for r in records if r.verdict == "FAIL"] == ["lau/000/phi-iso-norm"]
+
+
+@pytest.mark.parametrize("family", ["diag", "group"])
+def test_characters_residual_record_can_fail(monkeypatch, family):
+    # negative control: characters whose multiplicativity residual is off by
+    # 1e-8, ten times tol_algebraic, fail exactly characters-residual
+    original = verify.characters_numerical
+
+    def offset(*args):
+        S = original(*args)
+        for ch in S:
+            ch.residual += 1e-8
+        return S
+
+    monkeypatch.setattr(verify, "characters_numerical", offset)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
+    assert [r.name for r in records if r.verdict == "FAIL"] == [
+        f"{family}/000/characters-residual"]
+
+
+def test_characters_oracle_record_can_fail(monkeypatch):
+    # negative control: the closed-form table read with one twist phase off by
+    # 1e-7, a thousand times the record's 1e-10 (and inside the 1e-6 matching
+    # threshold), fails exactly characters-oracle
+    original = verify.build_fixture
+
+    def mistwisted(*args):
+        fix = original(*args)
+        fix.meta["twist"] = fix.meta["twist"] * np.append(np.ones(fix.algebra.dim - 1),
+                                                          1 + 1e-7)
+        return fix
+
+    monkeypatch.setattr(verify, "build_fixture", mistwisted)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), "group", 0)
+    assert [r.name for r in records if r.verdict == "FAIL"] == ["group/000/characters-oracle"]
+
+
+# Each check name `verify` emits, with the negative control that makes it FAIL.
+CONTROLS = {
+    "bse-duality": test_bse_duality_record_can_fail,
+    "characters-disjoint": test_characters_disjoint_record_can_fail,
+    "characters-oracle": test_characters_oracle_record_can_fail,
+    "characters-residual": test_characters_residual_record_can_fail,
+    "characters-union": test_characters_union_record_can_fail,
+    "check-bse": test_null_space_dimension_records_can_fail,
+    "delta-weak-bai": test_delta_weak_bai_record_can_fail,
+    "lemma-block-dim": test_null_space_dimension_records_can_fail,
+    "lemma-decompose": test_lemma_decompose_record_can_fail,
+    "multiplier-sb-zero": test_multiplier_sb_zero_record_can_fail,
+    "phi-iso-norm": test_phi_iso_norm_record_can_fail,
+    "psi-identity": test_psi_identity_record_can_fail,
+    "psi-uniqueness": test_psi_uniqueness_record_can_fail,
+    "sigma-extension": test_sigma_extension_record_can_fail,
+    "split-norm-additive": test_split_norm_additive_record_can_fail,
+    "theta-isometry": test_theta_isometry_record_can_fail,
+    "theta-multiplicative": test_theta_multiplicative_record_can_fail,
+}
+# Names still without a control; delete an entry when its control lands.
+# lemma-recompose cannot FAIL as itself: `recompose` raises once its residual
+# passes the tolerance, so a broken recomposition surfaces as an /error record.
+UNCONTROLLED = {
+    "lau-bse-biconditional",
+    "lau-transport",
+    "lemma-recompose",
+    "sum-bse-biconditional",
+    "sum-multiplier-split",
+    "validate",
+}
+
+
+def test_every_record_name_has_a_negative_control():
+    cfg = RunConfig(seed=0, max_dim=6)
+    names = {r.name.split("/", 2)[2] for family in FAMILIES for index in range(2)
+             for r in fixture_records(cfg, family, index)}
+    assert not CONTROLS.keys() & UNCONTROLLED
+    assert sorted(names - CONTROLS.keys() - UNCONTROLLED) == []  # new names need a control
+    assert sorted((CONTROLS.keys() | UNCONTROLLED) - names) == []  # no stale entries
