@@ -30,7 +30,6 @@ from .spectra import (
     characters_numerical,
     characters_semidirect,
     gelfand,
-    is_semisimple,
     psi_of,
 )
 from .multipliers import (
@@ -74,7 +73,6 @@ __all__ = [
     "characters_numerical",
     "characters_semidirect",
     "gelfand",
-    "is_semisimple",
     "psi_of",
     "BlockDecomposition",
     "MultiplierBasis",

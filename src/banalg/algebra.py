@@ -9,6 +9,7 @@ an inner optimization.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -58,6 +59,11 @@ class Algebra:
     @property
     def dim(self) -> int:
         return self.weights.shape[0]
+
+    @functools.cached_property
+    def without_order(self) -> bool:
+        """Whether the annihilator is 0, decided once and kept."""
+        return annihilator_basis(self).shape[0] == 0
 
     def __repr__(self):
         return f"Algebra({self.name!r}, dim={self.dim})"
@@ -204,6 +210,3 @@ def annihilator_basis(algebra: Algebra) -> np.ndarray:
     rank, vh = rank_basis(algebra.structure.transpose(1, 2, 0).reshape(n * n, n))
     return vh[rank:].conj()
 
-
-def is_without_order(algebra: Algebra) -> bool:
-    return annihilator_basis(algebra).shape[0] == 0

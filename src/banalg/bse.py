@@ -13,10 +13,14 @@ pass: it builds Phi(a, b) = (a - phi(b), b) once on the product it is
 given (only A (+) B is assembled anew), computes the multiplier
 spaces of A, B, A x_phi B and A (+) B once each, and derives the four
 verdicts, the block split M(A (+) B) = M(A) x M(B) and the transport
-through Phi from those spaces.  `check_bse_property` takes a character set
-and a multiplier space already computed, and `verify_product_bse` the
-product's space and characters, so that the harness computes one space and
-one character set per fixture algebra; a verdict keeps no space.
+through Phi from those spaces.  Every verdict reads a closed-form or parent
+character set: A (+) B gets its closed-form set on the parents' sets once
+(cross-checked against its numerical set), and the transport check reads
+that same set.  `check_bse_property` takes a character set and a
+multiplier space already computed, and `verify_product_bse` the product's
+space and characters, so that the harness computes one space and one
+character set per fixture algebra; a verdict keeps no space.  Whether an
+algebra is without order is decided once per algebra (`Algebra.without_order`).
 
 A Lau product's characters are its semidirect E u F (ideal A, subalgebra
 B), whose `psi_index` locates each phi_A o phi among the characters of B.
@@ -38,12 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    DEFAULT_TOL,
-    Algebra,
-    is_without_order,
-    rank_basis,
-)
+from .algebra import DEFAULT_TOL, Algebra, rank_basis
 from .constructions import (
     PhiIsomorphism,
     ProductDescriptor,
@@ -207,7 +206,7 @@ def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
     S defaults to the numerical character set and `mult` to the algebra's
     multiplier space; pass either to judge on one already computed.
     """
-    if not is_without_order(algebra):
+    if not algebra.without_order:
         raise NotWithoutOrderError(
             f"algebra {algebra.name!r} has a nonzero annihilator"
         )
@@ -410,13 +409,18 @@ def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
     the checks: the direct sum's space must split blockwise as M(A) x M(B),
     and conjugation by Phi must carry the product's multipliers onto the
     direct sum's, with matching hats through the character pairing.  A direct sum (phi = 0) is
-    its own direct sum, and Phi is the identity.  The product is judged on
-    its closed-form characters `chars` and A, B on their parent sets; pass
-    `m_product` or `chars` to reuse a space or character set already computed.
+    its own direct sum, and Phi is the identity.  Every verdict reads a
+    closed-form or parent set: the product its closed-form characters
+    `chars`, A and B their parent sets, and A (+) B its closed-form set on
+    the same parent sets, built once here and shared with the transport
+    check; pass `m_product` or `chars` to reuse a space or character set
+    already computed.
     """
     iso = phi_isomorphism(desc, tol)
     if chars is None:
-        chars = characters_semidirect(desc, tol, cross_check=False)
+        chars = characters_semidirect(desc, tol)
+    sum_chars = characters_semidirect(iso.direct, tol, chars.ideal_chars,
+                                      chars.subalgebra_chars)
     if m_product is None:
         m_product = multiplier_space(desc.algebra)
     ma, mb, md = (multiplier_space(alg)
@@ -424,8 +428,9 @@ def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
     va = check_bse_property(desc.first, tol, chars.ideal_chars, ma)
     vb = check_bse_property(desc.second, tol, chars.subalgebra_chars, mb)
     vp = check_bse_property(desc.algebra, tol, chars.set, m_product)
-    vd = check_bse_property(iso.direct.algebra, tol, mult=md)
-    membership, hat_res = _transport_residuals(iso, m_product, chars, tol)
+    vd = check_bse_property(iso.direct.algebra, tol, sum_chars.set, md)
+    membership, hat_res = _transport_residuals(iso, m_product, chars.set, sum_chars.set,
+                                               tol)
     return ProductBseReport(
         descriptor=desc,
         iso=iso,
@@ -453,14 +458,13 @@ def _block_split_residual(direct: ProductDescriptor, md: MultiplierBasis) -> flo
 
 
 def _transport_residuals(iso: PhiIsomorphism, m_lau: MultiplierBasis,
-                         lau_chars: SemidirectCharacters, tol: float) -> tuple[float, float]:
-    """Worst Phi^-1 T Phi multiplier residual on A (+) B, and worst hat mismatch."""
-    sum_chars = characters_semidirect(iso.direct, tol, cross_check=False,
-                                      ideal_chars=lau_chars.ideal_chars,
-                                      subalgebra_chars=lau_chars.subalgebra_chars)
+                         lau_set: CharacterSet, sum_set: CharacterSet,
+                         tol: float) -> tuple[float, float]:
+    """Worst Phi^-1 T Phi multiplier residual on A (+) B, and worst hat mismatch
+    between the closed-form sets of the two products on the same parent sets."""
     Ts = m_lau.stack
     Ss = iso.inverse.matrix @ Ts @ iso.forward.matrix
     membership = multiplier_residual(iso.direct.algebra, Ss)
     # the character pairing fixes indices blockwise: E_k <-> E_k, F_j <-> F_j
-    hat_res = np.abs(hat(Ts, lau_chars.set, tol) - hat(Ss, sum_chars.set, tol))
+    hat_res = np.abs(hat(Ts, lau_set, tol) - hat(Ss, sum_set, tol))
     return membership, float(np.max(hat_res, initial=0.0))

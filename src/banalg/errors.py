@@ -52,28 +52,12 @@ class IllConditionedError(SpectraError):
     code = "ILL_CONDITIONED"
 
 
-class NoNormalizerError(SpectraError):
-    code = "NO_NORMALIZER"
-
-
 class MultiplierError(BanalgError):
     code = "MULTIPLIER"
 
 
 class NotAMultiplierError(MultiplierError):
     code = "NOT_A_MULTIPLIER"
-
-
-class RelationsViolatedError(MultiplierError):
-    code = "RELATIONS_VIOLATED"
-
-    def __init__(self, items: list[tuple[str, float]]):
-        worst = max(res for _, res in items)
-        names = ", ".join(name for name, _ in items)
-        super().__init__(f"block relations ({names}) violated, worst residual {worst:.3e}")
-        self.items = [name for name, _ in items]
-        self.item = self.items[0]
-        self.residual = worst
 
 
 class UndefinedHatError(MultiplierError):

@@ -23,7 +23,8 @@ A space is held as its `stack`, the (dim, n, n) array of its basis maps.
 The residuals, the block (de)composition and `hat` take one map or a stack
 of maps along leading axes, so a check over a whole space is one
 contraction: a residual is the worst over the stack, and a refusal is
-raised when any map fails.
+raised when any map fails.  `recompose` refuses nothing: it returns its
+worst residual, and the caller judges it.
 """
 
 from __future__ import annotations
@@ -35,11 +36,7 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, Algebra, _readonly, rank_basis
 from .constructions import ProductDescriptor
-from .errors import (
-    NotAMultiplierError,
-    RelationsViolatedError,
-    UndefinedHatError,
-)
+from .errors import NotAMultiplierError, UndefinedHatError
 from .spectra import CharacterSet
 
 # Values of the first structure index i per row block handed to rank_basis:
@@ -254,33 +251,20 @@ def decompose_left_multiplier(T: np.ndarray, desc: ProductDescriptor,
     return BlockDecomposition(desc, *blocks, *_block_relation_residuals(desc, *blocks))
 
 
-def recompose(blocks: BlockDecomposition, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
-    """Assemble the maps, stacked or not, of blocks whose stored residuals
-    satisfy the relations; certify them in LM(B (+) I), and return them with
-    their worst left-multiplier residual."""
+def recompose(blocks: BlockDecomposition) -> tuple[np.ndarray, float]:
+    """Assemble the maps, stacked or not, of the blocks, and return them with
+    the worst of their left-multiplier residual in LM(B (+) I) and the
+    blocks' stored relation and membership residuals; the caller judges it."""
     desc = blocks.descriptor
     alg = desc.algebra
-    violated = [
-        (item, value)
-        for item, value in
-        {**blocks.relation_residuals,
-         **{f"membership {k}": v for k, v in blocks.membership_residuals.items()}}.items()
-        if value > tol
-    ]
-    if violated:
-        raise RelationsViolatedError(violated)
     bsl, isl = desc.subalgebra_slice, desc.ideal_slice
     T = np.zeros(blocks.T_B.shape[:-2] + (alg.dim, alg.dim), dtype=complex)
     T[..., bsl, bsl] = blocks.T_B
     T[..., bsl, isl] = blocks.S_B
     T[..., isl, bsl] = blocks.S_I
     T[..., isl, isl] = blocks.R_I
-    res = left_multiplier_residual(alg, T)
-    if res > tol:
-        raise NotAMultiplierError(
-            f"recomposed map is not a left multiplier (residual {res:.3e})"
-        )
-    return T, res
+    return T, max(left_multiplier_residual(alg, T), blocks.max_relation_residual,
+                  blocks.max_membership_residual)
 
 
 def block_space(desc: ProductDescriptor) -> np.ndarray:

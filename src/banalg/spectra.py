@@ -8,13 +8,15 @@ the characters are their joint eigenvalues, read off with the eigenvectors
 of one generic element and verified multiplicative.  The extraction is
 deterministic and finds exactly dim A/rad characters.  Product algebras
 also get closed-form character sets E u F assembled from their parents'
-sets by one constructor that verifies every row multiplicative, and the two
-routes are cross-checked.  A lau product A x_phi B is the semidirect
-product with ideal A and subalgebra B, where b.a = phi(b)a, so its
-characters are the semidirect E u F, with psi = phi_A o phi for each
-character phi_A of A; a direct sum is the case phi = 0.  The set induces
-each psi once and keeps the worst normalizer discrepancy of those
-inductions, so nothing downstream induces them again.
+sets by one constructor that verifies every row multiplicative and always
+cross-checks the set against the numerical route.  A lau product A x_phi B
+is the semidirect product with ideal A and subalgebra B, where
+b.a = phi(b)a, so its characters are the semidirect E u F, with
+psi = phi_A o phi for each character phi_A of A; a direct sum is the case
+phi = 0.  The set induces every psi in one contraction over the matrix of
+ideal character values, locates each nonzero psi among the subalgebra
+characters on one distance matrix, and keeps the worst normalizer
+discrepancy, so nothing downstream induces them again.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, Algebra, _readonly, rank_basis
 from .constructions import ProductDescriptor, ideal_span_is_full
-from .errors import ConstructionError, IllConditionedError, NoNormalizerError, SpectraError
+from .errors import ConstructionError, IllConditionedError, SpectraError
 
 SEPARATION = 1e-6  # characters closer than this in sup norm are the same character
 GENERIC_SEED = 0  # seeds the generic element of characters_numerical, afresh in every call
@@ -45,9 +47,6 @@ class Character:
         if not np.any(np.abs(self.values) > 0):
             raise ValueError("a character is a nonzero functional")
 
-    def distance(self, other: "Character") -> float:
-        return float(np.max(np.abs(self.values - other.values)))
-
 
 @dataclass(eq=False)
 class CharacterSet:
@@ -56,7 +55,9 @@ class CharacterSet:
 
     algebra: Algebra
     characters: list[Character]
-    provenance: str = "numerical"  # or "closed_form"
+    # "numerical" or "closed_form"; no library code reads it, and it stays
+    # because perfbench/workloads.py passes it
+    provenance: str = "numerical"
     matrix: np.ndarray = field(init=False, repr=False)
     _rank: int | None = field(default=None, init=False, repr=False)
 
@@ -144,11 +145,6 @@ def gelfand(a: np.ndarray, S: CharacterSet) -> np.ndarray:
     return (S.matrix @ a[..., None])[..., 0]
 
 
-def is_semisimple(algebra: Algebra) -> bool:
-    """True iff the radical of the trace form t(a, b) = tr L_ab is 0."""
-    return rank_basis(_trace_form(algebra))[0] == algebra.dim
-
-
 def match_character_sets(computed: CharacterSet, closed: CharacterSet,
                          threshold: float = SEPARATION) -> tuple[list[int], float]:
     """Greedy nearest-neighbor pairing in sup norm, ties broken by index order.
@@ -161,78 +157,63 @@ def match_character_sets(computed: CharacterSet, closed: CharacterSet,
         raise SpectraError(
             f"character sets have different sizes ({len(computed)} vs {len(closed)})"
         )
-    unused = list(range(len(closed)))
+    # dist[i, j]: sup distance of computed[i] to closed[j]; a paired j leaves
+    dist = np.abs(computed.matrix[:, None, :] - closed.matrix).max(axis=2, initial=0.0)
     pairing: list[int] = []
     worst = 0.0
-    for ch in computed:
-        dists = [(ch.distance(closed[j]), j) for j in unused]
-        d, j = min(dists)
-        if d > threshold:
-            raise SpectraError(f"unmatched character (nearest at sup-distance {d:.3e})")
+    for row in dist:
+        j = int(np.argmin(row))
+        if row[j] > threshold:
+            raise SpectraError(f"unmatched character (nearest at sup-distance {row[j]:.3e})")
+        worst = max(worst, float(row[j]))
         pairing.append(j)
-        unused.remove(j)
-        worst = max(worst, d)
+        dist[:, j] = np.inf
     return pairing, worst
 
 
-def psi_of(phi: Character, desc: ProductDescriptor, tol: float = DEFAULT_TOL
-           ) -> tuple[np.ndarray | None, float]:
-    """Induced functional psi(b) = phi(b * a0) on the subalgebra, a0 normalized so phi(a0) = 1.
+def psi_of(values: np.ndarray, desc: ProductDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """Induced functionals psi(b) = phi(b * a0) on the subalgebra, a0 normalized so
+    phi(a0) = 1, for the (q, p) values of q ideal characters at once.
 
-    Returns (values-on-B-basis or None for the zero functional, choice_discrepancy):
-    a0 is taken along the basis direction maximizing |phi| against the weights,
-    and the computation is repeated with an independent second normalizer; the
-    sup difference of the two results is reported as choice_discrepancy.
+    Returns (psi, discrepancy) of shapes (q, m) and (q,): a0 is taken along
+    the basis direction maximizing |phi| against the weights, and psi is
+    induced again with an independent second normalizer, along the next
+    direction (a stable sort, so ties go by index); the sup difference of the
+    two is the discrepancy.  Both normalizers go through one contraction.
     """
     I = desc.ideal
-    isl, bsl = desc.ideal_slice, desc.subalgebra_slice
-    if phi.algebra is not I:
-        raise SpectraError("phi must be a character of the ideal")
-    scores = np.abs(phi.values) / I.weights
-    if np.max(scores) <= 0:
-        raise NoNormalizerError("phi vanishes identically")
-
-    c_bi = desc.algebra.structure[bsl, isl, isl]  # b * a lands in the ideal block
-
-    def psi_from(a0: np.ndarray) -> np.ndarray:
-        return np.einsum("jak,a,k->j", c_bi, a0, phi.values)
-
-    k = int(np.argmax(scores))
-    a0 = np.zeros(I.dim, dtype=complex)
-    a0[k] = 1.0 / phi.values[k]
-    psi1 = psi_from(a0)
-
-    if I.dim >= 2:
-        order = np.argsort(-scores)
-        k2 = int(order[1])
+    values = np.asarray(values, dtype=complex)
+    q, p = values.shape
+    order = np.argsort(-np.abs(values) / I.weights, axis=1, kind="stable")
+    rows = np.arange(q)
+    k = order[:, 0]
+    a0 = np.zeros((q, p), dtype=complex)
+    a0[rows, k] = 1.0 / values[rows, k]
+    a0s = [a0]
+    if p >= 2:
         # second normalizer: perturb inside ker(phi) so phi(a0') is still 1
-        pert = np.zeros(I.dim, dtype=complex)
-        pert[k2] = 1.0
-        pert -= a0 * phi.values[k2]
-        a0b = a0 + pert
-        psi2 = psi_from(a0b)
-        discrepancy = float(np.max(np.abs(psi1 - psi2)))
-    else:
-        discrepancy = 0.0
-
-    if np.max(np.abs(psi1)) <= tol:
-        return None, discrepancy
-    return psi1, discrepancy
+        k2 = order[:, 1]
+        pert = np.zeros((q, p), dtype=complex)
+        pert[rows, k2] = 1.0
+        pert -= a0 * values[rows, k2][:, None]
+        a0s.append(a0 + pert)
+    c_bi = desc.algebra.structure[desc.subalgebra_slice, desc.ideal_slice, desc.ideal_slice]
+    psis = np.einsum("jak,sqa,qk->sqj", c_bi, np.array(a0s), values)
+    return psis[0], np.abs(psis[0] - psis[-1]).max(axis=1, initial=0.0)
 
 
 def characters_semidirect(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
-                          cross_check: bool = True,
                           ideal_chars: CharacterSet | None = None,
                           subalgebra_chars: CharacterSet | None = None,
                           ) -> "SemidirectCharacters":
     """Closed-form Delta(B (+) I) = E u F from the parents' character sets.
 
-    E pairs each ideal character phi with its induced psi_phi (possibly zero);
-    F extends each subalgebra character by zero on the ideal.  A lau product
-    A x_phi B is the semidirect product with ideal A and subalgebra B acting
-    by b.a = phi(b)a, so there the psi of a character phi_A of A is
-    phi_A o phi, and on a direct sum every psi is 0.  Every row is verified
-    multiplicative and, when cross_check is set, the union is matched against
+    E pairs each ideal character phi with its induced psi_phi (possibly zero),
+    all induced by one `psi_of` call; F extends each subalgebra character by
+    zero on the ideal.  A lau product A x_phi B is the semidirect product with
+    ideal A and subalgebra B acting by b.a = phi(b)a, so there the psi of a
+    character phi_A of A is phi_A o phi, and on a direct sum every psi is 0.
+    Every row is verified multiplicative, and the union is matched against
     the numerical character set of the assembled algebra.  Pass
     ideal_chars/subalgebra_chars to share parent sets (and their order)
     between several products over the same parents.
@@ -242,45 +223,38 @@ def characters_semidirect(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
         subalgebra_chars = characters_numerical(desc.subalgebra, tol)
     if ideal_chars is None:
         ideal_chars = characters_numerical(desc.ideal, tol)
+    psi, disc = psi_of(ideal_chars.matrix, desc)
+    if np.any(disc > tol):
+        raise SpectraError(f"psi construction is normalizer-dependent ({np.max(disc):.3e})")
+    nonzero = np.abs(psi).max(axis=1, initial=0.0) > tol
+    # psi_phi is the character of B equal to it within SEPARATION
+    dists = np.abs(psi[:, None, :] - subalgebra_chars.matrix).max(axis=2, initial=0.0)
+    if np.any(nonzero & (dists.min(axis=1, initial=np.inf) > SEPARATION)):
+        raise SpectraError("nonzero induced psi did not land on a subalgebra character")
+    psi_index = [int(np.argmin(d)) if live else None for d, live in zip(dists, nonzero)]
     ec = len(ideal_chars)
     rows = np.zeros((ec + len(subalgebra_chars), alg.dim), dtype=complex)
     rows[:ec, desc.ideal_slice] = ideal_chars.matrix
+    rows[:ec, desc.subalgebra_slice] = np.where(nonzero[:, None], psi, 0.0)
     rows[ec:, desc.subalgebra_slice] = subalgebra_chars.matrix
-    psi_index: list[int | None] = []
-    worst_disc = 0.0
-    for row, phi in zip(rows, ideal_chars):
-        psi_vals, disc = psi_of(phi, desc, tol)
-        if disc > tol:
-            raise SpectraError(f"psi construction is normalizer-dependent ({disc:.3e})")
-        worst_disc = max(worst_disc, disc)
-        if psi_vals is None:
-            psi_index.append(None)
-        else:
-            row[desc.subalgebra_slice] = psi_vals
-            # psi_phi is the character of B equal to it within SEPARATION
-            dists = np.abs(subalgebra_chars.matrix - psi_vals).max(axis=1, initial=0.0)
-            if not len(subalgebra_chars) or np.min(dists) > SEPARATION:
-                raise SpectraError("nonzero induced psi did not land on a subalgebra character")
-            psi_index.append(int(np.argmin(dists)))
     res = multiplicativity_residual(alg, rows)
     bad = np.flatnonzero(res > tol)
     if bad.size:
         part = "E" if bad[0] < ec else "F"
         raise SpectraError(
             f"assembled {part}-character is not multiplicative ({res[bad[0]]:.3e})")
-    out = SemidirectCharacters(
-        set=CharacterSet(alg, [Character(alg, v, float(r)) for v, r in zip(rows, res)],
-                         provenance="closed_form"),
+    closed = CharacterSet(alg, [Character(alg, v, float(r)) for v, r in zip(rows, res)],
+                          provenance="closed_form")
+    _, distance = match_character_sets(characters_numerical(alg, tol), closed)
+    return SemidirectCharacters(
+        set=closed,
         subalgebra_chars=subalgebra_chars,
         ideal_chars=ideal_chars,
         psi_index=psi_index,
         descriptor=desc,
-        psi_discrepancy=worst_disc,
+        psi_discrepancy=float(np.max(disc, initial=0.0)),
+        cross_check_distance=distance,
     )
-    if cross_check:
-        numeric = characters_numerical(alg, tol)
-        _, out.cross_check_distance = match_character_sets(numeric, out.set)
-    return out
 
 
 @dataclass(eq=False)
@@ -291,7 +265,8 @@ class SemidirectCharacters:
     subalgebra_chars; None marks psi_phi = 0.  On a lau product A x_phi B
     (ideal A, subalgebra B) the psi of a character phi_A of A is phi_A o phi.
     psi_discrepancy is the worst normalizer discrepancy `psi_of` reported
-    while building E.
+    while building E, and cross_check_distance the sup distance of the
+    pairing with the numerical character set of the product.
     """
 
     set: CharacterSet
@@ -299,8 +274,8 @@ class SemidirectCharacters:
     ideal_chars: CharacterSet
     psi_index: list[int | None]
     descriptor: ProductDescriptor
-    psi_discrepancy: float = 0.0
-    cross_check_distance: float | None = None
+    psi_discrepancy: float
+    cross_check_distance: float
     _phi_rank: int | None = field(default=None, init=False, repr=False)
 
     @property

@@ -11,7 +11,8 @@ A semidirect or Lau fixture computes the multiplier space of its algebra
 once, and every check that reads M(A) reads that space: the S_B = 0 split,
 the fixture's BSE verdict (on the fixture's closed-form character set) and,
 on a Lau fixture, `verify_product_bse`, which also reuses the fixture's
-character sets and adds one space for each of A, B and A (+) B.  A Lau
+character sets, judges A (+) B on its closed-form set over the same parent
+sets, and adds one space for each of A, B and A (+) B.  A Lau
 product is judged once: its `check-bse` record and the biconditional read
 the same verdict.  A Lau product's characters are its semidirect E u F
 (ideal A), so both product families build and check one closed-form set.
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import is_without_order, operator_norm, validate
+from .algebra import operator_norm, validate
 from .bse import (
     BseVerdict,
     bse_norm_dual,
@@ -217,7 +218,7 @@ def _bse_property_check(records, fix: Fixture, cfg: RunConfig, S: CharacterSet,
     """The check-bse record of the fixture's own algebra, judged on S; the BSE
     property is defined only for algebras without order, so one with order
     gets a SKIP."""
-    if not is_without_order(fix.algebra):
+    if not fix.algebra.without_order:
         _skip(records, f"{fix.name}/check-bse", "bse-def", HAS_ORDER)
         return
     verdict = check_bse_property(fix.algebra, cfg.tol_algebraic, S, mult)
@@ -254,7 +255,7 @@ def _block_checks(records, fix: Fixture, cfg: RunConfig, mult: MultiplierBasis,
     dim_gap = abs(bs.shape[0] - lm.dim)
     _rec(records, f"{fix.name}/lemma-block-dim", "lemma21", float(dim_gap), 0.0,
          detail=f"block space {bs.shape[0]} vs LM {lm.dim}")
-    worst_rec = recompose(blocks_from_vector(bs, desc), cfg.tol_algebraic)[1]
+    worst_rec = recompose(blocks_from_vector(bs, desc))[1]
     _rec(records, f"{fix.name}/lemma-recompose", "lemma21", worst_rec,
          cfg.tol_algebraic)
     # multipliers of the product split with S_B = 0 under the full span condition
@@ -342,7 +343,7 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
     # the product-BSE pass judges A, B, A x_phi B and A (+) B, so it needs all
     # four without order; the product has order iff a parent has, since
     # (-phi(b), b) annihilates A x_phi B when b annihilates B
-    if not is_without_order(fix.algebra):
+    if not fix.algebra.without_order:
         for name, anchor in _PRODUCT_BSE_RECORDS:
             _skip(records, f"{fix.name}/{name}", anchor, HAS_ORDER)
         return

@@ -87,7 +87,7 @@ def test_criterion_1_lemma_equivalence(semidirect_fixtures):
         bs = block_space(desc)
         dims_exact = dims_exact and bs.shape[0] == lm.dim
         for vec in bs:
-            T, _ = recompose(blocks_from_vector(vec, desc), tol=1e-9)
+            T, _ = recompose(blocks_from_vector(vec, desc))
             worst_rec = max(worst_rec, left_multiplier_residual(fix.algebra, T))
     ok = worst_rel <= 1e-9 and worst_rec <= 1e-9 and dims_exact
     _announce(1, ok,
@@ -126,16 +126,15 @@ def test_criterion_3_psi_well_defined(semidirect_fixtures):
         desc = fix.descriptor
         alg = desc.algebra
         bsl, isl = desc.subalgebra_slice, desc.ideal_slice
-        for phi in characters_numerical(desc.ideal):
-            psi_vals, disc = psi_of(phi, desc)
-            worst_disc = max(worst_disc, disc)
-            psi = (np.zeros(desc.subalgebra.dim, dtype=complex)
-                   if psi_vals is None else psi_vals)
+        phis = characters_numerical(desc.ideal).matrix
+        psis, discs = psi_of(phis, desc)
+        worst_disc = max(worst_disc, float(np.max(discs, initial=0.0)))
+        for phi, psi in zip(phis, psis):
             for i in range(isl.start, isl.stop):
                 for j in range(bsl.start, bsl.stop):
                     prod = alg.structure[i, j, :][isl]
-                    lhs = complex(phi.values @ prod)
-                    rhs = phi.values[i - isl.start] * psi[j - bsl.start]
+                    lhs = complex(phi @ prod)
+                    rhs = phi[i - isl.start] * psi[j - bsl.start]
                     worst_id = max(worst_id, abs(lhs - rhs))
     ok = worst_disc <= 1e-12 and worst_id <= 1e-10
     _announce(3, ok,

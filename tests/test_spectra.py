@@ -1,23 +1,28 @@
 import numpy as np
 import pytest
 
-from banalg.algebra import Algebra, validate
+from banalg.algebra import Algebra, rank_basis, validate
 from banalg.constructions import semidirect
 from banalg.errors import IllConditionedError, SpectraError
 from banalg.spectra import (
     SEPARATION,
     Character,
     CharacterSet,
+    _trace_form,
     characters_numerical,
     characters_semidirect,
     gelfand,
-    is_semisimple,
     match_character_sets,
     multiplicativity_residual,
     psi_of,
 )
 
 from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect
+
+
+def is_semisimple(algebra: Algebra) -> bool:
+    """True iff the radical of the trace form t(a, b) = tr L_ab is 0."""
+    return rank_basis(_trace_form(algebra))[0] == algebra.dim
 
 
 def test_characters_pointwise_projections(c2):
@@ -114,11 +119,11 @@ def test_match_character_sets_threshold(c2):
 def test_psi_pointwise_fixture():
     desc = pointwise_semidirect()
     S_I = characters_numerical(desc.ideal)
-    psi, disc = psi_of(S_I[0], desc)
+    psi, disc = psi_of(S_I.matrix[:1], desc)
     # psi_phi(b) = phi(b . a0) = 1 at the subalgebra generator
-    assert psi is not None
-    assert np.allclose(psi, [1.0])
-    assert disc <= 1e-12
+    assert psi.shape == disc.shape + (1,) == (1, 1)
+    assert np.allclose(psi, [[1.0]])
+    assert disc[0] <= 1e-12
 
 
 def test_psi_zero_for_zero_actions():
@@ -126,8 +131,9 @@ def test_psi_zero_for_zero_actions():
     I = diagonal_algebra(1, "I")
     desc = semidirect(B, I, np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))
     S_I = characters_numerical(desc.ideal)
-    psi, _ = psi_of(S_I[0], desc)
-    assert psi is None
+    psi, _ = psi_of(S_I.matrix[:1], desc)
+    assert np.max(np.abs(psi)) == 0.0
+    assert characters_semidirect(desc).psi_index == [None]
 
 
 def test_psi_two_normalizers_agree():
@@ -139,10 +145,11 @@ def test_psi_two_normalizers_agree():
     act_bi[0, 1, 1] = 1.0
     act_ib = np.transpose(act_bi, (1, 0, 2))
     desc = semidirect(B, I, act_bi, act_ib)
-    for phi in characters_numerical(desc.ideal):
-        psi, disc = psi_of(phi, desc)
-        assert disc <= 1e-12
-        assert psi is not None and np.allclose(psi, [1.0])
+    S_I = characters_numerical(desc.ideal)
+    psi, disc = psi_of(S_I.matrix, desc)
+    assert psi.shape == (len(S_I), 1) and disc.shape == (len(S_I),)
+    assert np.all(disc <= 1e-12)
+    assert np.allclose(psi, 1.0)
 
 
 def test_characters_semidirect_matches_transport():
@@ -216,7 +223,7 @@ def test_lau_closed_form_matches_the_composition_oracle():
               direct_sum(finite_abelian_group_algebra([3]), diagonal_algebra(2, "B"))]
     zero_psis = 0
     for desc in descs:
-        sdc = characters_semidirect(desc, cross_check=False)
+        sdc = characters_semidirect(desc)
         comps = sdc.ideal_chars.matrix @ desc.phi.matrix
         e_block = sdc.set.matrix[: sdc.e_count, desc.subalgebra_slice]
         assert np.max(np.abs(e_block - comps), initial=0.0) <= 1e-14, desc.algebra.name

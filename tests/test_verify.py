@@ -357,7 +357,9 @@ def test_lau_fixture_builds_two_lau_products(monkeypatch):
 
 
 def test_semidirect_fixture_induces_each_psi_once(monkeypatch):
-    # psi-uniqueness and psi-identity read what characters_semidirect built
+    # psi-uniqueness and psi-identity read what characters_semidirect built,
+    # and it induces every psi of the set in one psi_of call, not one per
+    # ideal character
     from banalg import spectra
 
     cfg = RunConfig(seed=0, max_dim=6)
@@ -368,8 +370,22 @@ def test_semidirect_fixture_induces_each_psi_once(monkeypatch):
     assert {r.name.rsplit("/", 1)[1]: r.verdict for r in records
             if r.name.endswith(("/psi-uniqueness", "/psi-identity"))} == {
         "psi-uniqueness": "PASS", "psi-identity": "PASS"}
-    assert ideal_count > 0
-    assert calls["psi_of"] == ideal_count
+    assert ideal_count > 1
+    assert calls["psi_of"] == 1
+
+
+def test_order_is_decided_once_per_algebra(monkeypatch):
+    # without_order is kept on the algebra: a plain or semidirect fixture asks
+    # it for check-bse and its verdict (one annihilator), and a lau fixture
+    # for the product, then A, B and A (+) B in the product-BSE pass
+    calls = _count_calls(monkeypatch, ("annihilator_basis",))
+    expected = {"diag": 1, "group": 1, "semidirect": 1, "lau": 4}
+    for family in FAMILIES:
+        for index in range(3):
+            calls["annihilator_basis"] = 0
+            records = fixture_records(RunConfig(seed=0, max_dim=6), family, index)
+            assert all(r.verdict != "FAIL" for r in records)
+            assert calls["annihilator_basis"] == expected[family], (family, index)
 
 
 def test_theta_isometry_record_can_fail(monkeypatch):
@@ -496,7 +512,8 @@ def test_semidirect_fixture_computes_one_multiplier_space(monkeypatch):
 
 def test_lau_fixture_extracts_characters_once_per_algebra(monkeypatch):
     # A and B for the fixture's closed-form set, A x_phi B for its cross
-    # check and A (+) B for its verdict; the product pass reuses the first three
+    # check and A (+) B for the cross check of its closed-form set on the same
+    # parent sets, which its verdict and the transport check read
     from banalg import bse, spectra
 
     seen = []
@@ -788,6 +805,68 @@ def test_characters_oracle_record_can_fail(monkeypatch):
     assert [r.name for r in records if r.verdict == "FAIL"] == ["group/000/characters-oracle"]
 
 
+@pytest.mark.parametrize("family", ["semidirect", "lau"])
+def test_lemma_recompose_record_can_fail(monkeypatch, family):
+    # negative control: one block space row with an S_B entry off by 1e-8, ten
+    # times tol_algebraic, breaks relation (iv) and fails exactly
+    # lemma-recompose; the row count, which lemma-block-dim reads, is kept
+    original = verify.block_space
+
+    def perturbed(desc):
+        rows = original(desc).copy()
+        rows[-1, desc.subalgebra.dim ** 2] += 1e-8
+        return rows
+
+    monkeypatch.setattr(verify, "block_space", perturbed)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
+    assert [r.name for r in records if r.verdict == "FAIL"] == [
+        f"{family}/000/lemma-recompose"]
+
+
+def test_lau_transport_record_can_fail(monkeypatch):
+    # negative control: Phi^-1 with one entry off by 1e-6 carries the
+    # product's multipliers off M(A (+) B) and fails exactly lau-transport
+    from banalg import bse
+
+    original = bse.phi_isomorphism
+
+    def skewed(*args):
+        iso = original(*args)
+        inv = iso.inverse.matrix.copy()
+        inv[0, 0] += 1e-6
+        iso.inverse = LinearMap(iso.inverse.source, iso.inverse.target, inv)
+        return iso
+
+    monkeypatch.setattr(bse, "phi_isomorphism", skewed)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), "lau", 0)
+    assert [r.name for r in records if r.verdict == "FAIL"] == ["lau/000/lau-transport"]
+
+
+@pytest.mark.parametrize("judged, record", [("product", "lau-bse-biconditional"),
+                                            ("direct", "sum-bse-biconditional")])
+def test_bse_biconditional_records_can_fail(monkeypatch, judged, record):
+    # negative control: the BSE verdict of A x_phi B alone, or of A (+) B
+    # alone, flipped fails exactly the biconditional that reads it; the
+    # check-bse record reads the product's containment residuals and passes
+    from banalg import bse
+
+    cfg = RunConfig(seed=0, max_dim=6)
+    desc = build_fixture("lau", cfg.seed, 0, cfg.max_dim).descriptor
+    name = (desc.algebra.name if judged == "product"
+            else direct_sum(desc.first, desc.second).algebra.name)
+    original = bse.check_bse_property
+
+    def flipped(algebra, *args, **kwargs):
+        verdict = original(algebra, *args, **kwargs)
+        if algebra.name == name:
+            verdict.is_bse = not verdict.is_bse
+        return verdict
+
+    monkeypatch.setattr(bse, "check_bse_property", flipped)
+    records = fixture_records(cfg, "lau", 0)
+    assert [r.name for r in records if r.verdict == "FAIL"] == [f"lau/000/{record}"]
+
+
 # Each check name `verify` emits, with the negative control that makes it FAIL.
 CONTROLS = {
     "bse-duality": test_bse_duality_record_can_fail,
@@ -798,24 +877,22 @@ CONTROLS = {
     "check-bse": test_null_space_dimension_records_can_fail,
     "delta-weak-bai": test_delta_weak_bai_record_can_fail,
     "lemma-block-dim": test_null_space_dimension_records_can_fail,
+    "lau-bse-biconditional": test_bse_biconditional_records_can_fail,
+    "lau-transport": test_lau_transport_record_can_fail,
     "lemma-decompose": test_lemma_decompose_record_can_fail,
+    "lemma-recompose": test_lemma_recompose_record_can_fail,
     "multiplier-sb-zero": test_multiplier_sb_zero_record_can_fail,
     "phi-iso-norm": test_phi_iso_norm_record_can_fail,
     "psi-identity": test_psi_identity_record_can_fail,
     "psi-uniqueness": test_psi_uniqueness_record_can_fail,
     "sigma-extension": test_sigma_extension_record_can_fail,
     "split-norm-additive": test_split_norm_additive_record_can_fail,
+    "sum-bse-biconditional": test_bse_biconditional_records_can_fail,
     "theta-isometry": test_theta_isometry_record_can_fail,
     "theta-multiplicative": test_theta_multiplicative_record_can_fail,
 }
 # Names still without a control; delete an entry when its control lands.
-# lemma-recompose cannot FAIL as itself: `recompose` raises once its residual
-# passes the tolerance, so a broken recomposition surfaces as an /error record.
 UNCONTROLLED = {
-    "lau-bse-biconditional",
-    "lau-transport",
-    "lemma-recompose",
-    "sum-bse-biconditional",
     "sum-multiplier-split",
     "validate",
 }
