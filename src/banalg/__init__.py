@@ -17,7 +17,6 @@ from .algebra import (
 from .constructions import (
     PhiIsomorphism,
     ProductDescriptor,
-    check_homomorphism,
     direct_sum,
     finite_abelian_group_algebra,
     lau_product,
@@ -62,7 +61,6 @@ __all__ = [
     "validate",
     "PhiIsomorphism",
     "ProductDescriptor",
-    "check_homomorphism",
     "direct_sum",
     "finite_abelian_group_algebra",
     "lau_product",

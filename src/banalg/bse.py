@@ -408,8 +408,9 @@ def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
     the four algebras gets one multiplier space, shared by its verdict and
     the checks: the direct sum's space must split blockwise as M(A) x M(B),
     and conjugation by Phi must carry the product's multipliers onto the
-    direct sum's, with matching hats through the character pairing.  A direct sum (phi = 0) is
-    its own direct sum, and Phi is the identity.  Every verdict reads a
+    direct sum's, with matching hats through the character pairing.  A
+    direct sum (phi = 0) is its own A (+) B and Phi is the identity, so there
+    A (+) B reads the product's space, set and verdict.  Every verdict reads a
     closed-form or parent set: the product its closed-form characters
     `chars`, A and B their parent sets, and A (+) B its closed-form set on
     the same parent sets, built once here and shared with the transport
@@ -419,16 +420,19 @@ def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
     iso = phi_isomorphism(desc, tol)
     if chars is None:
         chars = characters_semidirect(desc, tol)
-    sum_chars = characters_semidirect(iso.direct, tol, chars.ideal_chars,
-                                      chars.subalgebra_chars)
     if m_product is None:
         m_product = multiplier_space(desc.algebra)
-    ma, mb, md = (multiplier_space(alg)
-                  for alg in (desc.first, desc.second, iso.direct.algebra))
+    ma, mb = (multiplier_space(alg) for alg in (desc.first, desc.second))
     va = check_bse_property(desc.first, tol, chars.ideal_chars, ma)
     vb = check_bse_property(desc.second, tol, chars.subalgebra_chars, mb)
     vp = check_bse_property(desc.algebra, tol, chars.set, m_product)
-    vd = check_bse_property(iso.direct.algebra, tol, sum_chars.set, md)
+    if iso.direct is desc:  # a direct sum is its own A (+) B
+        sum_chars, md, vd = chars, m_product, vp
+    else:
+        sum_chars = characters_semidirect(iso.direct, tol, chars.ideal_chars,
+                                          chars.subalgebra_chars)
+        md = multiplier_space(iso.direct.algebra)
+        vd = check_bse_property(iso.direct.algebra, tol, sum_chars.set, md)
     membership, hat_res = _transport_residuals(iso, m_product, chars.set, sum_chars.set,
                                                tol)
     return ProductBseReport(
@@ -448,7 +452,7 @@ def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
 
 def _block_split_residual(direct: ProductDescriptor, md: MultiplierBasis) -> float:
     """Worst off-diagonal block, or diagonal block that is not a parent multiplier."""
-    asl, bsl = direct.first_slice, direct.second_slice
+    asl, bsl = direct.ideal_slice, direct.subalgebra_slice
     Ts = md.stack
     off = float(np.max(np.abs(Ts[:, asl, bsl]), initial=0.0))
     off = max(off, float(np.max(np.abs(Ts[:, bsl, asl]), initial=0.0)))

@@ -13,6 +13,7 @@ import os
 import sys
 
 from . import __version__
+from .algebra import DEFAULT_TOL
 from .bse import bse_norm_dual, bse_norm_primal, check_bse_property
 from .constructions import (
     finite_abelian_group_algebra,
@@ -196,9 +197,9 @@ def _cmd_verify(args) -> int:
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="algebraic residual tolerance (default 1e-9)")
+                        help=f"algebraic residual tolerance (default {DEFAULT_TOL:g})")
     common.add_argument("--opt-tol", type=float, default=argparse.SUPPRESS,
-                        help="optimization tolerance (default 1e-6)")
+                        help=f"optimization tolerance (default {RunConfig.tol_opt:g})")
 
     parser = argparse.ArgumentParser(
         prog="banalg",
@@ -275,7 +276,7 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_GLOBAL_DEFAULTS = {"tol": 1e-9, "opt_tol": 1e-6}
+_GLOBAL_DEFAULTS = {"tol": DEFAULT_TOL, "opt_tol": RunConfig.tol_opt}
 
 
 def main(argv: list[str] | None = None) -> int:

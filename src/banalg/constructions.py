@@ -1,10 +1,13 @@
 """Product constructions with provenance.
 
-Two block conventions, fixed once to avoid index bugs:
-  * semidirect product of subalgebra B and ideal I: B block first, pairs (b, a);
-  * lau product of A and B along phi: B -> A: A block first, pairs (a, b);
-    the A block is an ideal, the B block a subalgebra.
-A direct sum is the lau product with phi = 0.
+A semidirect product B (+) I has a closed subalgebra B and a closed ideal I,
+with (b, a)(b', a') = (bb', aa' + ba' + ab').  A lau product A x_phi B is the
+semidirect product with ideal A and subalgebra B acting by b.a = phi(b)a, and
+a direct sum is the lau product with phi = 0.  Both constructors hand their
+parents and their two actions to one assembler, which places the four
+structure blocks and validates the product once.  `ProductDescriptor` alone
+states the block layout: a semidirect product puts B first, a lau product or
+direct sum its ideal A first.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .errors import (
 class ProductDescriptor:
     """Provenance of a constructed product algebra.
 
-    first/second are the parents in block order (B, I for semidirect;
-    A, B for lau and direct_sum).
+    first/second are the parents in basis order (B, I for semidirect; A, B
+    for lau and direct_sum).
     """
 
     kind: str  # "semidirect" | "lau" | "direct_sum"
@@ -45,31 +48,74 @@ class ProductDescriptor:
     phi: LinearMap | None = None
     contractive: bool = True
 
-    @property
-    def first_slice(self) -> slice:
-        return slice(0, self.first.dim)
+    @staticmethod
+    def layout(kind: str, first: Algebra, second: Algebra
+               ) -> tuple[Algebra, slice, Algebra, slice]:
+        """(B, its slice, I, its slice) of a product of `kind` on first (+) second."""
+        lead, tail = slice(0, first.dim), slice(first.dim, first.dim + second.dim)
+        if kind == "semidirect":
+            return first, lead, second, tail
+        return second, tail, first, lead
 
-    @property
-    def second_slice(self) -> slice:
-        return slice(self.first.dim, self.first.dim + self.second.dim)
+    @staticmethod
+    def blocks(c: np.ndarray, B: slice, I: slice) -> tuple[np.ndarray, ...]:
+        """Views c[B,B,B], c[B,I,I], c[I,I,I], c[I,B,I] of a product tensor.
 
-    @property
-    def subalgebra_slice(self) -> slice:
-        """Block of the distinguished closed subalgebra."""
-        return self.first_slice if self.kind == "semidirect" else self.second_slice
-
-    @property
-    def ideal_slice(self) -> slice:
-        """Block of the distinguished closed two-sided ideal."""
-        return self.second_slice if self.kind == "semidirect" else self.first_slice
+        Each keeps only the output block the product lands in: B B -> B and
+        B I, I I, I B -> I; every other block of a product is zero.
+        """
+        return c[B, B, B], c[B, I, I], c[I, I, I], c[I, B, I]
 
     @property
     def subalgebra(self) -> Algebra:
-        return self.first if self.kind == "semidirect" else self.second
+        """The distinguished closed subalgebra."""
+        return self.layout(self.kind, self.first, self.second)[0]
+
+    @property
+    def subalgebra_slice(self) -> slice:
+        return self.layout(self.kind, self.first, self.second)[1]
 
     @property
     def ideal(self) -> Algebra:
-        return self.second if self.kind == "semidirect" else self.first
+        """The distinguished closed two-sided ideal."""
+        return self.layout(self.kind, self.first, self.second)[2]
+
+    @property
+    def ideal_slice(self) -> slice:
+        return self.layout(self.kind, self.first, self.second)[3]
+
+    @property
+    def block_tensors(self) -> tuple[np.ndarray, ...]:
+        """c[B,B,B], c[B,I,I], c[I,I,I], c[I,B,I] of the product (`blocks`)."""
+        return self.blocks(self.algebra.structure, self.subalgebra_slice, self.ideal_slice)
+
+
+def _assemble(kind: str, first: Algebra, second: Algebra, action_bi: np.ndarray,
+              action_ib: np.ndarray, tol: float, name: str, unit: np.ndarray | None = None,
+              phi: LinearMap | None = None, contractive: bool = True,
+              force: bool = False) -> ProductDescriptor:
+    """The product of `kind` on first (+) second with the actions b.a
+    (action_bi[j, i, :], in I) and a.b (action_ib[i, j, :], in I).
+
+    The assembled tensor is validated once; mixed associativity of the actions
+    is exactly its associativity.  force=True admits a submultiplicativity
+    failure, the one a non-contractive phi causes, and nothing else.
+    """
+    B, bsl, I, isl = ProductDescriptor.layout(kind, first, second)
+    n = first.dim + second.dim
+    c = np.zeros((n, n, n), dtype=complex)
+    parts = (B.structure, action_bi, I.structure, action_ib)
+    for block, part in zip(ProductDescriptor.blocks(c, bsl, isl), parts):
+        block[...] = part
+    algebra = Algebra(name=name, weights=np.concatenate([first.weights, second.weights]),
+                      structure=c, unit=unit)
+    report = validate(algebra, tol)
+    if not (report.accepted or (force and set(report.failures) <= {"submultiplicativity"})):
+        raise InvalidActionError(
+            f"assembled {kind} product fails validation: " + ", ".join(report.failures),
+            report=report,
+        )
+    return ProductDescriptor(kind, algebra, first, second, phi, contractive)
 
 
 def semidirect(B: Algebra, I: Algebra, action_bi: np.ndarray, action_ib: np.ndarray,
@@ -78,9 +124,8 @@ def semidirect(B: Algebra, I: Algebra, action_bi: np.ndarray, action_ib: np.ndar
 
     B (dim m) is the subalgebra and I (dim p) the ideal; the module actions are
     action_bi[j, i, :] = coefficients (in I) of e_j^B * e_i^I and
-    action_ib[i, j, :] = coefficients (in I) of e_i^I * e_j^B.
-    The assembled structure tensor is validated; mixed associativity of the
-    actions is exactly the associativity of the assembled tensor.
+    action_ib[i, j, :] = coefficients (in I) of e_i^I * e_j^B.  A semidirect
+    product is unital only in special cases, so no unit is derived.
     """
     m, p = B.dim, I.dim
     if np.shape(action_bi) != (m, p, p):
@@ -89,33 +134,8 @@ def semidirect(B: Algebra, I: Algebra, action_bi: np.ndarray, action_ib: np.ndar
         raise ValueError(f"action_ib must have shape {(p, m, p)}")
     require_valid(B, tol)
     require_valid(I, tol)
-    n = m + p
-    c = np.zeros((n, n, n), dtype=complex)
-    c[:m, :m, :m] = B.structure
-    c[m:, m:, m:] = I.structure
-    c[:m, m:, m:] = action_bi
-    c[m:, :m, m:] = action_ib
-    weights = np.concatenate([B.weights, I.weights])
-    unit = None  # a semidirect product is unital only in special cases; not derived here
-    algebra = Algebra(
-        name=name or f"{B.name}(+){I.name}",
-        weights=weights,
-        structure=c,
-        unit=unit,
-    )
-    report = validate(algebra, tol)
-    if not report.accepted:
-        raise InvalidActionError(
-            "assembled semidirect product fails validation: "
-            + ", ".join(report.failures),
-            report=report,
-        )
-    return ProductDescriptor(
-        kind="semidirect",
-        algebra=algebra,
-        first=B,
-        second=I,
-    )
+    return _assemble("semidirect", B, I, action_bi, action_ib, tol,
+                     name or f"{B.name}(+){I.name}")
 
 
 def homomorphism_residual(phi: LinearMap) -> float:
@@ -124,25 +144,6 @@ def homomorphism_residual(phi: LinearMap) -> float:
     lhs = np.einsum("ijk,rk->ijr", B.structure, P)
     rhs = np.einsum("ai,bj,abr->ijr", P, P, A.structure)
     return float(np.max(np.abs(lhs - rhs) @ A.weights))
-
-
-@dataclass
-class HomomorphismReport:
-    residual: float
-    norm: float
-    is_homomorphism: bool
-    is_contractive: bool
-
-
-def check_homomorphism(phi: LinearMap, tol: float = DEFAULT_TOL) -> HomomorphismReport:
-    res = homomorphism_residual(phi)
-    nrm = operator_norm(phi)
-    return HomomorphismReport(
-        residual=res,
-        norm=nrm,
-        is_homomorphism=res <= tol,
-        is_contractive=nrm <= 1.0 + tol,
-    )
 
 
 def lau_product(A: Algebra, B: Algebra, phi: LinearMap, tol: float = DEFAULT_TOL,
@@ -157,51 +158,24 @@ def lau_product(A: Algebra, B: Algebra, phi: LinearMap, tol: float = DEFAULT_TOL
     require_valid(B, tol)
     if phi.source is not B or phi.target is not A:
         raise ValueError("phi must map B into A")
-    report = check_homomorphism(phi, tol)
-    if not report.is_homomorphism:
+    residual = homomorphism_residual(phi)
+    if residual > tol:
         raise NotHomomorphismError(
-            f"phi is not an algebra homomorphism (residual {report.residual:.3e})"
+            f"phi is not an algebra homomorphism (residual {residual:.3e})"
         )
-    if not report.is_contractive and not force:
-        raise NotContractiveError(report.norm)
-
-    nA, nB = A.dim, B.dim
-    n = nA + nB
-    c = np.zeros((n, n, n), dtype=complex)
-    c[:nA, :nA, :nA] = A.structure
-    c[nA:, nA:, nA:] = B.structure
-    c[:nA, nA:, :nA] = np.einsum("ikr,kj->ijr", A.structure, phi.matrix)  # a phi(b)
-    c[nA:, :nA, :nA] = np.einsum("kj,kir->jir", phi.matrix, A.structure)  # phi(b) a
-    weights = np.concatenate([A.weights, B.weights])
+    norm = operator_norm(phi)
+    contractive = norm <= 1.0 + tol
+    if not contractive and not force:
+        raise NotContractiveError(norm)
     unit = None
     if A.unit is not None and B.unit is not None:
         # (u_A - phi(u_B), u_B) is the unit when both parents are unital
-        cand = np.concatenate([A.unit - phi.matrix @ B.unit, B.unit])
-        unit = cand
-    algebra = Algebra(
-        name=name or f"{A.name}x({B.name})",
-        weights=weights,
-        structure=c,
-        unit=unit,
-    )
-    vrep = validate(algebra, tol)
-    if not vrep.accepted:
-        # a non-contractive phi only breaks submultiplicativity; under force
-        # that is the one admissible failure
-        if not (force and set(vrep.failures) <= {"submultiplicativity"}):
-            raise InvalidActionError(
-                "assembled lau product fails validation: " + ", ".join(vrep.failures),
-                report=vrep,
-            )
-    kind = "direct_sum" if not np.any(phi.matrix) else "lau"
-    return ProductDescriptor(
-        kind=kind,
-        algebra=algebra,
-        first=A,
-        second=B,
-        phi=phi,
-        contractive=report.is_contractive,
-    )
+        unit = np.concatenate([A.unit - phi.matrix @ B.unit, B.unit])
+    return _assemble(
+        "lau" if np.any(phi.matrix) else "direct_sum", A, B,
+        np.einsum("kj,kir->jir", phi.matrix, A.structure),  # phi(b) a
+        np.einsum("ikr,kj->ijr", A.structure, phi.matrix),  # a phi(b)
+        tol, name or f"{A.name}x({B.name})", unit, phi, contractive, force)
 
 
 def direct_sum(A: Algebra, B: Algebra, tol: float = DEFAULT_TOL) -> ProductDescriptor:
@@ -226,18 +200,17 @@ class PhiIsomorphism:
 
 def phi_isomorphism(lau: ProductDescriptor, tol: float = DEFAULT_TOL) -> PhiIsomorphism:
     """Phi for a lau product already built: only A (+) B and the two matrices
-    are new, and the returned `lau` is the descriptor passed in.  Raises
-    ConstructionError on a semidirect descriptor, which has no phi."""
+    are new, and the returned `lau` is the descriptor passed in.  A direct sum
+    is its own A (+) B (Phi is the identity), so `direct` is `lau` there.
+    Raises ConstructionError on a semidirect descriptor, which has no phi."""
     if lau.kind == "semidirect":
         raise ConstructionError("Phi needs a lau product or direct sum, not semidirect")
-    A, B, phi = lau.first, lau.second, lau.phi
-    direct = direct_sum(A, B, tol)
-    nA, nB = A.dim, B.dim
-    n = nA + nB
-    fwd = np.eye(n, dtype=complex)
-    fwd[:nA, nA:] = -phi.matrix
-    inv = np.eye(n, dtype=complex)
-    inv[:nA, nA:] = phi.matrix
+    direct = lau if lau.kind == "direct_sum" else direct_sum(lau.first, lau.second, tol)
+    block = (lau.ideal_slice, lau.subalgebra_slice)
+    fwd = np.eye(lau.algebra.dim, dtype=complex)
+    fwd[block] = -lau.phi.matrix
+    inv = np.eye(lau.algebra.dim, dtype=complex)
+    inv[block] = lau.phi.matrix
     return PhiIsomorphism(
         forward=LinearMap(direct.algebra, lau.algebra, fwd),
         inverse=LinearMap(lau.algebra, direct.algebra, inv),
@@ -286,9 +259,8 @@ def group_character_values(orders: list[int]) -> np.ndarray:
 
 def ideal_span_rank(desc: ProductDescriptor) -> int:
     """rank of span{a * b : a in I-basis, b in B-basis} inside the ideal block."""
-    isl, bsl = desc.ideal_slice, desc.subalgebra_slice
-    products = desc.algebra.structure[isl, bsl, isl].reshape(-1, desc.ideal.dim)
-    return rank_basis(products)[0]
+    products = desc.block_tensors[3]  # c[I, B, I]
+    return rank_basis(products.reshape(-1, desc.ideal.dim))[0]
 
 
 def ideal_span_is_full(desc: ProductDescriptor) -> bool:

@@ -249,10 +249,9 @@ def bundle_to_dict(desc) -> dict:
     if desc.phi is not None:
         doc["descriptor"]["phi"] = morphism_to_dict(desc.phi)
     if desc.kind == "semidirect":
-        m, p = desc.first.dim, desc.second.dim
-        c = desc.algebra.structure
-        doc["descriptor"]["action_bi"] = _sparse_tensor(c[:m, m:, m:])
-        doc["descriptor"]["action_ib"] = _sparse_tensor(c[m:, :m, m:])
+        _, bi, _, ib = desc.block_tensors
+        doc["descriptor"]["action_bi"] = _sparse_tensor(bi)
+        doc["descriptor"]["action_ib"] = _sparse_tensor(ib)
     return doc
 
 

@@ -17,7 +17,9 @@ of the first structure index i at a time, so the whole system is never
 built.  The block machinery realizes the four-block form (T_B, S_B, S_I,
 R_I) of a left multiplier on a subalgebra(+)ideal product and the linear
 relations tying the blocks together, whose eight groups reach the kernel
-as eight row blocks.
+as eight row blocks.  It reads the product's four structure blocks from
+`ProductDescriptor.block_tensors`, so the block layout of each product
+kind is known to the descriptor alone.
 
 A space is held as its `stack`, the (dim, n, n) array of its basis maps.
 The residuals, the block (de)composition and `hat` take one map or a stack
@@ -197,22 +199,11 @@ class BlockDecomposition:
         return max(self.membership_residuals.values())
 
 
-def _block_tensors(desc: ProductDescriptor) -> tuple[np.ndarray, ...]:
-    """Sub-tensors c[B,B,B], c[B,I,I], c[I,I,I], c[I,B,I] of the product.
-
-    Each keeps only the output block the product lands in: B B -> B and
-    B I, I I, I B -> I.
-    """
-    c = desc.algebra.structure
-    B, I = desc.subalgebra_slice, desc.ideal_slice
-    return c[B, B, B], c[B, I, I], c[I, I, I], c[I, B, I]
-
-
 def _block_relation_residuals(desc: ProductDescriptor, T_B, S_B, S_I, R_I
                               ) -> tuple[dict[str, float], dict[str, float]]:
     wB = desc.algebra.weights[desc.subalgebra_slice]
     wI = desc.algebra.weights[desc.ideal_slice]
-    cBB, cBI, cII, cIB = _block_tensors(desc)
+    cBB, cBI, cII, cIB = desc.block_tensors
     # (ii) R_I(a a') = a R_I(a') + a S_B(a'); (iii) R_I(a b) = a S_I(b) + a T_B(b)
     r_ii = _of_product(cII, R_I) - _times_image(cII, R_I) - _times_image(cIB, S_B)
     r_iii = _of_product(cIB, R_I) - _times_image(cII, S_I) - _times_image(cIB, T_B)
@@ -279,7 +270,7 @@ def block_space(desc: ProductDescriptor) -> np.ndarray:
     """
     m = desc.subalgebra.dim
     p = desc.ideal.dim
-    cBB, cBI, cII, cIB = _block_tensors(desc)
+    cBB, cBI, cII, cIB = desc.block_tensors
 
     def rows(T_B=None, S_B=None, S_I=None, R_I=None) -> np.ndarray:
         """One relation's rows; each argument is that block's coefficient matrix."""

@@ -197,7 +197,7 @@ def psi_of(values: np.ndarray, desc: ProductDescriptor) -> tuple[np.ndarray, np.
         pert[rows, k2] = 1.0
         pert -= a0 * values[rows, k2][:, None]
         a0s.append(a0 + pert)
-    c_bi = desc.algebra.structure[desc.subalgebra_slice, desc.ideal_slice, desc.ideal_slice]
+    c_bi = desc.block_tensors[1]  # c[B, I, I]
     psis = np.einsum("jak,sqa,qk->sqj", c_bi, np.array(a0s), values)
     return psis[0], np.abs(psis[0] - psis[-1]).max(axis=1, initial=0.0)
 

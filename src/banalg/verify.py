@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import operator_norm, validate
+from .algebra import DEFAULT_TOL, operator_norm, validate
 from .bse import (
     BseVerdict,
     bse_norm_dual,
@@ -90,7 +90,7 @@ class Record:
 
 @dataclass
 class RunConfig:
-    tol_algebraic: float = 1e-9
+    tol_algebraic: float = DEFAULT_TOL
     tol_opt: float = 1e-6
     seed: int = 0
     families: tuple[str, ...] = FAMILIES
@@ -280,7 +280,7 @@ def _semidirect_checks(records, fix: Fixture, cfg: RunConfig,
     # ideal x subalgebra pairs
     e_rows = sdc.set.matrix[: sdc.e_count]
     phis, psis = e_rows[:, desc.ideal_slice], e_rows[:, desc.subalgebra_slice]
-    ib = desc.algebra.structure[desc.ideal_slice, desc.subalgebra_slice, desc.ideal_slice]
+    ib = desc.block_tensors[3]  # c[I, B, I]
     lhs = np.einsum("ijk,ek->eij", ib, phis)
     worst_id = float(np.max(np.abs(lhs - phis[:, :, None] * psis[:, None, :]), initial=0.0))
     _rec(records, f"{fix.name}/psi-uniqueness", "prop24", sdc.psi_discrepancy, 1e-12)

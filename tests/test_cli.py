@@ -1,11 +1,15 @@
 import json
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+from banalg.algebra import Algebra, LinearMap
 
 from banalg.cli import main
 from banalg.constructions import direct_sum
-from banalg.jsonio import algebra_to_dict, bundle_to_dict
+from banalg.jsonio import algebra_to_dict, bundle_to_dict, morphism_to_dict
 
 from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect, write_json
 
@@ -263,6 +267,28 @@ def test_bse_norm_malformed_sigma_exit_2(algebra_file, tmp_path, capsys):
     assert "values[0]" in err
 
 
+VERIFY_SMALL = ("--families", "diag", "--count", "1", "--max-dim", "2", "--format", "json")
+
+
+@pytest.mark.parametrize("flag, key", [("--tol", "tol_algebraic"), ("--opt-tol", "tol_opt")])
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_global_tolerance_flags_reach_the_config(capsys, flag, key, before):
+    # README: the global flags go before or after the subcommand
+    argv = [flag, "1e-8", "verify", *VERIFY_SMALL] if before else [
+        "verify", flag, "1e-8", *VERIFY_SMALL]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert f'"{key}": 1e-08' in stdout
+    assert json.loads(stdout)["config"][key] == 1e-8
+
+
+def test_global_tolerance_defaults(capsys):
+    code, stdout, err = run_cli(capsys, "verify", *VERIFY_SMALL)
+    assert code == 0, err
+    config = json.loads(stdout)["config"]
+    assert (config["tol_algebraic"], config["tol_opt"]) == (1e-9, 1e-6)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--count", "0"],
     ["verify", "--max-dim", "17"],
@@ -275,3 +301,55 @@ def test_verify_bad_configuration_exit_2(capsys, argv):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert stdout == ""
+
+
+def scaled_diagonal(name, scales, weights):
+    """e_k e_k = s_k e_k, every other product zero; unit sum_k e_k / s_k."""
+    n = len(scales)
+    c = np.zeros((n, n, n), dtype=complex)
+    c[np.arange(n), np.arange(n), np.arange(n)] = scales
+    return Algebra(name, np.asarray(weights, dtype=float), c,
+                   unit=1.0 / np.asarray(scales, dtype=complex))
+
+
+def golden_build_argv(tmp_path, kind):
+    """The `build` argv of one golden bundle, its input files written to tmp_path.
+
+    The parents have different dimensions and complex structure constants,
+    so a block placed at the wrong offset changes the bundle.
+    """
+    def path(name, doc):
+        p = tmp_path / name
+        write_json(str(p), doc)
+        return str(p)
+
+    if kind == "semidirect":
+        # B = C^2 acts on I = C^3 through e0 -> f0 + f1, e1 -> f2
+        t = [0.5 + 0.5j, -0.75]
+        B = scaled_diagonal("B2", t, [1.0, 2.0])
+        I = scaled_diagonal("I3", [1.0, 1j, 0.5], [1.0, 1.5, 3.0])
+        selector = [0, 0, 1]
+        actions = {
+            "action_bi": [[l, k, k, t[l].real, t[l].imag] for k, l in enumerate(selector)],
+            "action_ib": [[k, l, k, t[l].real, t[l].imag] for k, l in enumerate(selector)],
+        }
+        return ["build", "semidirect", "--b", path("b.json", algebra_to_dict(B)),
+                "--i", path("i.json", algebra_to_dict(I)),
+                "--actions", path("actions.json", actions)]
+    A = scaled_diagonal("A2", [0.8, 0.6j], [1.0, 2.0])
+    B = scaled_diagonal("B3", [0.4, 0.3j, 1.0], [1.0, 1.5, 2.0])
+    # phi(u_l) = (t_l / s_k) v_k: u0 -> v0 / 2, u1 -> v1 / 2, u2 -> 0
+    matrix = ([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]] if kind == "lau" else np.zeros((2, 3)))
+    phi = LinearMap(B, A, np.asarray(matrix, dtype=complex))
+    return ["build", "lau", "--a", path("a.json", algebra_to_dict(A)),
+            "--b", path("b.json", algebra_to_dict(B)),
+            "--phi", path("phi.json", morphism_to_dict(phi))]
+
+
+@pytest.mark.parametrize("kind", ["semidirect", "lau", "direct_sum"])
+def test_build_stdout_matches_golden(tmp_path, capsys, kind):
+    code, stdout, err = run_cli(capsys, *golden_build_argv(tmp_path, kind))
+    assert code == 0, err
+    golden = Path(__file__).parent / "golden" / f"build_{kind}.json"
+    assert json.loads(stdout)["descriptor"]["kind"] == kind
+    assert stdout == golden.read_text()

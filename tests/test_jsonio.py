@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from banalg.algebra import LinearMap
+from banalg.algebra import Algebra, LinearMap, validate
+from banalg.constructions import direct_sum, finite_abelian_group_algebra, lau_product
 from banalg.errors import SchemaError
 from banalg.jsonio import (
     algebra_from_dict,
@@ -91,21 +92,50 @@ def test_sigma_round_trip():
         sigma_from_dict({"values": [[1, 0]]}, expected_len=2)
 
 
+def round_trip(desc):
+    """The bundle of desc rebuilt from its rendered text, checked bit for bit."""
+    back = bundle_from_dict(json.loads(render_json(bundle_to_dict(desc))))
+    assert back.contractive == desc.contractive
+    assert np.array_equal(back.algebra.structure, desc.algebra.structure)
+    assert np.array_equal(back.algebra.weights, desc.algebra.weights)
+    return back
+
+
+def forced_lau():
+    """l1(Z2) with weights (1, 3), times C along b -> (d0 + d1)/2: ||phi|| = 2,
+    and d0 (0, b) = ((d0 + d1)/2, 0) has norm 2 > ||d0|| ||b||, so only force
+    admits it."""
+    A = finite_abelian_group_algebra([2], name="Z2w")
+    A = Algebra(A.name, np.array([1.0, 3.0]), A.structure, unit=A.unit)
+    B = diagonal_algebra(1, "B")
+    return lau_product(A, B, LinearMap(B, A, np.array([[0.5], [0.5]], dtype=complex)),
+                       force=True)
+
+
 def test_bundle_round_trip_lau():
     desc = lau_c_c2()
-    doc = bundle_to_dict(desc)
-    back = bundle_from_dict(doc)
+    back = round_trip(desc)
     assert back.kind == "lau"
-    assert np.allclose(back.algebra.structure, desc.algebra.structure)
     assert np.array_equal(back.phi.matrix, desc.phi.matrix)
 
 
 def test_bundle_round_trip_semidirect():
-    desc = pointwise_semidirect()
-    doc = bundle_to_dict(desc)
-    back = bundle_from_dict(doc)
+    back = round_trip(pointwise_semidirect())
     assert back.kind == "semidirect"
-    assert np.allclose(back.algebra.structure, desc.algebra.structure)
+
+
+def test_bundle_round_trip_direct_sum():
+    back = round_trip(direct_sum(diagonal_algebra(1, "A"), diagonal_algebra(2, "B")))
+    assert back.kind == "direct_sum"
+    assert not np.any(back.phi.matrix)
+
+
+def test_bundle_round_trip_forced_lau():
+    desc = forced_lau()
+    assert validate(desc.algebra).failures == ["submultiplicativity"]
+    back = round_trip(desc)
+    assert back.kind == "lau" and back.contractive is False
+    assert np.array_equal(back.phi.matrix, desc.phi.matrix)
 
 
 def test_bundle_tamper_detected():

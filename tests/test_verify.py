@@ -7,7 +7,12 @@ import pytest
 
 from banalg.algebra import LinearMap, operator_norm, validate
 from banalg.bse import SemisimplicityWarning
-from banalg.constructions import direct_sum, ideal_span_is_full, lau_product
+from banalg.constructions import (
+    direct_sum,
+    finite_abelian_group_algebra,
+    ideal_span_is_full,
+    lau_product,
+)
 from banalg.fixtures import FAMILIES, Fixture, build_fixture, fixture_generators, fixture_rng
 from banalg import verify
 from banalg.errors import IllConditionedError
@@ -530,6 +535,18 @@ def test_lau_fixture_extracts_characters_once_per_algebra(monkeypatch):
     assert len(seen) == len(set(seen)) == 4
 
 
+def test_direct_sum_bundle_is_its_own_direct_sum(monkeypatch):
+    # Phi is the identity on a direct sum, so the product-BSE pass reads the
+    # bundle's own multiplier space and closed-form set for A (+) B: one of
+    # each call for each of A, B and the sum, where a second pair on the sum
+    # made 4
+    calls = _count_calls(monkeypatch, ("multiplier_space", "characters_numerical"))
+    desc = direct_sum(finite_abelian_group_algebra([3]), finite_abelian_group_algebra([2]))
+    records = theorem_records(desc, None, RunConfig())
+    assert all(r.verdict != "FAIL" for r in records)
+    assert calls == {"multiplier_space": 3, "characters_numerical": 3}
+
+
 def test_lau_fixture_ranks_phi_once(monkeypatch):
     # surjectivity is asked three times per sigma sample and decided once
     from banalg import bse, spectra
@@ -867,6 +884,39 @@ def test_bse_biconditional_records_can_fail(monkeypatch, judged, record):
     assert [r.name for r in records if r.verdict == "FAIL"] == [f"lau/000/{record}"]
 
 
+@pytest.mark.parametrize("family", ["diag", "group"])
+def test_validate_record_can_fail(monkeypatch, family):
+    # negative control: an associativity residual raised by 1e-6, a thousand
+    # times tol_algebraic, fails exactly validate
+    from banalg import algebra
+
+    original = algebra.associativity_residual
+    monkeypatch.setattr(algebra, "associativity_residual",
+                        lambda alg: original(alg) + 1e-6)
+    records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
+    assert [r.name for r in records if r.verdict == "FAIL"] == [f"{family}/000/validate"]
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_sum_multiplier_split_record_can_fail(monkeypatch, index):
+    # negative control: the multiplier residual of the first parent alone
+    # raised by 1e-6 says the diagonal A block of M(A (+) B) is no multiplier
+    # of A, and fails exactly sum-multiplier-split
+    from banalg import bse
+
+    cfg = RunConfig(seed=0, max_dim=6)
+    first = build_fixture("lau", cfg.seed, index, cfg.max_dim).descriptor.first.name
+    original = bse.multiplier_residual
+
+    def raised(alg, T):
+        return original(alg, T) + (1e-6 if alg.name == first else 0.0)
+
+    monkeypatch.setattr(bse, "multiplier_residual", raised)
+    records = fixture_records(cfg, "lau", index)
+    assert [r.name for r in records if r.verdict == "FAIL"] == [
+        f"lau/{index:03d}/sum-multiplier-split"]
+
+
 # Each check name `verify` emits, with the negative control that makes it FAIL.
 CONTROLS = {
     "bse-duality": test_bse_duality_record_can_fail,
@@ -888,13 +938,10 @@ CONTROLS = {
     "sigma-extension": test_sigma_extension_record_can_fail,
     "split-norm-additive": test_split_norm_additive_record_can_fail,
     "sum-bse-biconditional": test_bse_biconditional_records_can_fail,
+    "sum-multiplier-split": test_sum_multiplier_split_record_can_fail,
     "theta-isometry": test_theta_isometry_record_can_fail,
     "theta-multiplicative": test_theta_multiplicative_record_can_fail,
-}
-# Names still without a control; delete an entry when its control lands.
-UNCONTROLLED = {
-    "sum-multiplier-split",
-    "validate",
+    "validate": test_validate_record_can_fail,
 }
 
 
@@ -902,6 +949,5 @@ def test_every_record_name_has_a_negative_control():
     cfg = RunConfig(seed=0, max_dim=6)
     names = {r.name.split("/", 2)[2] for family in FAMILIES for index in range(2)
              for r in fixture_records(cfg, family, index)}
-    assert not CONTROLS.keys() & UNCONTROLLED
-    assert sorted(names - CONTROLS.keys() - UNCONTROLLED) == []  # new names need a control
-    assert sorted((CONTROLS.keys() | UNCONTROLLED) - names) == []  # no stale entries
+    assert sorted(names - CONTROLS.keys()) == []  # new names need a control
+    assert sorted(CONTROLS.keys() - names) == []  # no stale entries
