@@ -33,7 +33,6 @@ from .spectra import (
 )
 from .multipliers import (
     BlockDecomposition,
-    MultiplierBasis,
     decompose_left_multiplier,
     hat,
     left_multiplier_space,
@@ -73,7 +72,6 @@ __all__ = [
     "gelfand",
     "psi_of",
     "BlockDecomposition",
-    "MultiplierBasis",
     "decompose_left_multiplier",
     "hat",
     "left_multiplier_space",

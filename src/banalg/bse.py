@@ -13,13 +13,15 @@ pass: it builds Phi(a, b) = (a - phi(b), b) once on the product it is
 given (only A (+) B is assembled anew), computes the multiplier
 spaces of A, B, A x_phi B and A (+) B once each, and derives the four
 verdicts, the block split M(A (+) B) = M(A) x M(B) and the transport
-through Phi from those spaces.  Every verdict reads a closed-form or parent
-character set: A (+) B gets its closed-form set on the parents' sets once
-(cross-checked against its numerical set), and the transport check reads
-that same set.  `check_bse_property` takes a character set and a
-multiplier space already computed, and `verify_product_bse` the product's
-space and characters, so that the harness computes one space and one
-character set per fixture algebra; a verdict keeps no space.  Whether an
+through Phi from those spaces (none on a direct sum, where Phi is the
+identity).  Every verdict reads a closed-form or parent character set:
+A (+) B gets its closed-form set on the parents' sets once (cross-checked
+against its numerical set), and the transport check reads that same set.
+`check_bse_property` takes a character set and a multiplier stack already
+computed, and `verify_product_bse` the product's stack and characters, so
+that the harness computes one space and one character set per fixture
+algebra; a verdict keeps no space, and its character set holds each
+character once, as a row of the set's matrix.  Whether an
 algebra is without order is decided once per algebra (`Algebra.without_order`).
 
 A Lau product's characters are its semidirect E u F (ideal A, subalgebra
@@ -56,7 +58,7 @@ from .errors import (
     SpanConditionError,
 )
 from .interpolation import GAP_REL, _dual, _primal
-from .multipliers import MultiplierBasis, hat, multiplier_residual, multiplier_space
+from .multipliers import hat, multiplier_residual, multiplier_space
 from .spectra import (
     CharacterSet,
     SemidirectCharacters,
@@ -197,14 +199,14 @@ class BseVerdict:
 
 def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
                        S: CharacterSet | None = None,
-                       mult: MultiplierBasis | None = None) -> BseVerdict:
+                       mult: np.ndarray | None = None) -> BseVerdict:
     """Compare the interpolable functions on Delta(A) with the multiplier hats.
 
     The algebra must be without order (checked).  Verdict is true iff the two
     subspaces of functions on the characters coincide, each contained in the
     other up to tol.
-    S defaults to the numerical character set and `mult` to the algebra's
-    multiplier space; pass either to judge on one already computed.
+    S defaults to the numerical character set and `mult` to the stack of the
+    algebra's multiplier space; pass either to judge on one already computed.
     """
     if not algebra.without_order:
         raise NotWithoutOrderError(
@@ -228,7 +230,7 @@ def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
     # multiplier hats
     if mult is None:
         mult = multiplier_space(algebra)
-    m_space = _orthonormal_rows(hat(mult.stack, S, tol))
+    m_space = _orthonormal_rows(hat(mult, S, tol))
     res_m_in_c = _containment_residual(m_space, c_space)
     res_c_in_m = _containment_residual(c_space, m_space)
     return BseVerdict(
@@ -383,8 +385,9 @@ class ProductBseReport:
     sum_block_residual: float
     # lau-product transport through the algebra isomorphism
     transport_dim_ok: bool
-    transport_membership: float
-    transport_hat_residual: float
+    # None on a direct sum, where Phi is the identity
+    transport_membership: float | None
+    transport_hat_residual: float | None
 
     @property
     def biconditional_ok(self) -> bool:
@@ -400,7 +403,7 @@ class ProductBseReport:
 
 
 def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
-                       m_product: MultiplierBasis | None = None,
+                       m_product: np.ndarray | None = None,
                        chars: SemidirectCharacters | None = None) -> ProductBseReport:
     """BSE verdicts for A, B, A x_phi B and A (+) B, plus the structural checks.
 
@@ -410,12 +413,12 @@ def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
     and conjugation by Phi must carry the product's multipliers onto the
     direct sum's, with matching hats through the character pairing.  A
     direct sum (phi = 0) is its own A (+) B and Phi is the identity, so there
-    A (+) B reads the product's space, set and verdict.  Every verdict reads a
-    closed-form or parent set: the product its closed-form characters
-    `chars`, A and B their parent sets, and A (+) B its closed-form set on
-    the same parent sets, built once here and shared with the transport
-    check; pass `m_product` or `chars` to reuse a space or character set
-    already computed.
+    A (+) B reads the product's space, set and verdict, and the transport
+    residuals are None.  Every verdict reads a closed-form or parent set: the
+    product its closed-form characters `chars`, A and B their parent sets,
+    and A (+) B its closed-form set on the same parent sets, built once here
+    and shared with the transport check; pass `m_product` (a stack of M(A
+    x_phi B)) or `chars` to reuse a space or character set already computed.
     """
     iso = phi_isomorphism(desc, tol)
     if chars is None:
@@ -426,15 +429,16 @@ def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
     va = check_bse_property(desc.first, tol, chars.ideal_chars, ma)
     vb = check_bse_property(desc.second, tol, chars.subalgebra_chars, mb)
     vp = check_bse_property(desc.algebra, tol, chars.set, m_product)
-    if iso.direct is desc:  # a direct sum is its own A (+) B
-        sum_chars, md, vd = chars, m_product, vp
+    if iso.direct is desc:  # a direct sum is its own A (+) B, and Phi is the identity
+        md, vd = m_product, vp
+        membership = hat_res = None
     else:
         sum_chars = characters_semidirect(iso.direct, tol, chars.ideal_chars,
                                           chars.subalgebra_chars)
         md = multiplier_space(iso.direct.algebra)
         vd = check_bse_property(iso.direct.algebra, tol, sum_chars.set, md)
-    membership, hat_res = _transport_residuals(iso, m_product, chars.set, sum_chars.set,
-                                               tol)
+        membership, hat_res = _transport_residuals(iso, m_product, chars.set,
+                                                   sum_chars.set, tol)
     return ProductBseReport(
         descriptor=desc,
         iso=iso,
@@ -442,18 +446,18 @@ def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
         verdict_second=vb,
         verdict_product=vp,
         verdict_direct=vd,
-        sum_block_dim_ok=md.dim == ma.dim + mb.dim,
+        sum_block_dim_ok=len(md) == len(ma) + len(mb),
         sum_block_residual=_block_split_residual(iso.direct, md),
-        transport_dim_ok=m_product.dim == md.dim,
+        transport_dim_ok=len(m_product) == len(md),
         transport_membership=membership,
         transport_hat_residual=hat_res,
     )
 
 
-def _block_split_residual(direct: ProductDescriptor, md: MultiplierBasis) -> float:
-    """Worst off-diagonal block, or diagonal block that is not a parent multiplier."""
+def _block_split_residual(direct: ProductDescriptor, Ts: np.ndarray) -> float:
+    """Worst off-diagonal block, or diagonal block that is not a parent
+    multiplier, over the stack Ts of M(A (+) B)."""
     asl, bsl = direct.ideal_slice, direct.subalgebra_slice
-    Ts = md.stack
     off = float(np.max(np.abs(Ts[:, asl, bsl]), initial=0.0))
     off = max(off, float(np.max(np.abs(Ts[:, bsl, asl]), initial=0.0)))
     # diagonal blocks must be multipliers of the parents
@@ -461,12 +465,12 @@ def _block_split_residual(direct: ProductDescriptor, md: MultiplierBasis) -> flo
                multiplier_residual(direct.second, Ts[:, bsl, bsl]))
 
 
-def _transport_residuals(iso: PhiIsomorphism, m_lau: MultiplierBasis,
+def _transport_residuals(iso: PhiIsomorphism, Ts: np.ndarray,
                          lau_set: CharacterSet, sum_set: CharacterSet,
                          tol: float) -> tuple[float, float]:
-    """Worst Phi^-1 T Phi multiplier residual on A (+) B, and worst hat mismatch
-    between the closed-form sets of the two products on the same parent sets."""
-    Ts = m_lau.stack
+    """Worst Phi^-1 T Phi multiplier residual on A (+) B over the stack Ts of
+    M(A x_phi B), and worst hat mismatch between the closed-form sets of the
+    two products on the same parent sets."""
     Ss = iso.inverse.matrix @ Ts @ iso.forward.matrix
     membership = multiplier_residual(iso.direct.algebra, Ss)
     # the character pairing fixes indices blockwise: E_k <-> E_k, F_j <-> F_j

@@ -94,10 +94,10 @@ def _cmd_characters(args) -> int:
         "count": len(S),
         "characters": [
             {
-                "values": [complex_pair(z) for z in ch.values],
-                "residual": float(ch.residual),
+                "values": [complex_pair(z) for z in values],
+                "residual": float(residual),
             }
-            for ch in S
+            for values, residual in zip(S.matrix, S.residuals)
         ],
     }
     _emit(doc, args.output)
@@ -109,15 +109,14 @@ def _cmd_multipliers(args) -> int:
     space = left_multiplier_space(algebra) if args.left else multiplier_space(algebra)
     doc = {
         "algebra": algebra.name,
-        "kind": space.kind,
-        "dim": space.dim,
-        "basis": [[[complex_pair(z) for z in row] for row in T]
-                  for T in space.stack],
+        "kind": "LM" if args.left else "M",
+        "dim": len(space),
+        "basis": [[[complex_pair(z) for z in row] for row in T] for T in space],
     }
     if args.blocks:
         bundle = bundle_from_dict(load_json(args.blocks), where=args.blocks)
         blocks = []
-        for T in space.stack:
+        for T in space:
             dec = decompose_left_multiplier(T, bundle, args.tol)
             blocks.append({
                 "relation_residuals": {k: float(v) for k, v in

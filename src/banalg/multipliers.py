@@ -21,10 +21,11 @@ as eight row blocks.  It reads the product's four structure blocks from
 `ProductDescriptor.block_tensors`, so the block layout of each product
 kind is known to the descriptor alone.
 
-A space is held as its `stack`, the (dim, n, n) array of its basis maps.
-The residuals, the block (de)composition and `hat` take one map or a stack
-of maps along leading axes, so a check over a whole space is one
-contraction: a residual is the worst over the stack, and a refusal is
+A space is its stack: `multiplier_space` and `left_multiplier_space`
+return the read-only (dim, n, n) array of its basis maps, whose length is
+the dimension.  The residuals, the block (de)composition and `hat` take one
+map or a stack of maps along leading axes, so a check over a whole space is
+one contraction: a residual is the worst over the stack, and a refusal is
 raised when any map fails.  `recompose` refuses nothing: it returns its
 worst residual, and the caller judges it.
 """
@@ -95,23 +96,6 @@ def _max_norm(diff: np.ndarray, weights: np.ndarray) -> float:
     return float(np.max(np.abs(diff) @ weights, initial=0.0))
 
 
-@dataclass(eq=False)
-class MultiplierBasis:
-    """A Frobenius-orthonormal basis of M(A) or LM(A): the null-space rows of
-    its constraint system, held as one read-only (dim, n, n) stack of maps."""
-
-    algebra: Algebra
-    kind: str  # "LM" | "M"
-    stack: np.ndarray
-
-    def __post_init__(self):
-        self.stack = _readonly(np.asarray(self.stack, dtype=complex))
-
-    @property
-    def dim(self) -> int:
-        return len(self.stack)
-
-
 def left_multiplier_residual(algebra: Algebra, T: np.ndarray) -> float:
     """max_{i,j} || T(e_i e_j) - e_i T(e_j) ||, the worst over a stack T[..., n, n]."""
     c = algebra.structure
@@ -159,18 +143,20 @@ def _constraint_blocks(algebra: Algebra, constraints: Constraints) -> Iterator[n
         yield constraints(c, slice(i0, i0 + SLAB_I))
 
 
-def _space(algebra: Algebra, kind: str, constraints: Constraints) -> MultiplierBasis:
+def _space(algebra: Algebra, constraints: Constraints) -> np.ndarray:
     rank, vh = rank_basis(_constraint_blocks(algebra, constraints))
     n = algebra.dim
-    return MultiplierBasis(algebra, kind, vh[rank:].conj().reshape(-1, n, n))
+    return _readonly(np.asarray(vh[rank:].conj().reshape(-1, n, n), dtype=complex))
 
 
-def left_multiplier_space(algebra: Algebra) -> MultiplierBasis:
-    return _space(algebra, "LM", _left_constraints)
+def left_multiplier_space(algebra: Algebra) -> np.ndarray:
+    """LM(A) as the read-only (dim, n, n) stack of a Frobenius-orthonormal basis."""
+    return _space(algebra, _left_constraints)
 
 
-def multiplier_space(algebra: Algebra) -> MultiplierBasis:
-    return _space(algebra, "M", _mult_constraints)
+def multiplier_space(algebra: Algebra) -> np.ndarray:
+    """M(A) as the read-only (dim, n, n) stack of a Frobenius-orthonormal basis."""
+    return _space(algebra, _mult_constraints)
 
 
 @dataclass(eq=False)

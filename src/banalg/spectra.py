@@ -1,15 +1,19 @@
 """Character spaces of finite-dimensional commutative algebras.
 
 A character is a nonzero multiplicative linear functional, stored as its
-value vector on the basis.  The numerical solver passes to the semisimple
-quotient A/rad, with rad the radical of the trace form, where the
-multiplication operators commute and are simultaneously diagonalizable:
-the characters are their joint eigenvalues, read off with the eigenvectors
-of one generic element and verified multiplicative.  The extraction is
-deterministic and finds exactly dim A/rad characters.  Product algebras
-also get closed-form character sets E u F assembled from their parents'
-sets by one constructor that verifies every row multiplicative and always
-cross-checks the set against the numerical route.  A lau product A x_phi B
+value vector on the basis.  A set holds each character once: a
+`CharacterSet` stacks the value vectors into one read-only matrix (a row
+per character) and their multiplicativity residuals into one read-only
+vector, and the `Character`s it yields are views of the matrix rows.  The
+numerical solver passes to the semisimple quotient A/rad, with rad the
+radical of the trace form, where the multiplication operators commute and
+are simultaneously diagonalizable: the characters are their joint
+eigenvalues, read off with the eigenvectors of one generic element and
+verified multiplicative.  The extraction is deterministic and finds
+exactly dim A/rad characters.  Product algebras also get closed-form
+character sets E u F assembled from their parents' sets by one constructor
+that verifies every row multiplicative and always cross-checks the set
+against the numerical route.  A lau product A x_phi B
 is the semidirect product with ideal A and subalgebra B, where
 b.a = phi(b)a, so its characters are the semidirect E u F, with
 psi = phi_A o phi for each character phi_A of A; a direct sum is the case
@@ -22,7 +26,8 @@ discrepancy, so nothing downstream induces them again.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -50,22 +55,27 @@ class Character:
 
 @dataclass(eq=False)
 class CharacterSet:
-    """Characters of one algebra; `matrix` is the read-only |S| x n stack of
-    their value vectors (rows), built once at construction."""
+    """Characters of one algebra, stacked once at construction: `matrix` is
+    the read-only |S| x n array of their value vectors (rows) and
+    `residuals` the read-only vector of their multiplicativity residuals.
+    The set keeps no Character; indexing and iteration yield Character
+    views of the matrix rows."""
 
     algebra: Algebra
-    characters: list[Character]
+    characters: InitVar[Sequence[Character]]
     # "numerical" or "closed_form"; no library code reads it, and it stays
     # because perfbench/workloads.py passes it
     provenance: str = "numerical"
     matrix: np.ndarray = field(init=False, repr=False)
+    residuals: np.ndarray = field(init=False, repr=False)
     _rank: int | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        if any(ch.algebra is not self.algebra for ch in self.characters):
+    def __post_init__(self, characters):
+        if any(ch.algebra is not self.algebra for ch in characters):
             raise SpectraError("character belongs to a different algebra")
-        V = np.array([ch.values for ch in self.characters], dtype=complex)
-        V = self.matrix = _readonly(V.reshape(len(self.characters), self.algebra.dim))
+        V = np.array([ch.values for ch in characters], dtype=complex)
+        V = self.matrix = _readonly(V.reshape(len(characters), self.algebra.dim))
+        self.residuals = _readonly(np.array([ch.residual for ch in characters], dtype=float))
         # sup-norm distance of every pair at once, a character never to itself
         dist = np.abs(V[:, None, :] - V[None, :, :]).max(axis=2, initial=0.0)
         np.fill_diagonal(dist, np.inf)
@@ -73,13 +83,13 @@ class CharacterSet:
             raise SpectraError("character set has (near-)duplicate entries")
 
     def __len__(self):
-        return len(self.characters)
+        return len(self.matrix)
 
-    def __iter__(self):
-        return iter(self.characters)
+    def __iter__(self) -> Iterator[Character]:
+        return (self[i] for i in range(len(self)))
 
-    def __getitem__(self, i) -> Character:
-        return self.characters[i]
+    def __getitem__(self, i: int) -> Character:
+        return Character(self.algebra, self.matrix[i], float(self.residuals[i]))
 
     def rank(self) -> int:
         """Rank of the character matrix, decided once and kept."""

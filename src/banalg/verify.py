@@ -48,7 +48,6 @@ from .errors import BanalgError, SpanConditionError
 from .fixtures import FAMILIES, Fixture, build_fixture, fixture_rng
 from .jsonio import render_json
 from .multipliers import (
-    MultiplierBasis,
     block_space,
     blocks_from_vector,
     decompose_left_multiplier,
@@ -214,7 +213,7 @@ def _bse_verdict_check(records, fix: Fixture, verdict: BseVerdict, tol: float):
 
 
 def _bse_property_check(records, fix: Fixture, cfg: RunConfig, S: CharacterSet,
-                        mult: MultiplierBasis | None = None):
+                        mult: np.ndarray | None = None):
     """The check-bse record of the fixture's own algebra, judged on S; the BSE
     property is defined only for algebras without order, so one with order
     gets a SKIP."""
@@ -243,24 +242,24 @@ def _character_checks(records, fix: Fixture, cfg: RunConfig,
          float(card_gap) + disjoint_res, cfg.tol_algebraic)
 
 
-def _block_checks(records, fix: Fixture, cfg: RunConfig, mult: MultiplierBasis,
+def _block_checks(records, fix: Fixture, cfg: RunConfig, mult: np.ndarray,
                   sdc: SemidirectCharacters):
     desc = fix.descriptor
     lm = left_multiplier_space(fix.algebra)
-    dec = decompose_left_multiplier(lm.stack, desc, cfg.tol_algebraic)
+    dec = decompose_left_multiplier(lm, desc, cfg.tol_algebraic)
     _rec(records, f"{fix.name}/lemma-decompose", "lemma21",
          max(dec.max_relation_residual, dec.max_membership_residual),
-         cfg.tol_algebraic, detail=f"dim LM = {lm.dim}")
+         cfg.tol_algebraic, detail=f"dim LM = {len(lm)}")
     bs = block_space(desc)
-    dim_gap = abs(bs.shape[0] - lm.dim)
+    dim_gap = abs(bs.shape[0] - len(lm))
     _rec(records, f"{fix.name}/lemma-block-dim", "lemma21", float(dim_gap), 0.0,
-         detail=f"block space {bs.shape[0]} vs LM {lm.dim}")
+         detail=f"block space {bs.shape[0]} vs LM {len(lm)}")
     worst_rec = recompose(blocks_from_vector(bs, desc))[1]
     _rec(records, f"{fix.name}/lemma-recompose", "lemma21", worst_rec,
          cfg.tol_algebraic)
     # multipliers of the product split with S_B = 0 under the full span condition
     if sdc.spans_full_ideal:
-        dec = decompose_left_multiplier(mult.stack, desc, cfg.tol_algebraic)
+        dec = decompose_left_multiplier(mult, desc, cfg.tol_algebraic)
         worst_sb = float(np.max(np.abs(dec.S_B), initial=0.0))
         _rec(records, f"{fix.name}/multiplier-sb-zero", "sub", worst_sb,
              cfg.tol_algebraic)
@@ -378,7 +377,7 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
 
 def _plain_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator):
     S = characters_numerical(fix.algebra, cfg.tol_algebraic)
-    worst = float(np.max([ch.residual for ch in S], initial=0.0))
+    worst = float(np.max(S.residuals, initial=0.0))
     _rec(records, f"{fix.name}/characters-residual", "plumbing", worst,
          cfg.tol_algebraic, detail=f"{len(S)} characters")
     if fix.family == "group":

@@ -59,10 +59,10 @@ def dual_norm(f, algebra):
 
 
 def span_contains(space, T, tol=1e-8):
-    """Whether T lies in the span of a multiplier basis (Frobenius projection residual)."""
-    if not space.dim:
+    """Whether T lies in the span of a multiplier stack (Frobenius projection residual)."""
+    if not len(space):
         return float(np.linalg.norm(T)) <= tol
-    flat = space.stack.reshape(space.dim, -1)
+    flat = space.reshape(len(space), -1)
     t = np.asarray(T, dtype=complex).reshape(-1)
     proj = flat.conj() @ t  # orthonormal rows
     resid = t - flat.T @ proj

@@ -154,18 +154,18 @@ def test_residual_contractions_against_pairwise_oracle():
 def test_left_multiplier_dims_against_oracle(c2, z2, zero_product2):
     for alg, expected in ((c2, 2), (z2, 2), (zero_product2, 4)):
         space = left_multiplier_space(alg)
-        assert space.dim == expected
+        assert len(space) == expected
         oracle = naive_left_multiplier_nullspace(alg)
         assert oracle.shape[0] == expected
-        for T in space.stack:
+        for T in space:
             assert left_multiplier_residual(alg, T) <= 1e-12
     for alg in [c2, z2, zero_product2] + [d.algebra for d in product_fixtures()]:
         space = multiplier_space(alg)
         oracle = naive_multiplier_nullspace(alg)
-        assert space.dim == oracle.shape[0]
+        assert len(space) == oracle.shape[0]
         for row in oracle:  # same span, not only the same dimension
             assert span_contains(space, row.reshape(alg.dim, alg.dim), tol=1e-9)
-        for T in space.stack:
+        for T in space:
             assert multiplier_residual(alg, T) <= 1e-12
 
 
@@ -224,7 +224,7 @@ def test_multiplier_space_memory_peak(space):
     alg = finite_abelian_group_algebra([4, 4])
     tracemalloc.start()
     try:
-        dim = space(alg).dim
+        dim = len(space(alg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -233,21 +233,21 @@ def test_multiplier_space_memory_peak(space):
 
 
 def test_left_multipliers_of_pointwise_are_diagonal(c2):
-    for T in left_multiplier_space(c2).stack:
+    for T in left_multiplier_space(c2):
         assert abs(T[0, 1]) < 1e-12 and abs(T[1, 0]) < 1e-12
 
 
 def test_multiplier_space_unital_bijection(c2, z2z2):
     for alg in (c2, z2z2):
         space = multiplier_space(alg)
-        assert space.dim == alg.dim
+        assert len(space) == alg.dim
         for i in range(alg.dim):
             L = left_mult_matrix(alg, basis_element(alg, i))
             assert span_contains(space, L, tol=1e-9)
 
 
 def test_multiplier_space_zero_product(zero_product2):
-    assert multiplier_space(zero_product2).dim == 4
+    assert len(multiplier_space(zero_product2)) == 4
 
 
 def test_module_hom_pointwise_fixture_sb():
@@ -292,7 +292,7 @@ def test_decompose_rejects_non_multiplier(sd_pointwise):
 
 def test_recompose_roundtrip(sd_pointwise):
     desc = sd_pointwise
-    for T in left_multiplier_space(desc.algebra).stack:
+    for T in left_multiplier_space(desc.algebra):
         dec = decompose_left_multiplier(T, desc)
         back, _ = recompose(dec)
         assert np.allclose(back, T, atol=1e-12)
@@ -311,7 +311,7 @@ def test_block_space_dimension_matches(sd_pointwise):
     desc = sd_pointwise
     lm = left_multiplier_space(desc.algebra)
     bs = block_space(desc)
-    assert bs.shape[0] == lm.dim == 2
+    assert bs.shape[0] == len(lm) == 2
     for vec in bs:
         blocks = blocks_from_vector(vec, desc)
         T, _ = recompose(blocks)
@@ -322,8 +322,8 @@ def test_block_space_on_lau_descriptor():
     desc = lau_c_c2()
     lm = left_multiplier_space(desc.algebra)
     bs = block_space(desc)
-    assert bs.shape[0] == lm.dim
-    for T in lm.stack:
+    assert bs.shape[0] == len(lm)
+    for T in lm:
         dec = decompose_left_multiplier(T, desc)
         assert dec.max_relation_residual <= 1e-10
 
@@ -360,8 +360,8 @@ def test_hat_against_loop_oracle(c2, z3, z2z2):
         S = characters_numerical(alg)
         space = multiplier_space(alg)
         for _ in range(3):
-            co = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-            T = sum(c * B for c, B in zip(co, space.stack))
+            co = rng.standard_normal(len(space)) + 1j * rng.standard_normal(len(space))
+            T = sum(c * B for c, B in zip(co, space))
             expected = naive_hat(T, S)
             assert np.max(np.abs(hat(T, S) - expected)) <= 1e-12 * np.max(np.abs(expected))
             # a generic map is no multiplier: where its directions disagree
@@ -385,17 +385,17 @@ def test_noncommutative_left_vs_right_multipliers():
     c[0, 0, 0] = 1.0  # u u = u
     c[0, 1, 1] = 1.0  # u n = n
     alg = Algebra("noncomm", np.ones(2), c)
-    assert left_multiplier_space(alg).dim == 4
+    assert len(left_multiplier_space(alg)) == 4
 
 
 def test_hat_multiplicative_over_composition(z2z2):
     S = characters_numerical(z2z2)
     space = multiplier_space(z2z2)
     rng = np.random.default_rng(0)
-    co = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    co2 = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    S1 = sum(c * T for c, T in zip(co, space.stack))
-    S2 = sum(c * T for c, T in zip(co2, space.stack))
+    co = rng.standard_normal(len(space)) + 1j * rng.standard_normal(len(space))
+    co2 = rng.standard_normal(len(space)) + 1j * rng.standard_normal(len(space))
+    S1 = sum(c * T for c, T in zip(co, space))
+    S2 = sum(c * T for c, T in zip(co2, space))
     assert multiplier_residual(z2z2, S1) <= 1e-9
     lhs = hat(S1 @ S2, S)
     rhs = hat(S1, S) * hat(S2, S)
@@ -413,16 +413,16 @@ def test_stacked_checks_match_per_map(family, index):
     mult, lm = multiplier_space(alg), left_multiplier_space(alg)
     rng = np.random.default_rng(index)
     generic = rng.standard_normal((3, alg.dim, alg.dim)) + 0j
-    for stack in (mult.stack, lm.stack, generic):
+    for stack in (mult, lm, generic):
         for residual in (multiplier_residual, left_multiplier_residual):
             per_map = max(residual(alg, T) for T in stack)
             assert residual(alg, stack) == pytest.approx(per_map, rel=1e-14, abs=1e-14)
-    assert mult.stack.shape == (mult.dim, alg.dim, alg.dim)
-    assert np.max(np.abs(hat(mult.stack, S) - np.array([hat(T, S) for T in mult.stack]))) <= 1e-14
+    assert mult.shape == (len(mult), alg.dim, alg.dim)
+    assert np.max(np.abs(hat(mult, S) - np.array([hat(T, S) for T in mult]))) <= 1e-14
     if desc is None:
         return
-    stacked = decompose_left_multiplier(lm.stack, desc)
-    singles = [decompose_left_multiplier(T, desc) for T in lm.stack]
+    stacked = decompose_left_multiplier(lm, desc)
+    singles = [decompose_left_multiplier(T, desc) for T in lm]
     for name in ("T_B", "S_B", "S_I", "R_I"):
         assert np.array_equal(getattr(stacked, name),
                               np.array([getattr(d, name) for d in singles]))
@@ -449,19 +449,19 @@ def test_one_bad_map_refuses_the_stack():
     desc = lau_fixture(0, 0, 6).descriptor
     alg = desc.algebra
     lm = left_multiplier_space(alg)
-    bad = lm.stack.copy()
+    bad = lm.copy()
     bad[1] = np.random.default_rng(3).standard_normal((alg.dim, alg.dim))
     with pytest.raises(NotAMultiplierError):
         decompose_left_multiplier(bad[1], desc)
     with pytest.raises(NotAMultiplierError):
         decompose_left_multiplier(bad, desc)
-    decompose_left_multiplier(lm.stack, desc)
+    decompose_left_multiplier(lm, desc)
     S = characters_numerical(alg)
     with pytest.raises(UndefinedHatError):
         hat(bad[1], S)
     with pytest.raises(UndefinedHatError):
         hat(bad, S)
-    hat(lm.stack, S)
+    hat(lm, S)
     rows = np.array(block_space(desc))
     m = desc.subalgebra.dim
     rows[-1, m * m] += 1.0  # S_B(a b) = 0 fails for this row only

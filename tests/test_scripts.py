@@ -16,6 +16,9 @@ ROOT = Path(__file__).resolve().parent.parent
     ("solver_stress.py", ["--count", "5", "--seed", "1"]),
     ("ab_bench.py", ["--base", "{root}", "--change", "{root}", "--workload", "verify_small",
                      "--seed", "0", "--seconds", "0.2", "--pairs", "1"]),
+    # bse_dim16 builds its own CharacterSet and reads BseVerdict.characters
+    ("ab_bench.py", ["--base", "{root}", "--change", "{root}", "--workload", "bse_dim16",
+                     "--seed", "0", "--seconds", "0.2", "--pairs", "1"]),
 ])
 def test_script_runs(tmp_path, script, args):
     env = dict(os.environ)

@@ -1,9 +1,14 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from banalg.algebra import Algebra, rank_basis, validate
-from banalg.constructions import semidirect
+from banalg.bse import check_bse_property
+from banalg.constructions import finite_abelian_group_algebra, semidirect
 from banalg.errors import IllConditionedError, SpectraError
+from banalg.fixtures import _phase_twist
 from banalg.spectra import (
     SEPARATION,
     Character,
@@ -100,7 +105,7 @@ def test_character_set_rejects_a_character_of_another_algebra(c2, z2):
 def test_character_set_rank_is_stable(z2z2):
     S = characters_numerical(z2z2)
     assert S.rank() == S.rank() == 4
-    partial = CharacterSet(z2z2, S.characters[:2])
+    partial = CharacterSet(z2z2, list(S)[:2])
     assert partial.rank() == partial.rank() == 2
 
 
@@ -331,3 +336,25 @@ def test_unital_nonsemisimple_truncated_polynomials():
     assert len(S) == 1
     assert np.allclose(S[0].values, [1.0, 0.0, 0.0], atol=1e-9)
     assert not is_semisimple(alg)
+
+
+def test_character_set_holds_each_character_once():
+    # the set is its value matrix: a Character is a view of a matrix row, and
+    # a BSE verdict keeps the set's arrays and little else
+    S = characters_numerical(finite_abelian_group_algebra([4, 4]))
+    assert len(S) == 16
+    assert all(np.shares_memory(ch.values, S.matrix) for ch in S)
+    assert not S.matrix.flags.writeable and not S.residuals.flags.writeable
+    rng = np.random.default_rng(0)
+    check_bse_property(_phase_twist(rng, finite_abelian_group_algebra([4, 4]))[0])  # warm-up
+    alg, _ = _phase_twist(rng, finite_abelian_group_algebra([4, 4]))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verdict = check_bse_property(alg)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert verdict.is_bse and len(verdict.characters) == 16
+    assert retained <= 2 * verdict.characters.matrix.nbytes

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 from pathlib import Path
@@ -6,22 +7,24 @@ import numpy as np
 import pytest
 
 from banalg.algebra import LinearMap, operator_norm, validate
-from banalg.bse import SemisimplicityWarning
+from banalg.bse import SemisimplicityWarning, sigma_extension, split_sigma, verify_product_bse
 from banalg.constructions import (
     direct_sum,
     finite_abelian_group_algebra,
     ideal_span_is_full,
     lau_product,
+    phi_isomorphism,
 )
 from banalg.fixtures import FAMILIES, Fixture, build_fixture, fixture_generators, fixture_rng
 from banalg import verify
-from banalg.errors import IllConditionedError
-from banalg.multipliers import MultiplierBasis
+from banalg.errors import BanalgError, IllConditionedError
+from banalg.multipliers import block_space, decompose_left_multiplier, left_multiplier_space
 from banalg.spectra import (
     Character,
     CharacterSet,
     characters_numerical,
     characters_semidirect,
+    psi_of,
 )
 from banalg.verify import (
     THEOREMS,
@@ -164,6 +167,35 @@ def test_zoo_bundles_skip_for_a_reason():
         }, desc.algebra.name
 
 
+def _descriptor_calls(desc):
+    """The public functions that take a descriptor (or the characters built
+    on one), each called on `desc` with inputs of the right shape."""
+    def sdc():
+        return characters_semidirect(desc)
+
+    return {
+        "phi_isomorphism": lambda: phi_isomorphism(desc),
+        "characters_semidirect": sdc,
+        "psi_of": lambda: psi_of(characters_numerical(desc.ideal).matrix, desc),
+        "decompose_left_multiplier": lambda: decompose_left_multiplier(
+            left_multiplier_space(desc.algebra), desc),
+        "block_space": lambda: block_space(desc),
+        "verify_product_bse": lambda: verify_product_bse(desc),
+        "split_sigma": lambda: split_sigma(np.ones(len(sdc().set)), sdc()),
+        "sigma_extension": lambda: sigma_extension(
+            np.ones(len(sdc().subalgebra_chars)), sdc()),
+    }
+
+
+@pytest.mark.filterwarnings("ignore::banalg.bse.SemisimplicityWarning")
+@pytest.mark.parametrize("desc", _zoo_bundles(), ids=lambda desc: desc.algebra.name)
+def test_descriptor_functions_return_or_refuse_on_zoo_bundles(desc):
+    # unsupported input fails with a typed BanalgError; any other exception fails
+    for call in _descriptor_calls(desc).values():
+        with contextlib.suppress(BanalgError):
+            call()
+
+
 @pytest.mark.parametrize("make", [nil2, lambda: zero_product(2), x_truncated4])
 def test_plain_algebra_without_characters_skips_for_a_reason(make):
     # Delta is empty, so every BSE statement is vacuous, and a nilpotent
@@ -219,8 +251,7 @@ def _multiplier_space_one_map_short(monkeypatch):
     from banalg import bse
 
     original = bse.multiplier_space
-    monkeypatch.setattr(bse, "multiplier_space", lambda alg: MultiplierBasis(
-        alg, "M", original(alg).stack[:-1]))
+    monkeypatch.setattr(bse, "multiplier_space", lambda alg: original(alg)[:-1])
 
 
 @pytest.mark.parametrize("family, record, patch", [
@@ -539,12 +570,13 @@ def test_direct_sum_bundle_is_its_own_direct_sum(monkeypatch):
     # Phi is the identity on a direct sum, so the product-BSE pass reads the
     # bundle's own multiplier space and closed-form set for A (+) B: one of
     # each call for each of A, B and the sum, where a second pair on the sum
-    # made 4
-    calls = _count_calls(monkeypatch, ("multiplier_space", "characters_numerical"))
+    # made 4; it computes no transport, so `hat` runs once per verdict (the
+    # transport added two)
+    calls = _count_calls(monkeypatch, ("multiplier_space", "characters_numerical", "hat"))
     desc = direct_sum(finite_abelian_group_algebra([3]), finite_abelian_group_algebra([2]))
     records = theorem_records(desc, None, RunConfig())
     assert all(r.verdict != "FAIL" for r in records)
-    assert calls == {"multiplier_space": 3, "characters_numerical": 3}
+    assert calls == {"multiplier_space": 3, "characters_numerical": 3, "hat": 3}
 
 
 def test_lau_fixture_ranks_phi_once(monkeypatch):
@@ -795,9 +827,8 @@ def test_characters_residual_record_can_fail(monkeypatch, family):
 
     def offset(*args):
         S = original(*args)
-        for ch in S:
-            ch.residual += 1e-8
-        return S
+        return CharacterSet(S.algebra, [Character(S.algebra, ch.values, ch.residual + 1e-8)
+                                        for ch in S], provenance=S.provenance)
 
     monkeypatch.setattr(verify, "characters_numerical", offset)
     records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
