@@ -8,8 +8,10 @@ benchmark files of each checkout measure that checkout.
 
 For every end-to-end metric declared in the base checkout's BENCHMARK.json it
 prints the median and quartiles of each side, the relative change of the
-medians and the pairs the change won (ties count for neither side).  The exit
-code is 1 when any run is not `correct: true` or prints no result, 0 otherwise.
+medians, the pairs the change won (ties count for neither side), the metric's
+declared bound and the acceptance rule's verdict (`verdict`): `gain`, `worse`
+or `-`.  The exit code is 1 when any run is not `correct: true` or prints no
+result, 0 otherwise, whatever the verdicts.
 
 Usage: python scripts/ab_bench.py --base DIR --change DIR --workload W
            --seed S --seconds T --pairs K
@@ -63,6 +65,27 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(pairs: list[tuple[float, float]], better: str, bound: float) -> str:
+    """The acceptance rule on one metric's (base, change) pairs.
+
+    `worse`: the change's median is worse than the base's by more than
+    `bound`, relative to the base's median.  `gain`: at least 10 pairs, at
+    least 9 in 10 of them won by the change (ties count for neither side), and
+    medians that differ by more than the base's interquartile range in the
+    better direction.  `-` otherwise.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    q1, base_median, q3 = quartiles([b for b, _ in pairs])
+    change_median = quartiles([c for _, c in pairs])[1]
+    if sign * (base_median - change_median) > bound * abs(base_median):
+        return "worse"
+    wins = sum(sign * (c - b) > 0 for b, c in pairs)
+    if (len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+            and sign * (change_median - base_median) > q3 - q1):
+        return "gain"
+    return "-"
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     roots = {"base": os.path.abspath(args.base), "change": os.path.abspath(args.change)}
@@ -86,7 +109,7 @@ def main(argv=None) -> int:
     print(f"workload {args.workload} seed {args.seed} seconds {args.seconds} "
           f"pairs {args.pairs}")
     print(f"{'metric':<12} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} "
-          f"{'change':>9} {'wins':>6}")
+          f"{'change':>9} {'wins':>6} {'bound':>6} {'verdict':>7}")
     for m in declared:
         name, sign = m["name"], 1.0 if m["better"] == "higher" else -1.0
         pairs = [(b[name], c[name]) for b, c in zip(runs["base"], runs["change"])
@@ -99,7 +122,8 @@ def main(argv=None) -> int:
         rel = (stats[1][1] / stats[0][1] - 1.0) * 100.0
         wins = sum(sign * (c - b) > 0 for b, c in pairs)
         print(f"{name:<12} {cols[0]:>30} {cols[1]:>30} {rel:+8.2f}% "
-              f"{wins:>3}/{len(pairs)}")
+              f"{wins:>3}/{len(pairs)} {m['bound']:>6g} "
+              f"{verdict(pairs, m['better'], m['bound']):>7}")
     if not all_correct:
         print("a run was not correct: true")
     return 0 if all_correct else 1

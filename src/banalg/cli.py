@@ -25,6 +25,7 @@ from .fixtures import FAMILIES
 from .jsonio import (
     actions_from_dict,
     algebra_from_dict,
+    algebra_to_dict,
     bundle_from_dict,
     bundle_to_dict,
     complex_pair,
@@ -59,13 +60,17 @@ def _emit(doc, out: str | None):
         sys.stdout.write(text)
 
 
+def orders(text: str) -> list[int]:
+    """argparse type of --orders: a comma list of positive integers."""
+    parsed = [int(o) for o in text.split(",")]
+    if min(parsed) < 1:
+        raise ValueError(text)  # argparse reports it as an invalid --orders value
+    return parsed
+
+
 def _cmd_build(args) -> int:
     if args.what == "group":
-        orders = [int(o) for o in args.orders.split(",") if o.strip()]
-        alg = finite_abelian_group_algebra(orders)
-        from .jsonio import algebra_to_dict
-
-        _emit(algebra_to_dict(alg), args.output)
+        _emit(algebra_to_dict(finite_abelian_group_algebra(args.orders)), args.output)
         return 0
     if args.what == "semidirect":
         B = algebra_from_dict(load_json(args.b), where=args.b)
@@ -115,6 +120,8 @@ def _cmd_multipliers(args) -> int:
     }
     if args.blocks:
         bundle = bundle_from_dict(load_json(args.blocks), where=args.blocks)
+        if bundle.algebra.dim != algebra.dim:
+            raise SchemaError([f"{args.blocks}: dim {bundle.algebra.dim}, not {algebra.dim}"])
         blocks = []
         for T in space:
             dec = decompose_left_multiplier(T, bundle, args.tol)
@@ -227,7 +234,7 @@ def make_parser() -> argparse.ArgumentParser:
     b_lau.add_argument("-o", "--output", default=None)
     b_gr = bsub.add_parser("group", parents=[common],
                            help="convolution algebra of a finite abelian group")
-    b_gr.add_argument("--orders", required=True, help="comma list, e.g. 2,2")
+    b_gr.add_argument("--orders", required=True, type=orders, help="comma list, e.g. 2,2")
     b_gr.add_argument("-o", "--output", default=None)
 
     c = sub.add_parser("characters", help="character space of an algebra",

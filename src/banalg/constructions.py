@@ -222,39 +222,30 @@ def phi_isomorphism(lau: ProductDescriptor, tol: float = DEFAULT_TOL) -> PhiIsom
 def finite_abelian_group_algebra(orders: list[int], name: str | None = None) -> Algebra:
     """Convolution algebra l1(H) for H = Z_{orders[0]} x ... : delta_g * delta_h = delta_{g+h}.
 
-    Unital (delta_0), commutative, semisimple; all weights 1.
+    Element i is np.unravel_index(i, orders), so delta_0 = e_0 is the unit.
+    Commutative, semisimple; all weights 1.
     """
     if not orders or any(o < 1 for o in orders):
         raise ValueError("orders must be a nonempty list of positive integers")
     dims = tuple(orders)
     n = int(np.prod(dims))
-    index = {g: i for i, g in enumerate(np.ndindex(*dims))}
+    g = np.unravel_index(np.arange(n), dims)
+    k = np.ravel_multi_index(tuple(np.add.outer(x, x) % o for x, o in zip(g, dims)), dims)
     c = np.zeros((n, n, n), dtype=complex)
-    for g, i in index.items():
-        for h, j in index.items():
-            s = tuple((gg + hh) % o for gg, hh, o in zip(g, h, dims))
-            c[i, j, index[s]] = 1.0
-    unit = np.zeros(n, dtype=complex)
-    unit[index[tuple(0 for _ in dims)]] = 1.0
+    c[np.arange(n)[:, None], np.arange(n), k] = 1.0
     return Algebra(
         name=name or "l1(Z" + "xZ".join(str(o) for o in orders) + ")",
         weights=np.ones(n),
         structure=c,
-        unit=unit,
+        unit=np.eye(1, n, dtype=complex)[0],  # delta_0
     )
 
 
 def group_character_values(orders: list[int]) -> np.ndarray:
     """Closed-form character table of l1(H): rows chi_t, chi_t(delta_g) = prod exp(2pi i t.g/o)."""
     dims = tuple(orders)
-    n = int(np.prod(dims))
-    gs = list(np.ndindex(*dims))
-    table = np.zeros((n, n), dtype=complex)
-    for r, t in enumerate(gs):
-        for s, g in enumerate(gs):
-            phase = sum(tt * gg / o for tt, gg, o in zip(t, g, dims))
-            table[r, s] = np.exp(2j * np.pi * phase)
-    return table
+    g = np.unravel_index(np.arange(int(np.prod(dims))), dims)
+    return np.exp(2j * np.pi * sum(np.outer(x, x) / o for x, o in zip(g, dims)))
 
 
 def ideal_span_rank(desc: ProductDescriptor) -> int:

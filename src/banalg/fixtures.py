@@ -48,16 +48,20 @@ def _phases(rng: np.random.Generator, k: int) -> np.ndarray:
     return np.exp(2j * np.pi * rng.random(k))
 
 
+def _diagonal(s: np.ndarray) -> np.ndarray:
+    """Structure tensor of the pointwise product e_i e_i = s_i e_i."""
+    n = len(s)
+    c = np.zeros((n, n, n), dtype=complex)
+    c[np.arange(n), np.arange(n), np.arange(n)] = s
+    return c
+
+
 def scaled_diagonal_algebra(rng: np.random.Generator, n: int,
                             name: str = "diag") -> Algebra:
     """e_i e_i = s_i e_i with |s_i| <= w_i; semisimple with unit sum(e_i / s_i)."""
     w = rng.uniform(1.0, 2.5, n)
     s = rng.uniform(0.5, w) * _phases(rng, n)
-    c = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        c[i, i, i] = s[i]
-    unit = 1.0 / s
-    return Algebra(name, w, c, unit=unit)
+    return Algebra(name, w, _diagonal(s), unit=1.0 / s)
 
 
 def diag_fixture(seed: int, index: int, max_dim: int = 6) -> Fixture:
@@ -114,20 +118,13 @@ def semidirect_fixture(seed: int, index: int, max_dim: int = 3,
     if not full_span and p > 0:
         selector[int(rng.integers(0, p))] = -1  # no action on this ideal direction
 
-    cB = np.zeros((m, m, m), dtype=complex)
-    for l in range(m):
-        cB[l, l, l] = tB[l]
-    cI = np.zeros((p, p, p), dtype=complex)
-    for k in range(p):
-        cI[k, k, k] = sI[k]
     act_bi = np.zeros((m, p, p), dtype=complex)
     act_ib = np.zeros((p, m, p), dtype=complex)
-    for k, l in enumerate(selector):
-        if l >= 0:
-            act_bi[l, k, k] = tB[l]
-            act_ib[k, l, k] = tB[l]
-    B = Algebra(f"B{m}#{index}", wB, cB, unit=1.0 / tB)
-    I = Algebra(f"I{p}#{index}", wI, cI, unit=1.0 / sI)
+    k = np.flatnonzero(np.array(selector) >= 0)
+    l = np.array(selector)[k]
+    act_bi[l, k, k] = act_ib[k, l, k] = tB[l]
+    B = Algebra(f"B{m}#{index}", wB, _diagonal(tB), unit=1.0 / tB)
+    I = Algebra(f"I{p}#{index}", wI, _diagonal(sI), unit=1.0 / sI)
     desc = semidirect(B, I, act_bi, act_ib, name=f"sd{m}+{p}#{index}")
     return Fixture(
         "semidirect", f"semidirect/{index:03d}", desc.algebra, desc,
@@ -159,14 +156,8 @@ def lau_fixture(seed: int, index: int, max_dim: int = 3,
         alpha[k, l] = tB[l] / sA[k]
     if not surjective and nA > 0:
         alpha[int(rng.integers(0, nA)), :] = 0.0
-    cA = np.zeros((nA, nA, nA), dtype=complex)
-    for k in range(nA):
-        cA[k, k, k] = sA[k]
-    cB = np.zeros((nB, nB, nB), dtype=complex)
-    for l in range(nB):
-        cB[l, l, l] = tB[l]
-    A = Algebra(f"A{nA}#{index}", wA, cA, unit=1.0 / sA)
-    B = Algebra(f"B{nB}#{index}", wB, cB, unit=1.0 / tB)
+    A = Algebra(f"A{nA}#{index}", wA, _diagonal(sA), unit=1.0 / sA)
+    B = Algebra(f"B{nB}#{index}", wB, _diagonal(tB), unit=1.0 / tB)
     phi = LinearMap(B, A, alpha)
     desc = lau_product(A, B, phi, name=f"lau{nA}x{nB}#{index}")
     return Fixture(

@@ -267,6 +267,29 @@ def test_bse_norm_malformed_sigma_exit_2(algebra_file, tmp_path, capsys):
     assert "values[0]" in err
 
 
+@pytest.mark.parametrize("orders", ["2,x", "0"], ids=["not-an-integer", "zero"])
+def test_build_group_bad_orders_exit_2(tmp_path, capsys, orders):
+    # --orders takes only a comma list of positive integers; argparse refuses
+    # anything else with exit 2 and a usage message, never a traceback
+    out = tmp_path / "g.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "group", "--orders", orders, "-o", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --orders: invalid orders value: '{orders}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_multipliers_blocks_of_another_dimension_exit_2(algebra_file, tmp_path, capsys):
+    # the bundle's product (C x_phi C^2, dim 3) cannot split maps on C^2
+    bundle = tmp_path / "lau.json"
+    write_json(str(bundle), bundle_to_dict(lau_c_c2()))
+    code, stdout, err = run_cli(capsys, "multipliers", algebra_file, "--blocks", str(bundle))
+    assert code == 2 and stdout == ""
+    assert err == f"error: {bundle}: dim 3, not 2\n"
+
+
 VERIFY_SMALL = ("--families", "diag", "--count", "1", "--max-dim", "2", "--format", "json")
 
 

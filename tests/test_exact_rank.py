@@ -139,9 +139,11 @@ def zero_product(n):
 
 
 CASES = [
-    # unital, so M(A) = LM(A) = {L_a}, of dimension |G|
+    # unital, so M(A) = LM(A) = {L_a}, of dimension |G|; the three of order
+    # 16 are the untwisted bse_dim16 algebras
     *(pytest.param(finite_abelian_group_algebra(orders), n, n, id=f"l1Z{orders}")
-      for orders, n in (([2, 2], 4), ([3, 2], 6), ([2, 2, 2], 8), ([3, 3], 9), ([2, 4], 8))),
+      for orders, n in (([2, 2], 4), ([3, 2], 6), ([2, 2, 2], 8), ([3, 3], 9), ([2, 4], 8),
+                        ([16], 16), ([4, 4], 16), ([2, 2, 2, 2], 16))),
     pytest.param(zero_product(3), 9, 9, id="zero-product"),
     # B (+) X with x1 unacted: an algebra with order
     pytest.param(module_extension_semidirect().algebra, 7, 4, id="module-extension"),
@@ -158,7 +160,7 @@ def test_multiplier_dimensions_match_exact_nullity(alg, dim_m, dim_lm):
 
 
 # |G| characters on l1(G), none on the zero product, C^2's two on B (+) X
-CHARACTER_COUNTS = (4, 6, 8, 9, 8, 0, 2)
+CHARACTER_COUNTS = (4, 6, 8, 9, 8, 16, 16, 16, 0, 2)
 
 
 @pytest.mark.parametrize("alg, count", [
@@ -172,7 +174,7 @@ def test_character_count_matches_exact_trace_rank(alg, count):
 
 # unital group algebras annihilate nothing; the zero product annihilates all
 # of C^3, and B (+) X annihilates the unacted direction x1
-ANNIHILATOR_DIMS = (0, 0, 0, 0, 0, 3, 1)
+ANNIHILATOR_DIMS = (0, 0, 0, 0, 0, 0, 0, 0, 3, 1)
 
 
 @pytest.mark.parametrize("alg, dim", [

@@ -1,5 +1,6 @@
 """Smoke tests: the scripts under scripts/ run against the library as it is."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -28,3 +29,35 @@ def test_script_runs(tmp_path, script, args):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def load_script(name):
+    """A script under scripts/ as a module, without running its main."""
+    spec = importlib.util.spec_from_file_location(Path(name).stem, ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BASE = [10.0 + 0.1 * k for k in range(10)]  # median 10.45, interquartile range 0.45
+
+
+@pytest.mark.parametrize("pairs, better, expected", [
+    pytest.param(list(zip(BASE, [b + 1 for b in BASE])), "higher", "gain", id="gain-higher"),
+    pytest.param(list(zip(BASE, [b - 1 for b in BASE])), "lower", "gain", id="gain-lower"),
+    # nine pairs are too few, however clear
+    pytest.param(list(zip(BASE[:9], [b + 1 for b in BASE[:9]])), "higher", "-", id="9-pairs"),
+    # 9 wins and a tie is 9 in 10; 8 wins and two ties is not
+    pytest.param(list(zip(BASE, [b + 1 for b in BASE[:9]] + [BASE[9]])), "higher", "gain",
+                 id="9-wins-1-tie"),
+    pytest.param(list(zip(BASE, [b + 1 for b in BASE[:8]] + BASE[8:])), "higher", "-",
+                 id="8-wins-2-ties"),
+    # every pair won, but the medians differ by less than the base's spread
+    pytest.param(list(zip(BASE, [b + 0.4 for b in BASE])), "higher", "-", id="inside-iqr"),
+    # lower is better, bound 0.25 of the base median 10.45
+    pytest.param(list(zip(BASE, [b * 1.26 for b in BASE])), "lower", "worse", id="worse-lower"),
+    pytest.param(list(zip(BASE, [b * 1.24 for b in BASE])), "lower", "-", id="inside-bound"),
+    pytest.param(list(zip(BASE, [b * 0.74 for b in BASE])), "higher", "worse", id="worse-higher"),
+])
+def test_ab_bench_verdict_is_the_acceptance_rule(pairs, better, expected):
+    assert load_script("ab_bench.py").verdict(pairs, better, 0.25) == expected
