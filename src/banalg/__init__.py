@@ -37,7 +37,7 @@ from .multipliers import (
     hat,
     left_multiplier_space,
     multiplier_space,
-    recompose,
+    split_blocks,
 )
 from .bse import (
     BSEFunction,
@@ -76,7 +76,7 @@ __all__ = [
     "hat",
     "left_multiplier_space",
     "multiplier_space",
-    "recompose",
+    "split_blocks",
     "BSEFunction",
     "bse_norm_dual",
     "bse_norm_primal",

@@ -109,7 +109,7 @@ def _check_charset(values: np.ndarray, S: CharacterSet, algebra: Algebra) -> np.
         raise EmptyCharacterSetError("no characters to interpolate on")
     if S.algebra is not algebra:
         raise ValueError("character set does not belong to the algebra")
-    rank = S.rank()
+    rank = S.rank
     if rank < len(S):
         raise RankDeficientCharactersError(
             "character matrix is rank-deficient; the input set is inconsistent"
@@ -246,7 +246,7 @@ def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
 
 
 def _require_surjective(chars: SemidirectCharacters):
-    if not chars.surjective():
+    if not chars.surjective:
         raise PhiNotSurjectiveError(
             "phi does not have dense range; composed characters are not in Delta(B)"
         )

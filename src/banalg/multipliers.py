@@ -17,22 +17,24 @@ of the first structure index i at a time, so the whole system is never
 built.  The block machinery realizes the four-block form (T_B, S_B, S_I,
 R_I) of a left multiplier on a subalgebra(+)ideal product and the linear
 relations tying the blocks together, whose eight groups reach the kernel
-as eight row blocks.  It reads the product's four structure blocks from
-`ProductDescriptor.block_tensors`, so the block layout of each product
-kind is known to the descriptor alone.
+as eight row blocks over vec(T), each block operator written into the
+columns of the entries of T its block occupies.  It reads the product's
+four structure blocks from `ProductDescriptor.block_tensors`, so the block
+layout of each product kind is known to the descriptor alone.
 
-A space is its stack: `multiplier_space` and `left_multiplier_space`
-return the read-only (dim, n, n) array of its basis maps, whose length is
-the dimension.  The residuals, the block (de)composition and `hat` take one
-map or a stack of maps along leading axes, so a check over a whole space is
-one contraction: a residual is the worst over the stack, and a refusal is
-raised when any map fails.  `recompose` refuses nothing: it returns its
-worst residual, and the caller judges it.
+A space is its stack: `multiplier_space`, `left_multiplier_space` and
+`block_space` return the read-only (dim, n, n) array of its basis maps,
+whose length is the dimension.  The residuals, the block split and `hat`
+take one map or a stack of maps along leading axes, so a check over a whole
+space is one contraction: a residual is the worst over the stack, and a
+refusal is raised when any map fails.  `split_blocks` refuses nothing: it
+returns the blocks with their residuals, and the caller judges them;
+`decompose_left_multiplier` first refuses a map outside LM(A).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,20 +145,20 @@ def _constraint_blocks(algebra: Algebra, constraints: Constraints) -> Iterator[n
         yield constraints(c, slice(i0, i0 + SLAB_I))
 
 
-def _space(algebra: Algebra, constraints: Constraints) -> np.ndarray:
-    rank, vh = rank_basis(_constraint_blocks(algebra, constraints))
-    n = algebra.dim
+def _space(rows: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """Null space of row blocks over vec(T), as the read-only (dim, n, n) stack."""
+    rank, vh = rank_basis(rows)
     return _readonly(np.asarray(vh[rank:].conj().reshape(-1, n, n), dtype=complex))
 
 
 def left_multiplier_space(algebra: Algebra) -> np.ndarray:
     """LM(A) as the read-only (dim, n, n) stack of a Frobenius-orthonormal basis."""
-    return _space(algebra, _left_constraints)
+    return _space(_constraint_blocks(algebra, _left_constraints), algebra.dim)
 
 
 def multiplier_space(algebra: Algebra) -> np.ndarray:
     """M(A) as the read-only (dim, n, n) stack of a Frobenius-orthonormal basis."""
-    return _space(algebra, _mult_constraints)
+    return _space(_constraint_blocks(algebra, _mult_constraints), algebra.dim)
 
 
 @dataclass(eq=False)
@@ -168,7 +170,6 @@ class BlockDecomposition:
     is the worst over the stack.
     """
 
-    descriptor: ProductDescriptor
     T_B: np.ndarray  # [..., m, m]
     S_B: np.ndarray  # [..., m, p]
     S_I: np.ndarray  # [..., p, m]
@@ -210,6 +211,14 @@ def _block_relation_residuals(desc: ProductDescriptor, T_B, S_B, S_I, R_I
     return relations, memberships
 
 
+def split_blocks(T: np.ndarray, desc: ProductDescriptor) -> BlockDecomposition:
+    """Split a map T on B (+) I, or a stack T[..., n, n] of maps, into its four
+    blocks with their relation and membership residuals; refuses nothing."""
+    bsl, isl = desc.subalgebra_slice, desc.ideal_slice
+    blocks = (T[..., bsl, bsl], T[..., bsl, isl], T[..., isl, bsl], T[..., isl, isl])
+    return BlockDecomposition(*blocks, *_block_relation_residuals(desc, *blocks))
+
+
 def decompose_left_multiplier(T: np.ndarray, desc: ProductDescriptor,
                               tol: float = DEFAULT_TOL) -> BlockDecomposition:
     """Split T in LM(B (+) I), or a stack T[..., n, n] of such maps, into its
@@ -223,47 +232,34 @@ def decompose_left_multiplier(T: np.ndarray, desc: ProductDescriptor,
         raise NotAMultiplierError(
             f"input is not a left multiplier (residual {res:.3e} > {tol:g})"
         )
-    bsl, isl = desc.subalgebra_slice, desc.ideal_slice
-    blocks = (mat[..., bsl, bsl], mat[..., bsl, isl], mat[..., isl, bsl], mat[..., isl, isl])
-    return BlockDecomposition(desc, *blocks, *_block_relation_residuals(desc, *blocks))
-
-
-def recompose(blocks: BlockDecomposition) -> tuple[np.ndarray, float]:
-    """Assemble the maps, stacked or not, of the blocks, and return them with
-    the worst of their left-multiplier residual in LM(B (+) I) and the
-    blocks' stored relation and membership residuals; the caller judges it."""
-    desc = blocks.descriptor
-    alg = desc.algebra
-    bsl, isl = desc.subalgebra_slice, desc.ideal_slice
-    T = np.zeros(blocks.T_B.shape[:-2] + (alg.dim, alg.dim), dtype=complex)
-    T[..., bsl, bsl] = blocks.T_B
-    T[..., bsl, isl] = blocks.S_B
-    T[..., isl, bsl] = blocks.S_I
-    T[..., isl, isl] = blocks.R_I
-    return T, max(left_multiplier_residual(alg, T), blocks.max_relation_residual,
-                  blocks.max_membership_residual)
+    return split_blocks(mat, desc)
 
 
 def block_space(desc: ProductDescriptor) -> np.ndarray:
-    """Null space of the joint block constraints (memberships + relations).
+    """Null space of the joint block constraints (memberships + relations), as
+    the read-only (dim, n, n) stack of a Frobenius-orthonormal basis.
 
-    Unknown vector stacks vec(T_B), vec(S_B), vec(S_I), vec(R_I); the rows
-    returned are an orthonormal basis, and the row count is the dimension of
-    the relation-constrained block space (which the key equivalence says
-    equals dim LM of the product).  The system is assembled from the block
-    sub-tensors alone, never from the LM constraints of the product, so the
-    dimension comparison in lemma21 stays a real check.
+    The unknown is vec(T) of the whole map: each relation's rows write each
+    block operator into the columns of the entries of T its block occupies.
+    The length of the stack is the dimension of the relation-constrained
+    block space, which the key equivalence says equals dim LM of the
+    product.  The system is assembled from the block sub-tensors alone,
+    never from the LM constraints of the product, so comparing the two
+    spaces in lemma21 stays a real check.
     """
-    m = desc.subalgebra.dim
-    p = desc.ideal.dim
+    n, m, p = desc.algebra.dim, desc.subalgebra.dim, desc.ideal.dim
+    bsl, isl = desc.subalgebra_slice, desc.ideal_slice
     cBB, cBI, cII, cIB = desc.block_tensors
+    entry = np.arange(n * n).reshape(n, n)  # entry[r, k] is the column of T[r, k]
+    columns = {"T_B": entry[bsl, bsl].ravel(), "S_B": entry[bsl, isl].ravel(),
+               "S_I": entry[isl, bsl].ravel(), "R_I": entry[isl, isl].ravel()}
 
-    def rows(T_B=None, S_B=None, S_I=None, R_I=None) -> np.ndarray:
+    def rows(**ops: np.ndarray) -> np.ndarray:
         """One relation's rows; each argument is that block's coefficient matrix."""
-        parts = ((T_B, m * m), (S_B, m * p), (S_I, p * m), (R_I, p * p))
-        height = next(x.shape[0] for x, _ in parts if x is not None)
-        return np.hstack([np.zeros((height, width)) if x is None else x
-                          for x, width in parts])
+        out = np.zeros((next(iter(ops.values())).shape[0], n * n), dtype=complex)
+        for block, op in ops.items():
+            out[:, columns[block]] = op
+        return out
 
     system = [
         # memberships, as in _block_relation_residuals
@@ -279,18 +275,7 @@ def block_space(desc: ProductDescriptor) -> np.ndarray:
         rows(S_B=_of_product_op(cII, m)),
         rows(S_B=_of_product_op(cIB, m)),
     ]
-    rank, vh = rank_basis(system)
-    return vh[rank:].conj()
-
-
-def blocks_from_vector(vec: np.ndarray, desc: ProductDescriptor) -> BlockDecomposition:
-    """Unpack a block_space row, or a stack of rows, into a BlockDecomposition
-    (residuals recomputed)."""
-    m, p = desc.subalgebra.dim, desc.ideal.dim
-    parts = np.split(vec, [m * m, m * m + m * p, m * m + 2 * m * p], axis=-1)
-    shapes = ((m, m), (m, p), (p, m), (p, p))
-    blocks = [x.reshape(vec.shape[:-1] + s) for x, s in zip(parts, shapes)]
-    return BlockDecomposition(desc, *blocks, *_block_relation_residuals(desc, *blocks))
+    return _space(system, n)
 
 
 def hat(T: np.ndarray, S: CharacterSet, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -68,7 +68,6 @@ class CharacterSet:
     provenance: str = "numerical"
     matrix: np.ndarray = field(init=False, repr=False)
     residuals: np.ndarray = field(init=False, repr=False)
-    _rank: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, characters):
         if any(ch.algebra is not self.algebra for ch in characters):
@@ -91,11 +90,10 @@ class CharacterSet:
     def __getitem__(self, i: int) -> Character:
         return Character(self.algebra, self.matrix[i], float(self.residuals[i]))
 
+    @functools.cached_property
     def rank(self) -> int:
         """Rank of the character matrix, decided once and kept."""
-        if self._rank is None:
-            self._rank = rank_basis(self.matrix)[0]
-        return self._rank
+        return rank_basis(self.matrix)[0]
 
 
 def multiplicativity_residual(algebra: Algebra, values: np.ndarray) -> np.ndarray:
@@ -286,7 +284,6 @@ class SemidirectCharacters:
     descriptor: ProductDescriptor
     psi_discrepancy: float
     cross_check_distance: float
-    _phi_rank: int | None = field(default=None, init=False, repr=False)
 
     @property
     def e_count(self) -> int:
@@ -297,6 +294,7 @@ class SemidirectCharacters:
         """Whether <IB> = I, decided once and kept."""
         return ideal_span_is_full(self.descriptor)
 
+    @functools.cached_property
     def surjective(self) -> bool:
         """Whether phi maps B onto A on a lau product or direct sum: every
         phi_A o phi is a character of B, and rank phi = dim A (decided once
@@ -304,8 +302,5 @@ class SemidirectCharacters:
         phi = self.descriptor.phi
         if phi is None:
             raise ConstructionError("surjectivity needs a lau product or direct sum")
-        if any(ix is None for ix in self.psi_index):
-            return False
-        if self._phi_rank is None:
-            self._phi_rank = rank_basis(phi.matrix)[0]
-        return self._phi_rank == self.descriptor.ideal.dim
+        return (all(ix is not None for ix in self.psi_index)
+                and rank_basis(phi.matrix)[0] == self.descriptor.ideal.dim)

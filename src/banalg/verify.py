@@ -49,11 +49,11 @@ from .fixtures import FAMILIES, Fixture, build_fixture, fixture_rng
 from .jsonio import render_json
 from .multipliers import (
     block_space,
-    blocks_from_vector,
     decompose_left_multiplier,
+    left_multiplier_residual,
     left_multiplier_space,
     multiplier_space,
-    recompose,
+    split_blocks,
 )
 from .spectra import (
     Character,
@@ -254,9 +254,10 @@ def _block_checks(records, fix: Fixture, cfg: RunConfig, mult: np.ndarray,
     dim_gap = abs(bs.shape[0] - len(lm))
     _rec(records, f"{fix.name}/lemma-block-dim", "lemma21", float(dim_gap), 0.0,
          detail=f"block space {bs.shape[0]} vs LM {len(lm)}")
-    worst_rec = recompose(blocks_from_vector(bs, desc))[1]
-    _rec(records, f"{fix.name}/lemma-recompose", "lemma21", worst_rec,
-         cfg.tol_algebraic)
+    split = split_blocks(bs, desc)
+    _rec(records, f"{fix.name}/lemma-recompose", "lemma21",
+         max(left_multiplier_residual(fix.algebra, bs), split.max_relation_residual,
+             split.max_membership_residual), cfg.tol_algebraic)
     # multipliers of the product split with S_B = 0 under the full span condition
     if sdc.spans_full_ideal:
         dec = decompose_left_multiplier(mult, desc, cfg.tol_algebraic)
@@ -316,7 +317,7 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
     mult = multiplier_space(fix.algebra)  # shared by the checks below
     _block_checks(records, fix, cfg, mult, sdc)
 
-    if sdc.surjective():
+    if sdc.surjective:
         # each sample draws sigma, then two (tau, rho) pairs; one call per check
         sizes = (len(sdc.set),) + (len(sdc.ideal_chars), len(sdc.subalgebra_chars)) * 2
         draws = [[_random_sigma(rng, k) for k in sizes] for _ in range(cfg.sigma_samples)]

@@ -30,12 +30,11 @@ from banalg.errors import SpanConditionError
 from banalg.fixtures import fixture_generators
 from banalg.multipliers import (
     block_space,
-    blocks_from_vector,
     decompose_left_multiplier,
     left_multiplier_residual,
     left_multiplier_space,
     multiplier_space,
-    recompose,
+    split_blocks,
 )
 from banalg.spectra import (
     Character,
@@ -85,10 +84,10 @@ def test_criterion_1_lemma_equivalence(semidirect_fixtures):
             worst_rel = max(worst_rel, dec.max_relation_residual,
                             dec.max_membership_residual)
         bs = block_space(desc)
-        dims_exact = dims_exact and bs.shape[0] == len(lm)
-        for vec in bs:
-            T, _ = recompose(blocks_from_vector(vec, desc))
-            worst_rec = max(worst_rec, left_multiplier_residual(fix.algebra, T))
+        dims_exact = dims_exact and bs.shape == lm.shape
+        split = split_blocks(bs, desc)
+        worst_rec = max(worst_rec, left_multiplier_residual(fix.algebra, bs),
+                        split.max_relation_residual, split.max_membership_residual)
     ok = worst_rel <= 1e-9 and worst_rec <= 1e-9 and dims_exact
     _announce(1, ok,
               f"block decomposition over {len(semidirect_fixtures)} products: "

@@ -343,7 +343,7 @@ def test_semidirect_characters_have_no_surjectivity():
     # surjectivity is a property of phi, and a semidirect descriptor has none
     sdc = characters_semidirect(pointwise_semidirect())
     with pytest.raises(ConstructionError):
-        sdc.surjective()
+        sdc.surjective
     with pytest.raises(ConstructionError):
         split_sigma(np.zeros(len(sdc.set), dtype=complex), sdc)
 

@@ -13,25 +13,27 @@ from banalg.multipliers import (
     _left_constraints,
     _mult_constraints,
     block_space,
-    blocks_from_vector,
     decompose_left_multiplier,
     hat,
     left_multiplier_residual,
     left_multiplier_space,
     multiplier_residual,
     multiplier_space,
-    recompose,
+    split_blocks,
 )
 from banalg.spectra import characters_numerical
 
 from conftest import (
     basis_element,
+    dual_numbers_semidirect,
     lau_c_c2,
     left_mult_matrix,
+    module_extension_semidirect,
     multiply,
     pointwise_semidirect,
     span_contains,
     weighted_norm,
+    zero_product_semidirect,
 )
 
 
@@ -255,9 +257,7 @@ def test_module_hom_pointwise_fixture_sb():
     # product-vanishing relation (iv) in the block space forces S_B = 0
     desc = pointwise_semidirect()
     bs = block_space(desc)
-    m, p = 1, 1
-    sb_block = bs[:, m * m : m * m + m * p]
-    assert np.max(np.abs(sb_block)) < 1e-10
+    assert np.max(np.abs(bs[:, desc.subalgebra_slice, desc.ideal_slice])) < 1e-10
 
 
 def test_decompose_identity(sd_pointwise):
@@ -290,32 +290,25 @@ def test_decompose_rejects_non_multiplier(sd_pointwise):
         decompose_left_multiplier(T, sd_pointwise)
 
 
-def test_recompose_roundtrip(sd_pointwise):
-    desc = sd_pointwise
-    for T in left_multiplier_space(desc.algebra):
-        dec = decompose_left_multiplier(T, desc)
-        back, _ = recompose(dec)
-        assert np.allclose(back, T, atol=1e-12)
-
-
 def test_recompose_rejects_nonzero_sb(sd_pointwise):
     desc = sd_pointwise
+    bsl, isl = desc.subalgebra_slice, desc.ideal_slice
     # T_B = 1, S_B = 1, S_I = 0, R_I = 1: S_B(a b) = 1 != 0
-    blocks = blocks_from_vector(np.array([1.0, 1.0, 0.0, 1.0], dtype=complex), desc)
+    T = np.zeros((2, 2), dtype=complex)
+    T[bsl, bsl] = T[bsl, isl] = T[isl, isl] = 1.0
+    blocks = split_blocks(T, desc)
     assert blocks.relation_residuals["iv"] > 1e-9
-    _, worst = recompose(blocks)
-    assert worst >= blocks.relation_residuals["iv"] > 1e-9
+    # split_blocks refuses nothing; the LM route sees the same map fail
+    assert left_multiplier_residual(desc.algebra, T) > 1e-9
 
 
 def test_block_space_dimension_matches(sd_pointwise):
     desc = sd_pointwise
     lm = left_multiplier_space(desc.algebra)
     bs = block_space(desc)
-    assert bs.shape[0] == len(lm) == 2
-    for vec in bs:
-        blocks = blocks_from_vector(vec, desc)
-        T, _ = recompose(blocks)
-        assert left_multiplier_residual(desc.algebra, T) <= 1e-12
+    assert bs.shape == lm.shape == (2, 2, 2)
+    assert not bs.flags.writeable
+    assert left_multiplier_residual(desc.algebra, bs) <= 1e-12
 
 
 def test_block_space_on_lau_descriptor():
@@ -326,6 +319,36 @@ def test_block_space_on_lau_descriptor():
     for T in lm:
         dec = decompose_left_multiplier(T, desc)
         assert dec.max_relation_residual <= 1e-10
+
+
+def corpus_product(family, seed, index):
+    return lambda: build_fixture(family, seed, index, 6).descriptor
+
+
+# the 32 corpus products (seeds 0 and 97, indices 0-7, max_dim 6) and five
+# hand-made ones
+LEMMA21_PRODUCTS = (
+    [pytest.param(corpus_product(family, seed, index), id=f"{family}-{seed}-{index}")
+     for seed in (0, 97) for family in ("semidirect", "lau") for index in range(8)]
+    + [pytest.param(build, id=build.__name__)
+       for build in (pointwise_semidirect, module_extension_semidirect, lau_c_c2,
+                     dual_numbers_semidirect, zero_product_semidirect)])
+
+
+def projector(stack):
+    """The orthogonal projector onto the span of a Frobenius-orthonormal stack."""
+    flat = stack.reshape(len(stack), -1)
+    return flat.T @ flat.conj()
+
+
+@pytest.mark.parametrize("build", LEMMA21_PRODUCTS)
+def test_block_space_is_the_left_multiplier_space(build):
+    # Lemma 2.1 as an equality of spaces, not only of dimensions: the block
+    # space, built from the block sub-tensors alone, spans LM(B (+) I)
+    desc = build()
+    bs, lm = block_space(desc), left_multiplier_space(desc.algebra)
+    assert bs.shape == lm.shape
+    assert np.max(np.abs(projector(bs) - projector(lm))) <= 1e-12
 
 
 def test_hat_identity_and_multiplications(c2):
@@ -421,27 +444,19 @@ def test_stacked_checks_match_per_map(family, index):
     assert np.max(np.abs(hat(mult, S) - np.array([hat(T, S) for T in mult]))) <= 1e-14
     if desc is None:
         return
-    stacked = decompose_left_multiplier(lm, desc)
-    singles = [decompose_left_multiplier(T, desc) for T in lm]
-    for name in ("T_B", "S_B", "S_I", "R_I"):
-        assert np.array_equal(getattr(stacked, name),
-                              np.array([getattr(d, name) for d in singles]))
-    for field in ("relation_residuals", "membership_residuals"):
-        for key, value in getattr(stacked, field).items():
-            per_map = max(getattr(d, field)[key] for d in singles)
-            assert value == pytest.approx(per_map, abs=1e-14)
     bs = block_space(desc)
-    blocks = blocks_from_vector(bs, desc)
-    maps, worst = recompose(blocks)
-    singles = [recompose(blocks_from_vector(vec, desc))[0] for vec in bs]
-    assert np.array_equal(maps, np.array(singles).reshape(maps.shape))
-    assert worst == pytest.approx(max([left_multiplier_residual(alg, T) for T in singles]
-                                      + [blocks.max_relation_residual,
-                                         blocks.max_membership_residual]),
-                                  abs=1e-14)
-    assert blocks_from_vector(bs, desc).relation_residuals == pytest.approx(
-        {k: max(blocks_from_vector(v, desc).relation_residuals[k] for v in bs)
-         for k in ("ii", "iii", "iv")}, abs=1e-14)
+    assert left_multiplier_residual(alg, bs) == pytest.approx(
+        max(left_multiplier_residual(alg, T) for T in bs), rel=1e-14, abs=1e-14)
+    for split, stack in ((decompose_left_multiplier, lm), (split_blocks, bs)):
+        stacked = split(stack, desc)
+        singles = [split(T, desc) for T in stack]
+        for name in ("T_B", "S_B", "S_I", "R_I"):
+            assert np.array_equal(getattr(stacked, name),
+                                  np.array([getattr(d, name) for d in singles]))
+        for field in ("relation_residuals", "membership_residuals"):
+            for key, value in getattr(stacked, field).items():
+                per_map = max(getattr(d, field)[key] for d in singles)
+                assert value == pytest.approx(per_map, abs=1e-14)
 
 
 def test_one_bad_map_refuses_the_stack():
@@ -462,13 +477,11 @@ def test_one_bad_map_refuses_the_stack():
     with pytest.raises(UndefinedHatError):
         hat(bad, S)
     hat(lm, S)
-    rows = np.array(block_space(desc))
-    m = desc.subalgebra.dim
-    rows[-1, m * m] += 1.0  # S_B(a b) = 0 fails for this row only
-    for bad_rows in (rows[-1], rows):
-        blocks = blocks_from_vector(bad_rows, desc)
-        assert blocks.relation_residuals["iv"] > 1e-9
-        assert recompose(blocks)[1] >= blocks.relation_residuals["iv"]
-    good = blocks_from_vector(rows[:-1], desc)
-    assert good.relation_residuals["iv"] <= 1e-9
-    assert recompose(good)[1] <= 1e-9
+    maps = np.array(block_space(desc))
+    # S_B(a b) = 0 fails for the last map only
+    maps[-1, desc.subalgebra_slice.start, desc.ideal_slice.start] += 1.0
+    for bad_maps in (maps[-1], maps):
+        assert split_blocks(bad_maps, desc).relation_residuals["iv"] > 1e-9
+        assert left_multiplier_residual(alg, bad_maps) > 1e-9
+    assert split_blocks(maps[:-1], desc).relation_residuals["iv"] <= 1e-9
+    assert left_multiplier_residual(alg, maps[:-1]) <= 1e-9

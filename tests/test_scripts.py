@@ -20,6 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
     # bse_dim16 builds its own CharacterSet and reads BseVerdict.characters
     ("ab_bench.py", ["--base", "{root}", "--change", "{root}", "--workload", "bse_dim16",
                      "--seed", "0", "--seconds", "0.2", "--pairs", "1"]),
+    ("record_hash.py", ["--seeds", "0,1", "--count", "1", "--max-dim", "3"]),
 ])
 def test_script_runs(tmp_path, script, args):
     env = dict(os.environ)

@@ -63,7 +63,7 @@ def test_characters_z3_cube_roots(z3):
 def test_characters_linearly_independent(z2z2):
     S = characters_numerical(z2z2)
     assert len(S) == 4
-    assert S.rank() == 4
+    assert S.rank == 4
     assert is_semisimple(z2z2)
 
 
@@ -104,9 +104,9 @@ def test_character_set_rejects_a_character_of_another_algebra(c2, z2):
 
 def test_character_set_rank_is_stable(z2z2):
     S = characters_numerical(z2z2)
-    assert S.rank() == S.rank() == 4
+    assert S.rank == S.rank == 4
     partial = CharacterSet(z2z2, list(S)[:2])
-    assert partial.rank() == partial.rank() == 2
+    assert partial.rank == partial.rank == 2
 
 
 def test_match_character_sets_threshold(c2):

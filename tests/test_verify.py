@@ -855,15 +855,15 @@ def test_characters_oracle_record_can_fail(monkeypatch):
 
 @pytest.mark.parametrize("family", ["semidirect", "lau"])
 def test_lemma_recompose_record_can_fail(monkeypatch, family):
-    # negative control: one block space row with an S_B entry off by 1e-8, ten
+    # negative control: one block space map with an S_B entry off by 1e-8, ten
     # times tol_algebraic, breaks relation (iv) and fails exactly
-    # lemma-recompose; the row count, which lemma-block-dim reads, is kept
+    # lemma-recompose; the map count, which lemma-block-dim reads, is kept
     original = verify.block_space
 
     def perturbed(desc):
-        rows = original(desc).copy()
-        rows[-1, desc.subalgebra.dim ** 2] += 1e-8
-        return rows
+        maps = original(desc).copy()
+        maps[-1, desc.subalgebra_slice.start, desc.ideal_slice.start] += 1e-8
+        return maps
 
     monkeypatch.setattr(verify, "block_space", perturbed)
     records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
