@@ -40,7 +40,6 @@ from .multipliers import (
     split_blocks,
 )
 from .bse import (
-    BSEFunction,
     bse_norm_dual,
     bse_norm_primal,
     check_bse_property,
@@ -77,7 +76,6 @@ __all__ = [
     "left_multiplier_space",
     "multiplier_space",
     "split_blocks",
-    "BSEFunction",
     "bse_norm_dual",
     "bse_norm_primal",
     "check_bse_property",

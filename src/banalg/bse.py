@@ -31,10 +31,12 @@ One join sigma = (tau + rho o psi, rho) through that index serves
 `sigma_extension` (tau = 0); the first two return the three BSE functions
 and the slack ||tau|| + ||rho|| - ||sigma||.  The product law of the join
 is checked against the product's own multiplication, so it fails when
-`psi_index` is wrong.  The BSE
-norms and these maps take one function or a stack of k, and every result
-keeps the stack's axis: on square E the primal solves the stack with one
-factorization, and the dual in one cone loop.
+`psi_index` is wrong.  A BSE norm is its solve: both routes return the
+solver's `InterpolationSolution`, whose `value` and interpolant `a` the
+primal route reads and whose `dual_value` and certificate `c` the dual
+route reads.  The norms and these maps take one function or a stack of k,
+and every result keeps the stack's axis: on square E the primal solves the
+stack with one factorization, and the dual in one cone loop.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .errors import (
     RankDeficientCharactersError,
     SpanConditionError,
 )
-from .interpolation import GAP_REL, _dual, _primal
+from .interpolation import GAP_REL, InterpolationSolution, _nonzero_cone, _primal
 from .multipliers import hat, multiplier_residual, multiplier_space
 from .spectra import (
     CharacterSet,
@@ -70,37 +72,6 @@ from .spectra import (
 
 class SemisimplicityWarning(UserWarning):
     """Raised as a warning when BSE machinery runs on a non-semisimple algebra."""
-
-
-@dataclass(eq=False)
-class BSEFunction:
-    """A function on a finite character list, or a stack of them, with its
-    BSE norm and witnesses, each in the stack's leading axes.
-
-    The norm is the contractual output; the minimizer is one interpolant
-    attaining it, which need not be the only one.
-    """
-
-    characters: CharacterSet
-    values: np.ndarray
-    bse_norm: float | np.ndarray
-    minimizer: np.ndarray  # coefficient vector(s)
-    dual_certificate: np.ndarray
-    gap: float | np.ndarray
-    method: str
-
-    def interpolation_error(self) -> float:
-        """Worst |a-hat - sigma| over the stack."""
-        return float(
-            np.max(np.abs(gelfand(self.minimizer, self.characters) - self.values),
-                   initial=0.0)
-        )
-
-    def certificate_feasibility(self) -> float:
-        """Worst max_i |sum_j c_j phi_j(e_i)| / w_i; feasible when <= 1."""
-        alg = self.characters.algebra
-        f = (self.characters.matrix.T @ self.dual_certificate[..., None])[..., 0]
-        return float(np.max(np.abs(f) / alg.weights))
 
 
 def _check_charset(values: np.ndarray, S: CharacterSet, algebra: Algebra) -> np.ndarray:
@@ -128,39 +99,32 @@ def _check_charset(values: np.ndarray, S: CharacterSet, algebra: Algebra) -> np.
 
 
 def bse_norm_primal(values: np.ndarray, S: CharacterSet, algebra: Algebra,
-                    gap_rel: float = GAP_REL) -> BSEFunction:
+                    gap_rel: float = GAP_REL) -> InterpolationSolution:
     """Minimum-norm interpolation route: ||sigma||_BSE = min{||a|| : a-hat = sigma},
-    for values (|S|,) or a stack (k, |S|)."""
+    for values (|S|,) or a stack (k, |S|).  The norm is the solution's
+    `value`, and `a` one interpolant attaining it."""
     values = _check_charset(values, S, algebra)
     # _check_charset has decided the rank of this matrix; skip solve_primal's check
-    sol = _primal(S.matrix, values, algebra.weights, gap_rel)
-    return BSEFunction(
-        characters=S,
-        values=values,
-        bse_norm=sol.value,
-        minimizer=sol.a,
-        dual_certificate=sol.c,
-        gap=sol.gap,
-        method=sol.method,
-    )
+    return _primal(S.matrix, values, algebra.weights, gap_rel)
 
 
 def bse_norm_dual(values: np.ndarray, S: CharacterSet, algebra: Algebra,
-                  gap_rel: float = GAP_REL) -> tuple[float | np.ndarray, np.ndarray]:
+                  gap_rel: float = GAP_REL) -> InterpolationSolution:
     """Dual route, straight from the defining inequality: the supremum of
     |sum_j c_j sigma(phi_j)| over coefficient vectors with dual norm <= 1.
 
-    values of shape (|S|,) give the value (a float) and the certificate
-    (|S|,); a stack of k sigmas, shape (k, |S|), gives (k,) values and
-    (k, |S|) certificates from one cone loop, with S checked once.
+    The norm is the solution's `dual_value` and `c` the certificate
+    attaining it: a float and (|S|,) for values of shape (|S|,), and (k,)
+    and (k, |S|) for a stack of k sigmas, from one cone loop with S checked
+    once.
     """
     values = _check_charset(values, S, algebra)
-    return _dual(S.matrix, values, algebra.weights, gap_rel)
+    return _nonzero_cone(S.matrix, values, algebra.weights, gap_rel)
 
 
-def delta_weak_bai(algebra: Algebra, S: CharacterSet) -> BSEFunction:
-    """The BSE function sigma = 1: its minimizer is a minimum-norm e with
-    phi(e) = 1 for every character phi.
+def delta_weak_bai(algebra: Algebra, S: CharacterSet) -> InterpolationSolution:
+    """The BSE norm of sigma = 1: its interpolant `a` is a minimum-norm e
+    with phi(e) = 1 for every character phi.
 
     Always feasible (characters are linearly independent); the norm is the
     optimal bound for a character-wise approximate identity.
@@ -254,9 +218,15 @@ def _require_surjective(chars: SemidirectCharacters):
 
 @dataclass(eq=False)
 class SplitResult:
-    tau: BSEFunction
-    rho: BSEFunction
-    sigma: BSEFunction
+    """The functions tau, rho and sigma = (tau + rho o psi, rho), and the
+    solve of each one's BSE norm."""
+
+    tau_values: np.ndarray
+    rho_values: np.ndarray
+    sigma_values: np.ndarray
+    tau: InterpolationSolution
+    rho: InterpolationSolution
+    sigma: InterpolationSolution
     norm_slack: float | np.ndarray  # ||tau|| + ||rho|| - ||sigma||, expected ~0
 
 
@@ -272,7 +242,8 @@ def _split_result(tau_values: np.ndarray, rho_values: np.ndarray,
     tau = bse_norm_primal(tau_values, chars.ideal_chars, desc.ideal)
     rho = bse_norm_primal(rho_values, chars.subalgebra_chars, desc.subalgebra)
     sigma = bse_norm_primal(sigma_values, chars.set, desc.algebra)
-    return SplitResult(tau, rho, sigma, tau.bse_norm + rho.bse_norm - sigma.bse_norm)
+    return SplitResult(tau_values, rho_values, sigma_values, tau, rho, sigma,
+                       tau.value + rho.value - sigma.value)
 
 
 def split_sigma(sigma_values: np.ndarray, chars: SemidirectCharacters) -> SplitResult:
@@ -319,9 +290,9 @@ def theta_product_residual(chars: SemidirectCharacters,
     t1, r1, t2, r2 = (np.asarray(v, complex) for v in (tau1, rho1, tau2, rho2))
     # one interpolation per parent, of both pairs' functions stacked
     a = bse_norm_primal(np.stack([t1, t2]).reshape(-1, t1.shape[-1]),
-                        chars.ideal_chars, desc.ideal).minimizer
+                        chars.ideal_chars, desc.ideal).a
     b = bse_norm_primal(np.stack([r1, r2]).reshape(-1, r1.shape[-1]),
-                        chars.subalgebra_chars, desc.subalgebra).minimizer
+                        chars.subalgebra_chars, desc.subalgebra).a
     x = np.zeros((len(a), desc.algebra.dim), dtype=complex)
     x[:, desc.ideal_slice] = a
     x[:, desc.subalgebra_slice] = b
@@ -333,8 +304,9 @@ def theta_product_residual(chars: SemidirectCharacters,
 
 @dataclass(eq=False)
 class ExtensionResult:
-    sigma: BSEFunction
-    rho: BSEFunction
+    sigma_values: np.ndarray  # (rho o psi, rho) on Delta(B (+) I)
+    sigma: InterpolationSolution
+    rho: InterpolationSolution
     witness_error: float  # how far the lifted interpolant (b, 0) misses sigma
     norm_slack: float  # ||sigma|| - ||rho||, expected <= ~0
 
@@ -360,13 +332,14 @@ def sigma_extension(rho_values: np.ndarray,
     rho = bse_norm_primal(rho_values, sd.subalgebra_chars, B)
     sigma = bse_norm_primal(sigma_values, sd.set, desc.algebra)
     lifted = np.zeros(desc.algebra.dim, dtype=complex)
-    lifted[desc.subalgebra_slice] = rho.minimizer
+    lifted[desc.subalgebra_slice] = rho.a
     werr = float(np.max(np.abs(gelfand(lifted, sd.set) - sigma_values), initial=0.0))
     return ExtensionResult(
+        sigma_values=sigma_values,
         sigma=sigma,
         rho=rho,
         witness_error=werr,
-        norm_slack=sigma.bse_norm - rho.bse_norm,
+        norm_slack=sigma.value - rho.value,
     )
 
 
@@ -425,9 +398,9 @@ def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
         chars = characters_semidirect(desc, tol)
     if m_product is None:
         m_product = multiplier_space(desc.algebra)
-    ma, mb = (multiplier_space(alg) for alg in (desc.first, desc.second))
-    va = check_bse_property(desc.first, tol, chars.ideal_chars, ma)
-    vb = check_bse_property(desc.second, tol, chars.subalgebra_chars, mb)
+    ma, mb = (multiplier_space(alg) for alg in (desc.ideal, desc.subalgebra))
+    va = check_bse_property(desc.ideal, tol, chars.ideal_chars, ma)
+    vb = check_bse_property(desc.subalgebra, tol, chars.subalgebra_chars, mb)
     vp = check_bse_property(desc.algebra, tol, chars.set, m_product)
     if iso.direct is desc:  # a direct sum is its own A (+) B, and Phi is the identity
         md, vd = m_product, vp
@@ -461,8 +434,8 @@ def _block_split_residual(direct: ProductDescriptor, Ts: np.ndarray) -> float:
     off = float(np.max(np.abs(Ts[:, asl, bsl]), initial=0.0))
     off = max(off, float(np.max(np.abs(Ts[:, bsl, asl]), initial=0.0)))
     # diagonal blocks must be multipliers of the parents
-    return max(off, multiplier_residual(direct.first, Ts[:, asl, asl]),
-               multiplier_residual(direct.second, Ts[:, bsl, bsl]))
+    return max(off, multiplier_residual(direct.ideal, Ts[:, asl, asl]),
+               multiplier_residual(direct.subalgebra, Ts[:, bsl, bsl]))
 
 
 def _transport_residuals(iso: PhiIsomorphism, Ts: np.ndarray,

@@ -144,16 +144,16 @@ def _cmd_bse_norm(args) -> int:
     fn = bse_norm_primal(sigma, S, algebra, args.opt_tol * 1e-2)
     doc = {
         "algebra": algebra.name,
-        "bse_norm": fn.bse_norm,
-        "minimizer": [complex_pair(z) for z in fn.minimizer],
-        "certificate": [complex_pair(z) for z in fn.dual_certificate],
+        "bse_norm": fn.value,
+        "minimizer": [complex_pair(z) for z in fn.a],
+        "certificate": [complex_pair(z) for z in fn.c],
         "gap": fn.gap,
         "method": fn.method,
     }
     if args.dual:
-        dual_value, cert = bse_norm_dual(sigma, S, algebra, args.opt_tol * 1e-2)
-        doc["dual_norm"] = dual_value
-        doc["dual_certificate"] = [complex_pair(z) for z in cert]
+        dual = bse_norm_dual(sigma, S, algebra, args.opt_tol * 1e-2)
+        doc["dual_norm"] = dual.dual_value
+        doc["dual_certificate"] = [complex_pair(z) for z in dual.c]
     _emit(doc, args.output)
     return 0
 

@@ -98,24 +98,22 @@ def _phase_twist(rng: np.random.Generator, alg: Algebra
     return Algebra(alg.name + "~", alg.weights, c, unit=unit), theta
 
 
-def semidirect_fixture(seed: int, index: int, max_dim: int = 3,
-                       full_span: bool | None = None) -> Fixture:
+def semidirect_fixture(seed: int, index: int, max_dim: int = 3) -> Fixture:
     """Selector-driven split: b_l acts on f_k iff selector(k) = l.
 
-    A total selector gives <IB> = I; with full_span=False some ideal basis
-    vectors receive no action (psi_phi = 0 there).
+    A total selector gives <IB> = I; one draw in four leaves an ideal basis
+    vector without action (psi_phi = 0 there).
     """
     rng = fixture_rng(seed, "semidirect", index)
     m = int(rng.integers(1, max_dim + 1))
     p = int(rng.integers(1, max_dim + 1))
-    if full_span is None:
-        full_span = bool(rng.random() < 0.75)
+    full_span = rng.random() < 0.75
     wB = rng.uniform(1.0, 2.0, m)
     wI = rng.uniform(1.0, 2.0, p)
     tB = rng.uniform(0.7, wB) * _phases(rng, m)
     sI = rng.uniform(0.7, wI) * _phases(rng, p)
     selector = [int(rng.integers(0, m)) for _ in range(p)]
-    if not full_span and p > 0:
+    if not full_span:
         selector[int(rng.integers(0, p))] = -1  # no action on this ideal direction
 
     act_bi = np.zeros((m, p, p), dtype=complex)

@@ -52,9 +52,11 @@ or a stack (k, s) and keep its leading axes in every result; the cone
 program gives an all-zero sigma the zero pair without a solve.  Both return
 the optimal value bracketed by a feasible pair; the interpolant is one
 minimizer, and the value, not the minimizer, is the contractual output.
-`solve_primal` and `solve_dual` check that E has full row rank; the BSE
-norms, which have just checked the rank of the same character matrix, call
-their cores `_primal` and `_dual` directly.
+Both return one `InterpolationSolution`: the primal route reads its `value`
+and `a`, the dual route its `dual_value` and `c`.  `solve_primal` and
+`solve_dual` check that E has full row rank; the BSE norms, which have just
+checked the rank of the same character matrix, call their cores `_primal`
+and `_nonzero_cone` directly.
 """
 
 from __future__ import annotations
@@ -347,17 +349,10 @@ def _primal(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
 
 
 def solve_dual(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
-               gap_rel: float = GAP_REL) -> tuple[float | np.ndarray, np.ndarray]:
-    """Dual route: run the cone program itself and report the certificate side,
-    the values and certificates in sigma's leading axes.  Runs regardless of
-    the shape of E, so on semisimple instances (square E) this is an
-    independent computation from the primal's plain linear solve.
+               gap_rel: float = GAP_REL) -> InterpolationSolution:
+    """Dual route: run the cone program itself and read its certificate side,
+    `dual_value` and `c`.  Runs regardless of the shape of E, so on
+    semisimple instances (square E) this is an independent computation from
+    the primal's plain linear solve.
     """
-    return _dual(*_system(E, sigma, w), gap_rel)
-
-
-def _dual(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
-          gap_rel: float) -> tuple[float | np.ndarray, np.ndarray]:
-    """solve_dual on arrays that passed `_system`'s checks."""
-    sol = _nonzero_cone(E, sigma, w, gap_rel)
-    return sol.dual_value, sol.c
+    return _nonzero_cone(*_system(E, sigma, w), gap_rel)

@@ -27,7 +27,7 @@ from banalg.errors import (
     SpanConditionError,
 )
 from banalg.fixtures import build_fixture
-from banalg.spectra import characters_numerical, characters_semidirect
+from banalg.spectra import characters_numerical, characters_semidirect, gelfand
 
 from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect, weighted_norm
 
@@ -40,18 +40,30 @@ def b_index(lc, values):
     raise AssertionError("character not found")
 
 
+def interpolation_error(sol, S, values):
+    """Worst |a-hat - sigma| over the stack."""
+    return float(np.max(np.abs(gelfand(sol.a, S) - values), initial=0.0))
+
+
+def certificate_feasibility(sol, S):
+    """Worst max_i |sum_j c_j phi_j(e_i)| / w_i; feasible when <= 1."""
+    f = (S.matrix.T @ sol.c[..., None])[..., 0]
+    return float(np.max(np.abs(f) / S.algebra.weights))
+
+
 def test_bse_norm_pointwise_all_ones(c2):
     S = characters_numerical(c2)
-    fn = bse_norm_primal(np.array([1.0, 1.0 + 0j]), S, c2)
-    assert fn.bse_norm == pytest.approx(2.0)
-    assert np.allclose(fn.minimizer, [1.0, 1.0])
-    assert fn.interpolation_error() <= 1e-12
+    sigma = np.array([1.0, 1.0 + 0j])
+    fn = bse_norm_primal(sigma, S, c2)
+    assert fn.value == pytest.approx(2.0)
+    assert np.allclose(fn.a, [1.0, 1.0])
+    assert interpolation_error(fn, S, sigma) <= 1e-12
 
 
 def test_bse_norm_pointwise_indicator(c2):
     S = characters_numerical(c2)
     fn = bse_norm_primal(np.array([1.0, 0.0 + 0j]), S, c2)
-    assert fn.bse_norm == pytest.approx(1.0)
+    assert fn.value == pytest.approx(1.0)
 
 
 def test_bse_norm_z2_fourier_inversion(z2):
@@ -60,17 +72,17 @@ def test_bse_norm_z2_fourier_inversion(z2):
     # by 2x2 Fourier inversion
     sigma = S.matrix[:, 1].copy()  # sigma(chi) = chi(delta_1): interpolant delta_1
     fn = bse_norm_primal(sigma, S, z2)
-    assert fn.bse_norm == pytest.approx(1.0)
-    assert np.allclose(fn.minimizer, [0.0, 1.0], atol=1e-10)
+    assert fn.value == pytest.approx(1.0)
+    assert np.allclose(fn.a, [0.0, 1.0], atol=1e-10)
     oracle = np.linalg.solve(S.matrix, sigma)
-    assert np.allclose(oracle, fn.minimizer)
+    assert np.allclose(oracle, fn.a)
 
 
 def test_bse_dual_matches_primal(c2):
     S = characters_numerical(c2)
-    value, cert = bse_norm_dual(np.array([1.0, 1.0 + 0j]), S, c2)
-    assert value == pytest.approx(2.0, rel=1e-7)
-    assert bse_norm_dual(np.zeros(2, dtype=complex), S, c2)[0] == 0
+    assert bse_norm_dual(np.array([1.0, 1.0 + 0j]), S, c2).dual_value == pytest.approx(
+        2.0, rel=1e-7)
+    assert bse_norm_dual(np.zeros(2, dtype=complex), S, c2).dual_value == 0
 
 
 def test_bse_dual_on_a_stack_matches_one_at_a_time(z2z2):
@@ -78,13 +90,13 @@ def test_bse_dual_on_a_stack_matches_one_at_a_time(z2z2):
     rng = np.random.default_rng(9)
     sigmas = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     sigmas[1] = 0
-    values, certificates = bse_norm_dual(sigmas, S, z2z2)
-    assert values.shape == (3,) and certificates.shape == (3, 4)
-    for sigma, value, certificate in zip(sigmas, values, certificates):
-        one, cert = bse_norm_dual(sigma, S, z2z2)
-        assert isinstance(one, float)
-        assert value == pytest.approx(one, rel=1e-12, abs=0)
-        assert np.allclose(certificate, cert, rtol=0, atol=1e-12)
+    dual = bse_norm_dual(sigmas, S, z2z2)
+    assert dual.dual_value.shape == (3,) and dual.c.shape == (3, 4)
+    for sigma, value, certificate in zip(sigmas, dual.dual_value, dual.c):
+        one = bse_norm_dual(sigma, S, z2z2)
+        assert isinstance(one.dual_value, float)
+        assert value == pytest.approx(one.dual_value, rel=1e-12, abs=0)
+        assert np.allclose(certificate, one.c, rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
         bse_norm_dual(sigmas[None], S, z2z2)
     with pytest.raises(ValueError):
@@ -110,22 +122,39 @@ def test_bse_primal_on_a_stack_matches_one_at_a_time(z2z2, count):
         rows = [bse_norm_primal(sigma, S, z2z2) for sigma in sigmas]
         with pytest.raises(ValueError):
             bse_norm_primal(sigmas[None], S, z2z2)
-    assert fn.bse_norm.shape == fn.gap.shape == (3,)
-    assert fn.minimizer.shape == (3, 4) and fn.dual_certificate.shape == (3, count)
-    assert fn.bse_norm[1] == 0 and not np.any(fn.minimizer[1])
+    assert fn.value.shape == fn.gap.shape == (3,)
+    assert fn.a.shape == (3, 4) and fn.c.shape == (3, count)
+    assert fn.value[1] == 0 and not np.any(fn.a[1])
     assert fn.method == rows[0].method == ("square" if count == 4 else "barrier")
     for i, row in enumerate(rows):
         if count == 4:
-            assert fn.bse_norm[i] == row.bse_norm and fn.gap[i] == row.gap
-            assert np.array_equal(fn.minimizer[i], row.minimizer)
-            assert np.array_equal(fn.dual_certificate[i], row.dual_certificate)
+            assert fn.value[i] == row.value and fn.gap[i] == row.gap
+            assert np.array_equal(fn.a[i], row.a)
+            assert np.array_equal(fn.c[i], row.c)
         else:
-            assert fn.bse_norm[i] == pytest.approx(row.bse_norm, rel=1e-12, abs=0)
-            assert np.allclose(fn.dual_certificate[i], row.dual_certificate,
+            assert fn.value[i] == pytest.approx(row.value, rel=1e-12, abs=0)
+            assert np.allclose(fn.c[i], row.c,
                                rtol=0, atol=1e-12)
-    assert fn.interpolation_error() == max(row.interpolation_error() for row in rows)
-    assert fn.certificate_feasibility() == pytest.approx(
-        max(row.certificate_feasibility() for row in rows), rel=1e-12)
+    assert interpolation_error(fn, S, sigmas) == max(
+        interpolation_error(row, S, sigma) for row, sigma in zip(rows, sigmas))
+    assert certificate_feasibility(fn, S) == pytest.approx(
+        max(certificate_feasibility(row, S) for row in rows), rel=1e-12)
+
+
+def test_every_route_returns_the_solvers_solution(z2z2):
+    # one result type: the BSE norms and the solvers they call all return the
+    # InterpolationSolution, with the same values on the same system
+    from banalg.interpolation import InterpolationSolution, solve_dual, solve_primal
+
+    S = characters_numerical(z2z2)
+    sigma = np.array([1.0, 2.0j, -1.0, 0.5])
+    E, w = S.matrix, z2z2.weights
+    primal, dual = bse_norm_primal(sigma, S, z2z2), bse_norm_dual(sigma, S, z2z2)
+    routes = (primal, dual, delta_weak_bai(z2z2, S), solve_primal(E, sigma, w),
+              solve_dual(E, sigma, w))
+    assert all(isinstance(sol, InterpolationSolution) for sol in routes)
+    assert primal.value == routes[3].value and dual.dual_value == routes[4].dual_value
+    assert (primal.method, dual.method) == ("square", "barrier")
 
 
 def test_dual_never_exceeds_primal_random(z2z2):
@@ -134,9 +163,9 @@ def test_dual_never_exceeds_primal_random(z2z2):
     for _ in range(10):
         sigma = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         fn = bse_norm_primal(sigma, S, z2z2)
-        dual, _ = bse_norm_dual(sigma, S, z2z2)
-        assert dual <= fn.bse_norm * (1 + 1e-9) + 1e-12
-        assert abs(dual - fn.bse_norm) <= 1e-6 * max(1.0, fn.bse_norm)
+        dual = bse_norm_dual(sigma, S, z2z2).dual_value
+        assert dual <= fn.value * (1 + 1e-9) + 1e-12
+        assert abs(dual - fn.value) <= 1e-6 * max(1.0, fn.value)
 
 
 def test_sup_norm_below_bse_norm(z2z2):
@@ -145,7 +174,7 @@ def test_sup_norm_below_bse_norm(z2z2):
     for _ in range(10):
         sigma = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         fn = bse_norm_primal(sigma, S, z2z2)
-        assert np.max(np.abs(sigma)) <= fn.bse_norm * (1 + 1e-9)
+        assert np.max(np.abs(sigma)) <= fn.value * (1 + 1e-9)
 
 
 complex_val = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
@@ -159,7 +188,7 @@ complex_val = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
 def test_bse_norm_is_a_norm(s1, s2, lam):
     alg = diagonal_algebra(2)
     S = characters_numerical(alg)
-    f = lambda v: bse_norm_primal(np.array(v), S, alg).bse_norm
+    f = lambda v: bse_norm_primal(np.array(v), S, alg).value
     n1, n2 = f(s1), f(s2)
     nsum = f(np.array(s1) + np.array(s2))
     assert nsum <= n1 + n2 + 1e-8 * max(1.0, n1 + n2)
@@ -170,13 +199,13 @@ def test_bse_norm_is_a_norm(s1, s2, lam):
 def test_delta_weak_bai(c2, z2):
     S = characters_numerical(c2)
     cert = delta_weak_bai(c2, S)
-    assert cert.bse_norm == pytest.approx(2.0)
-    assert np.allclose(cert.minimizer, [1.0, 1.0])
-    assert cert.bse_norm <= weighted_norm(c2, c2.unit) + 1e-12
+    assert cert.value == pytest.approx(2.0)
+    assert np.allclose(cert.a, [1.0, 1.0])
+    assert cert.value <= weighted_norm(c2, c2.unit) + 1e-12
     S2 = characters_numerical(z2)
     cert = delta_weak_bai(z2, S2)
-    assert cert.bse_norm == pytest.approx(1.0)
-    assert np.allclose(cert.minimizer, [1.0, 0.0], atol=1e-10)
+    assert cert.value == pytest.approx(1.0)
+    assert np.allclose(cert.a, [1.0, 0.0], atol=1e-10)
 
 
 def test_empty_character_set_raises(nilpotent2):
@@ -246,20 +275,20 @@ def test_split_sigma_worked_example():
     sigma[1 + j1] = 2.0
     sigma[1 + j2] = 3.0
     sp = split_sigma(sigma, lc)
-    assert np.allclose(sp.tau.values, [3.0])
+    assert np.allclose(sp.tau_values, [3.0])
     rho = np.zeros(2, dtype=complex)
     rho[j1], rho[j2] = 2.0, 3.0
-    assert np.allclose(sp.rho.values, rho)
-    assert sp.tau.bse_norm == pytest.approx(3.0)
-    assert sp.rho.bse_norm == pytest.approx(5.0)
-    assert sp.sigma.bse_norm == pytest.approx(8.0)
+    assert np.allclose(sp.rho_values, rho)
+    assert sp.tau.value == pytest.approx(3.0)
+    assert sp.rho.value == pytest.approx(5.0)
+    assert sp.sigma.value == pytest.approx(8.0)
     assert sp.norm_slack == pytest.approx(0.0, abs=1e-9)
 
 
 def test_split_sigma_zero():
     lc = characters_semidirect(lau_c_c2())
     sp = split_sigma(np.zeros(3, dtype=complex), lc)
-    assert sp.tau.bse_norm == 0 and sp.rho.bse_norm == 0
+    assert sp.tau.value == 0 and sp.rho.value == 0
 
 
 def test_join_inverts_split():
@@ -267,12 +296,12 @@ def test_join_inverts_split():
     rng = np.random.default_rng(3)
     sigma = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     sp = split_sigma(sigma, lc)
-    joined = theta(sp.tau.values, sp.rho.values, lc)
-    assert np.allclose(joined.sigma.values, sigma)
+    joined = theta(sp.tau_values, sp.rho_values, lc)
+    assert np.allclose(joined.sigma_values, sigma)
     # and split of join returns the same pair
-    sp2 = split_sigma(joined.sigma.values, lc)
-    assert np.allclose(sp2.tau.values, sp.tau.values)
-    assert np.allclose(sp2.rho.values, sp.rho.values)
+    sp2 = split_sigma(joined.sigma_values, lc)
+    assert np.allclose(sp2.tau_values, sp.tau_values)
+    assert np.allclose(sp2.rho_values, sp.rho_values)
 
 
 def test_split_and_theta_on_a_stack_match_one_at_a_time():
@@ -290,9 +319,9 @@ def test_split_and_theta_on_a_stack_match_one_at_a_time():
         for i, row in enumerate(rows):
             assert stacked.norm_slack[i] == row.norm_slack
             for part in ("tau", "rho", "sigma"):
-                one, many = getattr(row, part), getattr(stacked, part)
-                assert np.array_equal(many.values[i], one.values)
-                assert many.bse_norm[i] == one.bse_norm
+                assert np.array_equal(getattr(stacked, f"{part}_values")[i],
+                                      getattr(row, f"{part}_values"))
+                assert getattr(stacked, part).value[i] == getattr(row, part).value
     assert theta_product_residual(lc, taus, rhos, draw(na), draw(nb)) <= 1e-12
 
 
@@ -303,18 +332,18 @@ def test_theta_isometry_and_examples():
     th = theta(ones_a, np.zeros(2, dtype=complex), lc)
     expected = np.zeros(3, dtype=complex)
     expected[0] = 1.0
-    assert np.allclose(th.sigma.values, expected)
+    assert np.allclose(th.sigma_values, expected)
     # rho = all-ones, tau = 0: all-ones on E u F
     th = theta(np.zeros(1, dtype=complex), np.ones(2, dtype=complex), lc)
-    assert np.allclose(th.sigma.values, 1.0)
+    assert np.allclose(th.sigma_values, 1.0)
     rng = np.random.default_rng(4)
     for _ in range(10):
         tau = rng.standard_normal(1) + 1j * rng.standard_normal(1)
         rho = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         th = theta(tau, rho, lc)
         assert abs(th.norm_slack) <= 1e-9
-        assert th.sigma.bse_norm == pytest.approx(
-            th.tau.bse_norm + th.rho.bse_norm, abs=1e-9
+        assert th.sigma.value == pytest.approx(
+            th.tau.value + th.rho.value, abs=1e-9
         )
 
 
@@ -351,20 +380,20 @@ def test_semidirect_characters_have_no_surjectivity():
 def test_sigma_extension_pointwise():
     sdc = characters_semidirect(pointwise_semidirect())
     ext = sigma_extension(np.array([2.0 + 0j]), sdc)
-    assert np.allclose(ext.sigma.values, 2.0)
-    assert ext.sigma.bse_norm <= ext.rho.bse_norm + 1e-9
-    assert ext.rho.bse_norm == pytest.approx(2.0)
+    assert np.allclose(ext.sigma_values, 2.0)
+    assert ext.sigma.value <= ext.rho.value + 1e-9
+    assert ext.rho.value == pytest.approx(2.0)
     assert ext.witness_error <= 1e-12
     # the lifted witness (b, 0) has the subalgebra norm
     desc = sdc.descriptor
     lifted = np.zeros(desc.algebra.dim, dtype=complex)
-    lifted[desc.subalgebra_slice] = ext.rho.minimizer
-    assert weighted_norm(desc.algebra, lifted) == pytest.approx(ext.rho.bse_norm)
+    lifted[desc.subalgebra_slice] = ext.rho.a
+    assert weighted_norm(desc.algebra, lifted) == pytest.approx(ext.rho.value)
     # all-ones and zero cases
     ext = sigma_extension(np.ones(1, dtype=complex), sdc)
-    assert np.allclose(ext.sigma.values, 1.0)
+    assert np.allclose(ext.sigma_values, 1.0)
     ext = sigma_extension(np.zeros(1, dtype=complex), sdc)
-    assert ext.sigma.bse_norm == 0
+    assert ext.sigma.value == 0
 
 
 def test_sigma_extension_requires_span():
@@ -476,7 +505,7 @@ def test_theta_reports_product_law():
     assert theta_product_residual(lc, tau, rho, tau, rho) <= 1e-12
     g = np.array(lc.psi_index)
     squared = theta(tau * tau + 2 * rho[g] * tau, rho * rho, lc)
-    assert np.max(np.abs(squared.sigma.values - th.sigma.values ** 2)) <= 1e-12
+    assert np.max(np.abs(squared.sigma_values - th.sigma_values ** 2)) <= 1e-12
 
 
 def test_multiplier_hats_inside_interpolable_functions(z2z2):

@@ -54,8 +54,7 @@ def test_zero_sigma():
     E = np.ones((1, 3), dtype=complex)
     sol = solve_primal(E, np.zeros(1, dtype=complex), np.ones(3))
     assert sol.value == 0 and np.allclose(sol.a, 0)
-    value, cert = solve_dual(E, np.zeros(1, dtype=complex), np.ones(3))
-    assert value == 0
+    assert solve_dual(E, np.zeros(1, dtype=complex), np.ones(3)).dual_value == 0
 
 
 def test_single_constraint_closed_form():
@@ -67,8 +66,7 @@ def test_single_constraint_closed_form():
         expected = min(w[i] * abs(sigma[0]) / abs(E[0, i]) for i in range(4))
         sol = solve_primal(E, sigma, w)
         assert sol.value == pytest.approx(expected, rel=1e-7)
-        dv, _ = solve_dual(E, sigma, w)
-        assert dv == pytest.approx(expected, rel=1e-7)
+        assert solve_dual(E, sigma, w).dual_value == pytest.approx(expected, rel=1e-7)
 
 
 def test_against_lp_oracle_real_data():
@@ -175,7 +173,8 @@ def test_stress_corpus_square_dual():
     """Square instances: the dual cone program meets the exact linear-solve value."""
     for E, sigma, w in square_corpus():
         exact = solve_primal(E, sigma, w).value
-        value, c = solve_dual(E, sigma, w)
+        dual = solve_dual(E, sigma, w)
+        value, c = dual.dual_value, dual.c
         assert abs(value - exact) <= GAP_HARD_LIMIT * max(1.0, value)
         assert certificate_slack(E, c, w) <= 1e-12
 
@@ -187,8 +186,8 @@ def test_stress_corpus_square_dual_batched():
     for E, sigma, w in square_corpus():
         n = len(sigma)
         sigmas = np.vstack([sigma, rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))])
-        values, certificates = solve_dual(E, sigmas, w)
-        for sigma, value, c in zip(sigmas, values, certificates):
+        dual = solve_dual(E, sigmas, w)
+        for sigma, value, c in zip(sigmas, dual.dual_value, dual.c):
             exact = solve_primal(E, sigma, w).value
             assert abs(value - exact) <= GAP_HARD_LIMIT * max(1.0, value)
             assert certificate_slack(E, c, w) <= 1e-12
@@ -221,8 +220,10 @@ def test_zero_sigma_in_a_batch(shape):
     E = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     w = rng.uniform(0.5, 2.0, n)
     sigmas = rng.standard_normal((3, s)) + 1j * rng.standard_normal((3, s))
-    values, certificates = solve_dual(E, sigmas, w)
-    zvalues, zcertificates = solve_dual(E, np.insert(sigmas, 1, 0.0, axis=0), w)
+    dual = solve_dual(E, sigmas, w)
+    values, certificates = dual.dual_value, dual.c
+    zdual = solve_dual(E, np.insert(sigmas, 1, 0.0, axis=0), w)
+    zvalues, zcertificates = zdual.dual_value, zdual.c
     assert zvalues.shape == (4,) and zcertificates.shape == (4, s)
     assert zvalues[1] == 0 and not np.any(zcertificates[1])
     assert np.array_equal(np.delete(zvalues, 1), values)

@@ -12,24 +12,46 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script, args", [
-    ("lau_isometry_sweep.py", ["--fixtures", "2", "--samples", "2"]),
-    ("run_verify.py", ["--count", "1", "--max-dim", "4", "--out", "{tmp}"]),
-    ("solver_stress.py", ["--count", "5", "--seed", "1"]),
-    ("ab_bench.py", ["--base", "{root}", "--change", "{root}", "--workload", "verify_small",
-                     "--seed", "0", "--seconds", "0.2", "--pairs", "1"]),
+    pytest.param("lau_isometry_sweep.py", ["--fixtures", "2", "--samples", "2"],
+                 id="lau-isometry-sweep"),
+    pytest.param("run_verify.py", ["--count", "1", "--max-dim", "4", "--out", "{tmp}"],
+                 id="run-verify"),
+    pytest.param("solver_stress.py", ["--count", "5", "--seed", "1"], id="solver-stress"),
+    pytest.param("ab_bench.py", ["--base", "{root}", "--change", "{root}",
+                                 "--workload", "verify_small", "--seed", "0",
+                                 "--seconds", "0.2", "--pairs", "1"],
+                 id="ab-bench-verify-small"),
     # bse_dim16 builds its own CharacterSet and reads BseVerdict.characters
-    ("ab_bench.py", ["--base", "{root}", "--change", "{root}", "--workload", "bse_dim16",
-                     "--seed", "0", "--seconds", "0.2", "--pairs", "1"]),
-    ("record_hash.py", ["--seeds", "0,1", "--count", "1", "--max-dim", "3"]),
+    pytest.param("ab_bench.py", ["--base", "{root}", "--change", "{root}",
+                                 "--workload", "bse_dim16", "--seed", "0",
+                                 "--seconds", "0.2", "--pairs", "1"],
+                 id="ab-bench-bse-dim16"),
+    pytest.param("record_hash.py", ["--seeds", "0,1", "--count", "1", "--max-dim", "3"],
+                 id="record-hash"),
 ])
 def test_script_runs(tmp_path, script, args):
+    run_script(script, [a.format(tmp=tmp_path, root=ROOT) for a in args])
+
+
+def run_script(script, argv):
+    """stdout of a script under scripts/, run on this tree's src; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    argv = [a.format(tmp=tmp_path, root=ROOT) for a in args]
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_record_hash_keeps_the_verdicts():
+    # the verdicts of the 672 records of seeds 0 and 97 (count 8, max_dim 6);
+    # the full hash also covers the residuals, whose last bits may move
+    out = run_script("record_hash.py", ["--seeds", "0,97", "--count", "8", "--max-dim", "6"])
+    lines = out.splitlines()
+    assert "records 672" in lines
+    assert ("verdict 8e1a7ff48e1969f4d48f0d9492f0fe5c270f9d4f6b7deafcdcc870e2bcfc0e63"
+            in lines)
 
 
 def load_script(name):

@@ -274,13 +274,14 @@ def test_bse_duality_record_can_fail(monkeypatch, family):
     # ten times the duality tolerance tol_opt, fails exactly bse-duality
     from banalg import bse
 
-    original = bse._dual
+    original = bse._nonzero_cone
 
     def overstated(*args):
-        value, certificate = original(*args)
-        return value * (1 + 1e-5), certificate
+        sol = original(*args)
+        sol.dual_value = sol.dual_value * (1 + 1e-5)
+        return sol
 
-    monkeypatch.setattr(bse, "_dual", overstated)
+    monkeypatch.setattr(bse, "_nonzero_cone", overstated)
     records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
     assert [r.name for r in records if r.verdict == "FAIL"] == [f"{family}/000/bse-duality"]
 
@@ -292,15 +293,15 @@ def test_bse_duality_record_reads_every_batch_member(monkeypatch, family):
     # reads each member's own value, not one broadcast from member 0
     from banalg import bse
 
-    original = bse._dual
+    original = bse._nonzero_cone
 
     def third_overstated(*args):
-        values, certificates = original(*args)
-        values = values.copy()
-        values[2] *= 1 + 1e-5
-        return values, certificates
+        sol = original(*args)
+        sol.dual_value = sol.dual_value.copy()
+        sol.dual_value[2] *= 1 + 1e-5
+        return sol
 
-    monkeypatch.setattr(bse, "_dual", third_overstated)
+    monkeypatch.setattr(bse, "_nonzero_cone", third_overstated)
     records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
     assert [r.name for r in records if r.verdict == "FAIL"] == [f"{family}/000/bse-duality"]
 
@@ -492,7 +493,7 @@ def test_delta_weak_bai_record_can_fail(monkeypatch, family):
 
     def offset(*args):
         bai = original(*args)
-        bai.values = bai.values + 1e-5  # sigma = 1 + 1e-5, still read against e
+        bai.a = bai.a * (1 + 1e-5)  # e-hat = 1 + 1e-5, still read against sigma = 1
         return bai
 
     monkeypatch.setattr(verify, "delta_weak_bai", offset)
@@ -662,7 +663,7 @@ def test_minimizer_uniqueness_flags():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SemisimplicityWarning)
         fn = bse_norm_primal(np.array([1.0 + 0j]), partial, z2)
-    assert fn.bse_norm == pytest.approx(1.0, rel=1e-7)
+    assert fn.value == pytest.approx(1.0, rel=1e-7)
 
     # a random complex rectangular instance has one minimizer; duplicating a
     # column of its support (same weight) keeps the norm and frees the split
