@@ -8,6 +8,11 @@ with only name, anchor, verdict and detail kept (the residuals dropped).
 Equal hashes on two trees mean the same answers; equal verdict hashes with
 different full hashes mean only residuals moved.
 
+The script runs OpenBLAS, OpenMP and MKL on one thread: it sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before numpy
+is imported, whatever the caller set, because the last bits of the
+residuals, and so the full hash, depend on the BLAS thread count.
+
 Usage: python scripts/record_hash.py [--seeds 0,97] [--count 8] [--max-dim 6]
 """
 
@@ -15,10 +20,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 
-from banalg.jsonio import render_json
-from banalg.verify import RunConfig, run_verify
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads its BLAS
+
+from banalg.jsonio import render_json  # noqa: E402
+from banalg.verify import RunConfig, run_verify  # noqa: E402
 
 VERDICT_KEYS = ("name", "anchor", "verdict", "detail")
 

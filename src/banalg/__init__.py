@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .algebra import (
     Algebra,
-    LinearMap,
     ValidationReport,
     operator_norm,
     validate,
@@ -53,7 +52,6 @@ from .verify import Report, RunConfig, run_verify
 
 __all__ = [
     "Algebra",
-    "LinearMap",
     "ValidationReport",
     "operator_norm",
     "validate",

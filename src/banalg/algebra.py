@@ -69,30 +69,10 @@ class Algebra:
         return f"Algebra({self.name!r}, dim={self.dim})"
 
 
-@dataclass(eq=False)
-class LinearMap:
-    """matrix is target-dim x source-dim; columns are images of source basis vectors."""
-
-    source: Algebra
-    target: Algebra
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = _readonly(np.asarray(self.matrix, dtype=complex))
-        if self.matrix.shape != (self.target.dim, self.source.dim):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} != "
-                f"({self.target.dim}, {self.source.dim})"
-            )
-
-    def __repr__(self):
-        return f"LinearMap({self.source.name!r} -> {self.target.name!r})"
-
-
-def operator_norm(L: LinearMap) -> float:
-    """Exact operator norm between weighted l1 spaces: max weighted column norm."""
-    col_norms = L.target.weights @ np.abs(L.matrix)
-    return float(np.max(col_norms / L.source.weights))
+def operator_norm(P: np.ndarray, source: Algebra, target: Algebra) -> float:
+    """Exact operator norm of the (target dim, source dim) matrix P of a map
+    between weighted l1 spaces: the max weighted column norm."""
+    return float(np.max(target.weights @ np.abs(P) / source.weights))
 
 
 @dataclass

@@ -151,7 +151,6 @@ def _containment_residual(inner: np.ndarray, outer_basis: np.ndarray) -> float:
 
 @dataclass(eq=False)
 class BseVerdict:
-    algebra: Algebra
     characters: CharacterSet
     is_bse: bool
     semisimple: bool
@@ -198,7 +197,6 @@ def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
     res_m_in_c = _containment_residual(m_space, c_space)
     res_c_in_m = _containment_residual(c_space, m_space)
     return BseVerdict(
-        algebra=algebra,
         characters=S,
         is_bse=res_m_in_c <= tol and res_c_in_m <= tol,
         semisimple=semisimple,
@@ -347,7 +345,6 @@ def sigma_extension(rho_values: np.ndarray,
 class ProductBseReport:
     """One pass over A x_phi B and its direct sum A (+) B, joined by Phi."""
 
-    descriptor: ProductDescriptor
     iso: PhiIsomorphism
     verdict_first: BseVerdict
     verdict_second: BseVerdict
@@ -413,7 +410,6 @@ def verify_product_bse(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
         membership, hat_res = _transport_residuals(iso, m_product, chars.set,
                                                    sum_chars.set, tol)
     return ProductBseReport(
-        descriptor=desc,
         iso=iso,
         verdict_first=va,
         verdict_second=vb,
@@ -444,7 +440,7 @@ def _transport_residuals(iso: PhiIsomorphism, Ts: np.ndarray,
     """Worst Phi^-1 T Phi multiplier residual on A (+) B over the stack Ts of
     M(A x_phi B), and worst hat mismatch between the closed-form sets of the
     two products on the same parent sets."""
-    Ss = iso.inverse.matrix @ Ts @ iso.forward.matrix
+    Ss = iso.inverse @ Ts @ iso.forward
     membership = multiplier_residual(iso.direct.algebra, Ss)
     # the character pairing fixes indices blockwise: E_k <-> E_k, F_j <-> F_j
     hat_res = np.abs(hat(Ts, lau_set, tol) - hat(Ss, sum_set, tol))

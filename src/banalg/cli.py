@@ -122,16 +122,11 @@ def _cmd_multipliers(args) -> int:
         bundle = bundle_from_dict(load_json(args.blocks), where=args.blocks)
         if bundle.algebra.dim != algebra.dim:
             raise SchemaError([f"{args.blocks}: dim {bundle.algebra.dim}, not {algebra.dim}"])
-        blocks = []
-        for T in space:
-            dec = decompose_left_multiplier(T, bundle, args.tol)
-            blocks.append({
-                "relation_residuals": {k: float(v) for k, v in
-                                       dec.relation_residuals.items()},
-                "membership_residuals": {k: float(v) for k, v in
-                                         dec.membership_residuals.items()},
-            })
-        doc["blocks"] = blocks
+        dec = decompose_left_multiplier(space, bundle, args.tol)
+        doc["blocks"] = [
+            {field: {k: float(v[i]) for k, v in getattr(dec, field).items()}
+             for field in ("relation_residuals", "membership_residuals")}
+            for i in range(len(space))]
     _emit(doc, args.output)
     return 0
 

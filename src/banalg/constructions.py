@@ -3,11 +3,12 @@
 A semidirect product B (+) I has a closed subalgebra B and a closed ideal I,
 with (b, a)(b', a') = (bb', aa' + ba' + ab').  A lau product A x_phi B is the
 semidirect product with ideal A and subalgebra B acting by b.a = phi(b)a, and
-a direct sum is the lau product with phi = 0.  Both constructors hand their
-parents and their two actions to one assembler, which places the four
-structure blocks and validates the product once.  `ProductDescriptor` alone
-states the block layout: a semidirect product puts B first, a lau product or
-direct sum its ideal A first.
+a direct sum is the lau product with phi = 0.  A map is its coefficient
+matrix: phi: B -> A is a (dim A, dim B) array, and Phi is n x n.  Both
+constructors hand their parents and their two actions to one assembler,
+which places the four structure blocks and validates the product once.
+`ProductDescriptor` alone states the block layout: a semidirect product puts
+B first, a lau product or direct sum its ideal A first.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .algebra import (
     DEFAULT_TOL,
     Algebra,
-    LinearMap,
+    _readonly,
     operator_norm,
     rank_basis,
     require_valid,
@@ -38,14 +39,15 @@ class ProductDescriptor:
     """Provenance of a constructed product algebra.
 
     first/second are the parents in basis order (B, I for semidirect; A, B
-    for lau and direct_sum).
+    for lau and direct_sum); phi is the read-only (dim A, dim B) matrix of
+    phi: B -> A, None on a semidirect product.
     """
 
     kind: str  # "semidirect" | "lau" | "direct_sum"
     algebra: Algebra
     first: Algebra
     second: Algebra
-    phi: LinearMap | None = None
+    phi: np.ndarray | None = None
     contractive: bool = True
 
     @staticmethod
@@ -92,7 +94,7 @@ class ProductDescriptor:
 
 def _assemble(kind: str, first: Algebra, second: Algebra, action_bi: np.ndarray,
               action_ib: np.ndarray, tol: float, name: str, unit: np.ndarray | None = None,
-              phi: LinearMap | None = None, contractive: bool = True,
+              phi: np.ndarray | None = None, contractive: bool = True,
               force: bool = False) -> ProductDescriptor:
     """The product of `kind` on first (+) second with the actions b.a
     (action_bi[j, i, :], in I) and a.b (action_ib[i, j, :], in I).
@@ -138,85 +140,79 @@ def semidirect(B: Algebra, I: Algebra, action_bi: np.ndarray, action_ib: np.ndar
                      name or f"{B.name}(+){I.name}")
 
 
-def homomorphism_residual(phi: LinearMap) -> float:
-    """max over basis pairs of ||phi(e_i e_j) - phi(e_i) phi(e_j)|| in the target."""
-    B, A, P = phi.source, phi.target, phi.matrix
-    lhs = np.einsum("ijk,rk->ijr", B.structure, P)
-    rhs = np.einsum("ai,bj,abr->ijr", P, P, A.structure)
-    return float(np.max(np.abs(lhs - rhs) @ A.weights))
+def homomorphism_residual(P: np.ndarray, source: Algebra, target: Algebra) -> float:
+    """max over basis pairs of ||P(e_i e_j) - P(e_i) P(e_j)|| in the target,
+    for the (target dim, source dim) matrix P."""
+    lhs = np.einsum("ijk,rk->ijr", source.structure, P)
+    rhs = np.einsum("ai,bj,abr->ijr", P, P, target.structure)
+    return float(np.max(np.abs(lhs - rhs) @ target.weights))
 
 
-def lau_product(A: Algebra, B: Algebra, phi: LinearMap, tol: float = DEFAULT_TOL,
+def lau_product(A: Algebra, B: Algebra, phi: np.ndarray, tol: float = DEFAULT_TOL,
                 force: bool = False, name: str | None = None) -> ProductDescriptor:
     """A x_phi B: product (a,b)(a',b') = (aa' + phi(b)a' + a phi(b'), bb').
 
-    phi: B -> A must be an algebra homomorphism with operator norm <= 1.
+    phi, the (dim A, dim B) matrix of phi: B -> A, must be an algebra
+    homomorphism with operator norm <= 1; another shape raises ValueError.
     force=True admits non-contractive phi (still an algebra); the descriptor
     records it so norm-sensitive checks downstream can be skipped.
     """
     require_valid(A, tol)
     require_valid(B, tol)
-    if phi.source is not B or phi.target is not A:
-        raise ValueError("phi must map B into A")
-    residual = homomorphism_residual(phi)
+    phi = _readonly(np.array(phi, dtype=complex))
+    if phi.shape != (A.dim, B.dim):
+        raise ValueError(f"phi must map B into A: shape {phi.shape}, not {(A.dim, B.dim)}")
+    residual = homomorphism_residual(phi, B, A)
     if residual > tol:
         raise NotHomomorphismError(
             f"phi is not an algebra homomorphism (residual {residual:.3e})"
         )
-    norm = operator_norm(phi)
+    norm = operator_norm(phi, B, A)
     contractive = norm <= 1.0 + tol
     if not contractive and not force:
         raise NotContractiveError(norm)
     unit = None
     if A.unit is not None and B.unit is not None:
         # (u_A - phi(u_B), u_B) is the unit when both parents are unital
-        unit = np.concatenate([A.unit - phi.matrix @ B.unit, B.unit])
+        unit = np.concatenate([A.unit - phi @ B.unit, B.unit])
     return _assemble(
-        "lau" if np.any(phi.matrix) else "direct_sum", A, B,
-        np.einsum("kj,kir->jir", phi.matrix, A.structure),  # phi(b) a
-        np.einsum("ikr,kj->ijr", A.structure, phi.matrix),  # a phi(b)
+        "lau" if np.any(phi) else "direct_sum", A, B,
+        np.einsum("kj,kir->jir", phi, A.structure),  # phi(b) a
+        np.einsum("ikr,kj->ijr", A.structure, phi),  # a phi(b)
         tol, name or f"{A.name}x({B.name})", unit, phi, contractive, force)
 
 
 def direct_sum(A: Algebra, B: Algebra, tol: float = DEFAULT_TOL) -> ProductDescriptor:
-    zero = LinearMap(B, A, np.zeros((A.dim, B.dim), dtype=complex))
-    return lau_product(A, B, zero, tol, name=f"{A.name}(+){B.name}")
+    return lau_product(A, B, np.zeros((A.dim, B.dim)), tol, name=f"{A.name}(+){B.name}")
 
 
 @dataclass(eq=False)
 class PhiIsomorphism:
-    """Phi: A x_0 B -> A x_phi B, (a, b) -> (a - phi(b), b), with inverse."""
+    """Phi: A x_0 B -> A x_phi B, (a, b) -> (a - phi(b), b), as the read-only
+    n x n matrix `forward`, its inverse `inverse`, the direct sum A x_0 B it
+    starts from, and the certified bound ||Phi|| <= norm_bound = ||phi|| + 1."""
 
-    forward: LinearMap
-    inverse: LinearMap
+    forward: np.ndarray
+    inverse: np.ndarray
     direct: ProductDescriptor
-    lau: ProductDescriptor
-
-    @property
-    def norm_bound(self) -> float:
-        """Certified bound ||Phi|| <= ||phi|| + 1."""
-        return operator_norm(self.lau.phi) + 1.0
+    norm_bound: float
 
 
 def phi_isomorphism(lau: ProductDescriptor, tol: float = DEFAULT_TOL) -> PhiIsomorphism:
-    """Phi for a lau product already built: only A (+) B and the two matrices
-    are new, and the returned `lau` is the descriptor passed in.  A direct sum
-    is its own A (+) B (Phi is the identity), so `direct` is `lau` there.
-    Raises ConstructionError on a semidirect descriptor, which has no phi."""
+    """Phi for a lau product already built: only A (+) B, the two matrices
+    and ||phi|| are new.  A direct sum is its own A (+) B (Phi is the
+    identity), so `direct` is `lau` there.  Raises ConstructionError on a
+    semidirect descriptor, which has no phi."""
     if lau.kind == "semidirect":
         raise ConstructionError("Phi needs a lau product or direct sum, not semidirect")
     direct = lau if lau.kind == "direct_sum" else direct_sum(lau.first, lau.second, tol)
     block = (lau.ideal_slice, lau.subalgebra_slice)
     fwd = np.eye(lau.algebra.dim, dtype=complex)
-    fwd[block] = -lau.phi.matrix
+    fwd[block] = -lau.phi
     inv = np.eye(lau.algebra.dim, dtype=complex)
-    inv[block] = lau.phi.matrix
-    return PhiIsomorphism(
-        forward=LinearMap(direct.algebra, lau.algebra, fwd),
-        inverse=LinearMap(lau.algebra, direct.algebra, inv),
-        direct=direct,
-        lau=lau,
-    )
+    inv[block] = lau.phi
+    return PhiIsomorphism(_readonly(fwd), _readonly(inv), direct,
+                          operator_norm(lau.phi, lau.subalgebra, lau.ideal) + 1.0)
 
 
 def finite_abelian_group_algebra(orders: list[int], name: str | None = None) -> Algebra:

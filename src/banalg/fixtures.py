@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, LinearMap
+from .algebra import Algebra
 from .constructions import (
     ProductDescriptor,
     finite_abelian_group_algebra,
@@ -156,8 +156,7 @@ def lau_fixture(seed: int, index: int, max_dim: int = 3,
         alpha[int(rng.integers(0, nA)), :] = 0.0
     A = Algebra(f"A{nA}#{index}", wA, _diagonal(sA), unit=1.0 / sA)
     B = Algebra(f"B{nB}#{index}", wB, _diagonal(tB), unit=1.0 / tB)
-    phi = LinearMap(B, A, alpha)
-    desc = lau_product(A, B, phi, name=f"lau{nA}x{nB}#{index}")
+    desc = lau_product(A, B, alpha, name=f"lau{nA}x{nB}#{index}")
     return Fixture(
         "lau", f"lau/{index:03d}", desc.algebra, desc,
         meta={"surjective": surjective, "iota": [int(i) for i in iota]},

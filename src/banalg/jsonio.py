@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import Algebra, LinearMap
+from .algebra import Algebra
 from .errors import SchemaError
 
 
@@ -174,16 +174,17 @@ def algebra_from_dict(doc: Any, where: str = "$") -> Algebra:
                    structure=tensor, unit=unit)
 
 
-def morphism_to_dict(phi: LinearMap) -> dict:
+def morphism_to_dict(P: np.ndarray, source: Algebra, target: Algebra) -> dict:
+    """The morphism file of the (target dim, source dim) matrix P."""
     return {
-        "source": phi.source.name,
-        "target": phi.target.name,
-        "matrix": [[complex_pair(z) for z in row] for row in phi.matrix],
+        "source": source.name,
+        "target": target.name,
+        "matrix": [[complex_pair(z) for z in row] for row in P],
     }
 
 
 def morphism_from_dict(doc: Any, source: Algebra, target: Algebra,
-                       where: str = "$") -> LinearMap:
+                       where: str = "$") -> np.ndarray:
     v: list[str] = []
     _check(isinstance(doc, dict), v, where, "expected an object")
     if v:
@@ -203,7 +204,7 @@ def morphism_from_dict(doc: Any, source: Algebra, target: Algebra,
                     matrix[r, c_] = z
     if v:
         raise SchemaError(v)
-    return LinearMap(source, target, matrix)
+    return matrix
 
 
 def sigma_from_dict(doc: Any, expected_len: int | None = None,
@@ -247,7 +248,7 @@ def bundle_to_dict(desc) -> dict:
         },
     }
     if desc.phi is not None:
-        doc["descriptor"]["phi"] = morphism_to_dict(desc.phi)
+        doc["descriptor"]["phi"] = morphism_to_dict(desc.phi, desc.subalgebra, desc.ideal)
     if desc.kind == "semidirect":
         _, bi, _, ib = desc.block_tensors
         doc["descriptor"]["action_bi"] = _sparse_tensor(bi)

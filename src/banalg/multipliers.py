@@ -28,7 +28,7 @@ whose length is the dimension.  The residuals, the block split and `hat`
 take one map or a stack of maps along leading axes, so a check over a whole
 space is one contraction: a residual is the worst over the stack, and a
 refusal is raised when any map fails.  `split_blocks` refuses nothing: it
-returns the blocks with their residuals, and the caller judges them;
+returns the blocks with one residual per map, and the caller judges them;
 `decompose_left_multiplier` first refuses a map outside LM(A).
 """
 
@@ -98,6 +98,11 @@ def _max_norm(diff: np.ndarray, weights: np.ndarray) -> float:
     return float(np.max(np.abs(diff) @ weights, initial=0.0))
 
 
+def _map_norms(diff: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per map of diff[..., x, y, r], the worst weighted-l1 norm over (x, y)."""
+    return np.max(np.abs(diff) @ weights, axis=(-2, -1), initial=0.0)
+
+
 def left_multiplier_residual(algebra: Algebra, T: np.ndarray) -> float:
     """max_{i,j} || T(e_i e_j) - e_i T(e_j) ||, the worst over a stack T[..., n, n]."""
     c = algebra.structure
@@ -165,29 +170,29 @@ def multiplier_space(algebra: Algebra) -> np.ndarray:
 class BlockDecomposition:
     """T(b, a) = (S_B(a) + T_B(b), R_I(a) + S_I(b)) with the relation residuals.
 
-    relation_residuals holds the max residuals of items (ii), (iii), (iv).
-    The blocks of a stack of maps keep its leading axes, and each residual
-    is the worst over the stack.
+    relation_residuals holds the max residuals of items (ii), (iii), (iv).  The
+    blocks and residuals of a stack keep its leading axes, one residual per
+    map (a float for one map); the max_ properties are the worst over it.
     """
 
     T_B: np.ndarray  # [..., m, m]
     S_B: np.ndarray  # [..., m, p]
     S_I: np.ndarray  # [..., p, m]
     R_I: np.ndarray  # [..., p, p]
-    relation_residuals: dict[str, float]
-    membership_residuals: dict[str, float]
+    relation_residuals: dict[str, np.ndarray]  # each [...]
+    membership_residuals: dict[str, np.ndarray]
 
     @property
     def max_relation_residual(self) -> float:
-        return max(self.relation_residuals.values())
+        return float(np.max(list(self.relation_residuals.values()), initial=0.0))
 
     @property
     def max_membership_residual(self) -> float:
-        return max(self.membership_residuals.values())
+        return float(np.max(list(self.membership_residuals.values()), initial=0.0))
 
 
 def _block_relation_residuals(desc: ProductDescriptor, T_B, S_B, S_I, R_I
-                              ) -> tuple[dict[str, float], dict[str, float]]:
+                              ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     wB = desc.algebra.weights[desc.subalgebra_slice]
     wI = desc.algebra.weights[desc.ideal_slice]
     cBB, cBI, cII, cIB = desc.block_tensors
@@ -195,18 +200,18 @@ def _block_relation_residuals(desc: ProductDescriptor, T_B, S_B, S_I, R_I
     r_ii = _of_product(cII, R_I) - _times_image(cII, R_I) - _times_image(cIB, S_B)
     r_iii = _of_product(cIB, R_I) - _times_image(cII, S_I) - _times_image(cIB, T_B)
     relations = {
-        "ii": _max_norm(r_ii, wI),
-        "iii": _max_norm(r_iii, wI),
+        "ii": _map_norms(r_ii, wI),
+        "iii": _map_norms(r_iii, wI),
         # (iv) S_B(a a') = 0 and S_B(a b) = 0
-        "iv": max(_max_norm(_of_product(cII, S_B), wB),
-                  _max_norm(_of_product(cIB, S_B), wB)),
+        "iv": np.maximum(_map_norms(_of_product(cII, S_B), wB),
+                         _map_norms(_of_product(cIB, S_B), wB)),
     }
     # T_B in LM(B), S_I in Hom_B(B, I), R_I in Hom_B(I, I), S_B in Hom_B(I, B)
     memberships = {
-        "T_B": _max_norm(_of_product(cBB, T_B) - _times_image(cBB, T_B), wB),
-        "S_B": _max_norm(_of_product(cBI, S_B) - _times_image(cBB, S_B), wB),
-        "S_I": _max_norm(_of_product(cBB, S_I) - _times_image(cBI, S_I), wI),
-        "R_I": _max_norm(_of_product(cBI, R_I) - _times_image(cBI, R_I), wI),
+        "T_B": _map_norms(_of_product(cBB, T_B) - _times_image(cBB, T_B), wB),
+        "S_B": _map_norms(_of_product(cBI, S_B) - _times_image(cBB, S_B), wB),
+        "S_I": _map_norms(_of_product(cBB, S_I) - _times_image(cBI, S_I), wI),
+        "R_I": _map_norms(_of_product(cBI, R_I) - _times_image(cBI, R_I), wI),
     }
     return relations, memberships
 

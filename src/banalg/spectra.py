@@ -303,4 +303,4 @@ class SemidirectCharacters:
         if phi is None:
             raise ConstructionError("surjectivity needs a lau product or direct sum")
         return (all(ix is not None for ix in self.psi_index)
-                and rank_basis(phi.matrix)[0] == self.descriptor.ideal.dim)
+                and rank_basis(phi)[0] == self.descriptor.ideal.dim)

@@ -359,10 +359,9 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
     # one product-BSE pass: Phi, the four verdicts and the structural checks
     rep = verify_product_bse(desc, cfg.tol_algebraic, mult, sdc)
     iso = rep.iso
-    bound_excess = operator_norm(iso.forward) - iso.norm_bound
-    _rec(records, f"{fix.name}/phi-iso-norm", "lau-bse", max(0.0, bound_excess),
-         1e-12,
-         detail=f"|Phi| = {operator_norm(iso.forward):.6g} <= {iso.norm_bound:.6g}")
+    norm = operator_norm(iso.forward, iso.direct.algebra, desc.algebra)
+    _rec(records, f"{fix.name}/phi-iso-norm", "lau-bse", max(0.0, norm - iso.norm_bound),
+         1e-12, detail=f"|Phi| = {norm:.6g} <= {iso.norm_bound:.6g}")
     _rec(records, f"{fix.name}/lau-bse-biconditional", "lau-bse",
          0.0 if rep.biconditional_ok else 1.0, 0.0,
          detail=f"A={rep.verdict_first.is_bse} B={rep.verdict_second.is_bse} "

@@ -9,7 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from banalg.algebra import Algebra, LinearMap
+from banalg.algebra import Algebra
 from banalg.constructions import (
     finite_abelian_group_algebra,
     lau_product,
@@ -22,6 +22,16 @@ def write_json(path, doc):
     """Write doc as the CLI's deterministic JSON, for tests that need input files."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(render_json(doc) + "\n")
+
+
+def change_basis(alg, S):
+    """The algebra in the basis f_i = sum_a S[a, i] e_a, every weight
+    max(1, max_ij sum_k |c'[i, j, k]|)."""
+    S_inv = np.linalg.inv(S)
+    c = np.einsum("ai,bj,abk,lk->ijl", S, S, alg.structure, S_inv)
+    weight = max(1.0, float(np.abs(c).sum(axis=2).max()))
+    unit = None if alg.unit is None else S_inv @ alg.unit
+    return Algebra(alg.name + "~", np.full(alg.dim, weight), c, unit=unit)
 
 
 def sigma_to_dict(values):
@@ -179,8 +189,7 @@ def lau_c_c2():
     """A = C, B = C^2, phi(b1, b2) = b1: the 3-dimensional worked example."""
     A = diagonal_algebra(1, "Afix")
     B = diagonal_algebra(2, "Bfix2")
-    phi = LinearMap(B, A, np.array([[1.0, 0.0]], dtype=complex))
-    return lau_product(A, B, phi)
+    return lau_product(A, B, np.array([[1.0, 0.0]], dtype=complex))
 
 
 @pytest.fixture

@@ -205,7 +205,8 @@ def test_criterion_6_phi_transport(lau_fixtures):
     for fix in lau_fixtures[:12]:
         desc = fix.descriptor
         iso = phi_isomorphism(desc)
-        worst_bound = max(worst_bound, operator_norm(iso.forward) - iso.norm_bound)
+        norm = operator_norm(iso.forward, iso.direct.algebra, desc.algebra)
+        worst_bound = max(worst_bound, norm - iso.norm_bound)
         rep = verify_product_bse(desc)
         dims_ok = dims_ok and rep.transport_dim_ok
         worst_member = max(worst_member, rep.transport_membership)

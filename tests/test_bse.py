@@ -444,7 +444,7 @@ def test_verify_product_bse_report_is_complete(desc):
     transport = {"transport_membership", "transport_hat_residual"}
     unset = {f.name for f in dataclasses.fields(rep) if getattr(rep, f.name) is None}
     assert unset == (transport if desc.kind == "direct_sum" else set())
-    assert rep.verdict_direct.algebra is rep.iso.direct.algebra
+    assert rep.verdict_direct.characters.algebra is rep.iso.direct.algebra
     assert rep.biconditional_ok and rep.sum_biconditional_ok
     assert rep.sum_block_dim_ok and rep.sum_block_residual <= 1e-10
     assert rep.transport_dim_ok

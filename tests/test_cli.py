@@ -5,11 +5,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from banalg.algebra import Algebra, LinearMap
+from banalg.algebra import Algebra
 
+from banalg import cli
 from banalg.cli import main
 from banalg.constructions import direct_sum
-from banalg.jsonio import algebra_to_dict, bundle_to_dict, morphism_to_dict
+from banalg.fixtures import build_fixture
+from banalg.jsonio import (
+    algebra_to_dict,
+    bundle_from_dict,
+    bundle_to_dict,
+    load_json,
+    morphism_to_dict,
+)
+from banalg.multipliers import split_blocks
 
 from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect, write_json
 
@@ -290,6 +299,35 @@ def test_multipliers_blocks_of_another_dimension_exit_2(algebra_file, tmp_path, 
     assert err == f"error: {bundle}: dim 3, not 2\n"
 
 
+@pytest.mark.parametrize("left", [False, True], ids=["M", "LM"])
+def test_multipliers_blocks_split_the_space_in_one_call(tmp_path, capsys, monkeypatch, left):
+    # the whole basis is split in one stacked call, and block i holds the
+    # residuals split_blocks gives basis map i alone
+    bundle = tmp_path / "lau.json"
+    write_json(str(bundle), bundle_to_dict(build_fixture("lau", 0, 0, 6).descriptor))
+    calls, original = [], cli.decompose_left_multiplier
+
+    def counted(T, *args):
+        calls.append(np.shape(T))
+        return original(T, *args)
+
+    monkeypatch.setattr(cli, "decompose_left_multiplier", counted)
+    argv = ["multipliers", str(bundle), "--blocks", str(bundle)] + ["--left"] * left
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    doc = json.loads(stdout)
+    desc = bundle_from_dict(load_json(str(bundle)))
+    n = desc.algebra.dim
+    assert calls == [(doc["dim"], n, n)] and doc["dim"] > 1
+    assert len(doc["blocks"]) == doc["dim"]
+    for pairs, got in zip(doc["basis"], doc["blocks"]):
+        want = split_blocks(np.array([[complex(*z) for z in row] for row in pairs]), desc)
+        for field in ("relation_residuals", "membership_residuals"):
+            expected = getattr(want, field)
+            assert got[field].keys() == expected.keys()
+            assert all(abs(got[field][k] - v) <= 1e-15 for k, v in expected.items())
+
+
 VERIFY_SMALL = ("--families", "diag", "--count", "1", "--max-dim", "2", "--format", "json")
 
 
@@ -363,10 +401,10 @@ def golden_build_argv(tmp_path, kind):
     B = scaled_diagonal("B3", [0.4, 0.3j, 1.0], [1.0, 1.5, 2.0])
     # phi(u_l) = (t_l / s_k) v_k: u0 -> v0 / 2, u1 -> v1 / 2, u2 -> 0
     matrix = ([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]] if kind == "lau" else np.zeros((2, 3)))
-    phi = LinearMap(B, A, np.asarray(matrix, dtype=complex))
+    phi = np.asarray(matrix, dtype=complex)
     return ["build", "lau", "--a", path("a.json", algebra_to_dict(A)),
             "--b", path("b.json", algebra_to_dict(B)),
-            "--phi", path("phi.json", morphism_to_dict(phi))]
+            "--phi", path("phi.json", morphism_to_dict(phi, B, A))]
 
 
 @pytest.mark.parametrize("kind", ["semidirect", "lau", "direct_sum"])

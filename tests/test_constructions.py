@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from banalg.algebra import Algebra, LinearMap, operator_norm, validate
+from banalg.algebra import Algebra, operator_norm, validate
 from banalg.constructions import (
     direct_sum,
     finite_abelian_group_algebra,
@@ -60,6 +60,14 @@ def test_semidirect_rejects_misshapen_actions():
         semidirect(B, I, np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
 
 
+def test_lau_rejects_misshapen_phi():
+    # phi may arrive from JSON: a matrix that does not map B into A is refused
+    A, B = diagonal_algebra(1, "A"), diagonal_algebra(2, "B")
+    for shape in [(B.dim, A.dim), (A.dim, B.dim + 1)]:
+        with pytest.raises(ValueError, match="phi must map B into A"):
+            lau_product(A, B, np.zeros(shape))
+
+
 def test_semidirect_broken_action_rejected():
     # action violating (b b') . a = b . (b' . a): b acts as a shift with b^2 = 0
     B = Algebra("Bnil", np.ones(1), np.zeros((1, 1, 1), dtype=complex))
@@ -77,8 +85,7 @@ def test_semidirect_broken_action_rejected():
 def test_lau_zero_phi_equals_direct_sum():
     A = diagonal_algebra(2, "A")
     B = diagonal_algebra(2, "B")
-    zero = LinearMap(B, A, np.zeros((2, 2), dtype=complex))
-    lau = lau_product(A, B, zero)
+    lau = lau_product(A, B, np.zeros((2, 2), dtype=complex))
     ds = direct_sum(A, B)
     assert lau.kind == "direct_sum"
     assert np.array_equal(lau.algebra.structure, ds.algebra.structure)
@@ -95,7 +102,7 @@ def test_lau_worked_product():
 def test_lau_rejects_noncontractive():
     A = diagonal_algebra(2, "A")
     C = diagonal_algebra(1, "C")
-    phi = LinearMap(C, A, np.array([[1.0], [1.0]], dtype=complex))  # norm 2
+    phi = np.array([[1.0], [1.0]], dtype=complex)  # norm 2
     with pytest.raises(NotContractiveError) as err:
         lau_product(A, C, phi)
     assert err.value.norm == pytest.approx(2.0)
@@ -107,9 +114,9 @@ def test_lau_rejects_noncontractive():
 def test_lau_rejects_nonhomomorphism():
     A = diagonal_algebra(2, "A")
     C = diagonal_algebra(1, "C")
-    phi = LinearMap(C, A, np.array([[0.5], [0.0]], dtype=complex))
+    phi = np.array([[0.5], [0.0]], dtype=complex)
     # phi(b b') - phi(b) phi(b') = (1/2 - 1/4) at b = b' = 1
-    assert homomorphism_residual(phi) == pytest.approx(0.25)
+    assert homomorphism_residual(phi, C, A) == pytest.approx(0.25)
     with pytest.raises(NotHomomorphismError):
         lau_product(A, C, phi)
 
@@ -121,13 +128,12 @@ def test_homomorphism_residual_against_pairwise_oracle():
     for desc in descs:
         B, A = desc.second, desc.first
         P = rng.standard_normal((A.dim, B.dim)) + 1j * rng.standard_normal((A.dim, B.dim))
-        phi = LinearMap(B, A, P)
         naive = max(
             weighted_norm(A, P @ B.structure[i, j] - multiply(A, P[:, i], P[:, j]))
             for i in range(B.dim) for j in range(B.dim)
         )
         assert naive > 1e-3  # a random map is not a homomorphism
-        assert homomorphism_residual(phi) == pytest.approx(naive, rel=1e-12)
+        assert homomorphism_residual(P, B, A) == pytest.approx(naive, rel=1e-12)
 
 
 def test_direct_sum_products_and_norms():
@@ -158,31 +164,29 @@ def test_ideal_embedding_of_first_factor():
 def test_phi_isomorphism_zero_is_identity():
     A = diagonal_algebra(1, "A")
     B = diagonal_algebra(1, "B")
-    zero = LinearMap(B, A, np.zeros((1, 1), dtype=complex))
-    iso = phi_isomorphism(lau_product(A, B, zero))
-    assert np.array_equal(iso.forward.matrix, np.eye(2))
+    iso = phi_isomorphism(lau_product(A, B, np.zeros((1, 1), dtype=complex)))
+    assert np.array_equal(iso.forward, np.eye(2))
 
 
 def test_phi_isomorphism_explicit_formula_and_inverse():
     desc = lau_c_c2()
     iso = phi_isomorphism(desc)
     v = np.array([2.0, 3.0, 4.0], dtype=complex)  # (a, b1, b2)
-    assert np.allclose(iso.forward.matrix @ v, [2.0 - 3.0, 3.0, 4.0])
-    assert np.allclose(iso.inverse.matrix @ (iso.forward.matrix @ v), v)
+    assert np.allclose(iso.forward @ v, [2.0 - 3.0, 3.0, 4.0])
+    assert np.allclose(iso.inverse @ (iso.forward @ v), v)
     # intertwines: Phi(x .0 y) = Phi(x) .phi Phi(y) on all basis pairs
     for i in range(3):
         for j in range(3):
             x0 = multiply(iso.direct.algebra, np.eye(3)[i], np.eye(3)[j])
-            lhs = iso.forward.matrix @ x0
-            rhs = multiply(iso.lau.algebra,
-                           iso.forward.matrix[:, i], iso.forward.matrix[:, j])
+            lhs = iso.forward @ x0
+            rhs = multiply(desc.algebra, iso.forward[:, i], iso.forward[:, j])
             assert np.allclose(lhs, rhs)
 
 
 def test_phi_isomorphism_norm_bound():
     desc = lau_c_c2()
     iso = phi_isomorphism(desc)
-    nrm = operator_norm(iso.forward)
+    nrm = operator_norm(iso.forward, iso.direct.algebra, desc.algebra)
     assert nrm <= iso.norm_bound + 1e-12
     assert nrm == pytest.approx(2.0)
     # brute force the operator norm as an independent check: random vectors
@@ -194,7 +198,7 @@ def test_phi_isomorphism_norm_bound():
     candidates += [row for row in np.eye(3, dtype=complex)]
     for v in candidates:
         best = max(best,
-                   weighted_norm(iso.lau.algebra, iso.forward.matrix @ v)
+                   weighted_norm(desc.algebra, iso.forward @ v)
                    / weighted_norm(iso.direct.algebra, v))
     assert best == pytest.approx(nrm, abs=1e-12)
 
@@ -227,14 +231,14 @@ def test_group_algebra_z2z2_characters_brute_force():
 def test_check_homomorphism_report():
     A = diagonal_algebra(2, "A")
     C = diagonal_algebra(1, "C")
-    zero = LinearMap(C, A, np.zeros((2, 1), dtype=complex))
-    assert homomorphism_residual(zero) <= 1e-9 and operator_norm(zero) == 0
-    emb = LinearMap(C, A, np.array([[1.0], [0.0]], dtype=complex))
-    assert homomorphism_residual(emb) <= 1e-9
-    assert operator_norm(emb) == pytest.approx(1.0)
-    half = LinearMap(C, A, np.array([[0.5], [0.0]], dtype=complex))
-    assert homomorphism_residual(half) > 1e-9
-    assert homomorphism_residual(half) == pytest.approx(0.25)
+    zero = np.zeros((2, 1), dtype=complex)
+    assert homomorphism_residual(zero, C, A) <= 1e-9 and operator_norm(zero, C, A) == 0
+    emb = np.array([[1.0], [0.0]], dtype=complex)
+    assert homomorphism_residual(emb, C, A) <= 1e-9
+    assert operator_norm(emb, C, A) == pytest.approx(1.0)
+    half = np.array([[0.5], [0.0]], dtype=complex)
+    assert homomorphism_residual(half, C, A) > 1e-9
+    assert homomorphism_residual(half, C, A) == pytest.approx(0.25)
 
 
 def test_ideal_span_full_for_pointwise_fixture():

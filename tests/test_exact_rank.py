@@ -13,12 +13,13 @@ import pytest
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from banalg.algebra import Algebra, LinearMap, annihilator_basis, rank_basis, validate
+from banalg.algebra import Algebra, annihilator_basis, rank_basis, validate
 from banalg.constructions import finite_abelian_group_algebra, lau_product
 from banalg.multipliers import block_space, left_multiplier_space, multiplier_space
 from banalg.spectra import characters_numerical, characters_semidirect
 
 from conftest import (
+    change_basis,
     diagonal_algebra,
     dual_numbers_semidirect,
     lau_c_c2,
@@ -138,6 +139,15 @@ def zero_product(n):
     return Algebra(f"zero{n}", np.ones(n), np.zeros((n, n, n), dtype=complex))
 
 
+def truncated_polynomials(k):
+    """C[x]/(x^k) on the monomials e_i = x^i: e_i e_j = e_{i+j} below degree k."""
+    i = np.arange(k)
+    c = np.zeros((k, k, k), dtype=complex)
+    low = np.add.outer(i, i) < k
+    c[np.nonzero(low) + (np.add.outer(i, i)[low],)] = 1.0
+    return Algebra(f"C[x]/(x^{k})", np.ones(k), c, unit=np.eye(1, k, dtype=complex)[0])
+
+
 CASES = [
     # unital, so M(A) = LM(A) = {L_a}, of dimension |G|; the three of order
     # 16 are the untwisted bse_dim16 algebras
@@ -147,6 +157,12 @@ CASES = [
     pytest.param(zero_product(3), 9, 9, id="zero-product"),
     # B (+) X with x1 unacted: an algebra with order
     pytest.param(module_extension_semidirect().algebra, 7, 4, id="module-extension"),
+    # unital and not semisimple: M(A) = LM(A) = {L_a}, of dimension k
+    # (the second basis is f_i = e_i + e_{i-1}, with uniform weights 3, 4, 5)
+    *(pytest.param(alg, k, k, id=f"truncated-poly{k}-{basis}")
+      for k in (2, 3, 4) for basis, alg in (
+          ("monomial", truncated_polynomials(k)),
+          ("shifted", change_basis(truncated_polynomials(k), np.eye(k) + np.eye(k, k=1))))),
 ]
 
 
@@ -159,8 +175,9 @@ def test_multiplier_dimensions_match_exact_nullity(alg, dim_m, dim_lm):
     assert len(left_multiplier_space(alg)) == exact_lm
 
 
-# |G| characters on l1(G), none on the zero product, C^2's two on B (+) X
-CHARACTER_COUNTS = (4, 6, 8, 9, 8, 16, 16, 16, 0, 2)
+# |G| characters on l1(G), none on the zero product, C^2's two on B (+) X,
+# and one, evaluation at x = 0, on each C[x]/(x^k)
+CHARACTER_COUNTS = (4, 6, 8, 9, 8, 16, 16, 16, 0, 2) + (1,) * 6
 
 
 @pytest.mark.parametrize("alg, count", [
@@ -172,9 +189,9 @@ def test_character_count_matches_exact_trace_rank(alg, count):
     assert len(characters_numerical(alg)) == count
 
 
-# unital group algebras annihilate nothing; the zero product annihilates all
-# of C^3, and B (+) X annihilates the unacted direction x1
-ANNIHILATOR_DIMS = (0, 0, 0, 0, 0, 0, 0, 0, 3, 1)
+# unital algebras annihilate nothing; the zero product annihilates all of
+# C^3, and B (+) X annihilates the unacted direction x1
+ANNIHILATOR_DIMS = (0, 0, 0, 0, 0, 0, 0, 0, 3, 1) + (0,) * 6
 
 
 @pytest.mark.parametrize("alg, dim", [
@@ -209,7 +226,7 @@ def lau_case(weights_b, matrix):
     is a homomorphism."""
     A = diagonal_algebra(2, "A2")
     B = diagonal_algebra(len(weights_b), "Bw", weights=weights_b)
-    return lau_product(A, B, LinearMap(B, A, np.array(matrix, dtype=complex)))
+    return lau_product(A, B, np.array(matrix, dtype=complex))
 
 
 @pytest.mark.parametrize("desc, rank, surjective", [
@@ -222,7 +239,7 @@ def lau_case(weights_b, matrix):
     pytest.param(lau_case([2, 1], [[1, 0], [1, 0]]), 1, False, id="repeated-row"),
 ])
 def test_phi_rank_matches_exact_rank(desc, rank, surjective):
-    phi = desc.phi.matrix
+    phi = desc.phi
     exact = DomainMatrix(rational(phi), phi.shape, QQ).rank()
     assert exact == rank  # known by hand
     assert rank_basis(phi)[0] == exact

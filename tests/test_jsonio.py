@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from banalg.algebra import Algebra, LinearMap, validate
+from banalg.algebra import Algebra, validate
 from banalg.constructions import direct_sum, finite_abelian_group_algebra, lau_product
 from banalg.errors import SchemaError
 from banalg.jsonio import (
@@ -78,10 +78,11 @@ def test_schema_missing_fields():
 
 def test_morphism_round_trip(c2):
     A = diagonal_algebra(1, "A")
-    phi = LinearMap(c2, A, np.array([[1.0, 2.0 - 1.0j]]))
-    doc = morphism_to_dict(phi)
+    phi = np.array([[1.0, 2.0 - 1.0j]])
+    doc = morphism_to_dict(phi, c2, A)
+    assert (doc["source"], doc["target"]) == (c2.name, A.name)
     back = morphism_from_dict(doc, c2, A)
-    assert np.array_equal(back.matrix, phi.matrix)
+    assert np.array_equal(back, phi)
 
 
 def test_sigma_round_trip():
@@ -108,15 +109,14 @@ def forced_lau():
     A = finite_abelian_group_algebra([2], name="Z2w")
     A = Algebra(A.name, np.array([1.0, 3.0]), A.structure, unit=A.unit)
     B = diagonal_algebra(1, "B")
-    return lau_product(A, B, LinearMap(B, A, np.array([[0.5], [0.5]], dtype=complex)),
-                       force=True)
+    return lau_product(A, B, np.array([[0.5], [0.5]], dtype=complex), force=True)
 
 
 def test_bundle_round_trip_lau():
     desc = lau_c_c2()
     back = round_trip(desc)
     assert back.kind == "lau"
-    assert np.array_equal(back.phi.matrix, desc.phi.matrix)
+    assert np.array_equal(back.phi, desc.phi)
 
 
 def test_bundle_round_trip_semidirect():
@@ -127,7 +127,7 @@ def test_bundle_round_trip_semidirect():
 def test_bundle_round_trip_direct_sum():
     back = round_trip(direct_sum(diagonal_algebra(1, "A"), diagonal_algebra(2, "B")))
     assert back.kind == "direct_sum"
-    assert not np.any(back.phi.matrix)
+    assert not np.any(back.phi)
 
 
 def test_bundle_round_trip_forced_lau():
@@ -135,7 +135,7 @@ def test_bundle_round_trip_forced_lau():
     assert validate(desc.algebra).failures == ["submultiplicativity"]
     back = round_trip(desc)
     assert back.kind == "lau" and back.contractive is False
-    assert np.array_equal(back.phi.matrix, desc.phi.matrix)
+    assert np.array_equal(back.phi, desc.phi)
 
 
 def test_bundle_tamper_detected():

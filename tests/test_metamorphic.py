@@ -24,6 +24,8 @@ from banalg.fixtures import FAMILIES, build_fixture
 from banalg.multipliers import left_multiplier_space, multiplier_space
 from banalg.spectra import characters_numerical
 
+from conftest import change_basis
+
 # 64 algebras: seeds 0 and 97, indices 0-7 of every family, max_dim 6
 CORPUS = [pytest.param(seed, family, index, id=f"{family}-{seed}-{index}")
           for seed in (0, 97) for family in FAMILIES for index in range(8)]
@@ -59,16 +61,6 @@ def test_relabeling_keeps_counts_and_verdicts(seed, family, index):
     relabeled = relabel(alg, perm, u)
     assert validate(relabeled).accepted
     assert invariants(relabeled) == invariants(alg)
-
-
-def change_basis(alg, S):
-    """The algebra in the basis f_i = sum_a S[a, i] e_a, every weight
-    max(1, max_ij sum_k |c'[i, j, k]|)."""
-    S_inv = np.linalg.inv(S)
-    c = np.einsum("ai,bj,abk,lk->ijl", S, S, alg.structure, S_inv)
-    weight = max(1.0, float(np.abs(c).sum(axis=2).max()))
-    unit = None if alg.unit is None else S_inv @ alg.unit
-    return Algebra(alg.name + "~", np.full(alg.dim, weight), c, unit=unit)
 
 
 @pytest.mark.parametrize("scale", [0.3, 1.0])

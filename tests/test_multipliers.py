@@ -454,9 +454,16 @@ def test_stacked_checks_match_per_map(family, index):
             assert np.array_equal(getattr(stacked, name),
                                   np.array([getattr(d, name) for d in singles]))
         for field in ("relation_residuals", "membership_residuals"):
+            # one residual per map of the stack, and a float for one map
             for key, value in getattr(stacked, field).items():
-                per_map = max(getattr(d, field)[key] for d in singles)
-                assert value == pytest.approx(per_map, abs=1e-14)
+                per_map = [getattr(d, field)[key] for d in singles]
+                assert all(isinstance(r, float) for r in per_map)
+                assert value.shape == (len(stack),)
+                assert np.allclose(value, per_map, rtol=0, atol=1e-14)
+        assert stacked.max_relation_residual == pytest.approx(
+            max(d.max_relation_residual for d in singles), abs=1e-14)
+        assert stacked.max_membership_residual == pytest.approx(
+            max(d.max_membership_residual for d in singles), abs=1e-14)
 
 
 def test_one_bad_map_refuses_the_stack():
@@ -481,7 +488,10 @@ def test_one_bad_map_refuses_the_stack():
     # S_B(a b) = 0 fails for the last map only
     maps[-1, desc.subalgebra_slice.start, desc.ideal_slice.start] += 1.0
     for bad_maps in (maps[-1], maps):
-        assert split_blocks(bad_maps, desc).relation_residuals["iv"] > 1e-9
+        assert np.max(split_blocks(bad_maps, desc).relation_residuals["iv"]) > 1e-9
         assert left_multiplier_residual(alg, bad_maps) > 1e-9
-    assert split_blocks(maps[:-1], desc).relation_residuals["iv"] <= 1e-9
+    # one (iv) residual per map of the stack: only the last one's exceeds tol
+    iv = split_blocks(maps, desc).relation_residuals["iv"]
+    assert np.flatnonzero(iv > 1e-9).tolist() == [len(maps) - 1]
+    assert np.max(split_blocks(maps[:-1], desc).relation_residuals["iv"]) <= 1e-9
     assert left_multiplier_residual(alg, maps[:-1]) <= 1e-9

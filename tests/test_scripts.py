@@ -33,9 +33,10 @@ def test_script_runs(tmp_path, script, args):
     run_script(script, [a.format(tmp=tmp_path, root=ROOT) for a in args])
 
 
-def run_script(script, argv):
-    """stdout of a script under scripts/, run on this tree's src; it must exit 0."""
-    env = dict(os.environ)
+def run_script(script, argv, **env_vars):
+    """stdout of a script under scripts/, run on this tree's src with env_vars
+    added to the environment; it must exit 0."""
+    env = {**os.environ, **env_vars}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *argv],
@@ -52,6 +53,17 @@ def test_record_hash_keeps_the_verdicts():
     assert "records 672" in lines
     assert ("verdict 8e1a7ff48e1969f4d48f0d9492f0fe5c270f9d4f6b7deafcdcc870e2bcfc0e63"
             in lines)
+
+
+def test_record_hash_is_the_same_on_two_blas_threads():
+    # the residuals' last bits depend on the BLAS thread count, which the
+    # script pins to 1; at this small configuration the full hash differed
+    # between one and two threads before it did
+    argv = ["--seeds", "0", "--count", "1", "--max-dim", "3"]
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    outs = [run_script("record_hash.py", argv, **dict.fromkeys(blas, threads))
+            for threads in ("1", "2")]
+    assert outs[0] == outs[1]
 
 
 def load_script(name):

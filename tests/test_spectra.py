@@ -229,7 +229,7 @@ def test_lau_closed_form_matches_the_composition_oracle():
     zero_psis = 0
     for desc in descs:
         sdc = characters_semidirect(desc)
-        comps = sdc.ideal_chars.matrix @ desc.phi.matrix
+        comps = sdc.ideal_chars.matrix @ desc.phi
         e_block = sdc.set.matrix[: sdc.e_count, desc.subalgebra_slice]
         assert np.max(np.abs(e_block - comps), initial=0.0) <= 1e-14, desc.algebra.name
         for r, comp in enumerate(comps):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from banalg.algebra import LinearMap, operator_norm, validate
+from banalg.algebra import operator_norm, validate
 from banalg.bse import SemisimplicityWarning, sigma_extension, split_sigma, verify_product_bse
 from banalg.constructions import (
     direct_sum,
@@ -56,9 +56,9 @@ def test_fixtures_validate_exactly(family):
 
 def test_lau_fixtures_certified_surjective_contractive():
     for fix in fixture_generators("lau", seed=5, count=8):
-        phi = fix.descriptor.phi
-        assert operator_norm(phi) <= 1.0
-        assert np.linalg.matrix_rank(phi.matrix) == fix.descriptor.first.dim
+        desc = fix.descriptor
+        assert operator_norm(desc.phi, desc.second, desc.first) <= 1.0
+        assert np.linalg.matrix_rank(desc.phi) == desc.first.dim
 
 
 def test_semidirect_fixture_span_flag_matches_rank():
@@ -526,8 +526,7 @@ def test_lau_bundle_with_non_surjective_phi_skips_the_split_checks():
     # phi(1) = (1, 1) composes every character of A to the one of B, but
     # rank phi = 1 < dim A: the split and theta checks skip, the rest run
     A, B = diagonal_algebra(2, "A"), diagonal_algebra(1, "B")
-    phi = LinearMap(B, A, np.array([[1.0], [1.0]], dtype=complex))
-    desc = lau_product(A, B, phi, force=True)
+    desc = lau_product(A, B, np.array([[1.0], [1.0]], dtype=complex), force=True)
     records = theorem_records(desc, None, RunConfig())
     skipped = {r.name: r.detail for r in records if r.verdict == "SKIP"}
     assert skipped == {f"lau/bundle/{name}": "phi is not surjective"
@@ -585,7 +584,7 @@ def test_lau_fixture_ranks_phi_once(monkeypatch):
     from banalg import bse, spectra
 
     cfg = RunConfig(seed=0, max_dim=6)
-    phi = build_fixture("lau", cfg.seed, 0, cfg.max_dim).descriptor.phi.matrix
+    phi = build_fixture("lau", cfg.seed, 0, cfg.max_dim).descriptor.phi
     ranked = []
     for module in (spectra, bse):
         original = module.rank_basis
@@ -811,8 +810,7 @@ def test_phi_iso_norm_record_can_fail(monkeypatch):
 
     def scaled(*args):
         iso = original(*args)
-        fwd = iso.forward
-        iso.forward = LinearMap(fwd.source, fwd.target, fwd.matrix * (1 + 1e-11))
+        iso.forward = iso.forward * (1 + 1e-11)
         return iso
 
     monkeypatch.setattr(bse, "phi_isomorphism", scaled)
@@ -881,9 +879,9 @@ def test_lau_transport_record_can_fail(monkeypatch):
 
     def skewed(*args):
         iso = original(*args)
-        inv = iso.inverse.matrix.copy()
+        inv = iso.inverse.copy()
         inv[0, 0] += 1e-6
-        iso.inverse = LinearMap(iso.inverse.source, iso.inverse.target, inv)
+        iso.inverse = inv
         return iso
 
     monkeypatch.setattr(bse, "phi_isomorphism", skewed)
