@@ -99,34 +99,49 @@ def associativity_residual(algebra: Algebra) -> float:
     return float(np.max(diff))
 
 
+def all_finite(algebra: Algebra) -> bool:
+    """Whether every weight, structure and unit entry is finite."""
+    arrays = (algebra.weights, algebra.structure, algebra.unit)
+    return all(np.isfinite(a).all() for a in arrays if a is not None)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def validate(algebra: Algebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the algebra axioms; accepted iff every residual is within tol.
 
     Submultiplicativity is checked at basis level, ||e_i e_j|| <= w_i w_j,
-    which implies ||ab|| <= ||a|| ||b|| for the weighted l1 norm.
+    which implies ||ab|| <= ||a|| ||b|| for the weighted l1 norm.  A
+    non-finite weight, structure or unit entry fails as "finite" alone, with
+    NaN residuals.  On finite entries a residual may overflow to inf or NaN,
+    silently, and then fails its check: each check asks `not residual <= tol`,
+    which holds on NaN.
     """
     c = algebra.structure
     w = algebra.weights
+    if not all_finite(algebra):
+        nan = float("nan")
+        return ValidationReport(algebra.name, tol, nan, nan, nan,
+                                None if algebra.unit is None else nan, ["finite"])
     failures = []
 
     assoc = associativity_residual(algebra)
-    if assoc > tol:
+    if not assoc <= tol:
         failures.append("associativity")
 
     comm = float(np.max(np.abs(c - c.transpose(1, 0, 2))))
-    if comm > tol:
+    if not comm <= tol:
         failures.append("commutativity")
 
     prod_norms = np.abs(c) @ w  # ||e_i e_j|| indexed (i, j)
     excess = float(np.max(prod_norms - np.outer(w, w)))
-    if excess > tol:
+    if not excess <= tol:
         failures.append("submultiplicativity")
 
     unit_res = None
     if algebra.unit is not None:
         images = np.einsum("i,ijk->jk", algebra.unit, c)  # row j: unit * e_j
         unit_res = float(np.max(np.abs(images - np.eye(algebra.dim)) @ w))
-        if unit_res > tol:
+        if not unit_res <= tol:
             failures.append("unit")
 
     return ValidationReport(

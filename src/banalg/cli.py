@@ -13,14 +13,14 @@ import os
 import sys
 
 from . import __version__
-from .algebra import DEFAULT_TOL
+from .algebra import DEFAULT_TOL, require_valid
 from .bse import bse_norm_dual, bse_norm_primal, check_bse_property
 from .constructions import (
     finite_abelian_group_algebra,
     lau_product,
     semidirect,
 )
-from .errors import BanalgError, SchemaError
+from .errors import BanalgError, SchemaError, ValidationRejected
 from .fixtures import FAMILIES
 from .jsonio import (
     actions_from_dict,
@@ -43,12 +43,17 @@ from .spectra import characters_numerical, characters_semidirect
 from .verify import THEOREMS, Report, RunConfig, run_verify, theorem_records
 
 
-def _load_algebra_or_bundle(path: str):
+def _load_algebra_or_bundle(path: str, tol: float):
+    """The algebra of an algebra file or build bundle, and the bundle's
+    descriptor; a plain algebra is validated here, a bundle's product by its
+    constructor."""
     doc = load_json(path)
     if isinstance(doc, dict) and "descriptor" in doc:
         desc = bundle_from_dict(doc, where=path)
         return desc.algebra, desc
-    return algebra_from_dict(doc, where=path), None
+    algebra = algebra_from_dict(doc, where=path)
+    require_valid(algebra, tol)
+    return algebra, None
 
 
 def _emit(doc, out: str | None):
@@ -89,7 +94,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_characters(args) -> int:
-    algebra, desc = _load_algebra_or_bundle(args.algebra)
+    algebra, desc = _load_algebra_or_bundle(args.algebra, args.tol)
     if args.closed_form and desc is None:
         raise SchemaError([f"{args.algebra}: --closed-form needs a build bundle"])
     S = (characters_semidirect(desc, args.tol).set if args.closed_form
@@ -110,7 +115,7 @@ def _cmd_characters(args) -> int:
 
 
 def _cmd_multipliers(args) -> int:
-    algebra, desc = _load_algebra_or_bundle(args.algebra)
+    algebra, desc = _load_algebra_or_bundle(args.algebra, args.tol)
     space = left_multiplier_space(algebra) if args.left else multiplier_space(algebra)
     doc = {
         "algebra": algebra.name,
@@ -132,7 +137,7 @@ def _cmd_multipliers(args) -> int:
 
 
 def _cmd_bse_norm(args) -> int:
-    algebra, desc = _load_algebra_or_bundle(args.algebra)
+    algebra, desc = _load_algebra_or_bundle(args.algebra, args.tol)
     S = characters_numerical(algebra, args.tol)
     sigma = sigma_from_dict(load_json(args.sigma), expected_len=len(S),
                             where=args.sigma)
@@ -154,7 +159,7 @@ def _cmd_bse_norm(args) -> int:
 
 
 def _cmd_check_bse(args) -> int:
-    algebra, _ = _load_algebra_or_bundle(args.algebra)
+    algebra, _ = _load_algebra_or_bundle(args.algebra, args.tol)
     v = check_bse_property(algebra, args.tol)
     doc = {
         "algebra": algebra.name,
@@ -304,6 +309,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValidationRejected as exc:  # before BanalgError: bad input, not a failed check
+        for failure in exc.report.failures:
+            print(f"error: algebra {exc.report.name!r} rejected: {failure}", file=sys.stderr)
         return 2
     except BanalgError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)

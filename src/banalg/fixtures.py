@@ -180,8 +180,3 @@ def build_fixture(family: str, seed: int, index: int, max_dim: int = 6) -> Fixtu
         return _BUILDERS[family](seed, index, max_dim=max_dim)
     return _BUILDERS[family](seed, index)
 
-
-def fixture_generators(family: str, seed: int, count: int,
-                       max_dim: int = 6) -> list[Fixture]:
-    """`count` random fixtures of one family, reproducible from the seed."""
-    return [build_fixture(family, seed, index, max_dim) for index in range(count)]

@@ -7,7 +7,8 @@ Algebra files:
 
 Morphism files:
     {"source": str, "target": str, "matrix": [[[re, im], ...], ...]}
-    (matrix is target-dim x source-dim)
+    (matrix is target-dim x source-dim; source and target, when present,
+    must name the two algebras the map is read for)
 
 Sigma files:  {"values": [[re, im], ...]} ordered by the character list.
 
@@ -22,8 +23,8 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import Algebra
-from .errors import SchemaError
+from .algebra import Algebra, all_finite
+from .errors import ConstructionError, SchemaError
 
 
 def fmt_float(x: float) -> str:
@@ -189,6 +190,10 @@ def morphism_from_dict(doc: Any, source: Algebra, target: Algebra,
     _check(isinstance(doc, dict), v, where, "expected an object")
     if v:
         raise SchemaError(v)
+    for key, algebra in (("source", source), ("target", target)):
+        if key in doc:
+            _check(doc[key] == algebra.name, v, f"{where}.{key}",
+                   f"expected {algebra.name!r}, got {doc[key]!r}")
     m = doc.get("matrix")
     _check(isinstance(m, list) and len(m) == target.dim, v, f"{where}.matrix",
            f"expected {target.dim} rows")
@@ -260,7 +265,9 @@ def bundle_from_dict(doc: Any, where: str = "$"):
     """Rebuild a ProductDescriptor from a build-output document.
 
     The product is re-assembled from the parents and checked against the
-    stored tensor, so a bundle cannot drift from its own provenance.
+    stored tensor, so a bundle cannot drift from its own provenance.  A
+    non-finite stored entry, or a descriptor whose construction fails, is a
+    SchemaError.
     """
     from .constructions import lau_product, semidirect
 
@@ -275,15 +282,20 @@ def bundle_from_dict(doc: Any, where: str = "$"):
     first = algebra_from_dict(d["first"], f"{where}.descriptor.first")
     second = algebra_from_dict(d["second"], f"{where}.descriptor.second")
     stored = algebra_from_dict(doc["algebra"], f"{where}.algebra")
-    if kind == "semidirect":
-        bi, ib = actions_from_dict(d, first.dim, second.dim, f"{where}.descriptor")
-        desc = semidirect(first, second, bi, ib, name=stored.name)
-    else:
-        if "phi" not in d:
-            raise SchemaError([f"{where}.descriptor.phi: missing for a lau product"])
-        phi = morphism_from_dict(d["phi"], second, first, f"{where}.descriptor.phi")
-        desc = lau_product(first, second, phi, force=not d.get("contractive", True),
-                           name=stored.name)
+    if not all_finite(stored):
+        raise SchemaError([f"{where}.algebra: a weight, structure or unit entry is not finite"])
+    try:
+        if kind == "semidirect":
+            bi, ib = actions_from_dict(d, first.dim, second.dim, f"{where}.descriptor")
+            desc = semidirect(first, second, bi, ib, name=stored.name)
+        else:
+            if "phi" not in d:
+                raise SchemaError([f"{where}.descriptor.phi: missing for a lau product"])
+            phi = morphism_from_dict(d["phi"], second, first, f"{where}.descriptor.phi")
+            desc = lau_product(first, second, phi, force=not d.get("contractive", True),
+                               name=stored.name)
+    except ConstructionError as exc:  # a descriptor that does not build is bad input
+        raise SchemaError([f"{where}.descriptor: {exc}"]) from exc
     if (stored.dim != desc.algebra.dim
             or float(np.max(np.abs(stored.structure - desc.algebra.structure))) > 1e-12
             or float(np.max(np.abs(stored.weights - desc.algebra.weights))) > 1e-12):

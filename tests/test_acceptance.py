@@ -27,7 +27,7 @@ from banalg.constructions import (
     phi_isomorphism,
 )
 from banalg.errors import SpanConditionError
-from banalg.fixtures import fixture_generators
+from banalg.fixtures import build_fixture
 from banalg.multipliers import (
     block_space,
     decompose_left_multiplier,
@@ -58,18 +58,18 @@ def _announce(num: int, ok: bool, text: str):
 
 @pytest.fixture(scope="module")
 def semidirect_fixtures():
-    return fixture_generators("semidirect", seed=SEED, count=100)
+    return [build_fixture("semidirect", SEED, i) for i in range(100)]
 
 
 @pytest.fixture(scope="module")
 def lau_fixtures():
-    return fixture_generators("lau", seed=SEED, count=30)
+    return [build_fixture("lau", SEED, i) for i in range(30)]
 
 
 @pytest.fixture(scope="module")
 def plain_fixtures():
-    return (fixture_generators("diag", seed=SEED, count=10)
-            + fixture_generators("group", seed=SEED, count=8))
+    return ([build_fixture("diag", SEED, i) for i in range(10)]
+            + [build_fixture("group", SEED, i) for i in range(8)])
 
 
 def test_criterion_1_lemma_equivalence(semidirect_fixtures):

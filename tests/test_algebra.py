@@ -63,6 +63,22 @@ def test_validate_bad_unit():
     assert "unit" in validate(alg).failures
 
 
+@pytest.mark.parametrize("field, index", [
+    ("weights", (1,)), ("structure", (1, 1, 0)), ("unit", (0,)),
+])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_validate_rejects_non_finite_entries(field, index, value):
+    # l1(Z2): e_1 e_1 = e_0; a NaN entry passed before, since no comparison
+    # with NaN fails
+    c = np.zeros((2, 2, 2), dtype=complex)
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = c[1, 1, 0] = 1.0
+    arrays = {"weights": np.ones(2), "structure": c, "unit": np.array([1.0, 0.0])}
+    arrays[field][index] = value
+    report = validate(Algebra("l1(Z2)", arrays["weights"], arrays["structure"],
+                              unit=arrays["unit"]))
+    assert report.failures == ["finite"]
+
+
 def test_require_valid_raises():
     c = np.zeros((2, 2, 2), dtype=complex)
     c[0, 1, 0] = 1.0

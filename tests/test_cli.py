@@ -1,17 +1,21 @@
+import copy
+import functools
 import json
+import operator
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from banalg.algebra import Algebra
+from banalg.algebra import Algebra, validate
 
 from banalg import cli
 from banalg.cli import main
-from banalg.constructions import direct_sum
+from banalg.constructions import direct_sum, finite_abelian_group_algebra
 from banalg.fixtures import build_fixture
 from banalg.jsonio import (
+    algebra_from_dict,
     algebra_to_dict,
     bundle_from_dict,
     bundle_to_dict,
@@ -414,3 +418,163 @@ def test_build_stdout_matches_golden(tmp_path, capsys, kind):
     golden = Path(__file__).parent / "golden" / f"build_{kind}.json"
     assert json.loads(stdout)["descriptor"]["kind"] == kind
     assert stdout == golden.read_text()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def group_z2_doc():
+    """The file `build group --orders 2` writes, as a document."""
+    return algebra_to_dict(finite_abelian_group_algebra([2]))
+
+
+def numeric_leaves(doc, path=()):
+    """The path of every number in a JSON document, in document order."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from numeric_leaves(value, path + (key,))
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path
+
+
+MUTATIONS = {
+    "nan": lambda x: float("nan"),
+    "inf": lambda x: float("inf"),
+    "-inf": lambda x: float("-inf"),
+    "1e300": lambda x: 1e300,
+    "zero": lambda x: 0,
+    "sign-flip": lambda x: -x,
+    "drop": None,
+}
+
+
+def mutate(doc, path, mutation):
+    """A copy of doc with the number at path changed by `mutation`, or
+    dropped from its list or object."""
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    parent = functools.reduce(operator.getitem, head, doc)
+    if MUTATIONS[mutation] is None:
+        del parent[last]
+    else:
+        parent[last] = MUTATIONS[mutation](parent[last])
+    return doc
+
+
+def validate_accepts(doc):
+    """Whether validate accepts the algebra a document describes: a bundle's
+    rebuilt product, or a plain algebra."""
+    if "descriptor" in doc:
+        return validate(bundle_from_dict(doc).algebra).accepted
+    return validate(algebra_from_dict(doc)).accepted
+
+
+@pytest.mark.filterwarnings("ignore::banalg.bse.SemisimplicityWarning")
+@pytest.mark.parametrize("source", [
+    "build_semidirect.json", "build_lau.json", "build_direct_sum.json", "group-2"])
+def test_no_single_field_mutation_ends_in_a_traceback(tmp_path, capsys, monkeypatch, source):
+    # every number of the file is set to NaN, +-inf, 1e300 or 0, has its sign
+    # flipped, or is dropped, one at a time; `characters` and `check-bse` on
+    # the result exit 2 (bad input), or 0 or 1 on an algebra validate accepts
+    parser = cli.make_parser()  # built once: it is most of a refused run's time
+    monkeypatch.setattr(cli, "make_parser", lambda: parser)
+    doc = group_z2_doc() if source == "group-2" else json.loads((GOLDEN / source).read_text())
+    path = tmp_path / "mutant.json"
+    wrong, runs = [], 0
+    for leaf in numeric_leaves(doc):
+        for mutation in MUTATIONS:
+            mutant = mutate(doc, leaf, mutation)
+            if mutant == doc:  # zero or a sign flip of a 0
+                continue
+            path.write_text(json.dumps(mutant))
+            for command in ("characters", "check-bse"):
+                runs += 1
+                where = f"{command} {mutation} at {'/'.join(map(str, leaf))}"
+                try:
+                    code = main([command, str(path)])
+                except Exception as exc:
+                    wrong.append(f"{where}: {type(exc).__name__}: {exc}")
+                    continue
+                if code != 2 and not (code in (0, 1) and validate_accepts(mutant)):
+                    wrong.append(f"{where}: exit {code}")
+    capsys.readouterr()
+    assert wrong == [], f"{len(wrong)} of {runs} runs"
+
+
+def z2_file(tmp_path, entry, value):
+    """The `build group --orders 2` file, l1(Z2), with structure entry
+    [i, j, k] set to value."""
+    doc = group_z2_doc()
+    row = next(r for r in doc["structure"] if r[:3] == entry)
+    row[3] = value
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["characters", "check-bse"])
+def test_non_finite_algebra_exit_2(tmp_path, capsys, command):
+    # read unvalidated, the NaN ends in LinAlgError ("SVD did not converge")
+    code, stdout, err = run_cli(capsys, command, z2_file(tmp_path, [1, 1, 0], float("nan")))
+    assert (code, stdout) == (2, "")
+    assert err == "error: algebra 'l1(Z2)' rejected: finite\n"
+
+
+def test_non_associative_algebra_exit_2(tmp_path, capsys):
+    # e0 e0 = e1, e1 e1 = e0: commutative, but (e0 e0) e1 = e0 while
+    # e0 (e0 e1) = 0; read unvalidated, `multipliers` prints a 2-dim M
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 1] = c[1, 1, 0] = 1.0
+    path = tmp_path / "nonassoc.json"
+    write_json(str(path), algebra_to_dict(Algebra("nonassoc", np.ones(2), c)))
+    code, stdout, err = run_cli(capsys, "multipliers", str(path))
+    assert (code, stdout) == (2, "")
+    assert err == "error: algebra 'nonassoc' rejected: associativity\n"
+
+
+def test_overflowing_algebra_exit_2(tmp_path, capsys):
+    # c[0, 0, 0] = 1e300 breaks the norm and the unit, and its square
+    # overflows the associativity residual to NaN; read unvalidated,
+    # `characters` prints "count": 0 and exits 0
+    code, stdout, err = run_cli(capsys, "characters", z2_file(tmp_path, [0, 0, 0], 1e300))
+    assert (code, stdout) == (2, "")
+    assert err.splitlines() == [f"error: algebra 'l1(Z2)' rejected: {failure}" for failure
+                                in ("associativity", "submultiplicativity", "unit")]
+
+
+def test_build_with_a_rejected_parent_exit_2(tmp_path, capsys):
+    b = tmp_path / "b.json"
+    act = tmp_path / "act.json"
+    write_json(str(b), algebra_to_dict(diagonal_algebra(1, "B")))
+    act.write_text("{}")
+    code, _, err = run_cli(capsys, "build", "semidirect", "--b", str(b),
+                           "--i", z2_file(tmp_path, [1, 1, 0], float("nan")),
+                           "--actions", str(act))
+    assert code == 2
+    assert err == "error: algebra 'l1(Z2)' rejected: finite\n"
+
+
+def test_bundle_with_a_non_finite_stored_entry_exit_2(tmp_path, capsys):
+    # the drift check max|stored - rebuilt| > 1e-12 is false on NaN, so
+    # without the finiteness check `verify` reads this bundle: 13 PASS
+    doc = json.loads((GOLDEN / "build_semidirect.json").read_text())
+    doc["algebra"]["structure"][0][3] = float("nan")
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(doc))
+    code, stdout, err = run_cli(capsys, "verify", str(bundle))
+    assert (code, stdout) == (2, "")
+    assert err == (f"error: {bundle}.algebra: a weight, structure or unit entry "
+                   "is not finite\n")
+
+
+def test_build_lau_with_a_phi_file_for_other_algebras_exit_2(tmp_path, capsys):
+    # the golden Lau build, with phi's source renamed: the matrix has the
+    # right shape, but the file names another algebra than --b
+    argv = golden_build_argv(tmp_path, "lau")
+    phi = argv[argv.index("--phi") + 1]
+    doc = load_json(phi)
+    doc["source"] = "nope"
+    write_json(phi, doc)
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {phi}.source: expected 'B3', got 'nope'\n"

@@ -314,9 +314,9 @@ def test_characters_of_generic_basis_truncated_sums():
 
 def test_full_span_forces_nonzero_psi():
     from banalg.constructions import ideal_span_is_full
-    from banalg.fixtures import fixture_generators
+    from banalg.fixtures import build_fixture
 
-    for fix in fixture_generators("semidirect", seed=3, count=12):
+    for fix in [build_fixture("semidirect", 3, i) for i in range(12)]:
         sdc = characters_semidirect(fix.descriptor)
         if ideal_span_is_full(fix.descriptor):
             assert all(ix is not None for ix in sdc.psi_index)

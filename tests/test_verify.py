@@ -15,7 +15,7 @@ from banalg.constructions import (
     lau_product,
     phi_isomorphism,
 )
-from banalg.fixtures import FAMILIES, Fixture, build_fixture, fixture_generators, fixture_rng
+from banalg.fixtures import FAMILIES, Fixture, build_fixture, fixture_rng
 from banalg import verify
 from banalg.errors import BanalgError, IllConditionedError
 from banalg.multipliers import block_space, decompose_left_multiplier, left_multiplier_space
@@ -49,20 +49,20 @@ from conftest import (
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_fixtures_validate_exactly(family):
-    for fix in fixture_generators(family, seed=11, count=6):
+    for fix in [build_fixture(family, 11, i) for i in range(6)]:
         report = validate(fix.algebra, tol=1e-12)
         assert report.accepted, (fix.name, report.failures)
 
 
 def test_lau_fixtures_certified_surjective_contractive():
-    for fix in fixture_generators("lau", seed=5, count=8):
+    for fix in [build_fixture("lau", 5, i) for i in range(8)]:
         desc = fix.descriptor
         assert operator_norm(desc.phi, desc.second, desc.first) <= 1.0
         assert np.linalg.matrix_rank(desc.phi) == desc.first.dim
 
 
 def test_semidirect_fixture_span_flag_matches_rank():
-    for fix in fixture_generators("semidirect", seed=5, count=10):
+    for fix in [build_fixture("semidirect", 5, i) for i in range(10)]:
         assert ideal_span_is_full(fix.descriptor) == fix.meta["full_span"]
 
 
