@@ -46,10 +46,10 @@ from .verify import THEOREMS, Report, RunConfig, run_verify, theorem_records
 def _load_algebra_or_bundle(path: str, tol: float):
     """The algebra of an algebra file or build bundle, and the bundle's
     descriptor; a plain algebra is validated here, a bundle's product by its
-    constructor."""
+    constructor, both at `tol`."""
     doc = load_json(path)
     if isinstance(doc, dict) and "descriptor" in doc:
-        desc = bundle_from_dict(doc, where=path)
+        desc = bundle_from_dict(doc, where=path, tol=tol)
         return desc.algebra, desc
     algebra = algebra_from_dict(doc, where=path)
     require_valid(algebra, tol)
@@ -124,7 +124,7 @@ def _cmd_multipliers(args) -> int:
         "basis": [[[complex_pair(z) for z in row] for row in T] for T in space],
     }
     if args.blocks:
-        bundle = bundle_from_dict(load_json(args.blocks), where=args.blocks)
+        bundle = bundle_from_dict(load_json(args.blocks), where=args.blocks, tol=args.tol)
         if bundle.algebra.dim != algebra.dim:
             raise SchemaError([f"{args.blocks}: dim {bundle.algebra.dim}, not {algebra.dim}"])
         dec = decompose_left_multiplier(space, bundle, args.tol)
@@ -188,7 +188,7 @@ def _cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.bundle:
-        desc = bundle_from_dict(load_json(args.bundle), where=args.bundle)
+        desc = bundle_from_dict(load_json(args.bundle), where=args.bundle, tol=args.tol)
         report = Report(config=cfg, records=theorem_records(desc, args.theorem, cfg))
     else:
         report = run_verify(cfg)

@@ -130,8 +130,7 @@ def semidirect_fixture(seed: int, index: int, max_dim: int = 3) -> Fixture:
     )
 
 
-def lau_fixture(seed: int, index: int, max_dim: int = 3,
-                surjective: bool = True) -> Fixture:
+def lau_fixture(seed: int, index: int, max_dim: int = 3) -> Fixture:
     """Scaled diagonal parents with phi(u_{iota(k)}) = (t_{iota(k)}/s_k) v_k.
 
     The scaling choice makes phi an exact homomorphism; weights are sampled
@@ -152,14 +151,12 @@ def lau_fixture(seed: int, index: int, max_dim: int = 3,
         rho = rng.uniform(0.5, 0.999)
         tB[l] = rho * sA[k] * wB[l] / wA[k] * _phases(rng, 1)[0]
         alpha[k, l] = tB[l] / sA[k]
-    if not surjective and nA > 0:
-        alpha[int(rng.integers(0, nA)), :] = 0.0
     A = Algebra(f"A{nA}#{index}", wA, _diagonal(sA), unit=1.0 / sA)
     B = Algebra(f"B{nB}#{index}", wB, _diagonal(tB), unit=1.0 / tB)
     desc = lau_product(A, B, alpha, name=f"lau{nA}x{nB}#{index}")
     return Fixture(
         "lau", f"lau/{index:03d}", desc.algebra, desc,
-        meta={"surjective": surjective, "iota": [int(i) for i in iota]},
+        meta={"iota": [int(i) for i in iota]},
     )
 
 

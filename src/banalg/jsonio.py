@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import Algebra, all_finite
+from .algebra import DEFAULT_TOL, Algebra, all_finite
 from .errors import ConstructionError, SchemaError
 
 
@@ -261,13 +261,14 @@ def bundle_to_dict(desc) -> dict:
     return doc
 
 
-def bundle_from_dict(doc: Any, where: str = "$"):
+def bundle_from_dict(doc: Any, where: str = "$", tol: float = DEFAULT_TOL):
     """Rebuild a ProductDescriptor from a build-output document.
 
-    The product is re-assembled from the parents and checked against the
-    stored tensor, so a bundle cannot drift from its own provenance.  A
-    non-finite stored entry, or a descriptor whose construction fails, is a
-    SchemaError.
+    The product is re-assembled from the parents and validated at `tol`,
+    then checked against the stored structure, weights and unit (both absent,
+    or equal within 1e-12), so a bundle cannot drift from its own
+    provenance.  A non-finite stored entry, or a descriptor whose
+    construction fails, is a SchemaError.
     """
     from .constructions import lau_product, semidirect
 
@@ -287,18 +288,21 @@ def bundle_from_dict(doc: Any, where: str = "$"):
     try:
         if kind == "semidirect":
             bi, ib = actions_from_dict(d, first.dim, second.dim, f"{where}.descriptor")
-            desc = semidirect(first, second, bi, ib, name=stored.name)
+            desc = semidirect(first, second, bi, ib, tol, name=stored.name)
         else:
             if "phi" not in d:
                 raise SchemaError([f"{where}.descriptor.phi: missing for a lau product"])
             phi = morphism_from_dict(d["phi"], second, first, f"{where}.descriptor.phi")
-            desc = lau_product(first, second, phi, force=not d.get("contractive", True),
+            desc = lau_product(first, second, phi, tol, force=not d.get("contractive", True),
                                name=stored.name)
     except ConstructionError as exc:  # a descriptor that does not build is bad input
         raise SchemaError([f"{where}.descriptor: {exc}"]) from exc
-    if (stored.dim != desc.algebra.dim
-            or float(np.max(np.abs(stored.structure - desc.algebra.structure))) > 1e-12
-            or float(np.max(np.abs(stored.weights - desc.algebra.weights))) > 1e-12):
+    rebuilt = desc.algebra
+    pairs = [(stored.structure, rebuilt.structure), (stored.weights, rebuilt.weights)]
+    if stored.unit is not None and rebuilt.unit is not None:
+        pairs.append((stored.unit, rebuilt.unit))
+    if (stored.dim != rebuilt.dim or (stored.unit is None) != (rebuilt.unit is None)
+            or any(float(np.max(np.abs(a - b))) > 1e-12 for a, b in pairs)):
         raise SchemaError([f"{where}: stored algebra does not match its descriptor"])
     return desc
 

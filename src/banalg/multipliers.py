@@ -4,23 +4,23 @@ LM(A):  T(xy) = x T(y)        (left multipliers)
 M(A):   T(x) y = x T(y)       (multipliers)
 
 Every residual is a contraction of the structure tensor c[i,j,k] (or of
-its sub-tensors on a product's blocks) with the unknown map.  Each row of a
+its sub-tensors on a product's blocks) with the unknown map.  A row of a
 linearized constraint system holds at most 2n nonzeros, c-values on
-Kronecker-delta positions, so a row block is assembled by direct placement:
-one zero array of the block's shape, with the delta terms written into it by
-advanced-index assignment.  Spaces are the null spaces of those systems,
-taken with `algebra.rank_basis` (a QR fold over row blocks, then the SVD of
-the small R factor, with one relative singular-value cutoff), which yields
+Kronecker-delta positions, so every system is placed in one zero array,
+each term (X(x y), x X(y) or X(x) y) written onto its delta positions in
+place.  Spaces are the null spaces of those systems, taken with
+`algebra.rank_basis` (a QR fold over row blocks, then the SVD of the small R
+factor, with one relative singular-value cutoff), which yields
 Frobenius-orthonormal bases and stable dimension counts.  The M and LM
 systems have n^3 rows and n^2 columns; they reach the kernel SLAB_I values
 of the first structure index i at a time, so the whole system is never
-built.  The block machinery realizes the four-block form (T_B, S_B, S_I,
-R_I) of a left multiplier on a subalgebra(+)ideal product and the linear
-relations tying the blocks together, whose eight groups reach the kernel
-as eight row blocks over vec(T), each block operator written into the
-columns of the entries of T its block occupies.  It reads the product's
-four structure blocks from `ProductDescriptor.block_tensors`, so the block
-layout of each product kind is known to the descriptor alone.
+built.  Lemma 2.1's four-block form (T_B, S_B, S_I, R_I) of a left
+multiplier on a subalgebra(+)ideal product, with the relations tying the
+blocks together, is one table, `_LEMMA_21`: the block residuals contract
+its rows, and `block_space` places them into the block views of one zero
+array per relation.  The structure blocks come from
+`ProductDescriptor.block_tensors`, so the block layout of each product kind
+is known to the descriptor alone.
 
 A space is its stack: `multiplier_space`, `left_multiplier_space` and
 `block_space` return the read-only (dim, n, n) array of its basis maps,
@@ -50,6 +50,25 @@ from .spectra import CharacterSet
 SLAB_I = 4
 HAT_THRESHOLD = 1e-8  # `hat` reads a direction c where |phi(c)| exceeds this share of the top
 
+# The blocks of T(b, a) = (T_B(b) + S_B(a), S_I(b) + R_I(a)): (rows, columns)
+_BLOCKS = {"T_B": ("B", "B"), "S_B": ("B", "I"), "S_I": ("I", "B"), "R_I": ("I", "I")}
+_TENSORS = ("BB", "BI", "II", "IB")  # desc.block_tensors: c[B,B,B], c[B,I,I], ...
+
+# Lemma 2.1, one row per relation: X(x y) = sum of x X'(y) over its terms,
+# each (structure block, map block), with residual weights on the output's
+# side.  The two halves of (iv) share a name and are combined by max.
+_LEMMA_21 = (
+    # memberships: T_B in LM(B), S_I in Hom_B(B, I), R_I in Hom_B(I, I), S_B in Hom_B(I, B)
+    ("T_B", "B", ("BB", "T_B"), (("BB", "T_B"),)),
+    ("S_I", "I", ("BB", "S_I"), (("BI", "S_I"),)),
+    ("R_I", "I", ("BI", "R_I"), (("BI", "R_I"),)),
+    ("S_B", "B", ("BI", "S_B"), (("BB", "S_B"),)),
+    ("ii", "I", ("II", "R_I"), (("II", "R_I"), ("IB", "S_B"))),  # R_I(aa') = aR_I(a') + aS_B(a')
+    ("iii", "I", ("IB", "R_I"), (("II", "S_I"), ("IB", "T_B"))),  # R_I(ab) = aS_I(b) + aT_B(b)
+    ("iv", "B", ("II", "S_B"), ()),  # S_B(a a') = 0
+    ("iv", "B", ("IB", "S_B"), ()),  # S_B(a b) = 0
+)
+
 
 def _of_product(c: np.ndarray, X: np.ndarray) -> np.ndarray:
     """[..., x, y, r] -> X(x y)_r for the product tensor c[x, y, k] and a
@@ -63,34 +82,16 @@ def _times_image(c: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.einsum("xkr,...ky->...xyr", c, X)
 
 
-def _of_product_op(c: np.ndarray, rows: int) -> np.ndarray:
-    """Matrix of X -> _of_product(c, X) over row-major vec(X), X with `rows` rows.
-
-    Entry (x, y, r), (s, k) is delta_rs c[x,y,k], placed on the diagonal r = s.
-    """
-    x, y, k = c.shape
-    op = np.zeros((x, y, rows, rows, k), dtype=c.dtype)
-    idx = np.arange(rows)
-    op[:, :, idx, idx, :] = c[:, :, None, :]
-    return op.reshape(x * y * rows, rows * k)
+def _add_of_product(view: np.ndarray, c: np.ndarray) -> None:
+    """Add, on view[x, y, r, s, k], the terms delta_rs c[x,y,k] of X -> X(x y)."""
+    idx = np.arange(view.shape[2])
+    view[:, :, idx, idx, :] += c[:, :, None, :]
 
 
-def _minus_times_image(op: np.ndarray, c: np.ndarray) -> None:
-    """Subtract in place, on op[x, y, r, k, z], the terms delta_yz c[x,k,r]."""
-    idx = np.arange(op.shape[1])
-    op[:, idx, :, :, idx] -= c.transpose(0, 2, 1)
-
-
-def _times_image_op(c: np.ndarray, cols: int) -> np.ndarray:
-    """Matrix of X -> _times_image(c, X) over row-major vec(X), X with `cols` columns.
-
-    Entry (x, y, r), (k, z) is delta_yz c[x,k,r], placed on the diagonal y = z.
-    """
-    x, k, r = c.shape
-    op = np.zeros((x, cols, r, k, cols), dtype=c.dtype)
-    idx = np.arange(cols)
-    op[:, idx, :, :, idx] = c.transpose(0, 2, 1)
-    return op.reshape(x * cols * r, k * cols)
+def _sub_times_image(view: np.ndarray, c: np.ndarray) -> None:
+    """Subtract, on view[x, y, r, k, z], the terms delta_yz c[x,k,r] of X -> x X(y)."""
+    idx = np.arange(view.shape[1])
+    view[:, idx, :, :, idx] -= c.transpose(0, 2, 1)
 
 
 def _max_norm(diff: np.ndarray, weights: np.ndarray) -> float:
@@ -121,10 +122,11 @@ def _left_constraints(c: np.ndarray, i: slice) -> np.ndarray:
 
     Row (i, j, r), column (k, l): delta_rk c[i,j,l] - delta_lj c[i,k,r].
     """
-    n = c.shape[0]
-    rows = _of_product_op(c[i], n)
-    _minus_times_image(rows.reshape(-1, n, n, n, n), c[i])
-    return rows
+    n, ci = c.shape[0], c[i]
+    rows = np.zeros((len(ci), n, n, n, n), dtype=c.dtype)
+    _add_of_product(rows, ci)
+    _sub_times_image(rows, ci)
+    return rows.reshape(-1, n * n)
 
 
 def _mult_constraints(c: np.ndarray, i: slice) -> np.ndarray:
@@ -135,8 +137,8 @@ def _mult_constraints(c: np.ndarray, i: slice) -> np.ndarray:
     n = c.shape[0]
     ii = np.arange(n)[i]
     rows = np.zeros((len(ii), n, n, n, n), dtype=c.dtype)
-    rows[np.arange(len(ii)), :, :, :, ii] = c.transpose(1, 2, 0)
-    _minus_times_image(rows, c[i])
+    rows[np.arange(len(ii)), :, :, :, ii] = c.transpose(1, 2, 0)  # T(e_i) e_j
+    _sub_times_image(rows, c[i])
     return rows.reshape(-1, n * n)
 
 
@@ -191,36 +193,35 @@ class BlockDecomposition:
         return float(np.max(list(self.membership_residuals.values()), initial=0.0))
 
 
+def _sides(desc: ProductDescriptor) -> dict[str, slice]:
+    """The coordinates of B and of I in the product."""
+    return {"B": desc.subalgebra_slice, "I": desc.ideal_slice}
+
+
 def _block_relation_residuals(desc: ProductDescriptor, T_B, S_B, S_I, R_I
                               ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    wB = desc.algebra.weights[desc.subalgebra_slice]
-    wI = desc.algebra.weights[desc.ideal_slice]
-    cBB, cBI, cII, cIB = desc.block_tensors
-    # (ii) R_I(a a') = a R_I(a') + a S_B(a'); (iii) R_I(a b) = a S_I(b) + a T_B(b)
-    r_ii = _of_product(cII, R_I) - _times_image(cII, R_I) - _times_image(cIB, S_B)
-    r_iii = _of_product(cIB, R_I) - _times_image(cII, S_I) - _times_image(cIB, T_B)
-    relations = {
-        "ii": _map_norms(r_ii, wI),
-        "iii": _map_norms(r_iii, wI),
-        # (iv) S_B(a a') = 0 and S_B(a b) = 0
-        "iv": np.maximum(_map_norms(_of_product(cII, S_B), wB),
-                         _map_norms(_of_product(cIB, S_B), wB)),
-    }
-    # T_B in LM(B), S_I in Hom_B(B, I), R_I in Hom_B(I, I), S_B in Hom_B(I, B)
-    memberships = {
-        "T_B": _map_norms(_of_product(cBB, T_B) - _times_image(cBB, T_B), wB),
-        "S_B": _map_norms(_of_product(cBI, S_B) - _times_image(cBB, S_B), wB),
-        "S_I": _map_norms(_of_product(cBB, S_I) - _times_image(cBI, S_I), wI),
-        "R_I": _map_norms(_of_product(cBI, R_I) - _times_image(cBI, R_I), wI),
-    }
+    """Per map, the weighted residual of each row of _LEMMA_21, the relations
+    (ii)-(iv) and the memberships apart."""
+    weights = {k: desc.algebra.weights[sl] for k, sl in _sides(desc).items()}
+    tensors = dict(zip(_TENSORS, desc.block_tensors))
+    maps = dict(zip(_BLOCKS, (T_B, S_B, S_I, R_I)))
+    relations: dict[str, np.ndarray] = {}
+    memberships: dict[str, np.ndarray] = {}
+    for name, side, (t, block), times in _LEMMA_21:
+        diff = _of_product(tensors[t], maps[block])
+        for t, block in times:
+            diff = diff - _times_image(tensors[t], maps[block])
+        norm = _map_norms(diff, weights[side])
+        group = memberships if name in _BLOCKS else relations
+        group[name] = np.maximum(group[name], norm) if name in group else norm
     return relations, memberships
 
 
 def split_blocks(T: np.ndarray, desc: ProductDescriptor) -> BlockDecomposition:
     """Split a map T on B (+) I, or a stack T[..., n, n] of maps, into its four
     blocks with their relation and membership residuals; refuses nothing."""
-    bsl, isl = desc.subalgebra_slice, desc.ideal_slice
-    blocks = (T[..., bsl, bsl], T[..., bsl, isl], T[..., isl, bsl], T[..., isl, isl])
+    side = _sides(desc)
+    blocks = [T[..., side[r], side[c]] for r, c in _BLOCKS.values()]
     return BlockDecomposition(*blocks, *_block_relation_residuals(desc, *blocks))
 
 
@@ -240,47 +241,43 @@ def decompose_left_multiplier(T: np.ndarray, desc: ProductDescriptor,
     return split_blocks(mat, desc)
 
 
+def _block_system(desc: ProductDescriptor) -> list[np.ndarray]:
+    """The row blocks of Lemma 2.1 over vec(T), one per row of _LEMMA_21.
+
+    Each row's terms are placed, in place, into the views
+    [..., block rows, block cols] of one zero (x, y, r, n, n) array, the
+    entries of T each term's block occupies.
+    """
+    n, side = desc.algebra.dim, _sides(desc)
+    size = {"B": desc.subalgebra.dim, "I": desc.ideal.dim}
+    tensors = dict(zip(_TENSORS, desc.block_tensors))
+
+    def cells(rows: np.ndarray, block: str) -> np.ndarray:
+        row_side, col_side = _BLOCKS[block]
+        return rows[..., side[row_side], side[col_side]]
+
+    system = []
+    for _, out, (t, block), times in _LEMMA_21:
+        c = tensors[t]
+        rows = np.zeros((*c.shape[:2], size[out], n, n), dtype=complex)
+        _add_of_product(cells(rows, block), c)
+        for t, block in times:
+            _sub_times_image(cells(rows, block), tensors[t])
+        system.append(rows.reshape(-1, n * n))
+    return system
+
+
 def block_space(desc: ProductDescriptor) -> np.ndarray:
     """Null space of the joint block constraints (memberships + relations), as
     the read-only (dim, n, n) stack of a Frobenius-orthonormal basis.
 
-    The unknown is vec(T) of the whole map: each relation's rows write each
-    block operator into the columns of the entries of T its block occupies.
-    The length of the stack is the dimension of the relation-constrained
-    block space, which the key equivalence says equals dim LM of the
-    product.  The system is assembled from the block sub-tensors alone,
-    never from the LM constraints of the product, so comparing the two
-    spaces in lemma21 stays a real check.
+    The unknown is vec(T) of the whole map.  The length of the stack is the
+    dimension of the relation-constrained block space, which the key
+    equivalence says equals dim LM of the product.  The system is assembled
+    from the block sub-tensors alone, never from the LM constraints of the
+    product, so comparing the two spaces in lemma21 stays a real check.
     """
-    n, m, p = desc.algebra.dim, desc.subalgebra.dim, desc.ideal.dim
-    bsl, isl = desc.subalgebra_slice, desc.ideal_slice
-    cBB, cBI, cII, cIB = desc.block_tensors
-    entry = np.arange(n * n).reshape(n, n)  # entry[r, k] is the column of T[r, k]
-    columns = {"T_B": entry[bsl, bsl].ravel(), "S_B": entry[bsl, isl].ravel(),
-               "S_I": entry[isl, bsl].ravel(), "R_I": entry[isl, isl].ravel()}
-
-    def rows(**ops: np.ndarray) -> np.ndarray:
-        """One relation's rows; each argument is that block's coefficient matrix."""
-        out = np.zeros((next(iter(ops.values())).shape[0], n * n), dtype=complex)
-        for block, op in ops.items():
-            out[:, columns[block]] = op
-        return out
-
-    system = [
-        # memberships, as in _block_relation_residuals
-        rows(T_B=_of_product_op(cBB, m) - _times_image_op(cBB, m)),
-        rows(S_I=_of_product_op(cBB, p) - _times_image_op(cBI, m)),
-        rows(R_I=_of_product_op(cBI, p) - _times_image_op(cBI, p)),
-        rows(S_B=_of_product_op(cBI, m) - _times_image_op(cBB, p)),
-        # (ii), (iii) and the two halves of (iv)
-        rows(R_I=_of_product_op(cII, p) - _times_image_op(cII, p),
-             S_B=-_times_image_op(cIB, p)),
-        rows(R_I=_of_product_op(cIB, p), S_I=-_times_image_op(cII, m),
-             T_B=-_times_image_op(cIB, m)),
-        rows(S_B=_of_product_op(cII, m)),
-        rows(S_B=_of_product_op(cIB, m)),
-    ]
-    return _space(system, n)
+    return _space(_block_system(desc), desc.algebra.dim)
 
 
 def hat(T: np.ndarray, S: CharacterSet, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -567,6 +567,43 @@ def test_bundle_with_a_non_finite_stored_entry_exit_2(tmp_path, capsys):
                    "is not finite\n")
 
 
+@pytest.mark.parametrize("source, change", [
+    ("build_lau.json", "sign-flip"), ("build_lau.json", "drop"),
+    ("build_semidirect.json", "add")])
+def test_bundle_whose_stored_unit_is_not_the_rebuilt_one_exit_2(tmp_path, capsys, source,
+                                                                  change):
+    # the rebuilt Lau product has a unit and the semidirect one none; the
+    # stored unit must agree with it, or be absent with it
+    doc = json.loads((GOLDEN / source).read_text())
+    algebra = doc["algebra"]
+    if change == "sign-flip":  # one entry of the unit
+        algebra["unit"][2][0] = -algebra["unit"][2][0]
+    elif change == "drop":
+        del algebra["unit"]
+    else:
+        algebra["unit"] = [[1, 0]] * algebra["dim"]
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(doc))
+    code, stdout, err = run_cli(capsys, "characters", str(bundle))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {bundle}: stored algebra does not match its descriptor\n"
+
+
+def test_bundle_is_validated_at_tol(tmp_path, capsys):
+    # lau/000 (seed 0) has associativity residual 4.4e-16; below it, its
+    # algebra file is rejected, and so is its bundle, where the parent A
+    # (unit residual 1.4e-16) fails first
+    desc = build_fixture("lau", 0, 0, 6).descriptor
+    algebra, bundle = tmp_path / "lau.json", tmp_path / "bundle.json"
+    write_json(str(algebra), algebra_to_dict(desc.algebra))
+    write_json(str(bundle), bundle_to_dict(desc))
+    for path in (algebra, bundle):
+        assert run_cli(capsys, "characters", str(path))[0] == 0
+        code, stdout, err = run_cli(capsys, "characters", "--tol", "4.4e-17", str(path))
+        assert (code, stdout) == (2, ""), err
+    assert err == "error: algebra 'A2#0' rejected: unit\n"
+
+
 def test_build_lau_with_a_phi_file_for_other_algebras_exit_2(tmp_path, capsys):
     # the golden Lau build, with phi's source renamed: the matrix has the
     # right shape, but the file names another algebra than --b

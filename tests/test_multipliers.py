@@ -9,6 +9,7 @@ from banalg.fixtures import build_fixture, lau_fixture, semidirect_fixture
 from banalg.multipliers import (
     SLAB_I,
     _block_relation_residuals,
+    _block_system,
     _constraint_blocks,
     _left_constraints,
     _mult_constraints,
@@ -200,6 +201,42 @@ def test_constraint_blocks_stack_to_full_systems(c2, z2, zero_product2):
             assert len(blocks) == -(-n // SLAB_I)
             assert all(b.shape[0] <= SLAB_I * n * n for b in blocks)
             assert np.array_equal(np.vstack(blocks), full(alg))
+
+
+def block_system_by_definition(desc):
+    """Oracle: the eight row blocks of Lemma 2.1 over vec(T), T on the whole
+    product.  A block X = T[rows, cols] reaches entry (s, l) of T through
+    rows[., s] cols[., l], with rows and cols the coordinates of its sides."""
+    n = desc.algebra.dim
+    eye = np.eye(n)
+    B, I = eye[desc.subalgebra_slice], eye[desc.ideal_slice]
+    cBB, cBI, cII, cIB = desc.block_tensors
+
+    def of(c, rows, cols):  # X(x y)_r: delta c[x,y,k] at (x, y, r), (r, k)
+        return np.einsum("xyk,rs,kl->xyrsl", c, rows, cols)
+
+    def times(c, rows, cols):  # (x X(y))_r: delta c[x,k,r] at (x, y, r), (k, y)
+        return np.einsum("xkr,ks,yl->xyrsl", c, rows, cols)
+
+    blocks = [
+        of(cBB, B, B) - times(cBB, B, B),  # T_B in LM(B)
+        of(cBB, I, B) - times(cBI, I, B),  # S_I in Hom_B(B, I)
+        of(cBI, I, I) - times(cBI, I, I),  # R_I in Hom_B(I, I)
+        of(cBI, B, I) - times(cBB, B, I),  # S_B in Hom_B(I, B)
+        of(cII, I, I) - times(cII, I, I) - times(cIB, B, I),  # (ii) on R_I, S_B
+        of(cIB, I, I) - times(cII, I, B) - times(cIB, B, B),  # (iii) on R_I, S_I, T_B
+        of(cII, B, I),  # (iv) S_B(a a') = 0
+        of(cIB, B, I),  # (iv) S_B(a b) = 0
+    ]
+    return [block.reshape(-1, n * n) for block in blocks]
+
+
+def test_block_system_is_its_definition():
+    for desc in product_fixtures():
+        got, want = _block_system(desc), block_system_by_definition(desc)
+        assert len(got) == len(want) == 8
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), desc.algebra.name
 
 
 @pytest.mark.parametrize("constraints", [_mult_constraints, _left_constraints])

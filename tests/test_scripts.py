@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,9 @@ def test_record_hash_keeps_the_verdicts():
     assert "records 672" in lines
     assert ("verdict 8e1a7ff48e1969f4d48f0d9492f0fe5c270f9d4f6b7deafcdcc870e2bcfc0e63"
             in lines)
+    # the bytes of every M, LM and block space; like the full hash, its last
+    # bits depend on the BLAS build, so it is compared across trees, not here
+    assert re.fullmatch(r"spaces  [0-9a-f]{64}", lines[-1])
 
 
 def test_record_hash_is_the_same_on_two_blas_threads():
