@@ -7,13 +7,15 @@ a direct sum is the lau product with phi = 0.  A map is its coefficient
 matrix: phi: B -> A is a (dim A, dim B) array, and Phi is n x n.  Both
 constructors hand their parents and their two actions to one assembler,
 which places the four structure blocks and validates the product once.
-`ProductDescriptor` alone states the block layout: a semidirect product puts
-B first, a lau product or direct sum its ideal A first.
+`ProductDescriptor` alone states the block layout, derived once from the
+parents and phi: a semidirect product puts B first, a lau product or direct
+sum its ideal A first, and every reader takes a structure block by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,80 +36,78 @@ from .errors import (
 )
 
 
+class StructureBlocks(NamedTuple):
+    """The four blocks of a product tensor c, as views: each keeps only the
+    output block the product lands in (B B -> B; B I, I I, I B -> I), and
+    every other block of a product is zero."""
+
+    BB: np.ndarray  # c[B, B, B]
+    BI: np.ndarray  # c[B, I, I]
+    II: np.ndarray  # c[I, I, I]
+    IB: np.ndarray  # c[I, B, I]
+
+    @classmethod
+    def of(cls, c: np.ndarray, B: slice, I: slice) -> StructureBlocks:
+        return cls(c[B, B, B], c[B, I, I], c[I, I, I], c[I, B, I])
+
+
+def _layout(first: Algebra, second: Algebra, phi: np.ndarray | None
+            ) -> tuple[str, Algebra, slice, Algebra, slice]:
+    """(kind, B, its slice, I, its slice) of the product on first (+) second:
+    semidirect (B first) when phi is None, else ideal A first, a direct sum
+    when phi is all zero and a lau product otherwise."""
+    lead, tail = slice(0, first.dim), slice(first.dim, first.dim + second.dim)
+    if phi is None:
+        return "semidirect", first, lead, second, tail
+    return ("lau" if np.any(phi) else "direct_sum"), second, tail, first, lead
+
+
 @dataclass(eq=False)
 class ProductDescriptor:
     """Provenance of a constructed product algebra.
 
     first/second are the parents in basis order (B, I for semidirect; A, B
     for lau and direct_sum); phi is the read-only (dim A, dim B) matrix of
-    phi: B -> A, None on a semidirect product.
+    phi: B -> A, None on a semidirect product.  The rest is derived once
+    from them: the kind, the distinguished subalgebra B and ideal I with
+    their slices, and the four structure blocks of the product.
     """
 
-    kind: str  # "semidirect" | "lau" | "direct_sum"
     algebra: Algebra
     first: Algebra
     second: Algebra
     phi: np.ndarray | None = None
     contractive: bool = True
+    kind: str = field(init=False)  # "semidirect" | "lau" | "direct_sum"
+    subalgebra: Algebra = field(init=False, repr=False)
+    subalgebra_slice: slice = field(init=False)
+    ideal: Algebra = field(init=False, repr=False)
+    ideal_slice: slice = field(init=False)
+    block_tensors: StructureBlocks = field(init=False, repr=False)
 
-    @staticmethod
-    def layout(kind: str, first: Algebra, second: Algebra
-               ) -> tuple[Algebra, slice, Algebra, slice]:
-        """(B, its slice, I, its slice) of a product of `kind` on first (+) second."""
-        lead, tail = slice(0, first.dim), slice(first.dim, first.dim + second.dim)
-        if kind == "semidirect":
-            return first, lead, second, tail
-        return second, tail, first, lead
-
-    @staticmethod
-    def blocks(c: np.ndarray, B: slice, I: slice) -> tuple[np.ndarray, ...]:
-        """Views c[B,B,B], c[B,I,I], c[I,I,I], c[I,B,I] of a product tensor.
-
-        Each keeps only the output block the product lands in: B B -> B and
-        B I, I I, I B -> I; every other block of a product is zero.
-        """
-        return c[B, B, B], c[B, I, I], c[I, I, I], c[I, B, I]
-
-    @property
-    def subalgebra(self) -> Algebra:
-        """The distinguished closed subalgebra."""
-        return self.layout(self.kind, self.first, self.second)[0]
-
-    @property
-    def subalgebra_slice(self) -> slice:
-        return self.layout(self.kind, self.first, self.second)[1]
-
-    @property
-    def ideal(self) -> Algebra:
-        """The distinguished closed two-sided ideal."""
-        return self.layout(self.kind, self.first, self.second)[2]
-
-    @property
-    def ideal_slice(self) -> slice:
-        return self.layout(self.kind, self.first, self.second)[3]
-
-    @property
-    def block_tensors(self) -> tuple[np.ndarray, ...]:
-        """c[B,B,B], c[B,I,I], c[I,I,I], c[I,B,I] of the product (`blocks`)."""
-        return self.blocks(self.algebra.structure, self.subalgebra_slice, self.ideal_slice)
+    def __post_init__(self):
+        (self.kind, self.subalgebra, self.subalgebra_slice, self.ideal,
+         self.ideal_slice) = _layout(self.first, self.second, self.phi)
+        self.block_tensors = StructureBlocks.of(
+            self.algebra.structure, self.subalgebra_slice, self.ideal_slice)
 
 
-def _assemble(kind: str, first: Algebra, second: Algebra, action_bi: np.ndarray,
+def _assemble(first: Algebra, second: Algebra, action_bi: np.ndarray,
               action_ib: np.ndarray, tol: float, name: str, unit: np.ndarray | None = None,
               phi: np.ndarray | None = None, contractive: bool = True,
               force: bool = False) -> ProductDescriptor:
-    """The product of `kind` on first (+) second with the actions b.a
-    (action_bi[j, i, :], in I) and a.b (action_ib[i, j, :], in I).
+    """The product on first (+) second with phi (its kind, `_layout`) and the
+    actions b.a (action_bi[j, i, :], in I) and a.b (action_ib[i, j, :], in I).
 
     The assembled tensor is validated once; mixed associativity of the actions
     is exactly its associativity.  force=True admits a submultiplicativity
     failure, the one a non-contractive phi causes, and nothing else.
     """
-    B, bsl, I, isl = ProductDescriptor.layout(kind, first, second)
+    kind, B, bsl, I, isl = _layout(first, second, phi)
     n = first.dim + second.dim
     c = np.zeros((n, n, n), dtype=complex)
     parts = (B.structure, action_bi, I.structure, action_ib)
-    for block, part in zip(ProductDescriptor.blocks(c, bsl, isl), parts):
+    for block, part in zip(StructureBlocks.of(c, bsl, isl), parts):
         block[...] = part
     algebra = Algebra(name=name, weights=np.concatenate([first.weights, second.weights]),
                       structure=c, unit=unit)
@@ -117,7 +117,7 @@ def _assemble(kind: str, first: Algebra, second: Algebra, action_bi: np.ndarray,
             f"assembled {kind} product fails validation: " + ", ".join(report.failures),
             report=report,
         )
-    return ProductDescriptor(kind, algebra, first, second, phi, contractive)
+    return ProductDescriptor(algebra, first, second, phi, contractive)
 
 
 def semidirect(B: Algebra, I: Algebra, action_bi: np.ndarray, action_ib: np.ndarray,
@@ -136,8 +136,7 @@ def semidirect(B: Algebra, I: Algebra, action_bi: np.ndarray, action_ib: np.ndar
         raise ValueError(f"action_ib must have shape {(p, m, p)}")
     require_valid(B, tol)
     require_valid(I, tol)
-    return _assemble("semidirect", B, I, action_bi, action_ib, tol,
-                     name or f"{B.name}(+){I.name}")
+    return _assemble(B, I, action_bi, action_ib, tol, name or f"{B.name}(+){I.name}")
 
 
 def homomorphism_residual(P: np.ndarray, source: Algebra, target: Algebra) -> float:
@@ -155,7 +154,8 @@ def lau_product(A: Algebra, B: Algebra, phi: np.ndarray, tol: float = DEFAULT_TO
     phi, the (dim A, dim B) matrix of phi: B -> A, must be an algebra
     homomorphism with operator norm <= 1; another shape raises ValueError.
     force=True admits non-contractive phi (still an algebra); the descriptor
-    records it so norm-sensitive checks downstream can be skipped.
+    records it as `contractive`, which a bundle stores so that reading it
+    back passes force again.
     """
     require_valid(A, tol)
     require_valid(B, tol)
@@ -176,7 +176,7 @@ def lau_product(A: Algebra, B: Algebra, phi: np.ndarray, tol: float = DEFAULT_TO
         # (u_A - phi(u_B), u_B) is the unit when both parents are unital
         unit = np.concatenate([A.unit - phi @ B.unit, B.unit])
     return _assemble(
-        "lau" if np.any(phi) else "direct_sum", A, B,
+        A, B,
         np.einsum("kj,kir->jir", phi, A.structure),  # phi(b) a
         np.einsum("ikr,kj->ijr", A.structure, phi),  # a phi(b)
         tol, name or f"{A.name}x({B.name})", unit, phi, contractive, force)
@@ -246,8 +246,7 @@ def group_character_values(orders: list[int]) -> np.ndarray:
 
 def ideal_span_rank(desc: ProductDescriptor) -> int:
     """rank of span{a * b : a in I-basis, b in B-basis} inside the ideal block."""
-    products = desc.block_tensors[3]  # c[I, B, I]
-    return rank_basis(products.reshape(-1, desc.ideal.dim))[0]
+    return rank_basis(desc.block_tensors.IB.reshape(-1, desc.ideal.dim))[0]
 
 
 def ideal_span_is_full(desc: ProductDescriptor) -> bool:

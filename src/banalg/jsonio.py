@@ -255,9 +255,8 @@ def bundle_to_dict(desc) -> dict:
     if desc.phi is not None:
         doc["descriptor"]["phi"] = morphism_to_dict(desc.phi, desc.subalgebra, desc.ideal)
     if desc.kind == "semidirect":
-        _, bi, _, ib = desc.block_tensors
-        doc["descriptor"]["action_bi"] = _sparse_tensor(bi)
-        doc["descriptor"]["action_ib"] = _sparse_tensor(ib)
+        doc["descriptor"]["action_bi"] = _sparse_tensor(desc.block_tensors.BI)
+        doc["descriptor"]["action_ib"] = _sparse_tensor(desc.block_tensors.IB)
     return doc
 
 

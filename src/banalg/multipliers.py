@@ -18,7 +18,7 @@ built.  Lemma 2.1's four-block form (T_B, S_B, S_I, R_I) of a left
 multiplier on a subalgebra(+)ideal product, with the relations tying the
 blocks together, is one table, `_LEMMA_21`: the block residuals contract
 its rows, and `block_space` places them into the block views of one zero
-array per relation.  The structure blocks come from
+array per relation.  The structure blocks are read by name from
 `ProductDescriptor.block_tensors`, so the block layout of each product kind
 is known to the descriptor alone.
 
@@ -52,11 +52,11 @@ HAT_THRESHOLD = 1e-8  # `hat` reads a direction c where |phi(c)| exceeds this sh
 
 # The blocks of T(b, a) = (T_B(b) + S_B(a), S_I(b) + R_I(a)): (rows, columns)
 _BLOCKS = {"T_B": ("B", "B"), "S_B": ("B", "I"), "S_I": ("I", "B"), "R_I": ("I", "I")}
-_TENSORS = ("BB", "BI", "II", "IB")  # desc.block_tensors: c[B,B,B], c[B,I,I], ...
 
 # Lemma 2.1, one row per relation: X(x y) = sum of x X'(y) over its terms,
 # each (structure block, map block), with residual weights on the output's
-# side.  The two halves of (iv) share a name and are combined by max.
+# side; a structure block is named by its field of `desc.block_tensors`.
+# The two halves of (iv) share a name and are combined by max.
 _LEMMA_21 = (
     # memberships: T_B in LM(B), S_I in Hom_B(B, I), R_I in Hom_B(I, I), S_B in Hom_B(I, B)
     ("T_B", "B", ("BB", "T_B"), (("BB", "T_B"),)),
@@ -203,7 +203,7 @@ def _block_relation_residuals(desc: ProductDescriptor, T_B, S_B, S_I, R_I
     """Per map, the weighted residual of each row of _LEMMA_21, the relations
     (ii)-(iv) and the memberships apart."""
     weights = {k: desc.algebra.weights[sl] for k, sl in _sides(desc).items()}
-    tensors = dict(zip(_TENSORS, desc.block_tensors))
+    tensors = desc.block_tensors._asdict()
     maps = dict(zip(_BLOCKS, (T_B, S_B, S_I, R_I)))
     relations: dict[str, np.ndarray] = {}
     memberships: dict[str, np.ndarray] = {}
@@ -250,7 +250,7 @@ def _block_system(desc: ProductDescriptor) -> list[np.ndarray]:
     """
     n, side = desc.algebra.dim, _sides(desc)
     size = {"B": desc.subalgebra.dim, "I": desc.ideal.dim}
-    tensors = dict(zip(_TENSORS, desc.block_tensors))
+    tensors = desc.block_tensors._asdict()
 
     def cells(rows: np.ndarray, block: str) -> np.ndarray:
         row_side, col_side = _BLOCKS[block]

@@ -4,7 +4,7 @@ A character is a nonzero multiplicative linear functional, stored as its
 value vector on the basis.  A set holds each character once: a
 `CharacterSet` stacks the value vectors into one read-only matrix (a row
 per character) and their multiplicativity residuals into one read-only
-vector, and the `Character`s it yields are views of the matrix rows.  The
+vector, and a character of the set is a row of that matrix.  The
 numerical solver passes to the semisimple quotient A/rad, with rad the
 radical of the trace form, where the multiplication operators commute and
 are simultaneously diagonalizable: the characters are their joint
@@ -26,7 +26,7 @@ discrepancy, so nothing downstream induces them again.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -58,8 +58,8 @@ class CharacterSet:
     """Characters of one algebra, stacked once at construction: `matrix` is
     the read-only |S| x n array of their value vectors (rows) and
     `residuals` the read-only vector of their multiplicativity residuals.
-    The set keeps no Character; indexing and iteration yield Character
-    views of the matrix rows."""
+    The set keeps no Character: a character of the set is a row of
+    `matrix`, with its residual at the same index."""
 
     algebra: Algebra
     characters: InitVar[Sequence[Character]]
@@ -83,12 +83,6 @@ class CharacterSet:
 
     def __len__(self):
         return len(self.matrix)
-
-    def __iter__(self) -> Iterator[Character]:
-        return (self[i] for i in range(len(self)))
-
-    def __getitem__(self, i: int) -> Character:
-        return Character(self.algebra, self.matrix[i], float(self.residuals[i]))
 
     @functools.cached_property
     def rank(self) -> int:
@@ -205,8 +199,7 @@ def psi_of(values: np.ndarray, desc: ProductDescriptor) -> tuple[np.ndarray, np.
         pert[rows, k2] = 1.0
         pert -= a0 * values[rows, k2][:, None]
         a0s.append(a0 + pert)
-    c_bi = desc.block_tensors[1]  # c[B, I, I]
-    psis = np.einsum("jak,sqa,qk->sqj", c_bi, np.array(a0s), values)
+    psis = np.einsum("jak,sqa,qk->sqj", desc.block_tensors.BI, np.array(a0s), values)
     return psis[0], np.abs(psis[0] - psis[-1]).max(axis=1, initial=0.0)
 
 

@@ -24,7 +24,6 @@ set (on square E the primal factors E once), one call per split check.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 from dataclasses import dataclass, field
 
@@ -289,8 +288,7 @@ def _semidirect_checks(records, fix: Fixture, cfg: RunConfig,
     # ideal x subalgebra pairs
     e_rows = sdc.set.matrix[: sdc.e_count]
     phis, psis = e_rows[:, desc.ideal_slice], e_rows[:, desc.subalgebra_slice]
-    ib = desc.block_tensors[3]  # c[I, B, I]
-    lhs = np.einsum("ijk,ek->eij", ib, phis)
+    lhs = np.einsum("ijk,ek->eij", desc.block_tensors.IB, phis)
     worst_id = float(np.max(np.abs(lhs - phis[:, :, None] * psis[:, None, :]), initial=0.0))
     _rec(records, f"{fix.name}/psi-uniqueness", "prop24", sdc.psi_discrepancy, 1e-12)
     _rec(records, f"{fix.name}/psi-identity", "prop24", worst_id, 1e-10)
@@ -436,6 +434,8 @@ def run_verify(cfg: RunConfig) -> Report:
     indices = [index for _ in cfg.families for index in range(cfg.count)]
     units = ([one] * len(families), families, indices)
     if cfg.jobs > 1:
+        import concurrent.futures  # only a pool needs it, and it loads `logging`
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             batches = list(pool.map(fixture_records, *units))
     else:

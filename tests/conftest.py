@@ -16,6 +16,7 @@ from banalg.constructions import (
     semidirect,
 )
 from banalg.jsonio import complex_pair, render_json
+from banalg.spectra import Character, CharacterSet
 
 
 def write_json(path, doc):
@@ -32,6 +33,12 @@ def change_basis(alg, S):
     weight = max(1.0, float(np.abs(c).sum(axis=2).max()))
     unit = None if alg.unit is None else S_inv @ alg.unit
     return Algebra(alg.name + "~", np.full(alg.dim, weight), c, unit=unit)
+
+
+def character_subset(S, index):
+    """The CharacterSet of the rows S.matrix[index], each with its residual."""
+    return CharacterSet(S.algebra, [Character(S.algebra, v, float(r))
+                                    for v, r in zip(S.matrix[index], S.residuals[index])])
 
 
 def sigma_to_dict(values):

@@ -106,8 +106,8 @@ def test_criterion_2_character_decomposition(semidirect_fixtures, lau_fixtures):
         cardinality_ok = cardinality_ok and len(sdc.set) == (
             len(sdc.subalgebra_chars) + len(sdc.ideal_chars))
         isl = fix.descriptor.ideal_slice
-        for r, ch in enumerate(sdc.set):
-            part = float(np.max(np.abs(ch.values[isl])))
+        for r, row in enumerate(sdc.set.matrix):
+            part = float(np.max(np.abs(row[isl])))
             if r < sdc.e_count:
                 disjoint_ok = disjoint_ok and part > 1e-6
             else:

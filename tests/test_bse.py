@@ -29,13 +29,19 @@ from banalg.errors import (
 from banalg.fixtures import build_fixture
 from banalg.spectra import characters_numerical, characters_semidirect, gelfand
 
-from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect, weighted_norm
+from conftest import (
+    character_subset,
+    diagonal_algebra,
+    lau_c_c2,
+    pointwise_semidirect,
+    weighted_norm,
+)
 
 
 def b_index(lc, values):
     """Index inside lc.subalgebra_chars of the character with the given value vector."""
-    for j, ch in enumerate(lc.subalgebra_chars):
-        if np.allclose(ch.values, values, atol=1e-8):
+    for j, row in enumerate(lc.subalgebra_chars.matrix):
+        if np.allclose(row, values, atol=1e-8):
             return j
     raise AssertionError("character not found")
 
@@ -110,9 +116,7 @@ def test_bse_primal_on_a_stack_matches_one_at_a_time(z2z2, count):
     # rectangular one, run through one cone loop
     import warnings
 
-    from banalg.spectra import CharacterSet
-
-    S = CharacterSet(z2z2, list(characters_numerical(z2z2))[:count])
+    S = character_subset(characters_numerical(z2z2), slice(count))
     rng = np.random.default_rng(10)
     sigmas = rng.standard_normal((3, count)) + 1j * rng.standard_normal((3, count))
     sigmas[1] = 0
@@ -257,10 +261,7 @@ def test_check_bse_nonsemisimple_warns():
 
 
 def test_semisimplicity_warning_on_partial_characters(z2z2):
-    S = characters_numerical(z2z2)
-    from banalg.spectra import CharacterSet
-
-    partial = CharacterSet(z2z2, list(S)[:2], provenance="numerical")
+    partial = character_subset(characters_numerical(z2z2), slice(2))
     with pytest.warns(SemisimplicityWarning):
         bse_norm_primal(np.array([1.0, 2.0 + 0j]), partial, z2z2)
 

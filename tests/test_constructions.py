@@ -91,6 +91,28 @@ def test_lau_zero_phi_equals_direct_sum():
     assert np.array_equal(lau.algebra.structure, ds.algebra.structure)
 
 
+def test_descriptor_derives_its_layout_from_parents_and_phi():
+    # the kind, the sides and the four named structure blocks follow from
+    # first, second and phi alone; each block is a view of the product tensor
+    A, B = diagonal_algebra(2, "A"), diagonal_algebra(1, "B")
+    act = np.zeros((1, 2, 2), dtype=complex)
+    cases = [
+        (semidirect(B, A, act, act.transpose(1, 0, 2)), "semidirect", B, slice(0, 1), slice(1, 3)),
+        (lau_product(A, B, [[1.0], [0.0]]), "lau", B, slice(2, 3), slice(0, 2)),
+        (direct_sum(A, B), "direct_sum", B, slice(2, 3), slice(0, 2)),
+    ]
+    for desc, kind, sub, bsl, isl in cases:
+        assert desc.kind == kind
+        assert desc.subalgebra is sub and desc.ideal is A
+        assert (desc.subalgebra_slice, desc.ideal_slice) == (bsl, isl)
+        c = desc.algebra.structure
+        want = {"BB": c[bsl, bsl, bsl], "BI": c[bsl, isl, isl],
+                "II": c[isl, isl, isl], "IB": c[isl, bsl, isl]}
+        assert desc.block_tensors._fields == tuple(want)
+        for name, block in desc.block_tensors._asdict().items():
+            assert np.shares_memory(block, c) and np.array_equal(block, want[name])
+
+
 def test_lau_worked_product():
     desc = lau_c_c2()
     # (1,0,0).(0,1,0): aa' = 0, phi(b)a' = 0, a phi(b') = 1 -> (1,0,0)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from banalg.algebra import RANK_CUTOFF
 from banalg.constructions import finite_abelian_group_algebra
 from banalg.errors import NotAMultiplierError, UndefinedHatError
 from banalg.fixtures import build_fixture, lau_fixture, semidirect_fixture
@@ -203,6 +204,23 @@ def test_constraint_blocks_stack_to_full_systems(c2, z2, zero_product2):
             assert np.array_equal(np.vstack(blocks), full(alg))
 
 
+def test_m_system_has_rows_of_rounding_residue_alone():
+    # On the phase-twisted group fixture (twisted Z2 x Z4, n = 8) some rows
+    # (i, i, r) of the M system hold one nonzero entry, the twist's
+    # commutativity rounding c[k,i,r] - c[i,k,r] (12 rows of modulus
+    # <= 1.1e-16).  An elimination that read them as exact singleton rows
+    # would force those unknowns to 0 and leave a 3-dimensional space; a
+    # zero must be judged against the system's scale, and M keeps 8 maps.
+    alg = build_fixture("group", 0, 0).algebra
+    rows = np.vstack(list(_constraint_blocks(alg, _mult_constraints)))
+    lone = rows[np.count_nonzero(rows, axis=1) == 1]
+    assert len(lone) > 0
+    assert np.max(np.abs(lone)) <= RANK_CUTOFF * np.max(np.abs(rows))
+    M = multiplier_space(alg)
+    assert len(M) == alg.dim == 8
+    assert multiplier_residual(alg, M) <= 1e-12
+
+
 def block_system_by_definition(desc):
     """Oracle: the eight row blocks of Lemma 2.1 over vec(T), T on the whole
     product.  A block X = T[rows, cols] reaches entry (s, l) of T through
@@ -401,13 +419,13 @@ def test_hat_identity_and_multiplications(c2):
 def naive_hat(mat, S, tol=1e-9, threshold=1e-8):
     """Oracle: one character and one basis direction at a time."""
     out = []
-    for ch in S:
-        scores = np.abs(ch.values)
+    for values in S.matrix:
+        scores = np.abs(values)
         k = int(np.argmax(scores))
-        value = (ch.values @ mat[:, k]) / ch.values[k]
+        value = (values @ mat[:, k]) / values[k]
         for i in range(len(scores)):
             if scores[i] > threshold * scores[k]:
-                alt = (ch.values @ mat[:, i]) / ch.values[i]
+                alt = (values @ mat[:, i]) / values[i]
                 if abs(alt - value) > max(tol, 10 * tol * abs(value)):
                     return None
         out.append(value)

@@ -22,7 +22,7 @@ from banalg.spectra import (
     psi_of,
 )
 
-from conftest import diagonal_algebra, lau_c_c2, pointwise_semidirect
+from conftest import character_subset, diagonal_algebra, lau_c_c2, pointwise_semidirect
 
 
 def is_semisimple(algebra: Algebra) -> bool:
@@ -33,9 +33,9 @@ def is_semisimple(algebra: Algebra) -> bool:
 def test_characters_pointwise_projections(c2):
     S = characters_numerical(c2)
     assert len(S) == 2
-    rows = {tuple(np.round(ch.values.real, 6)) for ch in S}
+    rows = {tuple(np.round(row.real, 6)) for row in S.matrix}
     assert rows == {(1.0, 0.0), (0.0, 1.0)}
-    assert all(ch.residual <= 1e-12 for ch in S)
+    assert np.all(S.residuals <= 1e-12)
 
 
 def test_characters_nilpotent_empty(nilpotent2):
@@ -50,12 +50,12 @@ def test_characters_z3_cube_roots(z3):
     S = characters_numerical(z3)
     assert len(S) == 3
     # oracle: phi(delta_1)^3 = 1 and phi(delta_2) = phi(delta_1)^2
-    for ch in S:
-        root = ch.values[1]
+    for values in S.matrix:
+        root = values[1]
         assert abs(root ** 3 - 1) < 1e-10
-        assert abs(ch.values[2] - root ** 2) < 1e-10
-        assert abs(ch.values[0] - 1) < 1e-10
-    roots = sorted(np.round(ch.values[1], 8) for ch in S)
+        assert abs(values[2] - root ** 2) < 1e-10
+        assert abs(values[0] - 1) < 1e-10
+    roots = sorted(np.round(S.matrix[:, 1], 8))
     expected = sorted(np.round(np.exp(2j * np.pi * np.arange(3) / 3), 8))
     assert np.allclose(roots, expected)
 
@@ -105,14 +105,14 @@ def test_character_set_rejects_a_character_of_another_algebra(c2, z2):
 def test_character_set_rank_is_stable(z2z2):
     S = characters_numerical(z2z2)
     assert S.rank == S.rank == 4
-    partial = CharacterSet(z2z2, list(S)[:2])
+    partial = character_subset(S, slice(2))
     assert partial.rank == partial.rank == 2
 
 
 def test_match_character_sets_threshold(c2):
     S = characters_numerical(c2)
     shifted = CharacterSet(
-        c2, [Character(c2, ch.values + 1e-7) for ch in S], provenance="closed_form"
+        c2, [Character(c2, row + 1e-7) for row in S.matrix], provenance="closed_form"
     )
     pairing, dist = match_character_sets(S, shifted, threshold=1e-6)
     assert sorted(pairing) == [0, 1]
@@ -165,7 +165,7 @@ def test_characters_semidirect_matches_transport():
     # transport of the coordinate projections through (b, a) -> b + a
     U = np.array([[1.0, 1.0], [1.0, 0.0]])
     expected = {tuple(np.round(row @ U, 8)) for row in np.eye(2)}
-    got = {tuple(np.round(ch.values.real, 8)) for ch in sdc.set}
+    got = {tuple(np.round(row.real, 8)) for row in sdc.set.matrix}
     assert got == expected
 
 
@@ -182,8 +182,8 @@ def test_characters_semidirect_disjoint_blocks():
     desc = pointwise_semidirect()
     sdc = characters_semidirect(desc)
     isl = desc.ideal_slice
-    for r, ch in enumerate(sdc.set):
-        ideal_part = np.max(np.abs(ch.values[isl]))
+    for r, row in enumerate(sdc.set.matrix):
+        ideal_part = np.max(np.abs(row[isl]))
         if r < sdc.e_count:
             assert ideal_part > 1e-6
         else:
@@ -196,11 +196,10 @@ def test_closed_form_characters_of_lau_worked_example():
     assert len(lc.set) == 3
     assert lc.cross_check_distance <= 1e-10
     assert len(lc.set) == len(lc.ideal_chars) + len(lc.subalgebra_chars)
-    rows = {tuple(np.round(ch.values.real, 8)) for ch in lc.set}
+    rows = {tuple(np.round(row.real, 8)) for row in lc.set.matrix}
     assert rows == {(1.0, 1.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
     # psi_index maps the single A-character to pi_1
-    target = lc.subalgebra_chars[lc.psi_index[0]]
-    assert np.allclose(target.values, [1.0, 0.0])
+    assert np.allclose(lc.subalgebra_chars.matrix[lc.psi_index[0]], [1.0, 0.0])
 
 
 def test_closed_form_characters_of_direct_sum_have_zero_psi():
@@ -252,8 +251,7 @@ def test_lau_closed_form_matches_the_composition_oracle():
 
 def test_every_character_verified_multiplicative(z2z2):
     S = characters_numerical(z2z2)
-    for ch in S:
-        assert multiplicativity_residual(z2z2, ch.values) <= 1e-12
+    assert np.all(multiplicativity_residual(z2z2, S.matrix) <= 1e-12)
 
 
 def truncated_sum(sizes, rng):
@@ -311,9 +309,8 @@ def test_characters_of_generic_basis_truncated_sums():
         assert "submultiplicativity" not in validate(alg).failures
         S = characters_numerical(alg)
         assert len(S) == len(sizes), sizes
-        for ch in S:
-            assert multiplicativity_residual(alg, ch.values) <= 1e-9
-            assert np.max(np.abs(ch.values @ rad), initial=0.0) <= 1e-9
+        assert np.all(multiplicativity_residual(alg, S.matrix) <= 1e-9)
+        assert np.max(np.abs(S.matrix @ rad), initial=0.0) <= 1e-9
         closed = CharacterSet(alg, [Character(alg, v) for v in expected])
         match_character_sets(S, closed, threshold=1e-9)
 
@@ -340,16 +337,16 @@ def test_unital_nonsemisimple_truncated_polynomials():
     alg = Algebra("trunc3", np.ones(3), c, unit=np.eye(3, dtype=complex)[0])
     S = characters_numerical(alg)
     assert len(S) == 1
-    assert np.allclose(S[0].values, [1.0, 0.0, 0.0], atol=1e-9)
+    assert np.allclose(S.matrix[0], [1.0, 0.0, 0.0], atol=1e-9)
     assert not is_semisimple(alg)
 
 
 def test_character_set_holds_each_character_once():
-    # the set is its value matrix: a Character is a view of a matrix row, and
-    # a BSE verdict keeps the set's arrays and little else
+    # the set is its value matrix, one row and one residual per character,
+    # and a BSE verdict keeps the set's arrays and little else
     S = characters_numerical(finite_abelian_group_algebra([4, 4]))
     assert len(S) == 16
-    assert all(np.shares_memory(ch.values, S.matrix) for ch in S)
+    assert S.matrix.shape == (16, 16) and S.residuals.shape == (16,)
     assert not S.matrix.flags.writeable and not S.residuals.flags.writeable
     rng = np.random.default_rng(0)
     check_bse_property(_phase_twist(rng, finite_abelian_group_algebra([4, 4]))[0])  # warm-up

@@ -36,6 +36,7 @@ from banalg.verify import (
 )
 
 from conftest import (
+    character_subset,
     diagonal_algebra,
     lau_c_c2,
     module_extension_semidirect,
@@ -657,8 +658,8 @@ def test_minimizer_uniqueness_flags():
 
     z2 = finite_abelian_group_algebra([2])
     full = characters_numerical(z2)
-    sign = next(ch for ch in full if np.allclose(ch.values, [1.0, -1.0]))
-    partial = CharacterSet(z2, [sign], provenance="numerical")
+    sign = next(row for row in full.matrix if np.allclose(row, [1.0, -1.0]))
+    partial = CharacterSet(z2, [Character(z2, sign)], provenance="numerical")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SemisimplicityWarning)
         fn = bse_norm_primal(np.array([1.0 + 0j]), partial, z2)
@@ -718,8 +719,7 @@ def test_characters_disjoint_record_can_fail(family):
     cfg = RunConfig(seed=0, max_dim=6)
     fix = build_fixture(family, cfg.seed, 0, cfg.max_dim)
     sdc = characters_semidirect(fix.descriptor, cfg.tol_algebraic)
-    short = dataclasses.replace(sdc, ideal_chars=CharacterSet(
-        fix.descriptor.ideal, list(sdc.ideal_chars)[:-1]))
+    short = dataclasses.replace(sdc, ideal_chars=character_subset(sdc.ideal_chars, slice(-1)))
     for chars, verdict in ((sdc, "PASS"), (short, "FAIL")):
         records = []
         verify._character_checks(records, fix, cfg, chars)
@@ -826,8 +826,9 @@ def test_characters_residual_record_can_fail(monkeypatch, family):
 
     def offset(*args):
         S = original(*args)
-        return CharacterSet(S.algebra, [Character(S.algebra, ch.values, ch.residual + 1e-8)
-                                        for ch in S], provenance=S.provenance)
+        return CharacterSet(S.algebra, [Character(S.algebra, v, r + 1e-8)
+                                        for v, r in zip(S.matrix, S.residuals)],
+                            provenance=S.provenance)
 
     monkeypatch.setattr(verify, "characters_numerical", offset)
     records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
