@@ -28,7 +28,6 @@ import numpy as np
 from banalg.errors import BseError
 from banalg.interpolation import (
     GAP_HARD_LIMIT,
-    GAP_REL,
     MAX_ITER,
     _solve_cone,
     interpolation_residual,
@@ -74,7 +73,7 @@ def run_square(E, sigma, w):
 def run_batch(E, sigmas, w):
     """(iterations per member, worst relative gap, ok) of one batched dual cone
     loop over the rows of sigmas, each against its exact square value."""
-    batch = _solve_cone(E, sigmas, w, GAP_REL)
+    batch = _solve_cone(E, sigmas, w)
     exact = solve_primal(E, sigmas, w).value
     gap = float(np.max(np.abs(exact - batch.dual_value) / np.maximum(1.0, exact)))
     ok = float(np.max(np.abs(batch.c @ E) - w)) <= 1e-12
@@ -91,7 +90,7 @@ def square_x4(seed):
         n = len(sigma)
         sigmas = np.vstack([sigma, rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))])
         iterations, gap, ok = run_batch(E, sigmas, w)
-        alone = [_solve_cone(E, row[None], w, GAP_REL).iterations[0] for row in sigmas]
+        alone = [_solve_cone(E, row[None], w).iterations[0] for row in sigmas]
         return iterations, gap, ok and iterations == alone
 
     return run

@@ -158,7 +158,7 @@ def validate(algebra: Algebra, tol: float = DEFAULT_TOL) -> ValidationReport:
 def require_valid(algebra: Algebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     report = validate(algebra, tol)
     if not report.accepted:
-        raise ValidationRejected(", ".join(report.failures), report)
+        raise ValidationRejected(report)
     return report
 
 

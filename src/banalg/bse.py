@@ -59,7 +59,7 @@ from .errors import (
     RankDeficientCharactersError,
     SpanConditionError,
 )
-from .interpolation import GAP_REL, InterpolationSolution, _nonzero_cone, _primal
+from .interpolation import InterpolationSolution, _nonzero_cone, _primal
 from .multipliers import hat, multiplier_residual, multiplier_space
 from .spectra import (
     CharacterSet,
@@ -98,18 +98,18 @@ def _check_charset(values: np.ndarray, S: CharacterSet, algebra: Algebra) -> np.
     return values
 
 
-def bse_norm_primal(values: np.ndarray, S: CharacterSet, algebra: Algebra,
-                    gap_rel: float = GAP_REL) -> InterpolationSolution:
+def bse_norm_primal(values: np.ndarray, S: CharacterSet,
+                    algebra: Algebra) -> InterpolationSolution:
     """Minimum-norm interpolation route: ||sigma||_BSE = min{||a|| : a-hat = sigma},
     for values (|S|,) or a stack (k, |S|).  The norm is the solution's
     `value`, and `a` one interpolant attaining it."""
     values = _check_charset(values, S, algebra)
     # _check_charset has decided the rank of this matrix; skip solve_primal's check
-    return _primal(S.matrix, values, algebra.weights, gap_rel)
+    return _primal(S.matrix, values, algebra.weights)
 
 
-def bse_norm_dual(values: np.ndarray, S: CharacterSet, algebra: Algebra,
-                  gap_rel: float = GAP_REL) -> InterpolationSolution:
+def bse_norm_dual(values: np.ndarray, S: CharacterSet,
+                  algebra: Algebra) -> InterpolationSolution:
     """Dual route, straight from the defining inequality: the supremum of
     |sum_j c_j sigma(phi_j)| over coefficient vectors with dual norm <= 1.
 
@@ -119,7 +119,7 @@ def bse_norm_dual(values: np.ndarray, S: CharacterSet, algebra: Algebra,
     once.
     """
     values = _check_charset(values, S, algebra)
-    return _nonzero_cone(S.matrix, values, algebra.weights, gap_rel)
+    return _nonzero_cone(S.matrix, values, algebra.weights)
 
 
 def delta_weak_bai(algebra: Algebra, S: CharacterSet) -> InterpolationSolution:
@@ -129,8 +129,6 @@ def delta_weak_bai(algebra: Algebra, S: CharacterSet) -> InterpolationSolution:
     Always feasible (characters are linearly independent); the norm is the
     optimal bound for a character-wise approximate identity.
     """
-    if len(S) == 0:
-        raise EmptyCharacterSetError("cannot build an identity certificate")
     return bse_norm_primal(np.ones(len(S), dtype=complex), S, algebra)
 
 

@@ -22,6 +22,7 @@ from .constructions import (
 )
 from .errors import BanalgError, SchemaError, ValidationRejected
 from .fixtures import FAMILIES
+from .interpolation import GAP_HARD_LIMIT, GAP_REL
 from .jsonio import (
     actions_from_dict,
     algebra_from_dict,
@@ -141,7 +142,7 @@ def _cmd_bse_norm(args) -> int:
     S = characters_numerical(algebra, args.tol)
     sigma = sigma_from_dict(load_json(args.sigma), expected_len=len(S),
                             where=args.sigma)
-    fn = bse_norm_primal(sigma, S, algebra, args.opt_tol * 1e-2)
+    fn = bse_norm_primal(sigma, S, algebra)
     doc = {
         "algebra": algebra.name,
         "bse_norm": fn.value,
@@ -151,7 +152,7 @@ def _cmd_bse_norm(args) -> int:
         "method": fn.method,
     }
     if args.dual:
-        dual = bse_norm_dual(sigma, S, algebra, args.opt_tol * 1e-2)
+        dual = bse_norm_dual(sigma, S, algebra)
         doc["dual_norm"] = dual.dual_value
         doc["dual_certificate"] = [complex_pair(z) for z in dual.c]
     _emit(doc, args.output)
@@ -205,7 +206,10 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                         help=f"algebraic residual tolerance (default {DEFAULT_TOL:g})")
     common.add_argument("--opt-tol", type=float, default=argparse.SUPPRESS,
-                        help=f"optimization tolerance (default {RunConfig.tol_opt:g})")
+                        help=f"tolerance that verify judges its optimization records "
+                             f"against (default {RunConfig.tol_opt:g}); bse-norm ignores "
+                             f"it: it solves to the relative gap GAP_REL = {GAP_REL:g} "
+                             f"and certifies within GAP_HARD_LIMIT = {GAP_HARD_LIMIT:g}")
 
     parser = argparse.ArgumentParser(
         prog="banalg",

@@ -114,9 +114,7 @@ def _assemble(first: Algebra, second: Algebra, action_bi: np.ndarray,
     report = validate(algebra, tol)
     if not (report.accepted or (force and set(report.failures) <= {"submultiplicativity"})):
         raise InvalidActionError(
-            f"assembled {kind} product fails validation: " + ", ".join(report.failures),
-            report=report,
-        )
+            f"assembled {kind} product fails validation: " + ", ".join(report.failures))
     return ProductDescriptor(algebra, first, second, phi, contractive)
 
 

@@ -8,19 +8,14 @@ class BanalgError(Exception):
 
     code = "ERROR"
 
-    def __init__(self, message: str, **detail):
-        super().__init__(message)
-        self.detail = detail
-
 
 class ValidationRejected(BanalgError):
     """An algebra spec violated one of the algebra axioms beyond tolerance."""
 
     code = "REJECTED"
 
-    def __init__(self, reason: str, report=None):
-        super().__init__(f"algebra rejected: {reason}")
-        self.reason = reason
+    def __init__(self, report):
+        super().__init__("algebra rejected: " + ", ".join(report.failures))
         self.report = report
 
 

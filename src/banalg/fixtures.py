@@ -124,10 +124,8 @@ def semidirect_fixture(seed: int, index: int, max_dim: int = 3) -> Fixture:
     B = Algebra(f"B{m}#{index}", wB, _diagonal(tB), unit=1.0 / tB)
     I = Algebra(f"I{p}#{index}", wI, _diagonal(sI), unit=1.0 / sI)
     desc = semidirect(B, I, act_bi, act_ib, name=f"sd{m}+{p}#{index}")
-    return Fixture(
-        "semidirect", f"semidirect/{index:03d}", desc.algebra, desc,
-        meta={"selector": selector, "full_span": all(l >= 0 for l in selector)},
-    )
+    return Fixture("semidirect", f"semidirect/{index:03d}", desc.algebra, desc,
+                   meta={"full_span": all(l >= 0 for l in selector)})
 
 
 def lau_fixture(seed: int, index: int, max_dim: int = 3) -> Fixture:
@@ -154,26 +152,17 @@ def lau_fixture(seed: int, index: int, max_dim: int = 3) -> Fixture:
     A = Algebra(f"A{nA}#{index}", wA, _diagonal(sA), unit=1.0 / sA)
     B = Algebra(f"B{nB}#{index}", wB, _diagonal(tB), unit=1.0 / tB)
     desc = lau_product(A, B, alpha, name=f"lau{nA}x{nB}#{index}")
-    return Fixture(
-        "lau", f"lau/{index:03d}", desc.algebra, desc,
-        meta={"iota": [int(i) for i in iota]},
-    )
-
-
-_BUILDERS = {
-    "diag": diag_fixture,
-    "group": group_fixture,
-    "semidirect": semidirect_fixture,
-    "lau": lau_fixture,
-}
+    return Fixture("lau", f"lau/{index:03d}", desc.algebra, desc)
 
 
 def build_fixture(family: str, seed: int, index: int, max_dim: int = 6) -> Fixture:
-    if family not in _BUILDERS:
-        raise ValueError(f"unknown fixture family {family!r} (have {FAMILIES})")
-    if family in ("semidirect", "lau"):
-        return _BUILDERS[family](seed, index, max_dim=min(max_dim, 4))
     if family == "diag":
-        return _BUILDERS[family](seed, index, max_dim=max_dim)
-    return _BUILDERS[family](seed, index)
+        return diag_fixture(seed, index, max_dim=max_dim)
+    if family == "group":
+        return group_fixture(seed, index)
+    if family == "semidirect":
+        return semidirect_fixture(seed, index, max_dim=min(max_dim, 4))
+    if family == "lau":
+        return lau_fixture(seed, index, max_dim=min(max_dim, 4))
+    raise ValueError(f"unknown fixture family {family!r} (have {FAMILIES})")
 

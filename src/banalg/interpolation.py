@@ -184,8 +184,7 @@ def _nt_scaling(z: np.ndarray, s: np.ndarray, zdet: np.ndarray,
     return Winv, lam
 
 
-def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
-                gap_rel: float) -> InterpolationSolution:
+def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray) -> InterpolationSolution:
     """Path following on the lifted cone program from a strictly feasible start,
     for every row of the (k, s) stack sigma, none of them all zero, in one loop.
 
@@ -220,7 +219,7 @@ def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
         rd[..., 1:] -= (y @ A).reshape(m, n, 2)
         gap = _dot(z.reshape(m, -1), sl.reshape(m, -1))
         zdet, sdet = _det(z), _det(sl)
-        stop = gap <= gap_rel * np.maximum(1.0, z[..., 0] @ w)
+        stop = gap <= GAP_REL * np.maximum(1.0, z[..., 0] @ w)
         if stop.any():  # the residuals matter only where the gap has closed
             stop &= ((np.sqrt(_dot(rp, rp)) <= 1e-10 * bsl)
                      & (np.sqrt(_dot(rd.reshape(m, -1), rd.reshape(m, -1)))
@@ -292,8 +291,7 @@ def _solve_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
     return sol
 
 
-def _nonzero_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
-                  gap_rel: float) -> InterpolationSolution:
+def _nonzero_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray) -> InterpolationSolution:
     """`_solve_cone` on the rows of sigma (s,) or (k, s) that are not all zero;
     an all-zero row gets a = 0, c = 0 and value 0 without a solve."""
     s, n = E.shape
@@ -302,7 +300,7 @@ def _nonzero_cone(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
     a, iterations = np.zeros((len(stack), n), complex), np.zeros(len(stack), int)
     c = np.zeros_like(stack)
     if live.any():
-        sol = _solve_cone(E, stack[live], w, gap_rel)
+        sol = _solve_cone(E, stack[live], w)
         a[live], c[live], iterations[live] = sol.a, sol.c, sol.iterations
     return _solution(sigma, w, a, c, "barrier", iterations)
 
@@ -319,23 +317,21 @@ def _system(E, sigma, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return E, sigma, w
 
 
-def solve_primal(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
-                 gap_rel: float = GAP_REL) -> InterpolationSolution:
+def solve_primal(E: np.ndarray, sigma: np.ndarray, w: np.ndarray) -> InterpolationSolution:
     """Primal route: exact linear solve when E is square, cone solver otherwise.
 
     Always returns a feasible interpolant and a feasible dual certificate
     whose values bracket the optimum within the achieved gap, for sigma or
     for each row of a stack.
     """
-    return _primal(*_system(E, sigma, w), gap_rel)
+    return _primal(*_system(E, sigma, w))
 
 
-def _primal(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
-            gap_rel: float) -> InterpolationSolution:
+def _primal(E: np.ndarray, sigma: np.ndarray, w: np.ndarray) -> InterpolationSolution:
     """solve_primal on arrays that passed `_system`'s checks."""
     s, n = E.shape
     if s != n:
-        return _nonzero_cone(E, sigma, w, gap_rel)
+        return _nonzero_cone(E, sigma, w)
     # full-rank square system: the interpolation constraints pin each a
     # uniquely, and one factorization serves the whole stack
     stack = sigma.reshape(-1, s)
@@ -348,11 +344,10 @@ def _primal(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
     return _solution(sigma, w, a, c, "square", np.zeros(len(stack), dtype=int))
 
 
-def solve_dual(E: np.ndarray, sigma: np.ndarray, w: np.ndarray,
-               gap_rel: float = GAP_REL) -> InterpolationSolution:
+def solve_dual(E: np.ndarray, sigma: np.ndarray, w: np.ndarray) -> InterpolationSolution:
     """Dual route: run the cone program itself and read its certificate side,
     `dual_value` and `c`.  Runs regardless of the shape of E, so on
     semisimple instances (square E) this is an independent computation from
     the primal's plain linear solve.
     """
-    return _nonzero_cone(*_system(E, sigma, w), gap_rel)
+    return _nonzero_cone(*_system(E, sigma, w))

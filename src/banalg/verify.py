@@ -364,7 +364,7 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
          0.0 if rep.biconditional_ok else 1.0, 0.0,
          detail=f"A={rep.verdict_first.is_bse} B={rep.verdict_second.is_bse} "
                 f"AxB={rep.verdict_product.is_bse}")
-    if desc.kind == "direct_sum":
+    if rep.transport_membership is None:
         _skip(records, f"{fix.name}/lau-transport", "lau-bse",
               "phi = 0: the product is its own direct sum")
     else:

@@ -24,10 +24,17 @@ from banalg.errors import (
     EmptyCharacterSetError,
     NotWithoutOrderError,
     PhiNotSurjectiveError,
+    RankDeficientCharactersError,
     SpanConditionError,
 )
 from banalg.fixtures import build_fixture
-from banalg.spectra import characters_numerical, characters_semidirect, gelfand
+from banalg.spectra import (
+    Character,
+    CharacterSet,
+    characters_numerical,
+    characters_semidirect,
+    gelfand,
+)
 
 from conftest import (
     character_subset,
@@ -215,6 +222,16 @@ def test_delta_weak_bai(c2, z2):
 def test_empty_character_set_raises(nilpotent2):
     with pytest.raises(EmptyCharacterSetError):
         delta_weak_bai(nilpotent2, characters_numerical(nilpotent2))
+
+
+@pytest.mark.parametrize("norm", [bse_norm_primal, bse_norm_dual])
+def test_rank_deficient_character_set_raises(c2, norm):
+    # three distinct rows in a 2-dimensional dual: the constructor does not
+    # check multiplicativity, so only the BSE norms' rank check refuses them
+    rows = ([1, 0], [0, 1], [1, 1])
+    S = CharacterSet(c2, [Character(c2, row) for row in rows])
+    with pytest.raises(RankDeficientCharactersError):
+        norm(np.ones(3), S, c2)
 
 
 def test_check_bse_pointwise(c2):

@@ -189,6 +189,42 @@ def test_bse_norm_of_zero_prints_no_negative_zero(tmp_path, capsys, dual):
     assert re.search(r"-0\b(?!\.)", stdout) is None
 
 
+def z2z3_file(tmp_path):
+    path = tmp_path / "z2z3.json"
+    write_json(str(path), algebra_to_dict(finite_abelian_group_algebra([2, 3])))
+    return str(path)
+
+
+def dual_numbers_file(tmp_path):
+    """C[x]/(x^2) with weights 1: one character, so bse-norm takes the
+    rectangular cone route."""
+    c = np.zeros((2, 2, 2), dtype=complex)
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = 1.0
+    path = tmp_path / "dual_numbers.json"
+    write_json(str(path), algebra_to_dict(Algebra("C[x]/(x^2)", np.ones(2), c,
+                                                  unit=np.array([1.0, 0.0]))))
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore::banalg.bse.SemisimplicityWarning")
+@pytest.mark.parametrize("make, values, dual, opt_tol", [
+    (z2z3_file, [[1, 0], [0.5, 0.25], [-1, 0], [0, 2], [0.3, -0.7], [1, 1]],
+     ("--dual",), "1e-3"),
+    (dual_numbers_file, [[1, 0]], (), "1e-2"),
+], ids=["z2z3-dual", "dual-numbers"])
+def test_bse_norm_ignores_opt_tol(tmp_path, capsys, make, values, dual, opt_tol):
+    # --opt-tol is verify's judging tolerance: bse-norm always solves to
+    # GAP_REL, so a loose value can neither change the output nor stop the
+    # solve short of the certification bound
+    path, sigma = make(tmp_path), tmp_path / "sigma.json"
+    write_json(str(sigma), {"values": values})
+    default = run_cli(capsys, "bse-norm", path, "--sigma", str(sigma), *dual)
+    assert default[0] == 0, default[2]
+    loose = run_cli(capsys, "bse-norm", path, "--sigma", str(sigma), *dual,
+                    "--opt-tol", opt_tol)
+    assert loose == default
+
+
 def test_check_bse_command(algebra_file, capsys):
     code, stdout, _ = run_cli(capsys, "check-bse", algebra_file)
     assert code == 0

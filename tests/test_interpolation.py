@@ -7,7 +7,6 @@ from scipy.optimize import linprog
 from banalg.errors import BseError
 from banalg.interpolation import (
     GAP_HARD_LIMIT,
-    GAP_REL,
     MAX_ITER,
     _J,
     _det,
@@ -202,9 +201,9 @@ def test_batch_members_match_their_solves_alone(corpus):
     for E, _, w in itertools.islice(corpus(), 40):
         s = E.shape[0]
         sigmas = rng.standard_normal((4, s)) + 1j * rng.standard_normal((4, s))
-        batch = _solve_cone(E, sigmas, w, GAP_REL)
+        batch = _solve_cone(E, sigmas, w)
         for sigma, iterations, dual_value in zip(sigmas, batch.iterations, batch.dual_value):
-            alone = _solve_cone(E, sigma[None], w, GAP_REL)
+            alone = _solve_cone(E, sigma[None], w)
             assert iterations == alone.iterations[0]
             assert dual_value == pytest.approx(alone.dual_value[0], rel=1e-12)
         staggered |= len(set(batch.iterations)) > 1
@@ -233,7 +232,7 @@ def test_zero_sigma_in_a_batch(shape):
 def test_square_cone_iterations_below_cap():
     """The cone program solve_dual runs on square E never reaches MAX_ITER."""
     for E, sigma, w in square_corpus():
-        iterations, = _solve_cone(E, sigma[None], w, GAP_REL).iterations
+        iterations, = _solve_cone(E, sigma[None], w).iterations
         assert 0 < iterations < MAX_ITER
 
 

@@ -578,6 +578,10 @@ def test_direct_sum_bundle_is_its_own_direct_sum(monkeypatch):
     records = theorem_records(desc, None, RunConfig())
     assert all(r.verdict != "FAIL" for r in records)
     assert calls == {"multiplier_space": 3, "characters_numerical": 3, "hat": 3}
+    # the pass reports no transport, and verify skips its record for that
+    transport, = (r for r in records if r.name.endswith("/lau-transport"))
+    assert (transport.verdict, transport.detail) == (
+        "SKIP", "phi = 0: the product is its own direct sum")
 
 
 def test_lau_fixture_ranks_phi_once(monkeypatch):
