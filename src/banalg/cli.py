@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from . import __version__
 from .algebra import DEFAULT_TOL, require_valid
@@ -83,13 +84,11 @@ def _cmd_build(args) -> int:
         I = algebra_from_dict(load_json(args.i), where=args.i)
         bi, ib = actions_from_dict(load_json(args.actions), B.dim, I.dim, args.actions)
         desc = semidirect(B, I, bi, ib, tol=args.tol)
-        _emit(bundle_to_dict(desc), args.output)
-        return 0
-    # lau
-    A = algebra_from_dict(load_json(args.a), where=args.a)
-    B = algebra_from_dict(load_json(args.b), where=args.b)
-    phi = morphism_from_dict(load_json(args.phi), B, A, where=args.phi)
-    desc = lau_product(A, B, phi, tol=args.tol, force=args.force)
+    else:  # lau
+        A = algebra_from_dict(load_json(args.a), where=args.a)
+        B = algebra_from_dict(load_json(args.b), where=args.b)
+        phi = morphism_from_dict(load_json(args.phi), B, A, where=args.phi)
+        desc = lau_product(A, B, phi, tol=args.tol, force=args.force)
     _emit(bundle_to_dict(desc), args.output)
     return 0
 
@@ -305,22 +304,28 @@ def main(argv: list[str] | None = None) -> int:
         "check-bse": _cmd_check_bse,
         "verify": _cmd_verify,
     }
-    try:
-        return handlers[args.command](args)
-    except SchemaError as exc:
-        for violation in exc.violations:
-            print(f"error: {violation}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationRejected as exc:  # before BanalgError: bad input, not a failed check
-        for failure in exc.report.failures:
-            print(f"error: algebra {exc.report.name!r} rejected: {failure}", file=sys.stderr)
-        return 2
-    except BanalgError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 1
+    # a library warning (a SemisimplicityWarning, say) prints as one line per message
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return handlers[args.command](args)
+        except SchemaError as exc:
+            for violation in exc.violations:
+                print(f"error: {violation}", file=sys.stderr)
+            return 2
+        except FileNotFoundError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ValidationRejected as exc:  # before BanalgError: bad input, not a failed check
+            for failure in exc.report.failures:
+                print(f"error: algebra {exc.report.name!r} rejected: {failure}",
+                      file=sys.stderr)
+            return 2
+        except BanalgError as exc:
+            print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Theorem-check harness over generated fixtures and product bundles.
 
-Each check emits one Record with a residual and a PASS/FAIL/SKIP verdict;
-SKIP marks fixtures whose hypotheses do not hold for the check (never an
-error).  Check names carry the fixture name so a report is a flat, sorted,
-byte-stable list.  There is one set of checks per family: a product bundle
-gets exactly the checks of a generated fixture of its kind, and
-`theorem_records` only filters them by anchor.
+Each check, a row of `CHECKS` (name -> anchor, tolerance), emits one Record
+with a residual and a PASS/FAIL/SKIP verdict; SKIP marks fixtures whose
+hypotheses do not hold for it (never an error).  Check names carry the
+fixture name so a report is a flat, sorted, byte-stable list.  There is one
+set of checks per family: a product bundle gets exactly the checks of a
+fixture of its kind, and `theorem_records` only filters them by anchor.
 
 A semidirect or Lau fixture computes the multiplier space of its algebra
 once, and every check that reads M(A) reads that space: the S_B = 0 split,
@@ -64,7 +64,38 @@ from .spectra import (
     match_character_sets,
 )
 
-THEOREMS = ("lemma21", "prop24", "lemma41", "theta", "tim2", "lau-bse", "sub")
+# check name -> (anchor, tolerance); a str tolerance names the RunConfig field
+# that holds it.  The checks of the paper's statements on products come
+# first: their anchors, in this order, are `--theorem`'s choices.
+_PRODUCT_CHECKS = {
+    "lemma-decompose": ("lemma21", "tol_algebraic"),
+    "lemma-block-dim": ("lemma21", 0.0),
+    "lemma-recompose": ("lemma21", "tol_algebraic"),
+    "characters-union": ("prop24", 1e-8),
+    "characters-disjoint": ("prop24", "tol_algebraic"),
+    "psi-uniqueness": ("prop24", 1e-12),
+    "psi-identity": ("prop24", 1e-10),
+    "split-norm-additive": ("lemma41", "tol_opt"),
+    "theta-isometry": ("theta", "tol_opt"),
+    "theta-multiplicative": ("theta", 1e-10),
+    "sum-bse-biconditional": ("tim2", 0.0),
+    "sum-multiplier-split": ("tim2", "tol_algebraic"),
+    "phi-iso-norm": ("lau-bse", 1e-12),
+    "lau-bse-biconditional": ("lau-bse", 0.0),
+    "lau-transport": ("lau-bse", "tol_algebraic"),
+    "multiplier-sb-zero": ("sub", "tol_algebraic"),
+    "sigma-extension": ("sub", "tol_opt"),
+}
+CHECKS = {
+    **_PRODUCT_CHECKS,
+    "check-bse": ("bse-def", "tol_algebraic"),
+    "bse-duality": ("duality", "tol_opt"),
+    "delta-weak-bai": ("bai", "tol_opt"),
+    "validate": ("plumbing", "tol_algebraic"),
+    "characters-residual": ("plumbing", "tol_algebraic"),
+    "characters-oracle": ("plumbing", 1e-10),
+}
+THEOREMS = tuple(dict.fromkeys(anchor for anchor, _ in _PRODUCT_CHECKS.values()))
 HAS_ORDER = "outside hypotheses: has order"
 NO_CHARACTERS = "outside hypotheses: no characters"
 
@@ -78,13 +109,7 @@ class Record:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "anchor": self.anchor,
-            "residual": float(self.residual),
-            "verdict": self.verdict,
-            "detail": self.detail,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 @dataclass
@@ -114,15 +139,8 @@ class RunConfig:
             raise ValueError(f"unknown fixture families: {sorted(unknown)}")
 
     def to_dict(self) -> dict:
-        return {
-            "tol_algebraic": self.tol_algebraic,
-            "tol_opt": self.tol_opt,
-            "seed": self.seed,
-            "families": list(self.families),
-            "count": self.count,
-            "max_dim": self.max_dim,
-            "sigma_samples": self.sigma_samples,
-        }
+        # the worker count changes no answer, so a report leaves it out
+        return {k: v for k, v in dataclasses.asdict(self).items() if k != "jobs"}
 
 
 @dataclass
@@ -152,11 +170,8 @@ class Report:
         return render_json(self.to_dict()) + "\n"
 
     def to_text(self, color: bool) -> str:
-        paint = {
-            "PASS": "\x1b[32mPASS\x1b[0m" if color else "PASS",
-            "FAIL": "\x1b[31mFAIL\x1b[0m" if color else "FAIL",
-            "SKIP": "\x1b[33mSKIP\x1b[0m" if color else "SKIP",
-        }
+        codes = {"PASS": 32, "FAIL": 31, "SKIP": 33}
+        paint = {v: f"\x1b[{c}m{v}\x1b[0m" if color else v for v, c in codes.items()}
         lines = []
         for r in self.records:
             extra = f"  ({r.detail})" if r.detail else ""
@@ -169,14 +184,23 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _rec(records: list[Record], name: str, anchor: str, residual: float,
-         tol: float, detail: str = ""):
+def _rec(records: list[Record], fix: Fixture, name: str, residual: float,
+         cfg: RunConfig, detail: str = ""):
+    anchor, tol = CHECKS[name]
+    tol = getattr(cfg, tol) if isinstance(tol, str) else tol
     verdict = "PASS" if residual <= tol else "FAIL"
-    records.append(Record(name, anchor, float(residual), verdict, detail))
+    records.append(Record(f"{fix.name}/{name}", anchor, float(residual), verdict, detail))
 
 
-def _skip(records: list[Record], name: str, anchor: str, detail: str):
-    records.append(Record(name, anchor, 0.0, "SKIP", detail))
+def _skip(records: list[Record], fix: Fixture, name: str, detail: str):
+    records.append(Record(f"{fix.name}/{name}", CHECKS[name][0], 0.0, "SKIP", detail))
+
+
+def _skip_anchors(records, fix: Fixture, anchors: tuple[str, ...], detail: str):
+    """A SKIP for every check with one of these anchors."""
+    for name, (anchor, _) in CHECKS.items():
+        if anchor in anchors:
+            _skip(records, fix, name, detail)
 
 
 def _random_sigma(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -187,8 +211,8 @@ def _duality_checks(records, fix: Fixture, S: CharacterSet, cfg: RunConfig,
                     rng: np.random.Generator):
     if not len(S):
         # with Delta empty every BSE statement is vacuous
-        _skip(records, f"{fix.name}/bse-duality", "duality", NO_CHARACTERS)
-        _skip(records, f"{fix.name}/delta-weak-bai", "bai", NO_CHARACTERS)
+        _skip(records, fix, "bse-duality", NO_CHARACTERS)
+        _skip(records, fix, "delta-weak-bai", NO_CHARACTERS)
         return
     sigmas = np.array([_random_sigma(rng, len(S)) for _ in range(cfg.sigma_samples)])
     # one cone loop and one primal call for all samples
@@ -199,10 +223,10 @@ def _duality_checks(records, fix: Fixture, S: CharacterSet, cfg: RunConfig,
     feasibility = np.max(np.abs((S.matrix.T @ fn.c[..., None])[..., 0]) / fix.algebra.weights)
     worst = max(float(np.max(gaps)), _interpolant_miss(fn.a, S, sigmas),
                 float(feasibility) - 1.0, 0.0)
-    _rec(records, f"{fix.name}/bse-duality", "duality", worst, cfg.tol_opt)
+    _rec(records, fix, "bse-duality", worst, cfg)
     bai = delta_weak_bai(fix.algebra, S)
-    _rec(records, f"{fix.name}/delta-weak-bai", "bai", _interpolant_miss(bai.a, S, 1.0),
-         cfg.tol_opt, detail=f"norm {bai.value:.6g}")
+    _rec(records, fix, "delta-weak-bai", _interpolant_miss(bai.a, S, 1.0), cfg,
+         detail=f"norm {bai.value:.6g}")
 
 
 def _interpolant_miss(a: np.ndarray, S: CharacterSet, values: np.ndarray | float) -> float:
@@ -210,34 +234,28 @@ def _interpolant_miss(a: np.ndarray, S: CharacterSet, values: np.ndarray | float
     return float(np.max(np.abs(gelfand(a, S) - values), initial=0.0))
 
 
-def _bse_verdict_check(records, fix: Fixture, verdict: BseVerdict, tol: float):
+def _bse_check(records, fix: Fixture, cfg: RunConfig, S: CharacterSet | None = None,
+               mult: np.ndarray | None = None, verdict: BseVerdict | None = None):
+    """The check-bse record of the fixture's own algebra: the given verdict, or
+    one judged on S.  The BSE property is defined only for algebras without
+    order, so one with order gets a SKIP, as does one that is not semisimple."""
+    if not fix.algebra.without_order:
+        _skip(records, fix, "check-bse", HAS_ORDER)
+        return
+    if verdict is None:
+        verdict = check_bse_property(fix.algebra, cfg.tol_algebraic, S, mult)
     if not verdict.semisimple:
-        _skip(records, f"{fix.name}/check-bse", "bse-def",
-              "outside hypotheses: not semisimple")
+        _skip(records, fix, "check-bse", "outside hypotheses: not semisimple")
         return
     res = max(verdict.containment_m_in_c, verdict.containment_c_in_m)
-    _rec(records, f"{fix.name}/check-bse", "bse-def", res, tol,
-         detail=f"is_bse={verdict.is_bse}")
-
-
-def _bse_property_check(records, fix: Fixture, cfg: RunConfig, S: CharacterSet,
-                        mult: np.ndarray | None = None):
-    """The check-bse record of the fixture's own algebra, judged on S; the BSE
-    property is defined only for algebras without order, so one with order
-    gets a SKIP."""
-    if not fix.algebra.without_order:
-        _skip(records, f"{fix.name}/check-bse", "bse-def", HAS_ORDER)
-        return
-    verdict = check_bse_property(fix.algebra, cfg.tol_algebraic, S, mult)
-    _bse_verdict_check(records, fix, verdict, cfg.tol_algebraic)
+    _rec(records, fix, "check-bse", res, cfg, detail=f"is_bse={verdict.is_bse}")
 
 
 def _character_checks(records, fix: Fixture, cfg: RunConfig,
                       sdc: SemidirectCharacters):
     """E u F of a semidirect or lau product: its cross-check and its E/F split."""
     desc = fix.descriptor
-    _rec(records, f"{fix.name}/characters-union", "prop24",
-         sdc.cross_check_distance, 1e-8,
+    _rec(records, fix, "characters-union", sdc.cross_check_distance, cfg,
          detail=f"|E|={sdc.e_count} |F|={len(sdc.subalgebra_chars)}")
     card_gap = abs(len(sdc.set) - (len(sdc.subalgebra_chars) + len(sdc.ideal_chars)))
     ideal_part = np.abs(sdc.set.matrix[:, desc.ideal_slice])
@@ -246,8 +264,7 @@ def _character_checks(records, fix: Fixture, cfg: RunConfig,
     disjoint_res = float(np.max(f_rows, initial=0.0))
     if sdc.e_count and e_rows.size and float(np.min(np.max(e_rows, axis=1))) <= 1e-6:
         disjoint_res = 1.0  # an E character with vanishing ideal part would collide with F
-    _rec(records, f"{fix.name}/characters-disjoint", "prop24",
-         float(card_gap) + disjoint_res, cfg.tol_algebraic)
+    _rec(records, fix, "characters-disjoint", float(card_gap) + disjoint_res, cfg)
 
 
 def _block_checks(records, fix: Fixture, cfg: RunConfig, mult: np.ndarray,
@@ -255,26 +272,24 @@ def _block_checks(records, fix: Fixture, cfg: RunConfig, mult: np.ndarray,
     desc = fix.descriptor
     lm = left_multiplier_space(fix.algebra)
     dec = decompose_left_multiplier(lm, desc, cfg.tol_algebraic)
-    _rec(records, f"{fix.name}/lemma-decompose", "lemma21",
-         max(dec.max_relation_residual, dec.max_membership_residual),
-         cfg.tol_algebraic, detail=f"dim LM = {len(lm)}")
+    _rec(records, fix, "lemma-decompose",
+         max(dec.max_relation_residual, dec.max_membership_residual), cfg,
+         detail=f"dim LM = {len(lm)}")
     bs = block_space(desc)
     dim_gap = abs(bs.shape[0] - len(lm))
-    _rec(records, f"{fix.name}/lemma-block-dim", "lemma21", float(dim_gap), 0.0,
+    _rec(records, fix, "lemma-block-dim", float(dim_gap), cfg,
          detail=f"block space {bs.shape[0]} vs LM {len(lm)}")
     split = split_blocks(bs, desc)
-    _rec(records, f"{fix.name}/lemma-recompose", "lemma21",
+    _rec(records, fix, "lemma-recompose",
          max(left_multiplier_residual(fix.algebra, bs), split.max_relation_residual,
-             split.max_membership_residual), cfg.tol_algebraic)
+             split.max_membership_residual), cfg)
     # multipliers of the product split with S_B = 0 under the full span condition
     if sdc.spans_full_ideal:
         dec = decompose_left_multiplier(mult, desc, cfg.tol_algebraic)
-        worst_sb = float(np.max(np.abs(dec.S_B), initial=0.0))
-        _rec(records, f"{fix.name}/multiplier-sb-zero", "sub", worst_sb,
-             cfg.tol_algebraic)
+        _rec(records, fix, "multiplier-sb-zero",
+             float(np.max(np.abs(dec.S_B), initial=0.0)), cfg)
     else:
-        _skip(records, f"{fix.name}/multiplier-sb-zero", "sub",
-              "<IB> span is not full")
+        _skip(records, fix, "multiplier-sb-zero", "<IB> span is not full")
 
 
 def _semidirect_checks(records, fix: Fixture, cfg: RunConfig,
@@ -290,8 +305,8 @@ def _semidirect_checks(records, fix: Fixture, cfg: RunConfig,
     phis, psis = e_rows[:, desc.ideal_slice], e_rows[:, desc.subalgebra_slice]
     lhs = np.einsum("ijk,ek->eij", desc.block_tensors.IB, phis)
     worst_id = float(np.max(np.abs(lhs - phis[:, :, None] * psis[:, None, :]), initial=0.0))
-    _rec(records, f"{fix.name}/psi-uniqueness", "prop24", sdc.psi_discrepancy, 1e-12)
-    _rec(records, f"{fix.name}/psi-identity", "prop24", worst_id, 1e-10)
+    _rec(records, fix, "psi-uniqueness", sdc.psi_discrepancy, cfg)
+    _rec(records, fix, "psi-identity", worst_id, cfg)
 
     mult = multiplier_space(fix.algebra)  # shared by the checks below
     _block_checks(records, fix, cfg, mult, sdc)
@@ -300,20 +315,13 @@ def _semidirect_checks(records, fix: Fixture, cfg: RunConfig,
     try:
         rho = _random_sigma(rng, len(sdc.subalgebra_chars))
         ext = sigma_extension(rho, sdc)
-        res = max(ext.norm_slack, ext.witness_error)
-        _rec(records, f"{fix.name}/sigma-extension", "sub", res, cfg.tol_opt,
+        _rec(records, fix, "sigma-extension", max(ext.norm_slack, ext.witness_error), cfg,
              detail=f"|sigma|={ext.sigma.value:.6g} <= |rho|={ext.rho.value:.6g}")
     except SpanConditionError as exc:
-        _skip(records, f"{fix.name}/sigma-extension", "sub", str(exc))
+        _skip(records, fix, "sigma-extension", str(exc))
 
     _duality_checks(records, fix, sdc.set, cfg, rng)
-    _bse_property_check(records, fix, cfg, sdc.set, mult)
-
-
-# the records that read the product-BSE pass of a lau fixture
-_PRODUCT_BSE_RECORDS = (("phi-iso-norm", "lau-bse"), ("lau-bse-biconditional", "lau-bse"),
-                        ("lau-transport", "lau-bse"), ("sum-bse-biconditional", "tim2"),
-                        ("sum-multiplier-split", "tim2"), ("check-bse", "bse-def"))
+    _bse_check(records, fix, cfg, sdc.set, mult)
 
 
 def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator):
@@ -332,18 +340,12 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
         sp = split_sigma(sigma, sdc)
         th = theta(tau, rho, sdc)
         # the split slack is <= 0 up to the solver gap
-        _rec(records, f"{fix.name}/split-norm-additive", "lemma41",
-             np.max(sp.norm_slack, initial=0.0), cfg.tol_opt)
-        _rec(records, f"{fix.name}/theta-isometry", "theta",
-             np.max(np.abs(th.norm_slack), initial=0.0), cfg.tol_opt)
-        _rec(records, f"{fix.name}/theta-multiplicative", "theta",
-             theta_product_residual(sdc, tau, rho, tau2, rho2), 1e-10)
+        _rec(records, fix, "split-norm-additive", np.max(sp.norm_slack, initial=0.0), cfg)
+        _rec(records, fix, "theta-isometry", np.max(np.abs(th.norm_slack), initial=0.0), cfg)
+        _rec(records, fix, "theta-multiplicative",
+             theta_product_residual(sdc, tau, rho, tau2, rho2), cfg)
     else:
-        _skip(records, f"{fix.name}/split-norm-additive", "lemma41",
-              "phi is not surjective")
-        _skip(records, f"{fix.name}/theta-isometry", "theta", "phi is not surjective")
-        _skip(records, f"{fix.name}/theta-multiplicative", "theta",
-              "phi is not surjective")
+        _skip_anchors(records, fix, ("lemma41", "theta"), "phi is not surjective")
 
     _duality_checks(records, fix, sdc.set, cfg, rng)
 
@@ -351,42 +353,35 @@ def _lau_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator)
     # four without order; the product has order iff a parent has, since
     # (-phi(b), b) annihilates A x_phi B when b annihilates B
     if not fix.algebra.without_order:
-        for name, anchor in _PRODUCT_BSE_RECORDS:
-            _skip(records, f"{fix.name}/{name}", anchor, HAS_ORDER)
+        _skip_anchors(records, fix, ("lau-bse", "tim2", "bse-def"), HAS_ORDER)
         return
     # one product-BSE pass: Phi, the four verdicts and the structural checks
     rep = verify_product_bse(desc, cfg.tol_algebraic, mult, sdc)
     iso = rep.iso
     norm = operator_norm(iso.forward, iso.direct.algebra, desc.algebra)
-    _rec(records, f"{fix.name}/phi-iso-norm", "lau-bse", max(0.0, norm - iso.norm_bound),
-         1e-12, detail=f"|Phi| = {norm:.6g} <= {iso.norm_bound:.6g}")
-    _rec(records, f"{fix.name}/lau-bse-biconditional", "lau-bse",
-         0.0 if rep.biconditional_ok else 1.0, 0.0,
+    _rec(records, fix, "phi-iso-norm", max(0.0, norm - iso.norm_bound), cfg,
+         detail=f"|Phi| = {norm:.6g} <= {iso.norm_bound:.6g}")
+    _rec(records, fix, "lau-bse-biconditional", 0.0 if rep.biconditional_ok else 1.0, cfg,
          detail=f"A={rep.verdict_first.is_bse} B={rep.verdict_second.is_bse} "
                 f"AxB={rep.verdict_product.is_bse}")
     if rep.transport_membership is None:
-        _skip(records, f"{fix.name}/lau-transport", "lau-bse",
-              "phi = 0: the product is its own direct sum")
+        _skip(records, fix, "lau-transport", "phi = 0: the product is its own direct sum")
     else:
-        _rec(records, f"{fix.name}/lau-transport", "lau-bse",
+        _rec(records, fix, "lau-transport",
              max(rep.transport_membership, rep.transport_hat_residual,
-                 0.0 if rep.transport_dim_ok else 1.0),
-             cfg.tol_algebraic)
+                 0.0 if rep.transport_dim_ok else 1.0), cfg)
 
     # direct-sum cross-checks on the same parents
-    _rec(records, f"{fix.name}/sum-bse-biconditional", "tim2",
-         0.0 if rep.sum_biconditional_ok else 1.0, 0.0)
-    _rec(records, f"{fix.name}/sum-multiplier-split", "tim2",
-         max(rep.sum_block_residual, 0.0 if rep.sum_block_dim_ok else 1.0),
-         cfg.tol_algebraic)
-    _bse_verdict_check(records, fix, rep.verdict_product, cfg.tol_algebraic)
+    _rec(records, fix, "sum-bse-biconditional", 0.0 if rep.sum_biconditional_ok else 1.0, cfg)
+    _rec(records, fix, "sum-multiplier-split",
+         max(rep.sum_block_residual, 0.0 if rep.sum_block_dim_ok else 1.0), cfg)
+    _bse_check(records, fix, cfg, verdict=rep.verdict_product)
 
 
 def _plain_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generator):
     S = characters_numerical(fix.algebra, cfg.tol_algebraic)
-    worst = float(np.max(S.residuals, initial=0.0))
-    _rec(records, f"{fix.name}/characters-residual", "plumbing", worst,
-         cfg.tol_algebraic, detail=f"{len(S)} characters")
+    _rec(records, fix, "characters-residual", float(np.max(S.residuals, initial=0.0)), cfg,
+         detail=f"{len(S)} characters")
     if fix.family == "group":
         # phase-twisting the basis rescales every character entrywise the same way
         closed = group_character_values(fix.meta["orders"]) * fix.meta["twist"]
@@ -395,19 +390,18 @@ def _plain_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generato
             alg, [Character(alg, row) for row in closed], provenance="closed_form"
         )
         _, dist = match_character_sets(S, expected, threshold=1e-6)
-        _rec(records, f"{fix.name}/characters-oracle", "plumbing", dist, 1e-10)
+        _rec(records, fix, "characters-oracle", dist, cfg)
     _duality_checks(records, fix, S, cfg, rng)
-    _bse_property_check(records, fix, cfg, S)
+    _bse_check(records, fix, cfg, S)
 
 
 def _checks(fix: Fixture, cfg: RunConfig, rng: np.random.Generator) -> list[Record]:
     """Every check of the fixture's family; a refusal becomes one /error FAIL."""
     records: list[Record] = []
     rep = validate(fix.algebra, cfg.tol_algebraic)
-    _rec(records, f"{fix.name}/validate", "plumbing",
+    _rec(records, fix, "validate",
          max(rep.max_associativity_residual, rep.max_commutativity_residual,
-             rep.max_submultiplicativity_excess, rep.unit_residual or 0.0),
-         cfg.tol_algebraic)
+             rep.max_submultiplicativity_excess, rep.unit_residual or 0.0), cfg)
     try:
         if fix.family == "semidirect":
             _semidirect_checks(records, fix, cfg, rng)
@@ -461,7 +455,7 @@ def theorem_records(desc, theorem: str | None, cfg: RunConfig) -> list[Record]:
         records = [r for r in records
                    if r.anchor == theorem or r.name.endswith("/error")]
     if not records:
-        _skip(records, f"{fix.name}/{theorem}", theorem,
-              f"no {theorem} check applies to a {desc.kind} product")
+        records.append(Record(f"{fix.name}/{theorem}", theorem, 0.0, "SKIP",
+                              f"no {theorem} check applies to a {desc.kind} product"))
     records.sort(key=lambda r: r.name)
     return records

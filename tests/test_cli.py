@@ -225,6 +225,25 @@ def test_bse_norm_ignores_opt_tol(tmp_path, capsys, make, values, dual, opt_tol)
     assert loose == default
 
 
+@pytest.mark.parametrize("command, expected", [
+    ("bse-norm", {"bse_norm": 1.0, "dual_norm": 1.0}),
+    ("check-bse", {"is_bse": True, "semisimple": False}),
+])
+def test_semisimplicity_warning_is_one_line_of_the_cli(tmp_path, capsys, command, expected):
+    # on C[x]/(x^2) the library warns that the algebra is not semisimple (the
+    # primal and the dual solve each warn); the CLI says so once, in its own
+    # format, without a source location
+    sigma = tmp_path / "sigma.json"
+    write_json(str(sigma), {"values": [[1, 0]]})
+    extra = ("--sigma", str(sigma), "--dual") if command == "bse-norm" else ()
+    code, stdout, err = run_cli(capsys, command, dual_numbers_file(tmp_path), *extra)
+    assert code == 0
+    doc = json.loads(stdout)
+    assert {key: doc[key] for key in expected} == pytest.approx(expected)
+    assert len(err.splitlines()) == 1 and err.startswith("warning: algebra 'C[x]/(x^2)'")
+    assert "cli.py" not in err
+
+
 def test_check_bse_command(algebra_file, capsys):
     code, stdout, _ = run_cli(capsys, "check-bse", algebra_file)
     assert code == 0

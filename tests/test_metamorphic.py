@@ -74,5 +74,5 @@ def test_change_of_basis_keeps_counts_and_verdicts(seed, family, index, scale):
     # validate is not asserted here: its tolerance is absolute, and on the
     # s = 1 draw of lau-97-2 (cond S = 176, structure constants up to 96) it
     # rejects the changed algebra for an associativity residual of 1.3e-9,
-    # the scale defect of ROADMAP item 4; the five invariants hold on it too
+    # the scale defect of ROADMAP item 6; the five invariants hold on it too
     assert invariants(changed) == invariants(alg)

@@ -627,6 +627,22 @@ def test_duality_checks_rank_the_character_matrix_once(monkeypatch):
     assert ranked == [True]
 
 
+@pytest.mark.filterwarnings("ignore::banalg.bse.SemisimplicityWarning")
+def test_checks_table_matches_the_records():
+    # every row of the table is written, and every record but /error is a row
+    # that carries the row's anchor
+    cfg = RunConfig(max_dim=6)
+    records = [r for family in FAMILIES for index in range(4)
+               for r in fixture_records(cfg, family, index)]
+    records += [r for desc in (pointwise_semidirect(), lau_c_c2(), *_zoo_bundles())
+                for r in theorem_records(desc, None, RunConfig(count=1))]
+    checks = [(r.name.rsplit("/", 1)[1], r.anchor) for r in records
+              if not r.name.endswith("/error")]
+    assert {name for name, _ in checks} == set(verify.CHECKS)
+    assert [(name, anchor) for name, anchor in checks
+            if verify.CHECKS[name][0] != anchor] == []
+
+
 def test_theorem_records_rejects_unknown():
     with pytest.raises(ValueError):
         theorem_records(lau_c_c2(), "nope", RunConfig(count=1))
