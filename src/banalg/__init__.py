@@ -23,7 +23,6 @@ from .constructions import (
     semidirect,
 )
 from .spectra import (
-    Character,
     CharacterSet,
     characters_numerical,
     characters_semidirect,
@@ -62,7 +61,6 @@ __all__ = [
     "lau_product",
     "phi_isomorphism",
     "semidirect",
-    "Character",
     "CharacterSet",
     "characters_numerical",
     "characters_semidirect",

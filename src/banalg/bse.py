@@ -165,7 +165,9 @@ def check_bse_property(algebra: Algebra, tol: float = DEFAULT_TOL,
 
     The algebra must be without order (checked).  Verdict is true iff the two
     subspaces of functions on the characters coincide, each contained in the
-    other up to tol.
+    other up to tol.  In exact arithmetic it is true on every algebra this
+    accepts: without order, every function on the characters is a multiplier
+    hat, so the containment residuals measure rounding only.
     S defaults to the numerical character set and `mult` to the stack of the
     algebra's multiplier space; pass either to judge on one already computed.
     """

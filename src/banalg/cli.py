@@ -75,6 +75,13 @@ def orders(text: str) -> list[int]:
     return parsed
 
 
+def tolerance(text: str) -> float:
+    """argparse type of --tol and --opt-tol: a finite positive number."""
+    if not 0 < float(text) < float("inf"):
+        raise ValueError(text)  # argparse reports it as an invalid tolerance value
+    return float(text)
+
+
 def _cmd_build(args) -> int:
     if args.what == "group":
         _emit(algebra_to_dict(finite_abelian_group_algebra(args.orders)), args.output)
@@ -202,9 +209,9 @@ def _cmd_verify(args) -> int:
 
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+    common.add_argument("--tol", type=tolerance, default=argparse.SUPPRESS,
                         help=f"algebraic residual tolerance (default {DEFAULT_TOL:g})")
-    common.add_argument("--opt-tol", type=float, default=argparse.SUPPRESS,
+    common.add_argument("--opt-tol", type=tolerance, default=argparse.SUPPRESS,
                         help=f"tolerance that verify judges its optimization records "
                              f"against (default {RunConfig.tol_opt:g}); bse-norm ignores "
                              f"it: it solves to the relative gap GAP_REL = {GAP_REL:g} "

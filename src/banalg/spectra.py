@@ -2,9 +2,9 @@
 
 A character is a nonzero multiplicative linear functional, stored as its
 value vector on the basis.  A set holds each character once: a
-`CharacterSet` stacks the value vectors into one read-only matrix (a row
-per character) and their multiplicativity residuals into one read-only
-vector, and a character of the set is a row of that matrix.  The
+`CharacterSet` takes the value vectors as one read-only matrix (a row per
+character) and their multiplicativity residuals as one read-only vector,
+and a character of the set is a row of that matrix.  The
 numerical solver passes to the semisimple quotient A/rad, with rad the
 radical of the trace form, where the multiplication operators commute and
 are simultaneously diagonalizable: the characters are their joint
@@ -26,8 +26,7 @@ discrepancy, so nothing downstream induces them again.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,40 +40,39 @@ GENERIC_SEED = 0  # seeds the generic element of characters_numerical, afresh in
 
 @dataclass(eq=False)
 class Character:
+    # unchecked; only perfbench/workloads.py builds one, for `CharacterSet` to read
     algebra: Algebra
     values: np.ndarray
-    residual: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.algebra.dim,):
-            raise ValueError("character value vector length mismatch")
-        if not np.any(np.abs(self.values) > 0):
-            raise ValueError("a character is a nonzero functional")
 
 
 @dataclass(eq=False)
 class CharacterSet:
-    """Characters of one algebra, stacked once at construction: `matrix` is
-    the read-only |S| x n array of their value vectors (rows) and
-    `residuals` the read-only vector of their multiplicativity residuals.
-    The set keeps no Character: a character of the set is a row of
-    `matrix`, with its residual at the same index."""
+    """Characters of one algebra, given as rows: `matrix` is the read-only
+    |S| x n array of their value vectors and `residuals` the read-only
+    vector of their multiplicativity residuals (zeros when not given).  A
+    character of the set is a row of `matrix`, with its residual at the
+    same index."""
 
     algebra: Algebra
-    characters: InitVar[Sequence[Character]]
+    matrix: np.ndarray = field(repr=False)  # or a list of Character
+    residuals: np.ndarray | None = field(default=None, repr=False)
     # "numerical" or "closed_form"; no library code reads it, and it stays
     # because perfbench/workloads.py passes it
     provenance: str = "numerical"
-    matrix: np.ndarray = field(init=False, repr=False)
-    residuals: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, characters):
-        if any(ch.algebra is not self.algebra for ch in characters):
-            raise SpectraError("character belongs to a different algebra")
-        V = np.array([ch.values for ch in characters], dtype=complex)
-        V = self.matrix = _readonly(V.reshape(len(characters), self.algebra.dim))
-        self.residuals = _readonly(np.array([ch.residual for ch in characters], dtype=float))
+    def __post_init__(self):
+        if any(isinstance(ch, Character) for ch in self.matrix):
+            if any(ch.algebra is not self.algebra for ch in self.matrix):
+                raise SpectraError("character belongs to a different algebra")
+            self.matrix = [ch.values for ch in self.matrix]
+        V = np.array(self.matrix, dtype=complex)
+        if V.size and V.shape != (len(V), self.algebra.dim):
+            raise ValueError("character value vector length mismatch")
+        V = self.matrix = _readonly(V.reshape(len(V), self.algebra.dim))
+        if not np.all(np.abs(V).max(axis=1, initial=0.0) > 0):
+            raise ValueError("a character is a nonzero functional")
+        R = np.zeros(len(V)) if self.residuals is None else self.residuals
+        self.residuals = _readonly(np.array(R, dtype=float).reshape(len(V)))
         # sup-norm distance of every pair at once, a character never to itself
         dist = np.abs(V[:, None, :] - V[None, :, :]).max(axis=2, initial=0.0)
         np.fill_diagonal(dist, np.inf)
@@ -137,9 +135,10 @@ def characters_numerical(algebra: Algebra, tol: float = DEFAULT_TOL) -> Characte
             f"{np.sum(~ok)} of {q} joint eigenvalues on A/rad are not characters "
             f"(worst multiplicativity residual {np.max(res):.3e})"
         )
-    chars = [Character(algebra, v, residual=float(r)) for v, r in zip(vals, res)]
-    chars.sort(key=lambda ch: tuple(np.round(ch.values, 9).view(float)))
-    return CharacterSet(algebra, chars, provenance="numerical")
+    # rows ascend by their entries rounded to 9 places, real part before imaginary
+    key = np.round(np.ascontiguousarray(vals), 9).view(float)
+    order = np.lexsort(key.T[::-1])
+    return CharacterSet(algebra, vals[order], res[order])
 
 
 def gelfand(a: np.ndarray, S: CharacterSet) -> np.ndarray:
@@ -244,8 +243,7 @@ def characters_semidirect(desc: ProductDescriptor, tol: float = DEFAULT_TOL,
         part = "E" if bad[0] < ec else "F"
         raise SpectraError(
             f"assembled {part}-character is not multiplicative ({res[bad[0]]:.3e})")
-    closed = CharacterSet(alg, [Character(alg, v, float(r)) for v, r in zip(rows, res)],
-                          provenance="closed_form")
+    closed = CharacterSet(alg, rows, res, provenance="closed_form")
     _, distance = match_character_sets(characters_numerical(alg, tol), closed)
     return SemidirectCharacters(
         set=closed,

@@ -55,7 +55,6 @@ from .multipliers import (
     split_blocks,
 )
 from .spectra import (
-    Character,
     CharacterSet,
     SemidirectCharacters,
     characters_numerical,
@@ -124,19 +123,17 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.tol_algebraic <= 0 or self.tol_opt <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.sigma_samples < 1:
-            raise ValueError("sigma_samples must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if not 1 <= self.max_dim <= 16:
-            raise ValueError("max_dim must stay at desk scale (1..16)")
-        unknown = set(self.families) - set(FAMILIES)
-        if unknown:
-            raise ValueError(f"unknown fixture families: {sorted(unknown)}")
+        if not (0 < self.tol_algebraic < np.inf and 0 < self.tol_opt < np.inf):
+            raise ValueError("tolerances must be finite and positive")
+        for name, low in (("seed", 0), ("count", 1), ("sigma_samples", 1), ("jobs", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        # a diag fixture draws its dimension from 2..max_dim
+        if not 2 <= self.max_dim <= 16:
+            raise ValueError("max_dim must stay at desk scale (2..16)")
+        if sorted(set(self.families) & set(FAMILIES)) != sorted(self.families):
+            raise ValueError(f"fixture families must be distinct, from {','.join(FAMILIES)}: "
+                             f"{','.join(self.families)}")
 
     def to_dict(self) -> dict:
         # the worker count changes no answer, so a report leaves it out
@@ -385,10 +382,7 @@ def _plain_checks(records, fix: Fixture, cfg: RunConfig, rng: np.random.Generato
     if fix.family == "group":
         # phase-twisting the basis rescales every character entrywise the same way
         closed = group_character_values(fix.meta["orders"]) * fix.meta["twist"]
-        alg = fix.algebra
-        expected = CharacterSet(
-            alg, [Character(alg, row) for row in closed], provenance="closed_form"
-        )
+        expected = CharacterSet(fix.algebra, closed, provenance="closed_form")
         _, dist = match_character_sets(S, expected, threshold=1e-6)
         _rec(records, fix, "characters-oracle", dist, cfg)
     _duality_checks(records, fix, S, cfg, rng)

@@ -16,7 +16,7 @@ from banalg.constructions import (
     semidirect,
 )
 from banalg.jsonio import complex_pair, render_json
-from banalg.spectra import Character, CharacterSet
+from banalg.spectra import CharacterSet
 
 
 def write_json(path, doc):
@@ -37,8 +37,7 @@ def change_basis(alg, S):
 
 def character_subset(S, index):
     """The CharacterSet of the rows S.matrix[index], each with its residual."""
-    return CharacterSet(S.algebra, [Character(S.algebra, v, float(r))
-                                    for v, r in zip(S.matrix[index], S.residuals[index])])
+    return CharacterSet(S.algebra, S.matrix[index], S.residuals[index])
 
 
 def sigma_to_dict(values):

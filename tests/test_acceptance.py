@@ -37,7 +37,6 @@ from banalg.multipliers import (
     split_blocks,
 )
 from banalg.spectra import (
-    Character,
     CharacterSet,
     characters_numerical,
     characters_semidirect,
@@ -266,8 +265,7 @@ def test_criterion_9_oracle_equivalences():
         alg = finite_abelian_group_algebra(orders)
         S = characters_numerical(alg)
         table = group_character_values(orders)
-        expected = CharacterSet(alg, [Character(alg, row) for row in table],
-                                provenance="closed_form")
+        expected = CharacterSet(alg, table, provenance="closed_form")
         _, dist = match_character_sets(S, expected, threshold=1e-6)
         worst = max(worst, dist)
     dims_ok = True

@@ -29,7 +29,6 @@ from banalg.errors import (
 )
 from banalg.fixtures import build_fixture
 from banalg.spectra import (
-    Character,
     CharacterSet,
     characters_numerical,
     characters_semidirect,
@@ -228,8 +227,7 @@ def test_empty_character_set_raises(nilpotent2):
 def test_rank_deficient_character_set_raises(c2, norm):
     # three distinct rows in a 2-dimensional dual: the constructor does not
     # check multiplicativity, so only the BSE norms' rank check refuses them
-    rows = ([1, 0], [0, 1], [1, 1])
-    S = CharacterSet(c2, [Character(c2, row) for row in rows])
+    S = CharacterSet(c2, np.array([[1, 0], [0, 1], [1, 1]]))
     with pytest.raises(RankDeficientCharactersError):
         norm(np.ones(3), S, c2)
 

@@ -349,6 +349,35 @@ def test_build_group_bad_orders_exit_2(tmp_path, capsys, orders):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("settings, message", [
+    (["--seed", "-1"], "seed must be >= 0"),
+    (["--max-dim", "1"], "max_dim must stay at desk scale (2..16)"),
+    (["--families", "diag,diag"],
+     "fixture families must be distinct, from diag,group,semidirect,lau: diag,diag"),
+], ids=["negative-seed", "max-dim-1", "repeated-family"])
+def test_verify_bad_settings_exit_2(capsys, settings, message):
+    # each used to crash in numpy or to write every record twice
+    code, stdout, err = run_cli(capsys, "verify", "--count", "1", "--max-dim", "2", *settings)
+    assert code == 2 and stdout == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("option", ["--tol", "--opt-tol"])
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_bad_tolerance_exit_2(tmp_path, capsys, option, value):
+    # a tolerance is finite and positive; NaN used to fail every check of
+    # verify, and NaN or -1 made check-bse reject a valid algebra
+    group = tmp_path / "g.json"
+    run_cli(capsys, "build", "group", "--orders", "2,2", "-o", str(group))
+    for argv in (["verify", "--count", "1", "--max-dim", "2"], ["check-bse", str(group)]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"{option}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: invalid tolerance value: '{value}'" in err
+        assert "Traceback" not in err
+
+
 def test_multipliers_blocks_of_another_dimension_exit_2(algebra_file, tmp_path, capsys):
     # the bundle's product (C x_phi C^2, dim 3) cannot split maps on C^2
     bundle = tmp_path / "lau.json"

@@ -77,13 +77,13 @@ def test_gelfand_transform(c2):
 def test_character_set_rejects_duplicates(c2):
     v = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(SpectraError):
-        CharacterSet(c2, [Character(c2, v), Character(c2, v + 1e-9)])
+        CharacterSet(c2, np.array([v, v + 1e-9]))
 
 
 @pytest.mark.parametrize("gap, ok", [(0.5, False), (2.0, True)])
 def test_character_set_separation(c2, gap, ok):
     v = np.array([1.0, 0.0], dtype=complex)
-    pair = [Character(c2, v), Character(c2, v + [0.0, gap * SEPARATION])]
+    pair = np.array([v, v + [0.0, gap * SEPARATION]])
     if ok:
         assert len(CharacterSet(c2, pair)) == 2
     else:
@@ -92,14 +92,59 @@ def test_character_set_separation(c2, gap, ok):
 
 
 def test_character_set_empty_and_single(c2):
-    assert len(CharacterSet(c2, [])) == 0
-    assert CharacterSet(c2, []).matrix.shape == (0, 2)
-    assert len(CharacterSet(c2, [Character(c2, [1.0, 0.0])])) == 1
+    assert len(CharacterSet(c2, np.zeros((0, 2)))) == 0
+    assert CharacterSet(c2, np.zeros((0, 2))).matrix.shape == (0, 2)
+    assert CharacterSet(c2, np.zeros((0, 2))).residuals.shape == (0,)
+    assert len(CharacterSet(c2, np.array([[1.0, 0.0]]))) == 1
 
 
 def test_character_set_rejects_a_character_of_another_algebra(c2, z2):
     with pytest.raises(SpectraError):
         CharacterSet(c2, [Character(c2, [1.0, 0.0]), Character(z2, [1.0, 1.0])])
+
+
+def test_character_set_takes_rows_and_freezes_them(c2):
+    rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+    S = CharacterSet(c2, rows, np.array([1e-16, 2e-16]))
+    assert S.matrix.dtype == complex and np.array_equal(S.matrix, rows)
+    assert np.array_equal(S.residuals, [1e-16, 2e-16])
+    assert not S.matrix.flags.writeable and not S.residuals.flags.writeable
+    assert rows.flags.writeable  # the caller's array is copied, not frozen
+    assert np.array_equal(CharacterSet(c2, rows).residuals, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("rows, message", [
+    (np.array([[1.0, 0.0, 0.0]]), "length mismatch"),
+    (np.array([1.0, 0.0]), "length mismatch"),
+    (np.array([[1.0, 0.0], [0.0, 0.0]]), "nonzero functional"),
+])
+def test_character_set_rejects_bad_rows(c2, rows, message):
+    with pytest.raises(ValueError, match=message):
+        CharacterSet(c2, rows)
+
+
+def test_character_set_reads_a_list_of_characters_as_rows(z2):
+    # the closed-form set of perfbench/workloads.py is built this way
+    S = characters_numerical(z2)
+    listed = CharacterSet(z2, [Character(z2, row) for row in S.matrix], provenance="closed_form")
+    assert np.array_equal(listed.matrix, S.matrix)
+    assert np.array_equal(listed.residuals, np.zeros(len(S)))
+
+
+@pytest.mark.parametrize("name", ["diag", "twisted-l1(Z4xZ4)"])
+def test_characters_numerical_rows_in_key_order(name):
+    # rows ascend by their entries rounded to 9 places, compared entry by
+    # entry, the real part before the imaginary part
+    if name == "diag":
+        alg = diagonal_algebra(4)
+    else:
+        alg, _ = _phase_twist(np.random.default_rng(3), finite_abelian_group_algebra([4, 4]))
+    S = characters_numerical(alg)
+    keys = [tuple(x for z in np.round(row, 9) for x in (z.real, z.imag)) for row in S.matrix]
+    assert len(keys) == alg.dim and keys == sorted(keys)
+    if name == "diag":
+        # every row ties with the others on all but one entry: e_3 comes first
+        assert np.array_equal(S.matrix.real, np.eye(4)[::-1])
 
 
 def test_character_set_rank_is_stable(z2z2):
@@ -111,9 +156,7 @@ def test_character_set_rank_is_stable(z2z2):
 
 def test_match_character_sets_threshold(c2):
     S = characters_numerical(c2)
-    shifted = CharacterSet(
-        c2, [Character(c2, row + 1e-7) for row in S.matrix], provenance="closed_form"
-    )
+    shifted = CharacterSet(c2, S.matrix + 1e-7, provenance="closed_form")
     pairing, dist = match_character_sets(S, shifted, threshold=1e-6)
     assert sorted(pairing) == [0, 1]
     assert dist == pytest.approx(1e-7, rel=1e-3)
@@ -311,7 +354,7 @@ def test_characters_of_generic_basis_truncated_sums():
         assert len(S) == len(sizes), sizes
         assert np.all(multiplicativity_residual(alg, S.matrix) <= 1e-9)
         assert np.max(np.abs(S.matrix @ rad), initial=0.0) <= 1e-9
-        closed = CharacterSet(alg, [Character(alg, v) for v in expected])
+        closed = CharacterSet(alg, expected)
         match_character_sets(S, closed, threshold=1e-9)
 
 

@@ -20,7 +20,6 @@ from banalg import verify
 from banalg.errors import BanalgError, IllConditionedError
 from banalg.multipliers import block_space, decompose_left_multiplier, left_multiplier_space
 from banalg.spectra import (
-    Character,
     CharacterSet,
     characters_numerical,
     characters_semidirect,
@@ -679,7 +678,7 @@ def test_minimizer_uniqueness_flags():
     z2 = finite_abelian_group_algebra([2])
     full = characters_numerical(z2)
     sign = next(row for row in full.matrix if np.allclose(row, [1.0, -1.0]))
-    partial = CharacterSet(z2, [Character(z2, sign)], provenance="numerical")
+    partial = CharacterSet(z2, sign[None, :])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SemisimplicityWarning)
         fn = bse_norm_primal(np.array([1.0 + 0j]), partial, z2)
@@ -707,6 +706,19 @@ def test_runconfig_validation():
         RunConfig(tol_opt=-1.0)
     with pytest.raises(ValueError):
         RunConfig(families=("bogus",))
+    # a tolerance is finite and positive: NaN compares false with everything
+    for field in ("tol_algebraic", "tol_opt"):
+        for value in (float("nan"), float("inf"), 0.0, -1e-9):
+            with pytest.raises(ValueError, match="finite and positive"):
+                RunConfig(**{field: value})
+    # a negative seed crashed numpy, max_dim 1 crashed the diag draw from
+    # 2..max_dim, and a repeated family wrote each of its records twice
+    for kwargs, message in (({"seed": -1}, "seed"), ({"max_dim": 1}, "2..16"),
+                            ({"max_dim": 17}, "2..16"),
+                            ({"families": ("diag", "group", "diag")}, "distinct")):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**kwargs)
+    assert RunConfig(seed=0, max_dim=2, families=("diag",)).max_dim == 2
     # jobs < 1 would run serially unasked, and sigma_samples < 1 would make
     # every bse-duality record a vacuous PASS
     for field in ("jobs", "sigma_samples"):
@@ -776,8 +788,7 @@ def test_psi_identity_record_can_fail(monkeypatch, index):
         sdc = original(*args, **kwargs)
         alg, rows = sdc.set.algebra, sdc.set.matrix.copy()
         rows[: sdc.e_count, sdc.descriptor.subalgebra_slice] += 1e-9
-        return dataclasses.replace(sdc, set=CharacterSet(
-            alg, [Character(alg, row) for row in rows], provenance="closed_form"))
+        return dataclasses.replace(sdc, set=CharacterSet(alg, rows, provenance="closed_form"))
 
     monkeypatch.setattr(verify, "characters_semidirect", offset)
     records = fixture_records(RunConfig(seed=0, max_dim=6), "semidirect", index)
@@ -846,9 +857,7 @@ def test_characters_residual_record_can_fail(monkeypatch, family):
 
     def offset(*args):
         S = original(*args)
-        return CharacterSet(S.algebra, [Character(S.algebra, v, r + 1e-8)
-                                        for v, r in zip(S.matrix, S.residuals)],
-                            provenance=S.provenance)
+        return CharacterSet(S.algebra, S.matrix, S.residuals + 1e-8)
 
     monkeypatch.setattr(verify, "characters_numerical", offset)
     records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
