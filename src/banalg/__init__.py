@@ -31,7 +31,6 @@ from .spectra import (
 )
 from .multipliers import (
     BlockDecomposition,
-    decompose_left_multiplier,
     hat,
     left_multiplier_space,
     multiplier_space,
@@ -67,7 +66,6 @@ __all__ = [
     "gelfand",
     "psi_of",
     "BlockDecomposition",
-    "decompose_left_multiplier",
     "hat",
     "left_multiplier_space",
     "multiplier_space",

@@ -78,7 +78,6 @@ def operator_norm(P: np.ndarray, source: Algebra, target: Algebra) -> float:
 @dataclass
 class ValidationReport:
     name: str
-    tol: float
     max_associativity_residual: float
     max_commutativity_residual: float
     max_submultiplicativity_excess: float
@@ -120,7 +119,7 @@ def validate(algebra: Algebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     w = algebra.weights
     if not all_finite(algebra):
         nan = float("nan")
-        return ValidationReport(algebra.name, tol, nan, nan, nan,
+        return ValidationReport(algebra.name, nan, nan, nan,
                                 None if algebra.unit is None else nan, ["finite"])
     failures = []
 
@@ -146,7 +145,6 @@ def validate(algebra: Algebra, tol: float = DEFAULT_TOL) -> ValidationReport:
 
     return ValidationReport(
         name=algebra.name,
-        tol=tol,
         max_associativity_residual=assoc,
         max_commutativity_residual=comm,
         max_submultiplicativity_excess=max(excess, 0.0),

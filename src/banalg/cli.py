@@ -21,7 +21,7 @@ from .constructions import (
     lau_product,
     semidirect,
 )
-from .errors import BanalgError, SchemaError, ValidationRejected
+from .errors import BanalgError, NotAMultiplierError, SchemaError, ValidationRejected
 from .fixtures import FAMILIES
 from .interpolation import GAP_HARD_LIMIT, GAP_REL
 from .jsonio import (
@@ -37,9 +37,10 @@ from .jsonio import (
     sigma_from_dict,
 )
 from .multipliers import (
-    decompose_left_multiplier,
+    left_multiplier_residual,
     left_multiplier_space,
     multiplier_space,
+    split_blocks,
 )
 from .spectra import characters_numerical, characters_semidirect
 from .verify import THEOREMS, Report, RunConfig, run_verify, theorem_records
@@ -134,7 +135,13 @@ def _cmd_multipliers(args) -> int:
         bundle = bundle_from_dict(load_json(args.blocks), where=args.blocks, tol=args.tol)
         if bundle.algebra.dim != algebra.dim:
             raise SchemaError([f"{args.blocks}: dim {bundle.algebra.dim}, not {algebra.dim}"])
-        dec = decompose_left_multiplier(space, bundle, args.tol)
+        # a space split against a bundle read from a file is outside input:
+        # refused unless every map is a left multiplier of the bundle's product
+        res = left_multiplier_residual(bundle.algebra, space)
+        if res > args.tol:
+            raise NotAMultiplierError(
+                f"input is not a left multiplier (residual {res:.3e} > {args.tol:g})")
+        dec = split_blocks(space, bundle)
         doc["blocks"] = [
             {field: {k: float(v[i]) for k, v in getattr(dec, field).items()}
              for field in ("relation_residuals", "membership_residuals")}
@@ -181,6 +188,8 @@ def _cmd_check_bse(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.theorem and not args.bundle:
+        raise SchemaError(["--theorem needs a build bundle"])
     try:
         cfg = RunConfig(
             tol_algebraic=args.tol,

@@ -27,9 +27,10 @@ A space is its stack: `multiplier_space`, `left_multiplier_space` and
 whose length is the dimension.  The residuals, the block split and `hat`
 take one map or a stack of maps along leading axes, so a check over a whole
 space is one contraction: a residual is the worst over the stack, and a
-refusal is raised when any map fails.  `split_blocks` refuses nothing: it
-returns the blocks with one residual per map, and the caller judges them;
-`decompose_left_multiplier` first refuses a map outside LM(A).
+refusal is raised when any map fails.  `split_blocks`, the one reader of
+Lemma 2.1's blocks, refuses only a map of the wrong shape: it returns the
+blocks with one residual per map, and the caller judges them, membership in
+LM(A) included, through `left_multiplier_residual`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, Algebra, _readonly, rank_basis
 from .constructions import ProductDescriptor
-from .errors import NotAMultiplierError, UndefinedHatError
+from .errors import UndefinedHatError
 from .spectra import CharacterSet
 
 # Values of the first structure index i per row block handed to rank_basis:
@@ -219,26 +220,13 @@ def _block_relation_residuals(desc: ProductDescriptor, T_B, S_B, S_I, R_I
 
 def split_blocks(T: np.ndarray, desc: ProductDescriptor) -> BlockDecomposition:
     """Split a map T on B (+) I, or a stack T[..., n, n] of maps, into its four
-    blocks with their relation and membership residuals; refuses nothing."""
+    blocks with their relation and membership residuals; refuses only a map of
+    the wrong shape."""
+    if np.shape(T)[-2:] != (desc.algebra.dim,) * 2:
+        raise ValueError("multiplier matrix has the wrong shape")
     side = _sides(desc)
     blocks = [T[..., side[r], side[c]] for r, c in _BLOCKS.values()]
     return BlockDecomposition(*blocks, *_block_relation_residuals(desc, *blocks))
-
-
-def decompose_left_multiplier(T: np.ndarray, desc: ProductDescriptor,
-                              tol: float = DEFAULT_TOL) -> BlockDecomposition:
-    """Split T in LM(B (+) I), or a stack T[..., n, n] of such maps, into its
-    four blocks and certify the relations."""
-    alg = desc.algebra
-    mat = np.asarray(T, dtype=complex)
-    if mat.shape[-2:] != (alg.dim, alg.dim):
-        raise ValueError("multiplier matrix has the wrong shape")
-    res = left_multiplier_residual(alg, mat)
-    if res > tol:
-        raise NotAMultiplierError(
-            f"input is not a left multiplier (residual {res:.3e} > {tol:g})"
-        )
-    return split_blocks(mat, desc)
 
 
 def _block_system(desc: ProductDescriptor) -> list[np.ndarray]:

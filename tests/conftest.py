@@ -174,6 +174,26 @@ def zero_product_semidirect():
     return semidirect(zero_product(1), zero_product(1), zero, zero.copy())
 
 
+def order_full_span_semidirect():
+    """B (+) I with B = Ce (+) Cn, e^2 = e and n annihilating B, and I = Cx,
+    x^2 = 0, e x = x e = x, n x = 0: <IB> = I, but n annihilates the product,
+    which has order, and M(A) is not inside LM(A)."""
+    c = np.zeros((2, 2, 2), dtype=complex)
+    c[0, 0, 0] = 1.0
+    B = Algebra("Ce+Cn", np.ones(2), c)
+    act = np.zeros((2, 1, 1), dtype=complex)
+    act[0, 0, 0] = 1.0
+    return semidirect(B, zero_product(1), act, act.transpose(1, 0, 2).copy())
+
+
+def identity_on_zero_line_semidirect():
+    """B = C acting by identity on a zero-product line N: <IB> = I and no
+    order, but no character is nonzero on N, so E is empty."""
+    one = np.ones((1, 1, 1), dtype=complex)
+    B = Algebra("C", np.ones(1), one, unit=np.ones(1, dtype=complex))
+    return semidirect(B, zero_product(1), one.copy(), one.copy())
+
+
 def dual_numbers_semidirect():
     """B (+) I with B = C, b^2 = 0, and I = C[x]/(x^2) in the basis (1, x),
     unit (1, 0), all weights 1, B acting on I by zero.  The ideal product is

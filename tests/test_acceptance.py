@@ -30,7 +30,6 @@ from banalg.errors import SpanConditionError
 from banalg.fixtures import build_fixture
 from banalg.multipliers import (
     block_space,
-    decompose_left_multiplier,
     left_multiplier_residual,
     left_multiplier_space,
     multiplier_space,
@@ -79,9 +78,9 @@ def test_criterion_1_lemma_equivalence(semidirect_fixtures):
         desc = fix.descriptor
         lm = left_multiplier_space(fix.algebra)
         for T in lm:
-            dec = decompose_left_multiplier(T, desc, tol=1e-9)
-            worst_rel = max(worst_rel, dec.max_relation_residual,
-                            dec.max_membership_residual)
+            dec = split_blocks(T, desc)
+            worst_rel = max(worst_rel, left_multiplier_residual(fix.algebra, T),
+                            dec.max_relation_residual, dec.max_membership_residual)
         bs = block_space(desc)
         dims_exact = dims_exact and bs.shape == lm.shape
         split = split_blocks(bs, desc)

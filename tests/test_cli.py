@@ -74,6 +74,15 @@ def test_characters_closed_form_needs_a_bundle(algebra_file, tmp_path, capsys):
     assert code == 0 and json.loads(stdout)["count"] == 3
 
 
+def test_verify_theorem_needs_a_bundle(capsys):
+    # --theorem filters a bundle's checks: without one it is refused as bad
+    # input, not ignored
+    code, stdout, err = run_cli(capsys, "verify", "--theorem", "lemma21",
+                                "--count", "1", "--max-dim", "3")
+    assert code == 2 and stdout == ""
+    assert err == "error: --theorem needs a build bundle\n"
+
+
 def test_build_lau_bundle_and_verify(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -393,13 +402,13 @@ def test_multipliers_blocks_split_the_space_in_one_call(tmp_path, capsys, monkey
     # residuals split_blocks gives basis map i alone
     bundle = tmp_path / "lau.json"
     write_json(str(bundle), bundle_to_dict(build_fixture("lau", 0, 0, 6).descriptor))
-    calls, original = [], cli.decompose_left_multiplier
+    calls, original = [], cli.split_blocks
 
     def counted(T, *args):
         calls.append(np.shape(T))
         return original(T, *args)
 
-    monkeypatch.setattr(cli, "decompose_left_multiplier", counted)
+    monkeypatch.setattr(cli, "split_blocks", counted)
     argv = ["multipliers", str(bundle), "--blocks", str(bundle)] + ["--left"] * left
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 0, err
@@ -414,6 +423,16 @@ def test_multipliers_blocks_split_the_space_in_one_call(tmp_path, capsys, monkey
             expected = getattr(want, field)
             assert got[field].keys() == expected.keys()
             assert all(abs(got[field][k] - v) <= 1e-15 for k, v in expected.items())
+
+
+def test_multipliers_blocks_refuse_a_space_outside_lm(capsys):
+    # the semidirect product's multipliers are not left multipliers of the
+    # lau product: --blocks refuses the space read from a file before it splits
+    code, stdout, err = run_cli(capsys, "multipliers", str(GOLDEN / "build_semidirect.json"),
+                                "--blocks", str(GOLDEN / "build_lau.json"))
+    assert code == 1 and stdout == ""
+    assert err == ("error [NOT_A_MULTIPLIER]: input is not a left multiplier "
+                   "(residual 1.489e+00 > 1e-09)\n")
 
 
 VERIFY_SMALL = ("--families", "diag", "--count", "1", "--max-dim", "2", "--format", "json")

@@ -5,7 +5,7 @@ import pytest
 
 from banalg.algebra import RANK_CUTOFF
 from banalg.constructions import finite_abelian_group_algebra
-from banalg.errors import NotAMultiplierError, UndefinedHatError
+from banalg.errors import UndefinedHatError
 from banalg.fixtures import build_fixture, lau_fixture, semidirect_fixture
 from banalg.multipliers import (
     SLAB_I,
@@ -15,7 +15,6 @@ from banalg.multipliers import (
     _left_constraints,
     _mult_constraints,
     block_space,
-    decompose_left_multiplier,
     hat,
     left_multiplier_residual,
     left_multiplier_space,
@@ -317,7 +316,7 @@ def test_module_hom_pointwise_fixture_sb():
 
 def test_decompose_identity(sd_pointwise):
     desc = sd_pointwise
-    dec = decompose_left_multiplier(np.eye(2, dtype=complex), desc)
+    dec = split_blocks(np.eye(2, dtype=complex), desc)
     assert np.allclose(dec.T_B, 1.0) and np.allclose(dec.R_I, 1.0)
     assert np.allclose(dec.S_B, 0.0) and np.allclose(dec.S_I, 0.0)
     assert dec.max_relation_residual <= 1e-12
@@ -329,7 +328,7 @@ def test_decompose_left_multiplication_blocks(sd_pointwise):
     alg = desc.algebra
     x = np.array([2.0 + 1j, -3.0], dtype=complex)  # (b0, a0)
     T = left_mult_matrix(alg, x)
-    dec = decompose_left_multiplier(T, desc)
+    dec = split_blocks(T, desc)
     # expand (b0, a0)(b, a) = (b0 b, a0 a + b0 a + a0 b): blocks read off
     assert np.allclose(dec.T_B, [[2.0 + 1j]])
     assert np.allclose(dec.S_B, [[0.0]])
@@ -339,10 +338,17 @@ def test_decompose_left_multiplication_blocks(sd_pointwise):
 
 
 def test_decompose_rejects_non_multiplier(sd_pointwise):
+    # the swap is outside LM(A): split_blocks refuses only a map of the wrong
+    # shape, and the caller judges the swap by its LM residual (the CLI's
+    # refusal is tested in test_cli)
     T = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     assert left_multiplier_residual(sd_pointwise.algebra, T) > 1e-6
-    with pytest.raises(NotAMultiplierError):
-        decompose_left_multiplier(T, sd_pointwise)
+    dec = split_blocks(T, sd_pointwise)
+    assert np.allclose(dec.S_B, 1.0) and np.allclose(dec.S_I, 1.0)
+    assert dec.relation_residuals["iv"] > 1e-6
+    for shape in ((3, 3), (2, 2, 3)):
+        with pytest.raises(ValueError, match="wrong shape"):
+            split_blocks(np.zeros(shape, dtype=complex), sd_pointwise)
 
 
 def test_recompose_rejects_nonzero_sb(sd_pointwise):
@@ -372,8 +378,8 @@ def test_block_space_on_lau_descriptor():
     bs = block_space(desc)
     assert bs.shape[0] == len(lm)
     for T in lm:
-        dec = decompose_left_multiplier(T, desc)
-        assert dec.max_relation_residual <= 1e-10
+        assert left_multiplier_residual(desc.algebra, T) <= 1e-10
+        assert split_blocks(T, desc).max_relation_residual <= 1e-10
 
 
 def corpus_product(family, seed, index):
@@ -502,9 +508,9 @@ def test_stacked_checks_match_per_map(family, index):
     bs = block_space(desc)
     assert left_multiplier_residual(alg, bs) == pytest.approx(
         max(left_multiplier_residual(alg, T) for T in bs), rel=1e-14, abs=1e-14)
-    for split, stack in ((decompose_left_multiplier, lm), (split_blocks, bs)):
-        stacked = split(stack, desc)
-        singles = [split(T, desc) for T in stack]
+    for stack in (lm, bs):
+        stacked = split_blocks(stack, desc)
+        singles = [split_blocks(T, desc) for T in stack]
         for name in ("T_B", "S_B", "S_I", "R_I"):
             assert np.array_equal(getattr(stacked, name),
                                   np.array([getattr(d, name) for d in singles]))
@@ -522,17 +528,17 @@ def test_stacked_checks_match_per_map(family, index):
 
 
 def test_one_bad_map_refuses_the_stack():
-    # a stack is refused with the error its one bad map gets alone
+    # a stack is refused with the error its one bad map gets alone, and its
+    # LM residual is that map's (the CLI's refusal is tested in test_cli)
     desc = lau_fixture(0, 0, 6).descriptor
     alg = desc.algebra
     lm = left_multiplier_space(alg)
     bad = lm.copy()
     bad[1] = np.random.default_rng(3).standard_normal((alg.dim, alg.dim))
-    with pytest.raises(NotAMultiplierError):
-        decompose_left_multiplier(bad[1], desc)
-    with pytest.raises(NotAMultiplierError):
-        decompose_left_multiplier(bad, desc)
-    decompose_left_multiplier(lm, desc)
+    worst = left_multiplier_residual(alg, bad[1])
+    assert worst > 1e-9
+    assert left_multiplier_residual(alg, bad) == pytest.approx(worst, rel=1e-14)
+    assert left_multiplier_residual(alg, lm) <= 1e-9
     S = characters_numerical(alg)
     with pytest.raises(UndefinedHatError):
         hat(bad[1], S)

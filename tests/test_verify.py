@@ -18,7 +18,7 @@ from banalg.constructions import (
 from banalg.fixtures import FAMILIES, Fixture, build_fixture, fixture_rng
 from banalg import verify
 from banalg.errors import BanalgError, IllConditionedError
-from banalg.multipliers import block_space, decompose_left_multiplier, left_multiplier_space
+from banalg.multipliers import block_space, left_multiplier_space, split_blocks
 from banalg.spectra import (
     CharacterSet,
     characters_numerical,
@@ -37,9 +37,11 @@ from banalg.verify import (
 from conftest import (
     character_subset,
     diagonal_algebra,
+    identity_on_zero_line_semidirect,
     lau_c_c2,
     module_extension_semidirect,
     nil2,
+    order_full_span_semidirect,
     pointwise_semidirect,
     x_truncated4,
     zero_product,
@@ -122,12 +124,13 @@ def test_report_text_rendering_no_color():
 
 
 def _zoo_bundles():
-    # products with no characters or with order: every check outside its
-    # hypotheses must be a reasoned SKIP, never an /error
+    # products with no characters, with order or with E empty: every check
+    # outside its hypotheses must be a reasoned SKIP, never an /error
     C = diagonal_algebra(1, "C")
     return [zero_product_semidirect(), direct_sum(C, nil2()), direct_sum(nil2(), C),
             direct_sum(zero_product(2), C),
-            direct_sum(module_extension_semidirect().algebra, C)]
+            direct_sum(module_extension_semidirect().algebra, C),
+            order_full_span_semidirect(), identity_on_zero_line_semidirect()]
 
 
 @pytest.mark.filterwarnings("ignore::banalg.bse.SemisimplicityWarning")
@@ -151,7 +154,9 @@ def test_theorem_records_on_bundles():
 @pytest.mark.filterwarnings("ignore::banalg.bse.SemisimplicityWarning")
 def test_zoo_bundles_skip_for_a_reason():
     # no characters: bse-duality and delta-weak-bai; order: check-bse and, on
-    # a lau product or direct sum, the five other records of the product-BSE pass
+    # a lau product or direct sum, the five other records of the product-BSE
+    # pass, on a semidirect product with <IB> = I, multiplier-sb-zero; fewer
+    # characters than dimensions without order: check-bse, as not semisimple
     no_chars = {"bse-duality", "delta-weak-bai"}
     product_bse = {"phi-iso-norm", "lau-bse-biconditional", "lau-transport",
                    "sum-bse-biconditional", "sum-multiplier-split", "check-bse"}
@@ -159,12 +164,18 @@ def test_zoo_bundles_skip_for_a_reason():
         records = theorem_records(desc, None, RunConfig(count=1))
         skipped = {r.name.rsplit("/", 1)[1]: r.detail for r in records
                    if r.verdict == "SKIP"}
-        has_order = product_bse if desc.kind != "semidirect" else {"check-bse"}
-        assert {k: v for k, v in skipped.items() if v.startswith("outside")} == {
-            **{name: "outside hypotheses: has order" for name in has_order},
-            **{name: "outside hypotheses: no characters" for name in no_chars
-               if not len(characters_numerical(desc.algebra))},
-        }, desc.algebra.name
+        chars = characters_numerical(desc.algebra)
+        expected = dict.fromkeys(no_chars if not len(chars) else (),
+                                 "outside hypotheses: no characters")
+        if not desc.algebra.without_order:
+            has_order = product_bse if desc.kind != "semidirect" else {"check-bse"}
+            if desc.kind == "semidirect" and ideal_span_is_full(desc):
+                has_order = has_order | {"multiplier-sb-zero"}
+            expected.update(dict.fromkeys(has_order, "outside hypotheses: has order"))
+        elif len(chars) < desc.algebra.dim:
+            expected["check-bse"] = "outside hypotheses: not semisimple"
+        assert {k: v for k, v in skipped.items() if v.startswith("outside")} == expected, (
+            desc.algebra.name)
 
 
 def _descriptor_calls(desc):
@@ -177,8 +188,7 @@ def _descriptor_calls(desc):
         "phi_isomorphism": lambda: phi_isomorphism(desc),
         "characters_semidirect": sdc,
         "psi_of": lambda: psi_of(characters_numerical(desc.ideal).matrix, desc),
-        "decompose_left_multiplier": lambda: decompose_left_multiplier(
-            left_multiplier_space(desc.algebra), desc),
+        "split_blocks": lambda: split_blocks(left_multiplier_space(desc.algebra), desc),
         "block_space": lambda: block_space(desc),
         "verify_product_bse": lambda: verify_product_bse(desc),
         "split_sigma": lambda: split_sigma(np.ones(len(sdc().set)), sdc()),
@@ -798,16 +808,11 @@ def test_psi_identity_record_can_fail(monkeypatch, index):
 
 @pytest.mark.parametrize("family", ["semidirect", "lau"])
 def test_lemma_decompose_record_can_fail(monkeypatch, family):
-    # negative control: a block decomposition whose relation (ii) residual is
-    # off by 1e-8, ten times tol_algebraic, fails exactly lemma-decompose
-    original = verify.decompose_left_multiplier
-
-    def offset(*args):
-        dec = original(*args)
-        dec.relation_residuals["ii"] += 1e-8
-        return dec
-
-    monkeypatch.setattr(verify, "decompose_left_multiplier", offset)
+    # negative control: a basis of LM(A) with every entry off by 1e-8, ten
+    # times tol_algebraic, fails exactly lemma-decompose; the block space
+    # and its lemma-recompose record read no LM basis
+    original = verify.left_multiplier_space
+    monkeypatch.setattr(verify, "left_multiplier_space", lambda alg: original(alg) + 1e-8)
     records = fixture_records(RunConfig(seed=0, max_dim=6), family, 0)
     assert [r.name for r in records if r.verdict == "FAIL"] == [
         f"{family}/000/lemma-decompose"]
@@ -818,14 +823,14 @@ def test_multiplier_sb_zero_record_can_fail(monkeypatch, family, index):
     # negative control: blocks whose S_B is 1e-8, ten times tol_algebraic, where
     # the split has S_B = 0, fail exactly multiplier-sb-zero; at seed 0 index 2
     # is the first semidirect fixture with <IB> = I, where the record is a PASS
-    original = verify.decompose_left_multiplier
+    original = verify.split_blocks
 
     def offset(*args):
         dec = original(*args)
         dec.S_B = dec.S_B + 1e-8
         return dec
 
-    monkeypatch.setattr(verify, "decompose_left_multiplier", offset)
+    monkeypatch.setattr(verify, "split_blocks", offset)
     records = fixture_records(RunConfig(seed=0, max_dim=6), family, index)
     assert [r.name for r in records if r.verdict == "FAIL"] == [
         f"{family}/{index:03d}/multiplier-sb-zero"]
